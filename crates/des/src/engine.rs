@@ -191,8 +191,16 @@ impl<M: Model> Simulation<M> {
     /// (panics when exceeded — a model that self-perpetuates past the bound
     /// is a bug, not a workload).
     pub fn run_to_completion(&mut self, max_events: u64) -> RunStats {
+        self.run_while(max_events, |_| true)
+    }
+
+    /// [`run_to_completion`](Simulation::run_to_completion) that also stops
+    /// as soon as `go` rejects the model — checked before every dispatch,
+    /// so a stopping rule such as "N completions" leaves later events
+    /// queued and unprocessed.
+    pub fn run_while(&mut self, max_events: u64, mut go: impl FnMut(&M) -> bool) -> RunStats {
         let start = self.dispatched;
-        while self.step() {
+        while go(&self.model) && self.step() {
             assert!(
                 self.dispatched - start <= max_events,
                 "simulation exceeded {} events — runaway model?",

@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use engine::{Ctx, Model, RunStats, Simulation};
 pub use online::{
-    ArrivalSource, Commitment, Dispatcher, OnlineEvent, OnlineMachine, OpenOnlineMachine,
+    ArrivalSource, Commitment, Dispatcher, OnlineCounters, OnlineEvent, OnlineMachine,
 };
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;

@@ -3,33 +3,42 @@
 //!
 //! The offline executors evaluate a finished rectangle schedule; online
 //! policies differ precisely in *when* they learn about jobs. This module
-//! provides the missing execution shape: jobs [`OnlineEvent::Arrive`] over
-//! simulated time into a pending set, and a [`Dispatcher`] — the layer-
-//! agnostic stand-in for a scheduling policy — is (re-)invoked at every
-//! arrival and completion instant to commit work.
+//! provides the missing execution shape: jobs arrive over simulated time
+//! from an [`ArrivalSource`] into a pending set, and a [`Dispatcher`] — the
+//! layer-agnostic stand-in for a scheduling policy — is (re-)invoked at
+//! every arrival and completion instant to commit work.
 //!
 //! The machine is deliberately generic over the job type: this crate sits
 //! below `lsps-workload`/`lsps-core`, so the policy-aware dispatcher lives
-//! upstream (`lsps_bench::runner` wires `lsps_core::policy::Policy` in) and
-//! this module only owns the event mechanics:
+//! upstream (`lsps_scenario::runner` wires `lsps_core::policy::Policy` in)
+//! and this module only owns the event mechanics. One [`OnlineMachine`]
+//! serves finite runs and unbounded streams alike:
 //!
-//! * same-instant arrivals coalesce into **one** decision (a `Decide` event
-//!   scheduled at `now` fires after every already-queued event of the same
-//!   timestamp — the queue is FIFO on ties), so a batch policy sees the
-//!   whole simultaneous burst, not one job at a time;
-//! * a commitment is final **unless a node fails under it**: the machine
-//!   schedules its completion and never revisits it on its own, but an
+//! * arrivals are drawn from the source one ahead — the queue holds a
+//!   single payload-free [`OnlineEvent::Arrive`] wake-up for the next
+//!   release instant — so a finite job list is just a source that runs dry
+//!   and an open stream never materializes;
+//! * whichever event reaches an instant first admits **every** arrival
+//!   released at it, before anything else happens there, so same-instant
+//!   arrivals coalesce into **one** decision (a `Decide` event scheduled at
+//!   `now` fires after every already-queued event of the same timestamp —
+//!   the queue is FIFO on ties) however they interleave with a
+//!   same-instant completion or failure;
+//! * running slots are recycled through a free list, and each slot keeps
+//!   its queued `Finish` event's key, so memory tracks the concurrency
+//!   high-water mark and a kill cancels its completion in O(1);
+//! * completions go to a sink callback instead of a retained log — a
+//!   finite run passes a sink that collects;
+//! * a commitment is final **unless a node fails under it**: an
 //!   [`OnlineEvent::NodeDown`] invokes the dispatcher's
 //!   [`Dispatcher::node_down`] hook, which may kill running commitments
-//!   (their queued `Finish` events are cancelled in O(1)) and resubmit
-//!   replacement jobs into the pending set — the explicit invalidation
-//!   path failure-aware executors build on. Revision policies beyond that
-//!   still model preemption *inside* their dispatcher;
+//!   and resubmit replacement jobs into the pending set — the explicit
+//!   invalidation path failure-aware executors build on;
 //! * everything is deterministic: identical arrival streams, failure
 //!   traces, and a deterministic dispatcher give bit-identical completion
-//!   logs.
+//!   sequences.
 
-use crate::engine::{Ctx, Model};
+use crate::engine::{Ctx, Model, Simulation};
 use crate::queue::EventKey;
 use crate::time::Time;
 
@@ -69,11 +78,11 @@ pub trait Dispatcher {
     );
 
     /// A node failed at `now` and will be repaired at `up`. Inspect the
-    /// running table (slot-indexed; `None` entries already finished or
-    /// were killed earlier) and push the slots to kill into `kill` and
-    /// the replacement jobs to queue into `resubmit`. The machine then
-    /// cancels each killed slot's completion event, re-queues the
-    /// resubmitted jobs, and requests a decision at `now`.
+    /// running table (slot-indexed; `None` entries are free slots) and push
+    /// the slots to kill into `kill` and the replacement jobs to queue into
+    /// `resubmit`. The machine then cancels each killed slot's completion
+    /// event, re-queues the resubmitted jobs, and requests a decision at
+    /// `now`.
     ///
     /// Only slots holding `Some` commitment may be killed, and a slot at
     /// most once. The default ignores failures entirely — volatility-blind
@@ -98,11 +107,35 @@ pub trait Dispatcher {
     }
 }
 
+/// An arrival stream fed to the machine lazily, one job at a time — the
+/// abstraction that lets open (unbounded) workloads drive the DES without
+/// ever materializing a job list.
+///
+/// Contract: releases are **nondecreasing** across calls (the machine
+/// asserts this), and `None` ends the stream — a finite source is just a
+/// stream that runs dry. Any `Iterator<Item = (Time, Job)>` is a source, so
+/// a feed horizon is a `take_while` on it.
+pub trait ArrivalSource {
+    /// The job type produced.
+    type Job;
+
+    /// Draw the next arrival `(release, job)`, or `None` when exhausted.
+    fn next_arrival(&mut self) -> Option<(Time, Self::Job)>;
+}
+
+impl<J, I: Iterator<Item = (Time, J)>> ArrivalSource for I {
+    type Job = J;
+    fn next_arrival(&mut self) -> Option<(Time, J)> {
+        self.next()
+    }
+}
+
 /// Event alphabet of the online machine.
 #[derive(Debug)]
-pub enum OnlineEvent<J> {
-    /// A job becomes known to the scheduler.
-    Arrive(J),
+pub enum OnlineEvent {
+    /// Wake-up at the source's next release instant. The jobs themselves
+    /// stay in the machine; this only stops the clock there.
+    Arrive,
     /// Invoke the dispatcher over the current pending set.
     Decide,
     /// A committed run finishes (index into the machine's running table).
@@ -123,18 +156,46 @@ pub enum OnlineEvent<J> {
     },
 }
 
-/// The event-driven machine around a [`Dispatcher`]: plug into
-/// [`crate::Simulation`], seed one [`OnlineEvent::Arrive`] per job, run to
-/// completion, then read the completion log with [`OnlineMachine::into_parts`].
-pub struct OnlineMachine<D: Dispatcher> {
+/// What an [`OnlineMachine`] has done so far.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OnlineCounters {
+    /// Jobs admitted from the source.
+    pub arrivals: u64,
+    /// Completions handed to the sink.
+    pub completions: u64,
+    /// Dispatcher invocations.
+    pub decisions: u64,
+    /// Commitments killed by node failures.
+    pub kills: u64,
+    /// Jobs resubmitted after a kill.
+    pub resubmits: u64,
+    /// High-water mark of live jobs (pending + running) — the bounded-
+    /// memory witness: it tracks queue depth, not total jobs replayed.
+    pub max_live: usize,
+}
+
+/// The event-driven machine around a [`Dispatcher`]: built ready to run by
+/// [`OnlineMachine::start`], it pulls arrivals from an [`ArrivalSource`]
+/// and hands every completion, in event (time, FIFO) order, to the sink
+/// `F`. Failures are seeded by the caller as [`OnlineEvent::NodeDown`] /
+/// [`OnlineEvent::NodeUp`] pairs; stopping rules (drain, or N completions)
+/// belong to whoever steps the simulation.
+pub struct OnlineMachine<D: Dispatcher, S, F> {
     dispatcher: D,
+    source: S,
+    /// The source's next arrival, drawn one ahead. An `Arrive` wake-up is
+    /// queued at its release instant.
+    next: Option<(Time, D::Job)>,
+    sink: F,
     pending: Vec<D::Job>,
     running: Vec<Option<Commitment<D::Job>>>,
     /// Queued `Finish` event of each slot, parallel to `running` — the
     /// handle that lets a node failure cancel a doomed completion in O(1)
-    /// instead of leaving a stale event to fire on an emptied slot.
+    /// instead of leaving a stale event to fire on a recycled slot.
     finish_keys: Vec<EventKey>,
-    completed: Vec<Commitment<D::Job>>,
+    /// Vacated `running` slots: the table grows to the concurrency
+    /// high-water mark, never the total job count.
+    free_slots: Vec<usize>,
     /// Recycled scratch handed to [`Dispatcher::decide`] — cleared before
     /// every invocation, so the dispatch loop allocates nothing in steady
     /// state.
@@ -145,28 +206,39 @@ pub struct OnlineMachine<D: Dispatcher> {
     /// Instant a `Decide` is already scheduled for (coalesces same-time
     /// decision requests into one policy invocation).
     decide_at: Option<Time>,
-    decisions: u64,
-    kills: u64,
-    resubmits: u64,
+    counters: OnlineCounters,
 }
 
-impl<D: Dispatcher> OnlineMachine<D> {
-    /// A machine with an empty pending set.
-    pub fn new(dispatcher: D) -> Self {
-        OnlineMachine {
+impl<D, S, F> OnlineMachine<D, S, F>
+where
+    D: Dispatcher,
+    S: ArrivalSource<Job = D::Job>,
+    F: FnMut(Commitment<D::Job>),
+{
+    /// A simulation of a machine over `source`, with the first arrival's
+    /// wake-up already seeded. `sink` observes every completion.
+    pub fn start(dispatcher: D, mut source: S, sink: F) -> Simulation<Self> {
+        let next = source.next_arrival();
+        let first = next.as_ref().map(|&(at, _)| at);
+        let mut sim = Simulation::new(OnlineMachine {
             dispatcher,
+            source,
+            next,
+            sink,
             pending: Vec::new(),
             running: Vec::new(),
             finish_keys: Vec::new(),
-            completed: Vec::new(),
+            free_slots: Vec::new(),
             commitments: Vec::new(),
             kill_scratch: Vec::new(),
             resubmit_scratch: Vec::new(),
             decide_at: None,
-            decisions: 0,
-            kills: 0,
-            resubmits: 0,
+            counters: OnlineCounters::default(),
+        });
+        if let Some(at) = first {
+            sim.schedule_at(at, OnlineEvent::Arrive);
         }
+        sim
     }
 
     /// Jobs arrived but not yet committed.
@@ -176,37 +248,48 @@ impl<D: Dispatcher> OnlineMachine<D> {
 
     /// Commitments whose completion has not fired yet.
     pub fn running(&self) -> usize {
-        self.running.iter().filter(|r| r.is_some()).count()
+        self.running.len() - self.free_slots.len()
     }
 
-    /// Completions so far, in event (time, FIFO) order.
-    pub fn completed(&self) -> &[Commitment<D::Job>] {
-        &self.completed
+    /// Counters so far.
+    pub fn counters(&self) -> OnlineCounters {
+        self.counters
     }
 
-    /// Number of dispatcher invocations so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
+    /// Tear down into the dispatcher (the sink already saw every
+    /// completion).
+    pub fn into_dispatcher(self) -> D {
+        self.dispatcher
     }
 
-    /// Commitments killed by node failures so far.
-    pub fn kills(&self) -> u64 {
-        self.kills
+    /// Move every arrival released by `now` into the pending set and queue
+    /// the wake-up for the next release instant. Returns whether any job
+    /// arrived.
+    fn admit(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) -> bool {
+        let mut admitted = false;
+        while let Some((at, _)) = self.next {
+            if at > now {
+                break;
+            }
+            let (_, job) = self.next.take().expect("peeked above");
+            self.pending.push(job);
+            self.counters.arrivals += 1;
+            admitted = true;
+            self.next = self.source.next_arrival();
+            if let Some((next_at, _)) = self.next {
+                assert!(
+                    next_at >= at,
+                    "arrival source must release in nondecreasing order"
+                );
+                if next_at > now {
+                    ctx.schedule_at(next_at, OnlineEvent::Arrive);
+                }
+            }
+        }
+        admitted
     }
 
-    /// Jobs resubmitted after a kill so far.
-    pub fn resubmits(&self) -> u64 {
-        self.resubmits
-    }
-
-    /// Tear down into `(dispatcher, completions, still-pending)` — the
-    /// completion log is in event order.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (D, Vec<Commitment<D::Job>>, Vec<D::Job>) {
-        (self.dispatcher, self.completed, self.pending)
-    }
-
-    fn request_decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent<D::Job>>) {
+    fn request_decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
         if self.pending.is_empty() || self.decide_at == Some(now) {
             return;
         }
@@ -214,12 +297,12 @@ impl<D: Dispatcher> OnlineMachine<D> {
         ctx.schedule_at(now, OnlineEvent::Decide);
     }
 
-    fn decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent<D::Job>>) {
+    fn decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
         self.decide_at = None;
         if self.pending.is_empty() {
             return;
         }
-        self.decisions += 1;
+        self.counters.decisions += 1;
         let before = self.pending.len();
         let mut commitments = std::mem::take(&mut self.commitments);
         commitments.clear();
@@ -238,22 +321,20 @@ impl<D: Dispatcher> OnlineMachine<D> {
                 c.end,
                 now
             );
-            let slot = self.running.len();
-            let end = c.end;
-            self.running.push(Some(c));
-            self.finish_keys
-                .push(ctx.schedule_at(end, OnlineEvent::Finish(slot)));
+            let slot = self.free_slots.pop().unwrap_or(self.running.len());
+            let key = ctx.schedule_at(c.end, OnlineEvent::Finish(slot));
+            if slot == self.running.len() {
+                self.running.push(Some(c));
+                self.finish_keys.push(key);
+            } else {
+                self.running[slot] = Some(c);
+                self.finish_keys[slot] = key;
+            }
         }
         self.commitments = commitments;
     }
 
-    fn node_down(
-        &mut self,
-        now: Time,
-        node: u32,
-        up: Time,
-        ctx: &mut Ctx<'_, OnlineEvent<D::Job>>,
-    ) {
+    fn node_down(&mut self, now: Time, node: u32, up: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
         let mut kill = std::mem::take(&mut self.kill_scratch);
         let mut resubmit = std::mem::take(&mut self.resubmit_scratch);
         kill.clear();
@@ -269,290 +350,59 @@ impl<D: Dispatcher> OnlineMachine<D> {
                 ctx.cancel(self.finish_keys[slot]),
                 "killed commitment's finish already fired"
             );
-            self.kills += 1;
+            self.free_slots.push(slot);
+            self.counters.kills += 1;
         }
-        self.resubmits += resubmit.len() as u64;
+        self.counters.resubmits += resubmit.len() as u64;
         self.pending.append(&mut resubmit);
         self.kill_scratch = kill;
         self.resubmit_scratch = resubmit;
-        self.request_decide(now, ctx);
     }
 }
 
-impl<D: Dispatcher> Model for OnlineMachine<D> {
-    type Event = OnlineEvent<D::Job>;
-
-    fn handle(&mut self, now: Time, event: Self::Event, ctx: &mut Ctx<'_, Self::Event>) {
-        match event {
-            OnlineEvent::Arrive(job) => {
-                self.pending.push(job);
-                self.request_decide(now, ctx);
-            }
-            OnlineEvent::Decide => self.decide(now, ctx),
-            OnlineEvent::Finish(slot) => {
-                let c = self.running[slot]
-                    .take()
-                    .expect("finish fires once per slot");
-                debug_assert_eq!(c.end, now);
-                self.completed.push(c);
-                // A completion is new information: re-invoke the dispatcher
-                // if work is still waiting (no-op for full-commitment
-                // dispatchers, which never leave jobs pending).
-                self.request_decide(now, ctx);
-            }
-            OnlineEvent::NodeDown { node, up } => self.node_down(now, node, up, ctx),
-            OnlineEvent::NodeUp { node } => {
-                self.dispatcher.node_up(now, node);
-                self.request_decide(now, ctx);
-            }
-        }
-    }
-}
-
-/// An arrival stream fed to the machine lazily, one job at a time —
-/// the abstraction that lets open (unbounded) workloads drive the DES
-/// without ever materializing a job list.
-///
-/// Contract: releases are **nondecreasing** across calls (the machine
-/// asserts this), and `None` ends the stream — a finite source is just a
-/// stream that runs dry. Any `Iterator<Item = (Time, Job)>` is a source.
-pub trait ArrivalSource {
-    /// The job type produced.
-    type Job;
-
-    /// Draw the next arrival `(release, job)`, or `None` when exhausted.
-    fn next_arrival(&mut self) -> Option<(Time, Self::Job)>;
-}
-
-impl<J, I: Iterator<Item = (Time, J)>> ArrivalSource for I {
-    type Job = J;
-    fn next_arrival(&mut self) -> Option<(Time, J)> {
-        self.next()
-    }
-}
-
-/// The steady-state sibling of [`OnlineMachine`]: pulls arrivals from an
-/// [`ArrivalSource`] one ahead (the event queue holds at most one future
-/// arrival), recycles finished running slots through a free list, and
-/// hands each completion to a sink callback instead of retaining it — so
-/// memory stays `O(live jobs)` no matter how many jobs flow through.
-/// Decision mechanics (same-instant coalescing, drain-exactly commitment
-/// checks, finality) are identical to [`OnlineMachine`].
-///
-/// Feeding stops when the source runs dry or the next release is past
-/// `feed_until`; completion-count stopping rules live in the *driver*,
-/// which can step the simulation and watch `completions`
-/// (`OpenOnlineMachine::completions`) — events already queued simply stop
-/// being extended with new arrivals.
-pub struct OpenOnlineMachine<D: Dispatcher, S, F> {
-    dispatcher: D,
-    source: Option<S>,
-    sink: F,
-    pending: Vec<D::Job>,
-    running: Vec<Option<Commitment<D::Job>>>,
-    free_slots: Vec<usize>,
-    /// Recycled scratch handed to [`Dispatcher::decide`] (see
-    /// [`OnlineMachine`]) — one decision per event at steady state makes
-    /// this the allocation that matters.
-    commitments: Vec<Commitment<D::Job>>,
-    decide_at: Option<Time>,
-    decisions: u64,
-    arrivals: u64,
-    completions: u64,
-    feed_until: Time,
-    last_release: Time,
-    max_live: usize,
-}
-
-impl<D, S, F> OpenOnlineMachine<D, S, F>
+impl<D, S, F> Model for OnlineMachine<D, S, F>
 where
     D: Dispatcher,
     S: ArrivalSource<Job = D::Job>,
     F: FnMut(Commitment<D::Job>),
 {
-    /// Build a machine over `source`, feeding arrivals released up to and
-    /// including `feed_until` (use [`Time::MAX`] for "until the driver
-    /// stops stepping"). `sink` observes every completion in event order.
-    pub fn new(dispatcher: D, source: S, feed_until: Time, sink: F) -> Self {
-        OpenOnlineMachine {
-            dispatcher,
-            source: Some(source),
-            sink,
-            pending: Vec::new(),
-            running: Vec::new(),
-            free_slots: Vec::new(),
-            commitments: Vec::new(),
-            decide_at: None,
-            decisions: 0,
-            arrivals: 0,
-            completions: 0,
-            feed_until,
-            last_release: Time::ZERO,
-            max_live: 0,
-        }
-    }
+    type Event = OnlineEvent;
 
-    /// Pull the first arrival for the driver to seed into the simulation
-    /// (subsequent arrivals chain themselves one ahead). `None` means the
-    /// stream was empty or starts past `feed_until`.
-    pub fn first_arrival(&mut self) -> Option<(Time, D::Job)> {
-        self.pull()
-    }
-
-    /// Completions observed so far — the driver's stopping-rule counter.
-    pub fn completions(&self) -> u64 {
-        self.completions
-    }
-
-    /// Arrivals fed so far.
-    pub fn arrivals(&self) -> u64 {
-        self.arrivals
-    }
-
-    /// Dispatcher invocations so far.
-    pub fn decisions(&self) -> u64 {
-        self.decisions
-    }
-
-    /// Jobs arrived but not yet committed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// High-water mark of live jobs (pending + running) — the bounded-
-    /// memory witness: it tracks queue depth, not total jobs replayed.
-    pub fn max_live(&self) -> usize {
-        self.max_live
-    }
-
-    /// Tear down into the dispatcher (the sink already saw every
-    /// completion).
-    pub fn into_dispatcher(self) -> D {
-        self.dispatcher
-    }
-
-    fn pull(&mut self) -> Option<(Time, D::Job)> {
-        let src = self.source.as_mut()?;
-        match src.next_arrival() {
-            Some((t, job)) if t <= self.feed_until => {
-                assert!(
-                    t >= self.last_release,
-                    "arrival source must release in nondecreasing order"
-                );
-                self.last_release = t;
-                Some((t, job))
-            }
-            _ => {
-                // Dry, or past the feed horizon: stop feeding for good.
-                self.source = None;
-                None
-            }
-        }
-    }
-
-    fn note_live(&mut self) {
-        let live = self.pending.len() + (self.running.len() - self.free_slots.len());
-        self.max_live = self.max_live.max(live);
-    }
-
-    fn request_decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent<D::Job>>) {
-        if self.pending.is_empty() || self.decide_at == Some(now) {
-            return;
-        }
-        self.decide_at = Some(now);
-        ctx.schedule_at(now, OnlineEvent::Decide);
-    }
-
-    fn decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent<D::Job>>) {
-        self.decide_at = None;
-        if self.pending.is_empty() {
-            return;
-        }
-        self.decisions += 1;
-        let before = self.pending.len();
-        let mut commitments = std::mem::take(&mut self.commitments);
-        commitments.clear();
-        self.dispatcher
-            .decide(now, &mut self.pending, &mut commitments);
-        assert_eq!(
-            before,
-            self.pending.len() + commitments.len(),
-            "dispatcher must drain exactly the jobs it commits"
-        );
-        for c in commitments.drain(..) {
-            assert!(
-                now <= c.start && c.start <= c.end,
-                "commitment [{:?}, {:?}) violates causality at {:?}",
-                c.start,
-                c.end,
-                now
-            );
-            let end = c.end;
-            // Recycle slots: `running` grows to the *concurrency* high-water
-            // mark, never the total job count.
-            let slot = match self.free_slots.pop() {
-                Some(slot) => {
-                    self.running[slot] = Some(c);
-                    slot
-                }
-                None => {
-                    self.running.push(Some(c));
-                    self.running.len() - 1
-                }
-            };
-            ctx.schedule_at(end, OnlineEvent::Finish(slot));
-        }
-        self.commitments = commitments;
-        self.note_live();
-    }
-}
-
-impl<D, S, F> Model for OpenOnlineMachine<D, S, F>
-where
-    D: Dispatcher,
-    S: ArrivalSource<Job = D::Job>,
-    F: FnMut(Commitment<D::Job>),
-{
-    type Event = OnlineEvent<D::Job>;
-
-    fn handle(&mut self, now: Time, event: Self::Event, ctx: &mut Ctx<'_, Self::Event>) {
+    fn handle(&mut self, now: Time, event: OnlineEvent, ctx: &mut Ctx<'_, OnlineEvent>) {
+        // Arrivals are admitted by the first event to reach their instant,
+        // so a same-instant failure resubmits behind them and no decision
+        // at this instant can miss one.
+        let admitted = self.admit(now, ctx);
         match event {
-            OnlineEvent::Arrive(job) => {
-                self.arrivals += 1;
-                self.pending.push(job);
-                self.note_live();
-                // One-ahead feeding: each arrival pulls its successor, so
-                // the queue never holds more than one future arrival.
-                if let Some((t, next)) = self.pull() {
-                    ctx.schedule_at(t, OnlineEvent::Arrive(next));
-                }
-                self.request_decide(now, ctx);
-            }
-            OnlineEvent::Decide => self.decide(now, ctx),
+            OnlineEvent::Arrive => {}
+            OnlineEvent::Decide => return self.decide(now, ctx),
             OnlineEvent::Finish(slot) => {
                 let c = self.running[slot]
                     .take()
                     .expect("finish fires once per slot");
                 debug_assert_eq!(c.end, now);
                 self.free_slots.push(slot);
-                self.completions += 1;
+                self.counters.completions += 1;
                 (self.sink)(c);
-                self.request_decide(now, ctx);
             }
-            // Steady-state analysis assumes a reliable platform; feeding
-            // volatility events into the open machine is a driver bug, not
-            // a condition to silently ignore.
-            OnlineEvent::NodeDown { node, .. } | OnlineEvent::NodeUp { node } => {
-                panic!("open online machine does not model node volatility (node {node} event)")
-            }
+            OnlineEvent::NodeDown { node, up } => self.node_down(now, node, up, ctx),
+            OnlineEvent::NodeUp { node } => self.dispatcher.node_up(now, node),
         }
+        // Live jobs only grow on arrival; sampled once the event is done,
+        // a same-instant completion has already left.
+        if admitted {
+            let live = self.pending.len() + self.running();
+            self.counters.max_live = self.counters.max_live.max(live);
+        }
+        // New information (an arrival, a completion, a failure or repair):
+        // re-invoke the dispatcher if work is waiting.
+        self.request_decide(now, ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Simulation;
     use crate::time::Dur;
 
     fn t(x: u64) -> Time {
@@ -583,23 +433,38 @@ mod tests {
         }
     }
 
+    fn fcfs(lens: Vec<(u32, Dur)>) -> Fcfs {
+        Fcfs {
+            free_at: Time::ZERO,
+            lens,
+        }
+    }
+
+    /// Run `dispatcher` over `arrivals` to completion; returns the
+    /// completion sequence and the final counters.
+    fn run<D: Dispatcher<Job = u32>>(
+        dispatcher: D,
+        arrivals: Vec<(Time, u32)>,
+        max_events: u64,
+    ) -> (Vec<Commitment<u32>>, OnlineCounters) {
+        let mut done = Vec::new();
+        let mut sim = OnlineMachine::start(dispatcher, arrivals.into_iter(), |c| done.push(c));
+        sim.run_to_completion(max_events);
+        let counters = sim.model().counters();
+        assert_eq!(sim.model().running(), 0);
+        assert!(sim.model().pending().is_empty());
+        drop(sim);
+        (done, counters)
+    }
+
     #[test]
     fn fcfs_serializes_and_reinvokes_on_completion() {
         let lens = vec![(1, Dur::from_ticks(10)), (2, Dur::from_ticks(5))];
-        let mut sim = Simulation::new(OnlineMachine::new(Fcfs {
-            free_at: Time::ZERO,
-            lens,
-        }));
-        sim.schedule_at(t(0), OnlineEvent::Arrive(1));
-        sim.schedule_at(t(3), OnlineEvent::Arrive(2));
-        sim.run_to_completion(100);
-        let m = sim.model();
-        assert_eq!(m.running(), 0);
-        assert!(m.pending().is_empty());
+        let (done, counters) = run(fcfs(lens), vec![(t(0), 1), (t(3), 2)], 100);
         // Job 2 arrived while 1 ran: it waits and starts at 1's completion —
         // the decision triggered by the Finish event.
         assert_eq!(
-            m.completed(),
+            done,
             &[
                 Commitment {
                     job: 1,
@@ -613,7 +478,7 @@ mod tests {
                 },
             ]
         );
-        assert_eq!(m.decisions(), 3); // arrive(1), arrive(2), finish(1)
+        assert_eq!(counters.decisions, 3); // arrive(1), arrive(2), finish(1)
     }
 
     /// Commits every pending job at once, back to back from `now`.
@@ -637,17 +502,38 @@ mod tests {
 
     #[test]
     fn simultaneous_arrivals_coalesce_into_one_decision() {
-        let mut sim = Simulation::new(OnlineMachine::new(DrainAll));
-        for job in [3u32, 1, 2] {
-            sim.schedule_at(t(5), OnlineEvent::Arrive(job));
+        // The burst [3, 1, 2] at t = 5, alone; behind job 5, whose [0, 5)
+        // run finishes at the burst's instant; and additionally with a
+        // node failure seeded at that instant (queued ahead of both the
+        // burst's wake-up and the completion).
+        let burst = [(t(5), 3u32), (t(5), 1), (t(5), 2)];
+        for (lead, fail) in [(false, false), (true, false), (true, true)] {
+            let mut arrivals = Vec::new();
+            if lead {
+                arrivals.push((t(0), 5));
+            }
+            arrivals.extend(burst);
+            let mut done = Vec::new();
+            let mut sim =
+                OnlineMachine::start(DrainAll, arrivals.into_iter(), |c| done.push(c.job));
+            if fail {
+                sim.schedule_at(t(5), OnlineEvent::NodeDown { node: 0, up: t(6) });
+                sim.schedule_at(t(6), OnlineEvent::NodeUp { node: 0 });
+            }
+            sim.run_to_completion(100);
+            let counters = sim.model().counters();
+            let last = sim.now();
+            drop(sim);
+            // One decision per instant — the whole burst in one batch, in
+            // arrival (source) order.
+            assert_eq!(
+                counters.decisions,
+                1 + u64::from(lead),
+                "lead {lead}, fail {fail}"
+            );
+            assert_eq!(done[done.len() - 3..], [3, 1, 2]);
+            assert_eq!(last, t(5 + 3 + 1 + 2));
         }
-        sim.run_to_completion(100);
-        let m = sim.model();
-        // One burst, one decision, arrival (seed) order preserved.
-        assert_eq!(m.decisions(), 1);
-        let order: Vec<u32> = m.completed().iter().map(|c| c.job).collect();
-        assert_eq!(order, vec![3, 1, 2]);
-        assert_eq!(m.completed()[2].end, t(5 + 3 + 1 + 2));
     }
 
     #[test]
@@ -668,146 +554,81 @@ mod tests {
                 }));
             }
         }
-        let mut sim = Simulation::new(OnlineMachine::new(Defer));
-        sim.schedule_at(t(0), OnlineEvent::Arrive(7));
+        let mut completions = 0;
+        let mut sim = OnlineMachine::start(Defer, std::iter::once((t(0), 7)), |_| completions += 1);
         let stats = sim.run_to_completion(10);
         assert_eq!(stats.last_event_time, t(101));
-        assert_eq!(sim.model().completed().len(), 1);
+        drop(sim);
+        assert_eq!(completions, 1);
     }
 
     #[test]
-    fn open_machine_matches_the_retained_machine_on_finite_streams() {
-        // Same dispatcher, same arrivals: the open machine's sink must see
-        // exactly the completion log the retained machine records.
+    fn machine_matches_closed_form_fcfs_on_finite_streams() {
+        // One processor, FCFS: job i starts at max(release, previous end).
         let lens: Vec<(u32, Dur)> = (1..=20)
             .map(|i| (i, Dur::from_ticks(u64::from(i % 7 + 1))))
             .collect();
         let arrivals: Vec<(Time, u32)> = (1..=20).map(|i| (t(u64::from(i) * 3), i)).collect();
-
-        let mut retained = Simulation::new(OnlineMachine::new(Fcfs {
-            free_at: Time::ZERO,
-            lens: lens.clone(),
-        }));
-        for &(at, job) in &arrivals {
-            retained.schedule_at(at, OnlineEvent::Arrive(job));
+        let mut expected = Vec::new();
+        let mut free = Time::ZERO;
+        for (&(at, job), &(_, len)) in arrivals.iter().zip(&lens) {
+            let start = free.max(at);
+            free = start + len;
+            expected.push(Commitment {
+                job,
+                start,
+                end: free,
+            });
         }
-        retained.run_to_completion(1_000);
-        let (_, expected, _) = retained.into_model().into_parts();
-
-        let mut sunk: Vec<Commitment<u32>> = Vec::new();
-        let mut machine = OpenOnlineMachine::new(
-            Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-            arrivals.clone().into_iter(),
-            Time::MAX,
-            |c| sunk.push(c),
-        );
-        let first = machine.first_arrival().expect("non-empty stream");
-        let mut sim = Simulation::new(machine);
-        sim.schedule_at(first.0, OnlineEvent::Arrive(first.1));
-        sim.run_to_completion(1_000);
-        let m = sim.model();
-        assert_eq!(m.arrivals(), 20);
-        assert_eq!(m.completions(), 20);
-        assert_eq!(m.pending_len(), 0);
-        drop(sim);
-        assert_eq!(sunk, expected);
+        let (done, counters) = run(fcfs(lens), arrivals, 1_000);
+        assert_eq!(counters.arrivals, 20);
+        assert_eq!(counters.completions, 20);
+        assert_eq!(done, expected);
     }
 
     #[test]
-    fn open_machine_recycles_running_slots() {
+    fn machine_recycles_running_slots() {
         // FCFS runs one job at a time: however many jobs flow through, the
         // running table must stay at one slot and live jobs at the queue
-        // depth — the bounded-memory property open mode exists for.
+        // depth — the bounded-memory property open streams rely on.
         let n: u32 = 50;
         let lens: Vec<(u32, Dur)> = (0..n).map(|i| (i, Dur::from_ticks(2))).collect();
         let arrivals = (0..n).map(|i| (t(u64::from(i) * 5), i));
         let mut count = 0u64;
-        let mut machine = OpenOnlineMachine::new(
-            Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-            arrivals,
-            Time::MAX,
-            |_| count += 1,
-        );
-        let first = machine.first_arrival().unwrap();
-        let mut sim = Simulation::new(machine);
-        sim.schedule_at(first.0, OnlineEvent::Arrive(first.1));
+        let mut sim = OnlineMachine::start(fcfs(lens), arrivals, |_| count += 1);
         sim.run_to_completion(10_000);
         let m = sim.model();
-        assert_eq!(m.completions(), u64::from(n));
+        assert_eq!(m.counters().completions, u64::from(n));
         assert_eq!(m.running.len(), 1, "slots are recycled, not appended");
-        assert_eq!(m.max_live(), 1, "jobs never queued behind each other");
+        assert_eq!(
+            m.counters().max_live,
+            1,
+            "jobs never queued behind each other"
+        );
         drop(sim);
         assert_eq!(count, u64::from(n));
     }
 
     #[test]
-    fn open_machine_stops_feeding_past_the_horizon() {
-        let lens: Vec<(u32, Dur)> = (0..10).map(|i| (i, Dur::from_ticks(1))).collect();
-        let arrivals = (0..10u32).map(|i| (t(u64::from(i) * 10), i));
-        let mut machine = OpenOnlineMachine::new(
-            Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-            arrivals,
-            t(45), // admits releases 0, 10, 20, 30, 40 — five jobs
-            |_| {},
-        );
-        let first = machine.first_arrival().unwrap();
-        let mut sim = Simulation::new(machine);
-        sim.schedule_at(first.0, OnlineEvent::Arrive(first.1));
-        sim.run_to_completion(1_000);
-        assert_eq!(sim.model().arrivals(), 5);
-        assert_eq!(sim.model().completions(), 5);
-    }
-
-    #[test]
-    fn open_machine_driver_can_stop_on_a_completion_count() {
+    fn driver_can_stop_on_a_completion_count() {
         // The stepping driver: break as soon as N completions are counted,
         // leaving later arrivals unprocessed — the open stopping rule.
         let lens: Vec<(u32, Dur)> = (0..100).map(|i| (i, Dur::from_ticks(1))).collect();
         let arrivals = (0..100u32).map(|i| (t(u64::from(i) * 2), i));
-        let mut machine = OpenOnlineMachine::new(
-            Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-            arrivals,
-            Time::MAX,
-            |_| {},
+        let mut sim = OnlineMachine::start(fcfs(lens), arrivals, |_| {});
+        while sim.model().counters().completions < 7 && sim.step() {}
+        assert_eq!(sim.model().counters().completions, 7);
+        assert!(
+            sim.model().counters().arrivals < 100,
+            "stream not exhausted"
         );
-        let first = machine.first_arrival().unwrap();
-        let mut sim = Simulation::new(machine);
-        sim.schedule_at(first.0, OnlineEvent::Arrive(first.1));
-        while sim.model().completions() < 7 && sim.step() {}
-        assert_eq!(sim.model().completions(), 7);
-        assert!(sim.model().arrivals() < 100, "stream not exhausted");
     }
 
     #[test]
     #[should_panic(expected = "nondecreasing")]
-    fn open_machine_rejects_time_travelling_sources() {
+    fn machine_rejects_time_travelling_sources() {
         let lens = vec![(0u32, Dur::from_ticks(1)), (1, Dur::from_ticks(1))];
-        let arrivals = vec![(t(10), 0u32), (t(5), 1)];
-        let mut machine = OpenOnlineMachine::new(
-            Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-            arrivals.into_iter(),
-            Time::MAX,
-            |_| {},
-        );
-        let first = machine.first_arrival().unwrap();
-        let mut sim = Simulation::new(machine);
-        sim.schedule_at(first.0, OnlineEvent::Arrive(first.1));
-        sim.run_to_completion(100);
+        run(fcfs(lens), vec![(t(10), 0u32), (t(5), 1)], 100);
     }
 
     /// [`Fcfs`] plus failure-awareness on its single implicit node: any
@@ -845,28 +666,37 @@ mod tests {
         }
     }
 
-    #[test]
-    fn node_down_kills_and_resubmits() {
-        let lens = vec![(1u32, Dur::from_ticks(10))];
-        let mut sim = Simulation::new(OnlineMachine::new(VolatileFcfs {
-            fcfs: Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-        }));
-        sim.schedule_at(t(0), OnlineEvent::Arrive(1));
-        sim.schedule_at(t(4), OnlineEvent::NodeDown { node: 0, up: t(7) });
-        sim.schedule_at(t(7), OnlineEvent::NodeUp { node: 0 });
+    /// Job 1 (10 ticks, released at 0) on a node that is down over
+    /// `[down, up)`.
+    fn volatile_run(down: u64, up: u64) -> (Vec<Commitment<u32>>, OnlineCounters, usize) {
+        let volatile = VolatileFcfs {
+            fcfs: fcfs(vec![(1u32, Dur::from_ticks(10))]),
+        };
+        let mut done = Vec::new();
+        let mut sim = OnlineMachine::start(volatile, std::iter::once((t(0), 1)), |c| done.push(c));
+        sim.schedule_at(t(down), OnlineEvent::NodeDown { node: 0, up: t(up) });
+        sim.schedule_at(t(up), OnlineEvent::NodeUp { node: 0 });
         sim.run_to_completion(100);
         let m = sim.model();
-        assert_eq!(m.kills(), 1);
-        assert_eq!(m.resubmits(), 1);
         assert_eq!(m.running(), 0);
         assert!(m.pending().is_empty());
+        let (counters, slots) = (m.counters(), m.running.len());
+        drop(sim);
+        (done, counters, slots)
+    }
+
+    #[test]
+    fn node_down_kills_and_resubmits() {
+        let (done, counters, slots) = volatile_run(4, 7);
+        assert_eq!(counters.kills, 1);
+        assert_eq!(counters.resubmits, 1);
         // The original [0, 10) run died at 4; the resubmitted copy starts
-        // at the repair (the NodeUp decision) and runs its full length.
+        // at the repair (the NodeUp decision) and runs its full length in
+        // the recycled slot — the dead run's Finish at 10 was cancelled, so
+        // it cannot complete the new occupant early.
+        assert_eq!(slots, 1);
         assert_eq!(
-            m.completed(),
+            done,
             &[Commitment {
                 job: 1,
                 start: t(7),
@@ -881,46 +711,17 @@ mod tests {
         // seeded before the run, so FIFO tie-break fires the failure first;
         // the `end > now` victim rule must leave the job alone, and its
         // queued Finish must then complete it exactly once.
-        let lens = vec![(1u32, Dur::from_ticks(10))];
-        let mut sim = Simulation::new(OnlineMachine::new(VolatileFcfs {
-            fcfs: Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-        }));
-        sim.schedule_at(t(0), OnlineEvent::Arrive(1));
-        sim.schedule_at(t(10), OnlineEvent::NodeDown { node: 0, up: t(12) });
-        sim.schedule_at(t(12), OnlineEvent::NodeUp { node: 0 });
-        sim.run_to_completion(100);
-        let m = sim.model();
-        assert_eq!(m.kills(), 0);
-        assert_eq!(m.resubmits(), 0);
+        let (done, counters, _) = volatile_run(10, 12);
+        assert_eq!(counters.kills, 0);
+        assert_eq!(counters.resubmits, 0);
         assert_eq!(
-            m.completed(),
+            done,
             &[Commitment {
                 job: 1,
                 start: t(0),
                 end: t(10)
             }]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "does not model node volatility")]
-    fn open_machine_rejects_volatility_events() {
-        let lens = vec![(0u32, Dur::from_ticks(1))];
-        let machine = OpenOnlineMachine::new(
-            Fcfs {
-                free_at: Time::ZERO,
-                lens,
-            },
-            std::iter::empty::<(Time, u32)>(),
-            Time::MAX,
-            |_| {},
-        );
-        let mut sim = Simulation::new(machine);
-        sim.schedule_at(t(0), OnlineEvent::NodeDown { node: 3, up: t(5) });
-        sim.run_to_completion(10);
     }
 
     #[test]
@@ -943,8 +744,6 @@ mod tests {
                 });
             }
         }
-        let mut sim = Simulation::new(OnlineMachine::new(Sloppy));
-        sim.schedule_at(t(0), OnlineEvent::Arrive(1));
-        sim.run_to_completion(10);
+        run(Sloppy, vec![(t(0), 1)], 10);
     }
 }

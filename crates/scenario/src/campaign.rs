@@ -16,8 +16,6 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use lsps_core::policy::{by_name, Policy};
 use lsps_metrics::Summary;
@@ -25,9 +23,10 @@ use serde::{Serialize, Value};
 
 use crate::cache::{CellCache, CACHE_VERSION};
 use crate::families::builtin_family;
+use crate::pool::pool_map;
 use crate::runner::{
-    des_online_open, to_csv, Cell, Executor, ExperimentRunner, PlatformCase, VolatilityCase,
-    WorkloadCase,
+    des_online_open, open_arrivals, to_csv, Cell, Executor, ExperimentRunner, PlatformCase,
+    VolatilityCase, WorkloadCase,
 };
 use crate::spec::{fnv64, CampaignSpec, FailureEntry, SpecError, WorkloadSource};
 
@@ -297,6 +296,31 @@ impl CampaignPlan {
     ) -> Result<CampaignPlan, CampaignError> {
         spec.validate()?;
         let expanded = expand_entries(spec, opts)?;
+        // An open cell whose horizon admits no arrival would drive nothing:
+        // reject it here, where a bad spec is an error (campaignd's 400)
+        // rather than a worker panic. Drawing each cell's first arrival is
+        // O(1).
+        for exp in &expanded {
+            let entry = &spec.workloads[exp.entry_idx];
+            let WorkloadSource::Open(open) = &entry.source else {
+                continue;
+            };
+            let Some(horizon_s) = open.horizon_s else {
+                continue;
+            };
+            for p in &spec.platforms {
+                for &seed in &exp.seeds {
+                    if open_arrivals(open, p.m, seed).next().is_none() {
+                        return Err(SpecError(format!(
+                            "workload `{}`: `horizon_s` {horizon_s} admits no arrival \
+                             (platform `{}`, seed {seed})",
+                            entry.name, p.name
+                        ))
+                        .into());
+                    }
+                }
+            }
+        }
         let open = spec
             .workloads
             .iter()
@@ -500,45 +524,6 @@ impl CampaignPlan {
         }
         out
     }
-}
-
-/// Run `f(0..n)` across a pool of `threads` workers (`0` = one per core),
-/// results slot-indexed so the output order is byte-identical to a
-/// sequential run.
-fn pool_map<F>(threads: usize, n: usize, f: F) -> Vec<Cell>
-where
-    F: Fn(usize) -> Cell + Sync,
-{
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
-        t => t,
-    }
-    .min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Cell>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let cell = f(i);
-                *slots[i].lock().expect("result slot") = Some(cell);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot")
-                .expect("worker filled every claimed slot")
-        })
-        .collect()
 }
 
 /// Run a campaign: validate, expand, serve cached cells, execute the rest

@@ -26,6 +26,7 @@ pub mod cache;
 pub mod campaign;
 pub mod families;
 mod io;
+mod pool;
 pub mod runner;
 pub mod spec;
 mod table;
@@ -35,8 +36,8 @@ pub use campaign::{
 };
 pub use io::{list_file_names, results_dir, write_file_atomic};
 pub use runner::{
-    des_online_open, des_online_volatile, Cell, Executor, ExperimentRunner, FailurePlan,
-    OpenOutcome, PlatformCase, VolatileOutcome, VolatilityCase, WorkloadCase,
+    des_online_open, Cell, Executor, ExperimentRunner, OpenOutcome, PlatformCase, VolatilityCase,
+    WorkloadCase,
 };
 pub use spec::{CampaignSpec, FailureEntry, OpenEntry};
 pub use table::Table;

@@ -29,18 +29,16 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-use lsps_core::outcome::{Outcome, OutcomeKind, OutcomeRun};
+use lsps_core::outcome::{Outcome, OutcomeKind};
 use lsps_core::policy::{PinnedBooking, Policy, PolicyCtx, PolicyRun, ReleaseMode};
 use lsps_core::replan::IncrementalPlanner;
-use lsps_core::schedule::Schedule;
+use lsps_core::schedule::{Assignment, Schedule};
 use lsps_des::{
-    Commitment, Ctx, Dispatcher, Dur, Model, OnlineEvent, OnlineMachine, OpenOnlineMachine,
-    RunStats, SimRng, Simulation, Time,
+    ArrivalSource, Commitment, Dispatcher, Dur, OnlineCounters, OnlineEvent, OnlineMachine,
+    RunStats, SimRng, Time,
 };
 use lsps_metrics::{
     cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
@@ -50,6 +48,7 @@ use lsps_metrics::{
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{FailurePolicy, FailureTraceSpec, Job, JobId, JobKind, Outage, WorkloadSpec};
 
+use crate::pool::pool_map;
 use crate::spec::OpenEntry;
 use crate::Table;
 
@@ -69,10 +68,11 @@ pub struct PlatformCase {
     /// cell's [`PolicyCtx::speeds`].
     pub speeds: Option<Vec<f64>>,
     /// Node volatility: when set, cells on this platform run through the
-    /// failure-aware online executor ([`des_online_volatile`]) — the
-    /// failure trace is regenerated per cell from the workload seed and
-    /// the platform name, so replications sweep the failure realization
-    /// along with the workload.
+    /// failure-aware online executor (nodes fail and recover mid-run, and
+    /// killed jobs come back per the recovery policy). The failure trace
+    /// is regenerated per cell from the workload seed and the platform
+    /// name, so replications sweep the failure realization along with the
+    /// workload.
     pub volatility: Option<VolatilityCase>,
 }
 
@@ -517,42 +517,15 @@ impl ExperimentRunner {
             jobs.entry((pi, wi))
                 .or_insert_with(|| self.workloads[wi].generate(self.platforms[pi].m));
         }
-        let run_task = |&(pi, wi, ki): &(usize, usize, usize)| {
+        pool_map(self.threads, tasks.len(), |i| {
+            let (pi, wi, ki) = tasks[i];
             self.run_cell(
                 self.policies[ki].as_ref(),
                 &self.workloads[wi],
                 &self.platforms[pi],
                 &jobs[&(pi, wi)],
             )
-        };
-        let threads = match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            t => t,
-        }
-        .min(tasks.len().max(1));
-        if threads <= 1 {
-            return tasks.iter().map(run_task).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Cell>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(task) = tasks.get(i) else { break };
-                    let cell = run_task(task);
-                    *slots[i].lock().expect("result slot") = Some(cell);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot")
-                    .expect("worker filled every claimed slot")
-            })
-            .collect()
+        })
     }
 
     fn run_cell(
@@ -580,110 +553,80 @@ impl ExperimentRunner {
                 ..self.ctx.clone()
             }),
         };
-        // Volatile platforms run the failure-aware online driver. No
-        // retained-schedule validation: killed attempts are not part of
-        // any final rectangle schedule — overlap safety is enforced per
-        // commitment by the dispatcher's timelines instead.
-        if let Some(vol) = &platform.volatility {
+        assert!(
+            platform.volatility.is_none() || self.executor == Executor::DesOnline,
+            "{}: a volatile platform requires the des-online executor",
+            cell_id()
+        );
+        if self.executor != Executor::Direct {
+            // Validated capability check: the DES executors stay
+            // rectangle-only.
             assert!(
-                matches!(self.executor, Executor::DesOnline),
-                "{}: a volatile platform requires the des-online executor",
+                self.executor.supports(policy.outcome_kind()),
+                "{}: policy produces `{}` outcomes, which executor `{}` \
+                 cannot replay or drive — run it under `direct`",
+                cell_id(),
+                policy.outcome_kind(),
+                self.executor.name()
+            );
+            assert!(
+                ctx.is_identical_machine(),
+                "{}: a speeded machine needs a uniform-capable policy \
+                 under the `direct` executor",
                 cell_id()
             );
-            // Failure realization: a pure function of (platform name,
-            // workload seed), so replications resample the failure trace
-            // along with the workload.
-            let trace_seed = crate::spec::splitmix64(
-                workload.seed ^ crate::spec::fnv64(platform.name.as_bytes()),
-            );
-            let outages = vol
-                .trace
-                .generate(platform.m, &mut SimRng::seed_from(trace_seed));
-            let plan = FailurePlan {
-                outages,
-                policy: vol.policy,
-            };
-            let out = des_online_volatile(policy, jobs, platform.m, &ctx, &plan, true);
-            let criteria = Criteria::evaluate(&out.records);
-            let (cmax_lb, csum_lb, wsum_lb) = (
-                cmax_lower_bound(&out.jobs, platform.m).as_secs_f64(),
-                csum_lower_bound(&out.jobs, platform.m),
-                wsum_lower_bound(&out.jobs, platform.m),
-            );
-            return Cell {
-                policy: policy.name().to_string(),
-                executor: self.executor.name().to_string(),
-                workload: workload.name.clone(),
-                seed: workload.seed,
-                platform: platform.name.clone(),
-                m: platform.m,
-                n: out.jobs.len(),
-                utilization: criteria.utilization(platform.m),
-                cmax_ratio: criteria.cmax / cmax_lb.max(f64::MIN_POSITIVE),
-                csum_ratio: criteria.sum_completion / csum_lb.max(f64::MIN_POSITIVE),
-                wsum_ratio: criteria.weighted_sum_completion / wsum_lb.max(f64::MIN_POSITIVE),
-                criteria,
-                trials: None,
-                kills: None,
-                wasted_ticks: None,
-                class_names: None,
-                responses: None,
-                failures: Some(out.failures),
-            };
         }
-        let (orun, mut records) = match self.executor {
-            Executor::Direct => {
-                // The generalized path: every outcome kind (rectangle,
-                // trial-annotated, uniform-machine) extracts through the
-                // one `Outcome::completed` interface.
+        // Every executor yields the as-scheduled jobs (for the bounds) and
+        // the completion records; the batch executors also yield their
+        // outcome, whose machine model and trial counters feed the columns
+        // below, and a volatile platform its failure accounting.
+        let mut failures = None;
+        let (scheduled, mut records, outcome) = match (self.executor, &platform.volatility) {
+            (Executor::DesOnline, Some(vol)) => {
+                // Failure realization: a pure function of (platform name,
+                // workload seed), so replications resample the failure
+                // trace along with the workload. No retained-schedule
+                // validation: killed attempts are not part of any final
+                // rectangle schedule — overlap safety is enforced per
+                // commitment by the dispatcher's timelines instead.
+                let trace_seed = crate::spec::splitmix64(
+                    workload.seed ^ crate::spec::fnv64(platform.name.as_bytes()),
+                );
+                let plan = FailurePlan {
+                    outages: vol
+                        .trace
+                        .generate(platform.m, &mut SimRng::seed_from(trace_seed)),
+                    policy: vol.policy,
+                };
+                let out = des_online_volatile(policy, jobs, platform.m, &ctx, &plan, true);
+                failures = Some(out.failures);
+                (out.jobs, out.records, None)
+            }
+            (Executor::DesOnline, None) => {
+                let online = des_online(policy, jobs, platform.m, &ctx);
+                online
+                    .run
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
+                (online.run.jobs, online.records, None)
+            }
+            _ => {
+                // Batch-schedule once, and validate before extracting: a
+                // policy bug must fail with cell context, not deep inside
+                // the replay. `direct` reads every outcome kind (rectangle,
+                // trial-annotated, uniform-machine) through the one
+                // `Outcome::completed` interface; `des-replay` replays the
+                // rectangles through the event engine instead.
                 let orun = policy.run_outcome(jobs, platform.m, &ctx);
                 orun.validate()
                     .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
-                let records = orun.outcome.completed(&orun.jobs);
-                (orun, records)
-            }
-            Executor::DesReplay | Executor::DesOnline => {
-                // Validated capability check: the DES executors stay
-                // rectangle-only.
-                assert!(
-                    self.executor.supports(policy.outcome_kind()),
-                    "{}: policy produces `{}` outcomes, which executor `{}` \
-                     cannot replay or drive — run it under `direct`",
-                    cell_id(),
-                    policy.outcome_kind(),
-                    self.executor.name()
-                );
-                assert!(
-                    ctx.is_identical_machine(),
-                    "{}: a speeded machine needs a uniform-capable policy \
-                     under the `direct` executor",
-                    cell_id()
-                );
-                let validate = |run: &PolicyRun| {
-                    run.validate()
-                        .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()))
-                };
-                let (run, records) = match self.executor {
-                    Executor::DesReplay => {
-                        let run = policy.run(jobs, platform.m, &ctx);
-                        // Validate before handing the rectangles to the
-                        // event engine: a policy bug must fail with cell
-                        // context, not deep inside the replay.
-                        validate(&run);
-                        let records = des_replay(&run.schedule, &run.jobs);
-                        (run, records)
+                let records = match orun.outcome.as_rect() {
+                    Some(schedule) if self.executor == Executor::DesReplay => {
+                        des_replay(schedule, &orun.jobs)
                     }
-                    _ => {
-                        let online = des_online(policy, jobs, platform.m, &ctx);
-                        validate(&online.run);
-                        (online.run, online.records)
-                    }
+                    _ => orun.outcome.completed(&orun.jobs),
                 };
-                let orun = OutcomeRun {
-                    outcome: Outcome::Rect(run.schedule),
-                    jobs: run.jobs,
-                };
-                (orun, records)
+                (orun.jobs, records, Some(orun.outcome))
             }
         };
         // Canonical record order (job id) so every executor feeds Criteria
@@ -695,19 +638,19 @@ impl ExperimentRunner {
         // rigidify are measured against the instance they actually solved —
         // on the machine model they actually solved it for (speed-aware
         // bounds for uniform outcomes).
-        let (cmax_lb, csum_lb, wsum_lb) = match orun.outcome.speeds() {
+        let (cmax_lb, csum_lb, wsum_lb) = match outcome.as_ref().and_then(Outcome::speeds) {
             Some(speeds) => (
-                uniform_cmax_lower_bound(&orun.jobs, speeds),
-                uniform_csum_lower_bound(&orun.jobs, speeds),
-                uniform_wsum_lower_bound(&orun.jobs, speeds),
+                uniform_cmax_lower_bound(&scheduled, speeds),
+                uniform_csum_lower_bound(&scheduled, speeds),
+                uniform_wsum_lower_bound(&scheduled, speeds),
             ),
             None => (
-                cmax_lower_bound(&orun.jobs, platform.m).as_secs_f64(),
-                csum_lower_bound(&orun.jobs, platform.m),
-                wsum_lower_bound(&orun.jobs, platform.m),
+                cmax_lower_bound(&scheduled, platform.m).as_secs_f64(),
+                csum_lower_bound(&scheduled, platform.m),
+                wsum_lower_bound(&scheduled, platform.m),
             ),
         };
-        let stats = orun.outcome.trial_stats();
+        let stats = outcome.as_ref().and_then(Outcome::trial_stats);
         Cell {
             policy: policy.name().to_string(),
             executor: self.executor.name().to_string(),
@@ -715,7 +658,7 @@ impl ExperimentRunner {
             seed: workload.seed,
             platform: platform.name.clone(),
             m: platform.m,
-            n: orun.jobs.len(),
+            n: scheduled.len(),
             utilization: criteria.utilization(platform.m),
             cmax_ratio: criteria.cmax / cmax_lb.max(f64::MIN_POSITIVE),
             csum_ratio: criteria.sum_completion / csum_lb.max(f64::MIN_POSITIVE),
@@ -726,58 +669,51 @@ impl ExperimentRunner {
             wasted_ticks: stats.map(|s| s.wasted_ticks),
             class_names: None,
             responses: None,
-            failures: None,
+            failures,
         }
     }
 }
 
-struct ReplayModel {
-    jobs: HashMap<JobId, Job>,
-    records: Vec<CompletedJob>,
-}
+/// Commits every assignment of a finished schedule exactly as scheduled,
+/// the instant it arrives (at its start). Jobs are assignment indices.
+struct Replay<'a>(&'a [Assignment]);
 
-enum ReplayEvent {
-    Finish {
-        job: JobId,
-        start: Time,
-        procs: usize,
-    },
-}
+impl Dispatcher for Replay<'_> {
+    type Job = usize;
 
-impl Model for ReplayModel {
-    type Event = ReplayEvent;
-
-    fn handle(&mut self, now: Time, event: ReplayEvent, _ctx: &mut Ctx<'_, ReplayEvent>) {
-        let ReplayEvent::Finish { job, start, procs } = event;
-        let j = self.jobs.get(&job).expect("replayed job exists");
-        self.records
-            .push(CompletedJob::from_job(j, start, now, procs));
+    fn decide(&mut self, _now: Time, pending: &mut Vec<usize>, out: &mut Vec<Commitment<usize>>) {
+        out.extend(pending.drain(..).map(|i| Commitment {
+            job: i,
+            start: self.0[i].start,
+            end: self.0[i].end,
+        }));
     }
 }
 
-/// Replay a schedule through the DES engine: one completion event per
-/// assignment, records collected at simulated event times. The outcome is
-/// identical to [`Schedule::completed`] up to record order (events fire in
-/// time order) — asserting that equivalence is exactly the point.
+/// Replay a schedule through the DES engine: each assignment arrives at
+/// its start, is committed as scheduled, and its record is collected at
+/// its simulated completion event. The outcome is identical to
+/// [`Schedule::completed`] up to record order — asserting that equivalence
+/// is exactly the point.
 pub fn des_replay(schedule: &Schedule, jobs: &[Job]) -> Vec<CompletedJob> {
-    let model = ReplayModel {
-        jobs: jobs.iter().map(|j| (j.id, j.clone())).collect(),
-        records: Vec::new(),
-    };
-    let mut sim = Simulation::new(model);
-    for a in schedule.assignments() {
-        sim.schedule_at(
-            a.end,
-            ReplayEvent::Finish {
-                job: a.job,
-                start: a.start,
-                procs: a.procs.len(),
-            },
-        );
-    }
-    let events = schedule.len() as u64 + 1;
-    sim.run_to_completion(events);
-    let mut records = sim.into_model().records;
+    let by_id: HashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
+    let assignments = schedule.assignments();
+    let mut order: Vec<usize> = (0..assignments.len()).collect();
+    order.sort_by_key(|&i| assignments[i].start);
+    let mut records = Vec::with_capacity(assignments.len());
+    let mut sim = OnlineMachine::start(
+        Replay(assignments),
+        order.into_iter().map(|i| (assignments[i].start, i)),
+        |c: Commitment<usize>| {
+            let a = &assignments[c.job];
+            let job = by_id.get(&a.job).expect("replayed job exists");
+            records.push(CompletedJob::from_job(job, c.start, c.end, a.procs.len()));
+        },
+    );
+    // A wake-up and a decision per start instant, a completion per
+    // assignment.
+    sim.run_to_completion(3 * assignments.len() as u64 + 1);
+    drop(sim);
     records.sort_by_key(|r| r.id);
     records
 }
@@ -805,7 +741,8 @@ struct PolicyDispatch<'a> {
     committed: Timeline,
     /// Aggregate of every commitment, for end-of-run validation. `None`
     /// on the open (steady-state) path, where retaining one assignment
-    /// per job would grow without bound over an unbounded stream.
+    /// per job would grow without bound over an unbounded stream, and on
+    /// the volatile path, where a killed job commits more than once.
     schedule: Option<Schedule>,
     /// Persistent incremental planner, when the policy offers one
     /// ([`Policy::incremental_planner`]). Its placements are bit-identical
@@ -817,7 +754,7 @@ struct PolicyDispatch<'a> {
     /// Scratch schedule the planner fills each decision — cleared and
     /// reused so the per-event path performs no allocation.
     plan_scratch: Schedule,
-    /// Failure bookkeeping, present only on the volatile path
+    /// Failure bookkeeping, present only on volatile platforms
     /// ([`des_online_volatile`]). Tracks the booking behind every live
     /// commitment so a node failure can evict exactly the affected work,
     /// and accumulates the recovery accounting.
@@ -850,95 +787,76 @@ impl Dispatcher for PolicyDispatch<'_> {
     type Job = Job;
 
     fn decide(&mut self, now: Time, pending: &mut Vec<Job>, out: &mut Vec<Commitment<Job>>) {
-        // Drain the job a (known-valid) assignment names out of `pending`
-        // by linear scan — decision batches are dirty windows of a handful
-        // of jobs, so a scan beats building a `HashMap` per decision (the
-        // allocation that used to sit on every event of the open path).
-        fn drain_job(pending: &mut Vec<Job>, id: JobId, policy: &str) -> Job {
-            match pending.iter().position(|j| j.id == id) {
-                Some(i) => pending.swap_remove(i),
-                None => panic!("{policy}: scheduled unknown job {id}"),
-            }
-        }
-        if let Some(planner) = self.planner.as_deref_mut() {
+        let full: Schedule;
+        let booked: Vec<(BookingId, Time)>;
+        // This decision's placements, plus — where a kill must be able to
+        // name it — the booking behind each, aligned 1:1.
+        let (placed, bookings) = if let Some(planner) = self.planner.as_deref_mut() {
             planner.advance(now);
             self.plan_scratch.clear();
             planner.plan(pending, now, &mut self.plan_scratch);
-            if let Some(vol) = &mut self.volatile {
-                // Remember which planner booking backs each commitment so
-                // a later node failure can evict exactly the killed work.
-                let created = planner.last_created();
-                assert_eq!(
-                    created.len(),
-                    self.plan_scratch.assignments().len(),
-                    "planner bookings must align 1:1 with placements"
-                );
-                for (a, &(bk, _)) in self.plan_scratch.assignments().iter().zip(created) {
-                    vol.live.insert(
-                        a.job,
-                        LiveBooking {
-                            booking: bk,
-                            procs: a.procs.clone(),
-                        },
-                    );
-                }
+            let created = self.volatile.is_some().then(|| planner.last_created());
+            (&self.plan_scratch, created)
+        } else {
+            // Completed commitments no longer constrain placement.
+            self.committed.gc(now);
+            if self.committed.n_bookings() > 0 && !self.policy.supports_pinned() {
+                // Hole-blind policy with work still running: keep
+                // accumulating. The final completion of the running batch
+                // re-invokes us with an empty commitment set.
+                return;
             }
-            for a in self.plan_scratch.assignments() {
-                let job = drain_job(pending, a.job, self.policy.name());
-                if let Some(s) = &mut self.schedule {
-                    s.push(a.clone());
-                }
-                out.push(Commitment {
-                    job,
-                    start: a.start,
-                    end: a.end,
-                });
-            }
-            assert!(
-                pending.is_empty(),
-                "{}: planner left {} pending jobs unscheduled",
-                self.policy.name(),
-                pending.len()
-            );
-            return;
-        }
-        // Completed commitments no longer constrain placement.
-        self.committed.gc(now);
-        if self.committed.n_bookings() > 0 && !self.policy.supports_pinned() {
-            // Hole-blind policy with work still running: keep accumulating.
-            // The final completion of the running batch re-invokes us with
-            // an empty commitment set.
-            return;
-        }
-        let live: Vec<PinnedBooking> = self
-            .committed
-            .bookings()
-            .map(|(_, b)| PinnedBooking {
-                start: b.start,
-                end: b.end,
-                procs: b.procs.clone(),
-            })
-            .collect();
-        let placed = self
-            .policy
-            .schedule_pending(pending, self.m, now, &live, self.ctx);
-        for a in placed.assignments() {
-            let job = drain_job(pending, a.job, self.policy.name());
-            let bk = self
+            let live: Vec<PinnedBooking> = self
                 .committed
-                .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "{}: commitment for job {} collides with running work: {e}",
-                        self.policy.name(),
-                        a.job
-                    )
-                });
-            if let Some(vol) = &mut self.volatile {
+                .bookings()
+                .map(|(_, b)| PinnedBooking {
+                    start: b.start,
+                    end: b.end,
+                    procs: b.procs.clone(),
+                })
+                .collect();
+            full = self
+                .policy
+                .schedule_pending(pending, self.m, now, &live, self.ctx);
+            booked = full
+                .assignments()
+                .iter()
+                .map(|a| {
+                    let bk = self
+                        .committed
+                        .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
+                        .unwrap_or_else(|e| {
+                            panic!(
+                                "{}: commitment for job {} collides with running work: {e}",
+                                self.policy.name(),
+                                a.job
+                            )
+                        });
+                    (bk, a.end)
+                })
+                .collect();
+            (&full, Some(booked.as_slice()))
+        };
+        if let Some(bookings) = bookings {
+            assert_eq!(
+                bookings.len(),
+                placed.assignments().len(),
+                "bookings must align 1:1 with placements"
+            );
+        }
+        for (i, a) in placed.assignments().iter().enumerate() {
+            // Drain the job by linear scan — decision batches are dirty
+            // windows of a handful of jobs, so a scan beats building a
+            // `HashMap` per decision, on every event of an open stream.
+            let Some(at) = pending.iter().position(|j| j.id == a.job) else {
+                panic!("{}: scheduled unknown job {}", self.policy.name(), a.job)
+            };
+            let job = pending.swap_remove(at);
+            if let (Some(vol), Some(bookings)) = (&mut self.volatile, bookings) {
                 vol.live.insert(
                     a.job,
                     LiveBooking {
-                        booking: bk,
+                        booking: bookings[i].0,
                         procs: a.procs.clone(),
                     },
                 );
@@ -1051,6 +969,97 @@ impl Dispatcher for PolicyDispatch<'_> {
     }
 }
 
+impl<'a> PolicyDispatch<'a> {
+    /// A dispatcher for `policy` on `m` processors. `use_planner` takes the
+    /// policy's incremental planner when it offers one (`false` is the
+    /// full-replan oracle of the differential tests); `retain` keeps the
+    /// end-of-run [`Schedule`].
+    fn new(
+        policy: &'a dyn Policy,
+        m: usize,
+        ctx: &'a PolicyCtx,
+        use_planner: bool,
+        retain: bool,
+        volatile: Option<VolatileState>,
+    ) -> Self {
+        PolicyDispatch {
+            policy,
+            m,
+            ctx,
+            committed: Timeline::with_procs(m),
+            schedule: retain.then(|| Schedule::new(m)),
+            planner: if use_planner {
+                policy.incremental_planner(m, ctx)
+            } else {
+                None
+            },
+            plan_scratch: Schedule::new(m),
+            volatile,
+        }
+    }
+}
+
+/// When an online drive stops.
+enum Stop {
+    /// Run the agenda dry — every job commits and completes — panicking
+    /// past `max_events`: a drive that outgrows its budget is a dispatcher
+    /// bug, not a workload.
+    Drain { max_events: u64 },
+    /// Stop at the N-th completion, or earlier if the source runs dry.
+    Completions(u64),
+}
+
+/// What one drive leaves behind.
+struct Drive<'a> {
+    dispatch: PolicyDispatch<'a>,
+    counters: OnlineCounters,
+    stats: RunStats,
+}
+
+/// The one online driver behind [`des_online`], [`des_online_open`] and
+/// the volatile-platform cells: feed `arrivals` to an [`OnlineMachine`]
+/// around `dispatch`, fail nodes per `outages`, hand every completion to
+/// `sink`, and step until `stop`.
+fn drive<'a>(
+    dispatch: PolicyDispatch<'a>,
+    arrivals: impl ArrivalSource<Job = Job>,
+    outages: &[Outage],
+    stop: Stop,
+    sink: impl FnMut(Commitment<Job>),
+) -> Drive<'a> {
+    let policy = dispatch.policy;
+    let mut sim = OnlineMachine::start(dispatch, arrivals, sink);
+    // Failure events are seeded before the run, so the FIFO tie-break fires
+    // a NodeDown *before* any same-instant Finish (scheduled later, at
+    // commit time): a job ending exactly when its node dies has already
+    // finished and is not killed.
+    for o in outages {
+        sim.schedule_at(
+            o.start,
+            OnlineEvent::NodeDown {
+                node: o.node,
+                up: o.end,
+            },
+        );
+        sim.schedule_at(o.end, OnlineEvent::NodeUp { node: o.node });
+    }
+    let stats = match stop {
+        Stop::Drain { max_events } => {
+            let stats = sim.run_to_completion(max_events);
+            let left = sim.model().pending().len();
+            assert!(left == 0, "{}: {left} jobs never committed", policy.name());
+            stats
+        }
+        Stop::Completions(n) => sim.run_while(u64::MAX, |m| m.counters().completions < n),
+    };
+    let machine = sim.into_model();
+    Drive {
+        counters: machine.counters(),
+        dispatch: machine.into_dispatcher(),
+        stats,
+    }
+}
+
 /// Outcome of one event-driven online execution.
 pub struct OnlineRun {
     /// The aggregate of all committed assignments plus the as-scheduled job
@@ -1079,23 +1088,24 @@ pub struct OnlineRun {
 /// [`Executor::Direct`] — the equivalence the test suite pins for every
 /// registry policy.
 pub fn des_online(policy: &dyn Policy, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> OnlineRun {
-    des_online_impl(policy, jobs, m, ctx, true)
+    finite_online(policy, jobs, m, ctx, true)
 }
 
 /// [`des_online`] with the incremental planner disabled: every decision
 /// goes through the full-replan `schedule_pending` path. This is the
 /// differential *oracle* — slower but independently derived — that the
 /// planner's bit-identity tests compare against.
-pub fn des_online_full_replan(
+#[cfg(test)]
+fn des_online_full_replan(
     policy: &dyn Policy,
     jobs: &[Job],
     m: usize,
     ctx: &PolicyCtx,
 ) -> OnlineRun {
-    des_online_impl(policy, jobs, m, ctx, false)
+    finite_online(policy, jobs, m, ctx, false)
 }
 
-fn des_online_impl(
+fn finite_online(
     policy: &dyn Policy,
     jobs: &[Job],
     m: usize,
@@ -1110,44 +1120,32 @@ fn des_online_impl(
     // policies strip releases from their job view (their documented head
     // start on the clock they are measured against), but information still
     // reaches the scheduler only at the true release date.
-    let arrivals: HashMap<JobId, Time> = jobs
+    let releases: HashMap<JobId, Time> = jobs.iter().map(|j| (j.id, j.release)).collect();
+    let mut arrivals: Vec<(Time, Job)> = prepared
         .iter()
-        .map(|j| {
-            let at = match ctx.release_mode {
-                ReleaseMode::Offline => Time::ZERO,
-                ReleaseMode::Online => j.release,
-            };
-            (j.id, at)
+        .map(|j| match ctx.release_mode {
+            ReleaseMode::Offline => (Time::ZERO, j.clone()),
+            ReleaseMode::Online => (releases[&j.id], j.clone()),
         })
         .collect();
-    let machine = OnlineMachine::new(PolicyDispatch {
-        policy,
-        m,
-        ctx,
-        committed: Timeline::with_procs(m),
-        schedule: Some(Schedule::new(m)),
-        planner: if use_planner {
-            policy.incremental_planner(m, ctx)
-        } else {
-            None
+    // Stable: same-instant arrivals keep the prepared order.
+    arrivals.sort_by_key(|&(at, _)| at);
+    let mut completed = Vec::with_capacity(prepared.len());
+    let run = drive(
+        PolicyDispatch::new(policy, m, ctx, use_planner, true, None),
+        arrivals.into_iter(),
+        &[],
+        // n arrivals + n completions + at most one decision per event.
+        Stop::Drain {
+            max_events: 4 * prepared.len() as u64 + 8,
         },
-        plan_scratch: Schedule::new(m),
-        volatile: None,
-    });
-    let mut sim = Simulation::new(machine);
-    for job in &prepared {
-        sim.schedule_at(arrivals[&job.id], OnlineEvent::Arrive(job.clone()));
-    }
-    // n arrivals + n completions + at most one decision per event.
-    let stats = sim.run_to_completion(4 * prepared.len() as u64 + 8);
-    let (dispatch, completed, still_pending) = sim.into_model().into_parts();
-    assert!(
-        still_pending.is_empty(),
-        "{}: {} jobs never committed",
-        policy.name(),
-        still_pending.len()
+        |c| completed.push(c),
     );
-    let schedule = dispatch.schedule.expect("finite path retains the schedule");
+    let replan_touched = run.dispatch.planner.as_ref().map(|p| p.touched());
+    let schedule = run
+        .dispatch
+        .schedule
+        .expect("finite runs retain the schedule");
     let procs: HashMap<JobId, usize> = schedule
         .assignments()
         .iter()
@@ -1158,42 +1156,40 @@ fn des_online_impl(
         .map(|c| CompletedJob::from_job(&c.job, c.start, c.end, procs[&c.job.id]))
         .collect();
     records.sort_by_key(|r| r.id);
-    let replan_touched = dispatch.planner.as_ref().map(|p| p.touched());
     OnlineRun {
         run: PolicyRun {
             schedule,
             jobs: prepared,
         },
         records,
-        stats,
+        stats: run.stats,
         replan_touched,
     }
 }
 
 /// Failure realization + recovery policy for one volatile run.
-pub struct FailurePlan {
+struct FailurePlan {
     /// Concrete outages (already generated from a
     /// [`FailureTraceSpec`]), every node `< m`.
-    pub outages: Vec<Outage>,
+    outages: Vec<Outage>,
     /// What happens to a commitment killed mid-flight.
-    pub policy: FailurePolicy,
+    policy: FailurePolicy,
 }
 
 /// Outcome of one failure-aware online execution
 /// ([`des_online_volatile`]).
-pub struct VolatileOutcome {
+struct VolatileOutcome {
     /// Completion records against the **original** job shapes (original
     /// release, full length) with the final attempt's start/end — a killed
     /// job's flow includes every lost attempt. Sorted by job id.
-    pub records: Vec<CompletedJob>,
-    /// Engine counters.
-    pub stats: RunStats,
+    records: Vec<CompletedJob>,
     /// Kill/waste/goodput accounting for the aggregate CSV.
-    pub failures: FailureStats,
+    failures: FailureStats,
     /// The prepared (as-scheduled) job view, for lower bounds.
-    pub jobs: Vec<Job>,
+    jobs: Vec<Job>,
     /// Planner instrumentation (`None` on the full-replan oracle path).
-    pub replan_touched: Option<u64>,
+    #[cfg_attr(not(test), allow(dead_code))]
+    replan_touched: Option<u64>,
 }
 
 /// Drive `policy` through the event engine over a *volatile* platform:
@@ -1206,11 +1202,11 @@ pub struct VolatileOutcome {
 /// around the hole.
 ///
 /// Restrictions (asserted): pinned-capable policy, [`ReleaseMode::Online`],
-/// identical machines, no reservations or pinned bookings. With
-/// `use_planner` both the incremental planner and the full-replan oracle
+/// identical machines, no reservations or pinned bookings. Both the
+/// incremental planner and the full-replan oracle (`use_planner = false`)
 /// run the same kill rule, so the two paths stay bit-identical — the
 /// differential property the failure proptests pin down.
-pub fn des_online_volatile(
+fn des_online_volatile(
     policy: &dyn Policy,
     jobs: &[Job],
     m: usize,
@@ -1251,63 +1247,44 @@ pub fn des_online_volatile(
         useful_area += len.ticks() * procs as u64;
         originals.insert(j.id, j.clone());
     }
-    let machine = OnlineMachine::new(PolicyDispatch {
-        policy,
-        m,
-        ctx,
-        committed: Timeline::with_procs(m),
-        // No end-of-run Schedule: a killed job commits more than once, so
-        // the one-assignment-per-job rectangle validation does not apply —
-        // overlap safety is enforced per commitment by the timelines.
-        schedule: None,
-        planner: if use_planner {
-            policy.incremental_planner(m, ctx)
-        } else {
-            None
-        },
-        plan_scratch: Schedule::new(m),
-        volatile: Some(VolatileState {
-            checkpoint: plan.policy.checkpoint_period(),
-            originals,
-            live: HashMap::new(),
-            wasted_ticks: 0,
-            interrupted: HashSet::new(),
-        }),
-    });
-    let mut sim = Simulation::new(machine);
-    for job in &prepared {
-        sim.schedule_at(job.release, OnlineEvent::Arrive(job.clone()));
-    }
-    // Failure events are seeded before the run, so the FIFO tie-break fires
-    // a NodeDown *before* any same-instant Finish (scheduled later, at
-    // commit time): a job ending exactly when its node dies has already
-    // finished and is not killed.
-    for o in &plan.outages {
-        sim.schedule_at(
-            o.start,
-            OnlineEvent::NodeDown {
-                node: o.node,
-                up: o.end,
-            },
-        );
-        sim.schedule_at(o.end, OnlineEvent::NodeUp { node: o.node });
-    }
+    let mut arrivals: Vec<(Time, Job)> = prepared.iter().map(|j| (j.release, j.clone())).collect();
+    arrivals.sort_by_key(|&(at, _)| at);
     // Budget: every job arrives once and can be killed at most once per
     // outage (a kill needs a node to go down), plus two events per outage;
     // ×4 covers the decision fan-out, +16 is slack.
     let n = prepared.len() as u64;
     let k = plan.outages.len() as u64;
-    let stats = sim.run_to_completion(4 * (n + n * k + 2 * k) + 16);
-    let (kills, resubmits) = (sim.model().kills(), sim.model().resubmits());
-    let (dispatch, completed, still_pending) = sim.into_model().into_parts();
-    assert!(
-        still_pending.is_empty(),
-        "{}: {} jobs never committed",
-        policy.name(),
-        still_pending.len()
+    let mut completed = Vec::with_capacity(prepared.len());
+    let run = drive(
+        // No end-of-run Schedule: a killed job commits more than once, so
+        // the one-assignment-per-job rectangle validation does not apply —
+        // overlap safety is enforced per commitment by the timelines.
+        PolicyDispatch::new(
+            policy,
+            m,
+            ctx,
+            use_planner,
+            false,
+            Some(VolatileState {
+                checkpoint: plan.policy.checkpoint_period(),
+                originals,
+                live: HashMap::new(),
+                wasted_ticks: 0,
+                interrupted: HashSet::new(),
+            }),
+        ),
+        arrivals.into_iter(),
+        &plan.outages,
+        Stop::Drain {
+            max_events: 4 * (n + n * k + 2 * k) + 16,
+        },
+        |c| completed.push(c),
     );
-    let replan_touched = dispatch.planner.as_ref().map(|p| p.touched());
-    let vol = dispatch.volatile.expect("volatile driver keeps its state");
+    let replan_touched = run.dispatch.planner.as_ref().map(|p| p.touched());
+    let vol = run
+        .dispatch
+        .volatile
+        .expect("volatile driver keeps its state");
     let mut records: Vec<CompletedJob> = completed
         .iter()
         .map(|c| {
@@ -1338,11 +1315,15 @@ pub fn des_online_volatile(
             r.flow().ticks() as f64 / len as f64
         })
         .collect();
-    let failures =
-        FailureStats::evaluate(useful_area, vol.wasted_ticks, kills, resubmits, &slowdowns);
+    let failures = FailureStats::evaluate(
+        useful_area,
+        vol.wasted_ticks,
+        run.counters.kills,
+        run.counters.resubmits,
+        &slowdowns,
+    );
     VolatileOutcome {
         records,
-        stats,
         failures,
         jobs: prepared,
         replan_touched,
@@ -1371,13 +1352,29 @@ pub struct OpenOutcome {
     pub warmup_cut: usize,
 }
 
+/// The seeded arrival stream of an open entry on `m` processors, cut at
+/// its feed horizon. The class index rides along inside each job as its
+/// `user` tag.
+pub(crate) fn open_arrivals(
+    open: &OpenEntry,
+    m: usize,
+    seed: u64,
+) -> impl Iterator<Item = (Time, Job)> {
+    let mut stream = open.stream.stream(m, SimRng::seed_from(seed));
+    let horizon = open.horizon_s.map_or(Time::MAX, Time::from_secs_f64);
+    std::iter::from_fn(move || {
+        let (_class, job) = stream.next_job();
+        Some((job.release, job))
+    })
+    .take_while(move |&(at, _)| at <= horizon)
+}
+
 /// Drive `policy` over an unbounded open-arrival stream until the entry's
 /// stopping rule fires: the steady-state sibling of [`des_online`].
 ///
-/// Arrivals are pulled one ahead from the seeded stream (the event queue
-/// never holds more than one future arrival), finished commitments are
-/// folded into streaming accumulators by the machine's sink instead of
-/// being retained, and the policy plans through the same
+/// Arrivals are pulled one ahead from the seeded stream, finished
+/// commitments are folded into streaming accumulators by the machine's
+/// sink instead of being retained, and the policy plans through the same
 /// `PolicyDispatch` paths as the finite driver — minus the end-of-run
 /// schedule aggregate, which would grow with the stream. Memory is
 /// `O(live jobs + counted completions)`.
@@ -1404,70 +1401,34 @@ pub fn des_online_open(
         ReleaseMode::Online,
         "an open stream needs honest online releases"
     );
-    let mut stream = open.stream.stream(m, SimRng::seed_from(seed));
-    let source = std::iter::from_fn(move || {
-        // The class index rides along inside the job as its `user` tag.
-        let (_class, job) = stream.next_job();
-        Some((job.release, job))
-    });
-    // The sink is owned by the machine; shared cells hand the accumulators
-    // back to this frame after the drive.
-    let folded = std::rc::Rc::new(std::cell::RefCell::new((
-        SteadyState::new(),
-        CriteriaAcc::new(),
-    )));
-    let sink = {
-        let folded = std::rc::Rc::clone(&folded);
-        move |c: Commitment<Job>| {
+    let mut steady = SteadyState::new();
+    let mut crit = CriteriaAcc::new();
+    let run = drive(
+        PolicyDispatch::new(policy, m, ctx, true, false, None),
+        open_arrivals(open, m, seed),
+        &[],
+        Stop::Completions(open.stop_completions),
+        |c| {
             // Open streams are rigid, so the allotment is the job's own.
             let rec = CompletedJob::from_job(&c.job, c.start, c.end, c.job.min_procs());
             let flow = rec.flow().as_secs_f64();
             let runtime = c.end.saturating_sub(c.start).as_secs_f64();
             let slowdown = if runtime > 0.0 { flow / runtime } else { 1.0 };
-            let (steady, crit) = &mut *folded.borrow_mut();
             steady.record(c.job.user.0, flow, slowdown);
             crit.push(&rec);
-        }
-    };
-    let feed_until = open.horizon_s.map_or(Time::MAX, Time::from_secs_f64);
-    let mut machine = OpenOnlineMachine::new(
-        PolicyDispatch {
-            policy,
-            m,
-            ctx,
-            committed: Timeline::with_procs(m),
-            schedule: None,
-            planner: policy.incremental_planner(m, ctx),
-            plan_scratch: Schedule::new(m),
-            volatile: None,
         },
-        source,
-        feed_until,
-        sink,
     );
-    let first = machine.first_arrival();
-    let mut sim = Simulation::new(machine);
-    if let Some((t, job)) = first {
-        sim.schedule_at(t, OnlineEvent::Arrive(job));
-    }
-    // The stopping rule lives here, not in the machine: step until the
-    // completion target is met or the (horizon-bounded) stream drains.
-    while sim.model().completions() < open.stop_completions && sim.step() {}
-    let machine = sim.into_model();
-    let (arrivals, completions, max_live) = (
-        machine.arrivals(),
-        machine.completions(),
-        machine.max_live(),
-    );
+    let OnlineCounters {
+        arrivals,
+        completions,
+        max_live,
+        ..
+    } = run.counters;
     assert!(
         completions > 0,
         "open stream produced no completions (horizon {:?} s admitted nothing)",
         open.horizon_s
     );
-    drop(machine); // releases the sink's clone of `folded`
-    let (steady, crit) = std::rc::Rc::try_unwrap(folded)
-        .expect("sink dropped with the machine")
-        .into_inner();
     let cut = steady.warmup_cut(open.warmup);
     OpenOutcome {
         criteria: crit.finish(),
@@ -2074,6 +2035,52 @@ mod replan_tests {
         );
         // Everything admitted before the horizon drained to completion.
         assert_eq!(out.completions, out.arrivals);
+    }
+
+    /// The open and finite paths agree: a horizon-bounded open stream of
+    /// rigid jobs, collected into a `Vec` and run through [`des_online`],
+    /// completes every job exactly as the open drive does — and the open
+    /// entry point folds exactly those completions.
+    #[test]
+    fn open_and_finite_paths_agree_on_a_collected_stream() {
+        let ctx = PolicyCtx::default();
+        let (m, seed) = (16, 5);
+        let mut open = sample_open_entry(0.9, u64::MAX);
+        open.horizon_s = Some(3.0 * 3600.0);
+        let jobs: Vec<Job> = open_arrivals(&open, m, seed).map(|(_, j)| j).collect();
+        assert!(jobs.len() > 100, "the horizon admits a real stream");
+        for name in ["backfill-easy", "backfill-conservative"] {
+            let policy = lsps_core::policy::by_name(name).unwrap();
+            let policy = policy.as_ref();
+            assert_eq!(policy.prepare(&jobs, m, &ctx).as_ref(), jobs.as_slice());
+            let finite = des_online(policy, &jobs, m, &ctx);
+            let mut streamed = Vec::new();
+            drive(
+                PolicyDispatch::new(policy, m, &ctx, true, false, None),
+                open_arrivals(&open, m, seed),
+                &[],
+                Stop::Completions(open.stop_completions),
+                |c| streamed.push((c.job.id, c.start, c.end)),
+            );
+            let by_id: HashMap<JobId, &CompletedJob> =
+                finite.records.iter().map(|r| (r.id, r)).collect();
+            let in_stream_order: Vec<CompletedJob> =
+                streamed.iter().map(|(id, ..)| by_id[id].clone()).collect();
+            streamed.sort();
+            let finite_done: Vec<(JobId, Time, Time)> = finite
+                .records
+                .iter()
+                .map(|r| (r.id, r.start, r.completion))
+                .collect();
+            assert_eq!(streamed, finite_done, "{name}: completions diverged");
+            let out = des_online_open(policy, &open, m, &ctx, seed);
+            assert_eq!(out.completions, jobs.len() as u64, "{name}");
+            assert_eq!(
+                out.criteria,
+                Criteria::evaluate(&in_stream_order),
+                "{name}: the open fold saw other completions"
+            );
+        }
     }
 
     /// With exact estimates every completion lands exactly on its booking

@@ -7,7 +7,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use lsps_scenario::{run_campaign, CampaignOptions, CampaignSpec};
+use lsps_scenario::spec::WorkloadSource;
+use lsps_scenario::{run_campaign, CampaignError, CampaignOptions, CampaignPlan, CampaignSpec};
 
 /// A trimmed heavy-traffic spec: small completion targets so the drive is
 /// cheap under the debug profile, but the same shape as the checked-in
@@ -147,5 +148,38 @@ fn checked_in_open_specs_parse_and_validate() {
         let spec: CampaignSpec = serde_json::from_str(&text).expect("parses");
         spec.validate().expect("valid");
         assert_eq!(spec.cell_count(), cells, "{file}");
+    }
+}
+
+#[test]
+fn an_open_horizon_that_admits_nothing_is_a_spec_error() {
+    // A heavy-traffic workload cut at one millisecond: the spec itself is
+    // well-formed, but no cell's stream releases a job that early, so the
+    // campaign must fail at expansion with a spec error — not panic in a
+    // worker thread mid-run.
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/heavy_traffic_campaign.json");
+    let mut spec: CampaignSpec =
+        serde_json::from_str(&fs::read_to_string(path).expect("checked-in spec")).expect("parses");
+    let WorkloadSource::Open(open) = &mut spec.workloads[0].source else {
+        panic!("heavy-traffic workloads are open");
+    };
+    open.horizon_s = Some(0.001);
+    spec.validate()
+        .expect("a positive horizon passes validation");
+    for err in [
+        CampaignPlan::expand(&spec, &opts(None)).err(),
+        run_campaign(&spec, &opts(None)).err(),
+    ] {
+        match err {
+            Some(CampaignError::Spec(e)) => {
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("horizon_s") && msg.contains("rho-0.70"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected a spec error, got {other:?}"),
+        }
     }
 }
