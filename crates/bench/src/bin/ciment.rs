@@ -11,12 +11,13 @@
 //! 3. the cost of the kill/resubmit mechanism ("the cost of killing one of
 //!    them is not too big") — ablated over the campaign run length.
 
-use lsps_bench::{write_csv, Table};
+use lsps_bench::write_csv;
 use lsps_des::{Dur, SimRng};
 use lsps_grid::exchange::{run_exchange, ExchangeParams, ExchangeStrategy};
 use lsps_grid::{ciment_scenario, ScenarioParams};
 use lsps_metrics::{jain_index, per_user};
 use lsps_platform::presets;
+use lsps_scenario::Table;
 use lsps_workload::{CommunityProfile, Job, UserId};
 
 fn main() {

@@ -15,13 +15,14 @@
 //! big loads; latency pushes the optimum toward one round and few
 //! participants; every makespan respects the steady-state bound.
 
-use lsps_bench::{write_csv, Table};
+use lsps_bench::write_csv;
 use lsps_dlt::multiround::best_round_count;
 use lsps_dlt::selfsched::best_chunk;
 use lsps_dlt::{
     bus_single_round, multi_round, self_schedule, star_single_round, star_steady_state,
     MultiRoundParams, Worker, WorkerOrder,
 };
+use lsps_scenario::Table;
 
 struct NetClass {
     name: &'static str,

@@ -16,9 +16,10 @@
 //! number of tasks, the non-parallel series above the parallel one for
 //! Σ ωiCi.
 
-use lsps_bench::runner::{self, summarize_by};
-use lsps_bench::{write_csv, Table};
+use lsps_bench::write_csv;
 use lsps_scenario::campaign::builtin::fig2_spec;
+use lsps_scenario::runner::{self, summarize_by};
+use lsps_scenario::Table;
 use lsps_scenario::{run_campaign, CampaignOptions};
 
 fn main() {

@@ -20,13 +20,14 @@
 //! λ*, which only `mrt_schedule_with_lambda` exposes — that single row is
 //! measured directly.
 
-use lsps_bench::runner::{self, summarize_by};
-use lsps_bench::{write_csv, Table};
+use lsps_bench::write_csv;
 use lsps_core::mrt::{mrt_schedule_with_lambda, MrtParams};
 use lsps_des::SimRng;
 use lsps_metrics::Summary;
 use lsps_scenario::campaign::builtin::guarantees_spec;
 use lsps_scenario::families::moldable_instance;
+use lsps_scenario::runner::{self, summarize_by};
+use lsps_scenario::Table;
 use lsps_scenario::{run_campaign, CampaignOptions};
 
 const SEEDS: u64 = 12;

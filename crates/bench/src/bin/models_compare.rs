@@ -8,8 +8,7 @@
 //! one campaign per release mode, through one code path. The measured
 //! winners are then compared against the advisor's recommendations.
 
-use lsps_bench::runner::{self, Cell};
-use lsps_bench::{write_csv, Table};
+use lsps_bench::write_csv;
 use lsps_core::advisor::{advise, Application, Objective};
 use lsps_core::allot::{two_phase_moldable, AllotRule};
 use lsps_core::list::JobOrder;
@@ -18,6 +17,8 @@ use lsps_core::policy::ReleaseMode;
 use lsps_des::{Dur, SimRng, Time};
 use lsps_metrics::cmax_lower_bound;
 use lsps_scenario::campaign::builtin::models_compare_spec;
+use lsps_scenario::runner::{self, Cell};
+use lsps_scenario::Table;
 use lsps_scenario::{run_campaign, CampaignOptions};
 use lsps_workload::{Job, MoldableProfile, SpeedupModel, WorkloadSpec};
 

@@ -1,22 +1,14 @@
 //! Shared plumbing for the experiment binaries.
 //!
-//! The scenario runner, the campaign subsystem, result-file helpers and
-//! the table printer all live in `lsps_scenario`; this crate re-exports
-//! them under their historical `lsps_bench` paths (every experiment
-//! binary, test and example keeps compiling unchanged) and adds the
-//! binary-facing convenience [`write_csv`].
+//! The campaign subsystem, result-file helpers and the table printer live
+//! in `lsps_scenario`, which the binaries import directly; this crate adds
+//! only the binary-facing convenience [`write_csv`].
 //!
 //! Every binary writes machine-readable CSV under `results/` (created at
 //! the workspace root when run from inside it) and a human-readable table
-//! on stdout. EXPERIMENTS.md references both.
+//! on stdout.
 
-pub use lsps_scenario::runner;
-pub use lsps_scenario::{
-    campaign, results_dir, run_campaign, write_file_atomic, CampaignOptions, CampaignPlan,
-    CampaignReport, CampaignSpec, Table,
-};
-pub use lsps_service as service;
-pub use runner::{Cell, Executor, ExperimentRunner, PlatformCase, WorkloadCase};
+use lsps_scenario::{results_dir, write_file_atomic};
 
 /// Write CSV content to `results/<name>` (atomically — see
 /// [`write_file_atomic`]) and report the path on stdout.

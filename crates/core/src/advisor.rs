@@ -70,7 +70,7 @@ impl PolicyChoice {
     /// `lsps-dlt` (divisible loads have no per-job rectangles) and
     /// [`PolicyChoice::BestEffortGrid`] is the event-driven `lsps-grid`
     /// layer. Everything else round-trips into the registry instance the
-    /// experiment runner uses.
+    /// campaign executor uses.
     pub fn instantiate(self) -> Option<Box<dyn crate::policy::Policy>> {
         use crate::policy::{
             Backfilling, BatchedMrt, BiCriteriaDoubling, DeqEquipartition, ListScheduling,

@@ -19,8 +19,8 @@
 //!   experiment binaries, the grid layer and tests iterate one list
 //!   instead of hard-coding dispatch.
 //!
-//! The trait is deliberately object-safe: the experiment runner
-//! (`lsps_bench::runner`), the CiGri cluster scheduler
+//! The trait is deliberately object-safe: the campaign executor
+//! (`lsps_scenario::CampaignPlan`), the CiGri cluster scheduler
 //! (`lsps_grid::cigri`) and the advisor
 //! ([`crate::advisor::PolicyChoice::instantiate`]) all traffic in
 //! `Box<dyn Policy>`.
@@ -187,7 +187,7 @@ impl PolicyRun {
 /// A scheduling policy: one shape for every algorithm in the paper.
 ///
 /// `Send + Sync` is a supertrait so `Box<dyn Policy>` values can be shared
-/// across the experiment runner's worker threads; every policy is a plain
+/// across the campaign worker pool's threads; every policy is a plain
 /// configuration struct, so the bound costs nothing.
 pub trait Policy: Send + Sync {
     /// Stable, unique identifier (used in CSV output and lookups).

@@ -1,34 +1,46 @@
-//! Campaign execution: expand a [`CampaignSpec`] into runner cells, skip
-//! the cached ones, run the rest, aggregate replications.
+//! Campaign execution: expand a [`CampaignSpec`] into cells, skip the
+//! cached ones, run the rest, aggregate replications.
 //!
-//! The canonical cell order is executor-major, then the runner's own order
-//! (platform → failure entry → workload entry → replication → policy). The cache never
+//! The canonical cell order is executor-major, then platform → failure
+//! entry → workload entry → replication → policy. The cache never
 //! affects ordering — a warm, partially warm or cold run emits exactly the
 //! same bytes — so interrupting a campaign and re-running it *is* resume.
 //!
 //! The expansion itself is a first-class surface: [`CampaignPlan`] holds
 //! the canonical cell list with each cell's content-addressed cache key
 //! and runs any single cell in isolation ([`CampaignPlan::run_cell`]),
-//! byte-identical to its place in a full [`run_campaign`]. The
+//! byte-identical to its place in a full [`run_campaign`]. Every cell,
+//! whatever its workload source, executor or failure entry, becomes a
+//! [`Cell`] through one private function of the plan. The
 //! `lsps-campaignd` daemon plans campaigns and shards cells over worker
 //! processes through exactly this surface, and `lsps-campaign --dry-run`
 //! prints it.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use lsps_core::policy::{by_name, Policy};
-use lsps_metrics::Summary;
+use lsps_core::outcome::Outcome;
+use lsps_core::policy::by_name;
+use lsps_des::SimRng;
+use lsps_metrics::{
+    cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
+    uniform_wsum_lower_bound, wsum_lower_bound, Criteria, Summary,
+};
+use lsps_workload::{Job, WorkloadSpec};
 use serde::{Serialize, Value};
 
 use crate::cache::{CellCache, CACHE_VERSION};
-use crate::families::builtin_family;
+use crate::families::{builtin_family, FamilyGen};
 use crate::pool::pool_map;
 use crate::runner::{
-    des_online_open, open_arrivals, to_csv, Cell, Executor, ExperimentRunner, PlatformCase,
-    VolatilityCase, WorkloadCase,
+    des_online, des_online_open, des_online_volatile, des_replay, open_arrivals, to_csv, Cell,
+    Executor, FailurePlan,
 };
-use crate::spec::{fnv64, CampaignSpec, FailureEntry, SpecError, WorkloadSource};
+use crate::spec::{
+    fnv64, splitmix64, CampaignSpec, FailureEntry, OpenEntry, SpecError, WorkloadSource,
+};
 
 /// How a campaign runs: where the cache lives, how wide the pool is, and
 /// what relative trace paths resolve against.
@@ -36,7 +48,7 @@ use crate::spec::{fnv64, CampaignSpec, FailureEntry, SpecError, WorkloadSource};
 pub struct CampaignOptions {
     /// Cell-cache directory; `None` disables caching (every cell runs).
     pub cache_dir: Option<PathBuf>,
-    /// Worker-pool size per executor sweep (`0` = one thread per core).
+    /// Worker-pool size (`0` = one thread per core).
     pub threads: usize,
     /// Base directory for relative trace-file paths (usually the spec
     /// file's directory); `None` resolves against the current directory.
@@ -104,16 +116,30 @@ impl From<SpecError> for CampaignError {
     }
 }
 
-/// A workload entry expanded to its replication seeds plus the canonical
-/// source value that goes into cell keys (trace files by content hash).
-/// Trace files are read and parsed exactly once, here — the per-seed
-/// cases (and every executor sweep, and fully-warm runs) share the parsed
-/// job list instead of re-reading an immutable file.
+/// Where one workload entry's jobs come from, resolved once at expansion.
+/// Nothing is generated there: a synthetic entry keeps its generator and
+/// runs it per (seed, m) when a cell needs the jobs.
+enum EntryGen {
+    /// A synthetic generator spec.
+    Spec(WorkloadSpec),
+    /// A built-in family, resolved by name.
+    Family(FamilyGen),
+    /// A parsed SWF/JSONL trace: every replication runs these jobs, and
+    /// every cell borrows them.
+    Trace(Vec<Job>),
+    /// An open stream, drawn lazily by each cell's drive.
+    Open(OpenEntry),
+}
+
+/// A workload entry expanded to its replication seeds, its generator and
+/// the canonical source value that goes into cell keys (trace files by
+/// content hash). Trace files are read and parsed exactly once, here —
+/// every cell of the entry (and fully-warm runs) shares the parsed job
+/// list instead of re-reading an immutable file.
 struct ExpandedEntry {
-    entry_idx: usize,
     seeds: Vec<u64>,
     canonical_source: Value,
-    trace_jobs: Option<Vec<lsps_workload::Job>>,
+    gen: EntryGen,
 }
 
 fn resolve_path(base: &Option<PathBuf>, path: &str) -> PathBuf {
@@ -130,16 +156,21 @@ fn expand_entries(
 ) -> Result<Vec<ExpandedEntry>, CampaignError> {
     spec.workloads
         .iter()
-        .enumerate()
-        .map(|(entry_idx, entry)| {
-            let trace_err = |error: String| CampaignError::Trace {
-                entry: entry.name.clone(),
-                error,
-            };
-            let (canonical_source, trace_jobs) = match &entry.source {
+        .map(|entry| {
+            let seeds = spec.replication.seeds_for(entry);
+            let gen = match &entry.source {
+                WorkloadSource::Spec(ws) => EntryGen::Spec(ws.clone()),
+                WorkloadSource::Family { family, n } => {
+                    EntryGen::Family(builtin_family(family, *n).expect("validated family"))
+                }
+                WorkloadSource::Open(open) => EntryGen::Open(open.clone()),
                 // Trace files are keyed by *content*: replacing the file
                 // invalidates its cells even though the path is unchanged.
                 WorkloadSource::SwfFile(path) | WorkloadSource::JsonlFile(path) => {
+                    let trace_err = |error: String| CampaignError::Trace {
+                        entry: entry.name.clone(),
+                        error,
+                    };
                     let resolved = resolve_path(&opts.base_dir, path);
                     let text = std::fs::read_to_string(&resolved)
                         .map_err(|e| trace_err(format!("{}: {e}", resolved.display())))?;
@@ -160,54 +191,20 @@ fn expand_entries(
                             ),
                         ]),
                     )]);
-                    (canon, Some(jobs))
+                    return Ok(ExpandedEntry {
+                        seeds,
+                        canonical_source: canon,
+                        gen: EntryGen::Trace(jobs),
+                    });
                 }
-                source => (source.to_value(), None),
             };
             Ok(ExpandedEntry {
-                entry_idx,
-                seeds: spec.replication.seeds_for(entry),
-                canonical_source,
-                trace_jobs,
+                seeds,
+                canonical_source: entry.source.to_value(),
+                gen,
             })
         })
         .collect()
-}
-
-/// The expanded workload list plus, per case, its (entry index, seed).
-type ExpandedCases = (Vec<WorkloadCase>, Vec<(usize, u64)>);
-
-/// Build the runner workload list — one [`WorkloadCase`] per (entry,
-/// replication seed), in entry order — plus the aligned expanded-entry
-/// index of every case.
-fn build_cases(spec: &CampaignSpec, expanded: &[ExpandedEntry]) -> ExpandedCases {
-    let mut cases = Vec::new();
-    let mut meta = Vec::new();
-    for exp in expanded {
-        let entry = &spec.workloads[exp.entry_idx];
-        for &seed in &exp.seeds {
-            let case = match &entry.source {
-                WorkloadSource::Spec(ws) => {
-                    WorkloadCase::from_spec(entry.name.clone(), seed, ws.clone())
-                }
-                WorkloadSource::Family { family, n } => {
-                    let family = builtin_family(family, *n).expect("validated family");
-                    WorkloadCase::new(entry.name.clone(), seed, move |m, rng| family(m, rng))
-                }
-                WorkloadSource::SwfFile(_) | WorkloadSource::JsonlFile(_) => WorkloadCase::fixed(
-                    entry.name.clone(),
-                    seed,
-                    exp.trace_jobs.clone().expect("trace parsed at expansion"),
-                ),
-                WorkloadSource::Open(_) => {
-                    unreachable!("open campaigns bypass the runner case list")
-                }
-            };
-            cases.push(case);
-            meta.push((exp.entry_idx, seed));
-        }
-    }
-    (cases, meta)
 }
 
 /// The key preimage of one cell: everything its outcome depends on, as
@@ -268,24 +265,19 @@ pub struct PlannedCell {
     /// The cell's content-addressed cache key preimage (canonical JSON) —
     /// also the dedup/resume token the service tier shards on.
     pub key: String,
-    /// Runner case index (the workload-case axis of
-    /// [`ExperimentRunner::cell_order`]): position of this cell's
-    /// (entry, seed) pair in the entry-major case list.
-    case: usize,
 }
 
-/// A validated, fully expanded campaign: the spec, its trace content (read
-/// once, keyed by hash), and every cell in canonical order with its cache
-/// key. This is the library surface shared by [`run_campaign`], the
-/// `lsps-campaign --dry-run` breakdown, and the `lsps-campaignd` /
-/// `lsps-worker` service tier: the daemon plans, probes the cache and
-/// shards cell indices; each worker re-expands the same spec and runs
-/// single cells via [`CampaignPlan::run_cell`].
+/// A validated, fully expanded campaign: the spec, each workload entry's
+/// generator (trace content read once, keyed by hash), and every cell in
+/// canonical order with its cache key. This is the library surface shared
+/// by [`run_campaign`], the `lsps-campaign --dry-run` breakdown, and the
+/// `lsps-campaignd` / `lsps-worker` service tier: the daemon plans, probes
+/// the cache and shards cell indices; each worker re-expands the same spec
+/// and runs single cells via [`CampaignPlan::run_cell`].
 pub struct CampaignPlan {
     spec: CampaignSpec,
     expanded: Vec<ExpandedEntry>,
     cells: Vec<PlannedCell>,
-    open: bool,
 }
 
 impl CampaignPlan {
@@ -300,9 +292,8 @@ impl CampaignPlan {
         // reject it here, where a bad spec is an error (campaignd's 400)
         // rather than a worker panic. Drawing each cell's first arrival is
         // O(1).
-        for exp in &expanded {
-            let entry = &spec.workloads[exp.entry_idx];
-            let WorkloadSource::Open(open) = &entry.source else {
+        for (exp, entry) in expanded.iter().zip(&spec.workloads) {
+            let EntryGen::Open(open) = &exp.gen else {
                 continue;
             };
             let Some(horizon_s) = open.horizon_s else {
@@ -321,16 +312,11 @@ impl CampaignPlan {
                 }
             }
         }
-        let open = spec
-            .workloads
-            .iter()
-            .any(|w| matches!(w.source, WorkloadSource::Open(_)));
         let mut cells = Vec::with_capacity(spec.cell_count());
         for &executor in &spec.executors {
             for pi in 0..spec.platforms.len() {
                 for fi in 0..spec.failures.len() {
-                    let mut case = 0usize;
-                    for exp in &expanded {
+                    for (ei, exp) in expanded.iter().enumerate() {
                         for &seed in &exp.seeds {
                             for ki in 0..spec.policies.len() {
                                 cells.push(PlannedCell {
@@ -338,7 +324,7 @@ impl CampaignPlan {
                                     platform: pi,
                                     failure: fi,
                                     policy: ki,
-                                    entry: exp.entry_idx,
+                                    entry: ei,
                                     seed,
                                     key: cell_key(
                                         spec,
@@ -346,14 +332,12 @@ impl CampaignPlan {
                                         pi,
                                         ki,
                                         exp,
-                                        &spec.workloads[exp.entry_idx].name,
+                                        &spec.workloads[ei].name,
                                         seed,
                                         &spec.failures[fi],
                                     ),
-                                    case,
                                 });
                             }
-                            case += 1;
                         }
                     }
                 }
@@ -363,7 +347,6 @@ impl CampaignPlan {
             spec: spec.clone(),
             expanded,
             cells,
-            open,
         })
     }
 
@@ -377,11 +360,6 @@ impl CampaignPlan {
         &self.cells
     }
 
-    /// Whether this is an open (steady-state) campaign.
-    pub fn is_open(&self) -> bool {
-        self.open
-    }
-
     /// The spec as canonical compact JSON — the content the service tier
     /// derives campaign ids from and journals for restart resume. Two
     /// spellings of the same spec (key order, layered defaults) canonicalize
@@ -390,144 +368,231 @@ impl CampaignPlan {
         serde_json::to_string(&self.spec).expect("specs serialize")
     }
 
-    /// The runner for one executor sweep, cases in canonical order. The
-    /// runner's platform axis is the spec's platforms × failure entries
-    /// (platform-major): index `pi * n_failures + fi`, with volatile
-    /// entries suffixing the display name so CSV rows group per regime.
-    fn runner(&self, executor: Executor, threads: usize) -> ExperimentRunner {
-        let (workloads, _meta) = build_cases(&self.spec, &self.expanded);
-        let mut platforms =
-            Vec::with_capacity(self.spec.platforms.len() * self.spec.failures.len());
-        for p in &self.spec.platforms {
-            for f in &self.spec.failures {
-                platforms.push(PlatformCase {
-                    name: match &f.trace {
-                        Some(_) => format!("{}+{}", p.name, f.name),
-                        None => p.name.clone(),
-                    },
-                    m: p.m,
-                    speeds: p.speeds.clone(),
-                    volatility: f.trace.clone().map(|trace| VolatilityCase {
-                        trace,
-                        policy: f.policy,
-                    }),
-                });
-            }
-        }
-        ExperimentRunner {
-            policies: self
-                .spec
-                .policies
-                .iter()
-                .map(|p| by_name(p).expect("validated policy"))
-                .collect(),
-            workloads,
-            platforms,
-            ctx: self.spec.ctx.to_policy_ctx(),
-            executor,
-            threads,
-        }
-    }
-
-    /// Drive one open-arrival cell to completion.
-    fn open_cell(&self, c: &PlannedCell, policy: &dyn Policy) -> Cell {
-        let entry = &self.spec.workloads[c.entry];
-        let WorkloadSource::Open(open) = &entry.source else {
-            unreachable!("validated: open campaigns are uniformly open")
-        };
-        let plat = &self.spec.platforms[c.platform];
-        let ctx = self.spec.ctx.to_policy_ctx();
-        let out = des_online_open(policy, open, plat.m, &ctx, c.seed);
-        let utilization = out.criteria.utilization(plat.m);
-        Cell {
-            policy: policy.name().to_string(),
-            executor: c.executor.name().to_string(),
-            workload: entry.name.clone(),
-            seed: c.seed,
-            platform: plat.name.clone(),
-            m: plat.m,
-            n: out.completions as usize,
-            utilization,
-            // An open stream has no finite instance to lower-bound, so the
-            // ratio columns carry a finite 0 sentinel (aggregate-safe).
-            cmax_ratio: 0.0,
-            csum_ratio: 0.0,
-            wsum_ratio: 0.0,
-            criteria: out.criteria,
-            trials: None,
-            kills: None,
-            wasted_ticks: None,
-            class_names: Some(open.stream.classes.iter().map(|c| c.name.clone()).collect()),
-            responses: Some(out.responses),
-            failures: None,
-        }
-    }
-
     /// Run one cell by canonical index, in isolation: the single-cell entry
-    /// point workers execute. Byte-identical to the same cell's outcome
-    /// inside a full [`run_campaign`] — the workload is regenerated from
-    /// (entry, seed, m), which is a pure function.
+    /// point workers execute. Generates only this cell's workload, and is
+    /// byte-identical to the same cell's outcome inside a full
+    /// [`run_campaign`].
     pub fn run_cell(&self, idx: usize) -> Cell {
-        let c = &self.cells[idx];
-        if self.open {
-            let policy = by_name(&self.spec.policies[c.policy]).expect("validated policy");
-            return self.open_cell(c, policy.as_ref());
-        }
-        let runner = self.runner(c.executor, 1);
-        let plat = c.platform * self.spec.failures.len() + c.failure;
-        let mut fresh = runner.run_cells(&[(plat, c.case, c.policy)]);
-        fresh.pop().expect("one task yields one cell")
+        self.run_cells(&[idx], 1)
+            .pop()
+            .expect("one index yields one cell")
     }
 
     /// Run the cells at the given canonical indices across a worker pool of
-    /// `threads`, returning cells aligned with `indices`. Finite campaigns
-    /// batch by executor through [`ExperimentRunner::run_cells`] (sharing
-    /// generated workloads across the policies of a sweep); open campaigns
-    /// fan independent drives over the same pool shape.
+    /// `threads`, returning cells aligned with `indices`. Results are
+    /// slot-indexed, so the output is byte-identical whatever the thread
+    /// count and whichever subset runs.
     pub fn run_cells(&self, indices: &[usize], threads: usize) -> Vec<Cell> {
-        if self.open {
-            let policies: Vec<Box<dyn Policy>> = self
-                .spec
-                .policies
-                .iter()
-                .map(|p| by_name(p).expect("validated policy"))
-                .collect();
-            return pool_map(threads, indices.len(), |i| {
-                let c = &self.cells[indices[i]];
-                self.open_cell(c, policies[c.policy].as_ref())
-            });
+        // Each distinct (entry, seed, m) workload is generated once, on the
+        // calling thread, and shared by every cell that runs it; the
+        // workers stay pure functions of their cell.
+        let m_of = |c: &PlannedCell| self.spec.platforms[c.platform].m;
+        let mut workloads = HashMap::new();
+        for &idx in indices {
+            let c = &self.cells[idx];
+            workloads
+                .entry((c.entry, c.seed, m_of(c)))
+                .or_insert_with(|| self.workload(c.entry, c.seed, m_of(c)));
         }
-        // Finite: cells are executor-major, so an ordered index list splits
-        // into contiguous per-executor runs; each run batches through the
-        // runner (which generates every referenced workload exactly once).
-        let mut out: Vec<Cell> = Vec::with_capacity(indices.len());
-        let mut i = 0;
-        while i < indices.len() {
-            let executor = self.cells[indices[i]].executor;
-            let mut j = i;
-            while j < indices.len() && self.cells[indices[j]].executor == executor {
-                j += 1;
+        pool_map(threads, indices.len(), |i| {
+            let c = &self.cells[indices[i]];
+            self.execute(c, &workloads[&(c.entry, c.seed, m_of(c))])
+        })
+    }
+
+    /// The jobs of one replication of workload entry `entry` on `m`
+    /// processors: generated from a fresh RNG seeded with `seed` — a pure
+    /// function of (entry, seed, m) — or borrowed from the parsed trace.
+    /// Empty for an open entry, whose drive draws its stream itself.
+    fn workload(&self, entry: usize, seed: u64, m: usize) -> Cow<'_, [Job]> {
+        let mut rng = SimRng::seed_from(seed);
+        match &self.expanded[entry].gen {
+            EntryGen::Spec(ws) => Cow::Owned(ws.generate(m, &mut rng)),
+            EntryGen::Family(family) => Cow::Owned(family(m, &mut rng)),
+            EntryGen::Trace(jobs) => Cow::Borrowed(jobs),
+            EntryGen::Open(_) => Cow::Borrowed(&[]),
+        }
+    }
+
+    /// The one path from a planned cell to its [`Cell`]. The workload
+    /// source, executor and failure entry pick the drive: an open entry
+    /// runs its stream through [`des_online_open`]; a volatile failure
+    /// entry drives `jobs` through the failure-aware online driver;
+    /// `des-online` drives them through [`des_online`]; `direct` and
+    /// `des-replay` batch-schedule once. Every schedule is validated — a
+    /// policy bug fails loudly instead of producing flattering numbers.
+    fn execute(&self, c: &PlannedCell, jobs: &[Job]) -> Cell {
+        let policy = by_name(&self.spec.policies[c.policy]).expect("validated policy");
+        let policy = policy.as_ref();
+        let workload = &self.spec.workloads[c.entry].name;
+        let plat = &self.spec.platforms[c.platform];
+        let failure = &self.spec.failures[c.failure];
+        let m = plat.m;
+        // Volatile entries suffix the platform's display name, so CSV rows
+        // group per failure regime.
+        let platform = match &failure.trace {
+            Some(_) => format!("{}+{}", plat.name, failure.name),
+            None => plat.name.clone(),
+        };
+        // Per-cell context: a speeded platform injects its machine model.
+        let mut ctx = self.spec.ctx.to_policy_ctx();
+        if let Some(speeds) = &plat.speeds {
+            ctx.speeds = speeds.clone();
+        }
+        let cell_id = || {
+            format!(
+                "{} on {workload}/{} (m={m}, {})",
+                policy.name(),
+                c.seed,
+                c.executor.name()
+            )
+        };
+        assert!(
+            failure.trace.is_none() || c.executor == Executor::DesOnline,
+            "{}: a volatile platform requires the des-online executor",
+            cell_id()
+        );
+        if c.executor != Executor::Direct {
+            // Validated capability check: the DES executors stay
+            // rectangle-only.
+            assert!(
+                c.executor.supports(policy.outcome_kind()),
+                "{}: policy produces `{}` outcomes, which executor `{}` \
+                 cannot replay or drive — run it under `direct`",
+                cell_id(),
+                policy.outcome_kind(),
+                c.executor.name()
+            );
+            assert!(
+                ctx.is_identical_machine(),
+                "{}: a speeded machine needs a uniform-capable policy \
+                 under the `direct` executor",
+                cell_id()
+            );
+        }
+        // Every finite drive yields the as-scheduled jobs (for the bounds)
+        // and the completion records; the batch executors also yield their
+        // outcome, whose machine model and trial counters feed the columns
+        // below, and a volatile platform its failure accounting.
+        let mut failures = None;
+        let gen = &self.expanded[c.entry].gen;
+        let (scheduled, mut records, outcome) = match (gen, c.executor, &failure.trace) {
+            (EntryGen::Open(open), ..) => {
+                let out = des_online_open(policy, open, m, &ctx, c.seed);
+                return Cell {
+                    policy: policy.name().to_string(),
+                    executor: c.executor.name().to_string(),
+                    workload: workload.clone(),
+                    seed: c.seed,
+                    platform,
+                    m,
+                    n: out.completions as usize,
+                    utilization: out.criteria.utilization(m),
+                    // An open stream has no finite instance to lower-bound,
+                    // so the ratio columns carry a finite 0 sentinel
+                    // (aggregate-safe).
+                    cmax_ratio: 0.0,
+                    csum_ratio: 0.0,
+                    wsum_ratio: 0.0,
+                    criteria: out.criteria,
+                    trials: None,
+                    kills: None,
+                    wasted_ticks: None,
+                    class_names: Some(open.stream.classes.iter().map(|k| k.name.clone()).collect()),
+                    responses: Some(out.responses),
+                    failures: None,
+                };
             }
-            let tasks: Vec<(usize, usize, usize)> = indices[i..j]
-                .iter()
-                .map(|&idx| {
-                    let c = &self.cells[idx];
-                    (
-                        c.platform * self.spec.failures.len() + c.failure,
-                        c.case,
-                        c.policy,
-                    )
-                })
-                .collect();
-            out.extend(self.runner(executor, threads).run_cells(&tasks));
-            i = j;
+            (_, Executor::DesOnline, Some(trace)) => {
+                // Failure realization: a pure function of (platform display
+                // name, workload seed), so replications resample the failure
+                // trace along with the workload. No retained-schedule
+                // validation: killed attempts are not part of any final
+                // rectangle schedule — overlap safety is enforced per
+                // commitment by the dispatcher's timelines instead.
+                let trace_seed = splitmix64(c.seed ^ fnv64(platform.as_bytes()));
+                let plan = FailurePlan {
+                    outages: trace.generate(m, &mut SimRng::seed_from(trace_seed)),
+                    policy: failure.policy,
+                };
+                let out = des_online_volatile(policy, jobs, m, &ctx, &plan, true);
+                failures = Some(out.failures);
+                (out.jobs, out.records, None)
+            }
+            (_, Executor::DesOnline, None) => {
+                let online = des_online(policy, jobs, m, &ctx);
+                online
+                    .run
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
+                (online.run.jobs, online.records, None)
+            }
+            _ => {
+                // Batch-schedule once, and validate before extracting: a
+                // policy bug must fail with cell context, not deep inside
+                // the replay. `direct` reads every outcome kind (rectangle,
+                // trial-annotated, uniform-machine) through the one
+                // `Outcome::completed` interface; `des-replay` replays the
+                // rectangles through the event engine instead.
+                let orun = policy.run_outcome(jobs, m, &ctx);
+                orun.validate()
+                    .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
+                let records = match orun.outcome.as_rect() {
+                    Some(schedule) if c.executor == Executor::DesReplay => {
+                        des_replay(schedule, &orun.jobs)
+                    }
+                    _ => orun.outcome.completed(&orun.jobs),
+                };
+                (orun.jobs, records, Some(orun.outcome))
+            }
+        };
+        // Canonical record order (job id) so every executor feeds Criteria
+        // the same summation order — the online-equivalence tests assert
+        // *bit*-identical metrics across executors.
+        records.sort_by_key(|r| r.id);
+        let criteria = Criteria::evaluate(&records);
+        // Bounds on the as-scheduled jobs: policies that strip releases or
+        // rigidify are measured against the instance they actually solved —
+        // on the machine model they actually solved it for (speed-aware
+        // bounds for uniform outcomes).
+        let (cmax_lb, csum_lb, wsum_lb) = match outcome.as_ref().and_then(Outcome::speeds) {
+            Some(speeds) => (
+                uniform_cmax_lower_bound(&scheduled, speeds),
+                uniform_csum_lower_bound(&scheduled, speeds),
+                uniform_wsum_lower_bound(&scheduled, speeds),
+            ),
+            None => (
+                cmax_lower_bound(&scheduled, m).as_secs_f64(),
+                csum_lower_bound(&scheduled, m),
+                wsum_lower_bound(&scheduled, m),
+            ),
+        };
+        let stats = outcome.as_ref().and_then(Outcome::trial_stats);
+        Cell {
+            policy: policy.name().to_string(),
+            executor: c.executor.name().to_string(),
+            workload: workload.clone(),
+            seed: c.seed,
+            platform,
+            m,
+            n: scheduled.len(),
+            utilization: criteria.utilization(m),
+            cmax_ratio: criteria.cmax / cmax_lb.max(f64::MIN_POSITIVE),
+            csum_ratio: criteria.sum_completion / csum_lb.max(f64::MIN_POSITIVE),
+            wsum_ratio: criteria.weighted_sum_completion / wsum_lb.max(f64::MIN_POSITIVE),
+            criteria,
+            trials: stats.map(|s| s.trials),
+            kills: stats.map(|s| s.kills),
+            wasted_ticks: stats.map(|s| s.wasted_ticks),
+            class_names: None,
+            responses: None,
+            failures,
         }
-        out
     }
 }
 
 /// Run a campaign: validate, expand, serve cached cells, execute the rest
-/// through the runner's worker pool, persist fresh cells, aggregate.
+/// over the worker pool, persist fresh cells, aggregate.
 pub fn run_campaign(
     spec: &CampaignSpec,
     opts: &CampaignOptions,
@@ -837,3 +902,266 @@ pub fn aggregate_csv(cells: &[Cell]) -> String {
 }
 
 pub mod builtin;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lsps_core::outcome::OutcomeKind;
+    use lsps_core::policy::registry;
+    use lsps_des::{Dur, Time};
+
+    use crate::runner::CSV_HEADER;
+    use crate::spec::{PlatformSpec, WorkloadEntry};
+
+    /// The policies the DES executors can run (see [`Executor::supports`]).
+    fn rect_names() -> Vec<String> {
+        registry()
+            .into_iter()
+            .filter(|p| p.outcome_kind() == OutcomeKind::Rect)
+            .map(|p| p.name().to_string())
+            .collect()
+    }
+
+    fn platform(name: &str, m: usize) -> PlatformSpec {
+        PlatformSpec {
+            name: name.into(),
+            m,
+            speeds: None,
+        }
+    }
+
+    fn entry(name: &str, seed: u64, source: WorkloadSource) -> WorkloadEntry {
+        WorkloadEntry {
+            name: name.into(),
+            source,
+            seed: Some(seed),
+        }
+    }
+
+    /// The rectangle policies over both Fig. 2 populations (n = 30, seed 7)
+    /// on 32 processors.
+    fn fig2_spec(executors: Vec<Executor>) -> CampaignSpec {
+        let mut spec = CampaignSpec::new("fig2-small");
+        spec.policies = rect_names();
+        spec.executors = executors;
+        spec.platforms = vec![platform("m32", 32)];
+        spec.workloads = vec![
+            entry(
+                "fig2-par",
+                7,
+                WorkloadSource::Spec(WorkloadSpec::fig2_parallel(30)),
+            ),
+            entry(
+                "fig2-seq",
+                7,
+                WorkloadSource::Spec(WorkloadSpec::fig2_sequential(30)),
+            ),
+        ];
+        spec
+    }
+
+    fn run(spec: &CampaignSpec, threads: usize) -> Vec<Cell> {
+        let opts = CampaignOptions {
+            threads,
+            ..CampaignOptions::default()
+        };
+        run_campaign(spec, &opts).expect("campaign runs").cells
+    }
+
+    #[test]
+    fn full_registry_cross_product_runs() {
+        // Under `direct`, *every* registry policy — all three outcome
+        // kinds — runs through the one code path. (The fig2 workloads are
+        // moldable/sequential, inside every policy's domain.)
+        let mut spec = fig2_spec(vec![Executor::Direct]);
+        spec.policies = registry().iter().map(|p| p.name().to_string()).collect();
+        let cells = run(&spec, 0);
+        assert_eq!(cells.len(), registry().len() * 2);
+        for c in &cells {
+            assert!(c.cmax_ratio >= 1.0 - 1e-9, "{}: beats the LB?", c.policy);
+            assert!(c.utilization <= 1.0 + 1e-9, "{}", c.policy);
+            assert_eq!(c.n, 30);
+        }
+        // Trial cells carry counters; everything else leaves them empty.
+        for c in &cells {
+            let has_stats = c.trials.is_some();
+            assert_eq!(
+                has_stats,
+                c.policy == "nonclairvoyant-exp-trial",
+                "{}",
+                c.policy
+            );
+            assert_eq!(c.kills.is_some(), has_stats, "{}", c.policy);
+            assert_eq!(c.wasted_ticks.is_some(), has_stats, "{}", c.policy);
+        }
+    }
+
+    #[test]
+    fn uniform_cells_run_on_speeded_platforms() {
+        let mut spec = fig2_spec(vec![Executor::Direct]);
+        spec.policies = vec!["uniform-mct".into()];
+        spec.workloads.remove(0);
+        // Two CPU generations in one cluster (§2.2 weak heterogeneity).
+        let speeds: Vec<f64> = (0..16).map(|i| if i < 8 { 1.0 } else { 0.55 }).collect();
+        spec.platforms = vec![PlatformSpec {
+            name: "two-gen".into(),
+            m: speeds.len(),
+            speeds: Some(speeds),
+        }];
+        let cells = run(&spec, 0);
+        assert_eq!(cells.len(), 1);
+        let c = &cells[0];
+        assert_eq!(c.m, 16);
+        assert_eq!(c.n, 30);
+        assert!(c.cmax_ratio >= 1.0 - 1e-9, "speed-aware LB holds");
+        assert_eq!(c.trials, None, "uniform outcomes carry no trial counters");
+    }
+
+    #[test]
+    fn des_executors_reject_non_rect_policies() {
+        let mut spec = fig2_spec(vec![Executor::DesOnline]);
+        spec.policies = vec!["nonclairvoyant-exp-trial".into()];
+        let Err(CampaignError::Spec(e)) = run_campaign(&spec, &CampaignOptions::default()) else {
+            panic!("a trial policy under des-online must be a spec error");
+        };
+        assert!(e.0.contains("cannot replay or drive"), "{e}");
+    }
+
+    #[test]
+    fn des_replay_matches_direct_extraction() {
+        let mut spec = fig2_spec(vec![Executor::Direct, Executor::DesReplay]);
+        spec.workloads.truncate(1);
+        let cells = run(&spec, 0);
+        let (direct, replayed) = cells.split_at(cells.len() / 2);
+        assert_eq!(direct.len(), replayed.len());
+        for (a, b) in direct.iter().zip(replayed) {
+            assert_eq!(
+                (a.executor.as_str(), b.executor.as_str()),
+                ("direct", "des-replay")
+            );
+            assert_eq!(a.policy, b.policy);
+            assert!((a.criteria.cmax - b.criteria.cmax).abs() < 1e-12);
+            assert!((a.criteria.mean_flow - b.criteria.mean_flow).abs() < 1e-12);
+            assert!(
+                (a.criteria.weighted_sum_completion - b.criteria.weighted_sum_completion).abs()
+                    < 1e-9
+            );
+        }
+    }
+
+    #[test]
+    fn csv_schema_is_stable() {
+        let mut spec = fig2_spec(vec![Executor::Direct]);
+        spec.workloads.truncate(1);
+        spec.policies = vec!["list-fcfs".into()];
+        let csv = to_csv(&run(&spec, 0));
+        let mut lines = csv.lines();
+        assert_eq!(lines.next(), Some(CSV_HEADER));
+        let row = lines.next().expect("one data row");
+        assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
+        assert!(row.starts_with("list-fcfs,direct,fig2-par,7,m32,32,30,"));
+    }
+
+    #[test]
+    fn des_online_commits_everything_and_respects_arrivals() {
+        let mut spec = fig2_spec(vec![Executor::DesOnline]);
+        spec.workloads.truncate(1);
+        let cells = run(&spec, 0);
+        assert_eq!(cells.len(), rect_names().len());
+        for c in &cells {
+            assert_eq!(c.n, 30, "{}", c.policy);
+            assert_eq!(c.executor, "des-online");
+            assert!(c.cmax_ratio >= 1.0 - 1e-9, "{}", c.policy);
+        }
+    }
+
+    #[test]
+    fn parallel_run_is_byte_identical_to_sequential() {
+        for executor in Executor::ALL {
+            let spec = fig2_spec(vec![executor]);
+            let sequential = to_csv(&run(&spec, 1));
+            let parallel = to_csv(&run(&spec, 4));
+            assert_eq!(sequential, parallel, "{}", executor.name());
+        }
+    }
+
+    fn fixture_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/data")
+    }
+
+    /// A one-policy (`list-fcfs`) campaign over a single trace entry on 16
+    /// processors, relative paths resolved against the fixture directory.
+    fn trace_spec(source: WorkloadSource) -> (CampaignSpec, CampaignOptions) {
+        let mut spec = CampaignSpec::new("trace");
+        spec.policies = vec!["list-fcfs".into()];
+        spec.platforms = vec![platform("m16", 16)];
+        spec.workloads = vec![entry("trace", 5, source)];
+        let opts = CampaignOptions {
+            base_dir: Some(fixture_dir()),
+            ..CampaignOptions::default()
+        };
+        (spec, opts)
+    }
+
+    #[test]
+    fn swf_file_workload_feeds_the_campaign() {
+        let (spec, opts) = trace_spec(WorkloadSource::SwfFile("sample_trace.swf".into()));
+        let plan = CampaignPlan::expand(&spec, &opts).expect("fixture parses");
+        let jobs = plan.workload(0, 5, 16);
+        assert!(
+            matches!(jobs, Cow::Borrowed(_)),
+            "cells borrow the parsed trace"
+        );
+        assert_eq!(jobs.len(), 10);
+        assert!(jobs.iter().all(|j| j.min_procs() <= 8));
+        // Submits are staggered: the trace exercises the release-date path.
+        assert!(jobs.last().unwrap().release > Time::ZERO);
+        let cells = run_campaign(&spec, &opts).expect("runs").cells;
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].n, 10);
+        assert!(cells[0].cmax_ratio >= 1.0 - 1e-9);
+    }
+
+    #[test]
+    fn jsonl_file_workload_round_trips_profiles() {
+        use lsps_workload::{MoldableProfile, SpeedupModel};
+        let jobs = vec![
+            Job::rigid(1, 4, Dur::from_ticks(100)),
+            Job::moldable(
+                2,
+                MoldableProfile::from_model(Dur::from_ticks(500), &SpeedupModel::Linear, 8),
+            ),
+        ];
+        let dir = std::env::temp_dir().join(format!("lsps-jsonl-case-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("trace.jsonl");
+        std::fs::write(&path, lsps_workload::swf::to_jsonl(&jobs)).unwrap();
+        let (spec, opts) = trace_spec(WorkloadSource::JsonlFile(path.display().to_string()));
+        let plan = CampaignPlan::expand(&spec, &opts).expect("round-trips");
+        assert_eq!(plan.workload(0, 5, 16).as_ref(), jobs.as_slice());
+        assert_eq!(plan.run_cell(0).n, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn trace_load_errors_are_reported() {
+        let (spec, opts) = trace_spec(WorkloadSource::SwfFile("/nonexistent/trace.swf".into()));
+        let missing = CampaignPlan::expand(&spec, &opts).err();
+        let Some(CampaignError::Trace { entry, error }) = missing else {
+            panic!("a missing trace file is a trace error");
+        };
+        assert_eq!(entry, "trace");
+        assert!(error.starts_with("/nonexistent/trace.swf: "), "{error}");
+        let dir = std::env::temp_dir().join(format!("lsps-bad-swf-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad.swf");
+        std::fs::write(&path, "1 2 3\n").unwrap();
+        let (spec, opts) = trace_spec(WorkloadSource::SwfFile(path.display().to_string()));
+        let bad = CampaignPlan::expand(&spec, &opts).err();
+        let Some(CampaignError::Trace { error, .. }) = bad else {
+            panic!("an unparsable trace file is a trace error");
+        };
+        assert!(error.starts_with("trace parse error"), "{error}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

@@ -1,6 +1,6 @@
-//! The one worker pool behind [`crate::runner::ExperimentRunner`] and
-//! [`crate::CampaignPlan`]: independent tasks fanned over scoped std
-//! threads, results slot-indexed so output never depends on scheduling.
+//! The one worker pool, behind [`crate::CampaignPlan::run_cells`]:
+//! independent tasks fanned over scoped std threads, results slot-indexed
+//! so output never depends on scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -1,13 +1,12 @@
-//! The generic experiment runner: policies × workloads × platforms through
-//! one code path.
+//! Cell execution primitives: the executors, the result [`Cell`] and its
+//! one CSV schema ([`CSV_HEADER`]), and the DES drivers every campaign
+//! cell runs through.
 //!
-//! Every experiment binary used to hand-roll its own policy dispatch and
-//! its own CSV columns; the [`ExperimentRunner`] replaces those loops. A
-//! run crosses a policy set (usually [`lsps_core::policy::registry`]
-//! entries) with named workload generators and platforms, pushes every
-//! cell through `Policy::run` → validation → `lsps_metrics`, and emits one
-//! CSV schema ([`CSV_HEADER`]) for all binaries. Completion records come
-//! from one of three executors sharing that schema:
+//! A cell crosses one policy (usually a [`lsps_core::policy::registry`]
+//! entry) with one workload replication on one platform, and pushes it
+//! through `Policy::run` → validation → `lsps_metrics`;
+//! [`crate::CampaignPlan`] picks the drive per cell. Completion records
+//! come from one of three executors sharing the schema:
 //!
 //! * [`Executor::Direct`] — read straight off the rectangle schedule;
 //! * [`Executor::DesReplay`] — replay the finished schedule through the
@@ -19,20 +18,17 @@
 //!   estimate-driven and non-clairvoyant behaviour is exercised in the
 //!   regime where it actually differs (see [`des_online`]).
 //!
-//! Cells are independent, so [`ExperimentRunner::run`] fans them out over a
-//! std-thread worker pool ([`ExperimentRunner::threads`]); results are
-//! written slot-indexed, which keeps the output byte-identical to the
-//! sequential order no matter how the OS schedules the workers.
+//! Open (steady-state) entries run an unbounded stream through
+//! [`des_online_open`], and volatile platforms kill and resubmit work
+//! through the same online driver.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::path::Path;
 use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use lsps_core::outcome::{Outcome, OutcomeKind};
+use lsps_core::outcome::OutcomeKind;
 use lsps_core::policy::{PinnedBooking, Policy, PolicyCtx, PolicyRun, ReleaseMode};
 use lsps_core::replan::IncrementalPlanner;
 use lsps_core::schedule::{Assignment, Schedule};
@@ -41,174 +37,13 @@ use lsps_des::{
     RunStats, SimRng, Time,
 };
 use lsps_metrics::{
-    cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
-    uniform_wsum_lower_bound, wsum_lower_bound, ClassResponse, CompletedJob, Criteria, CriteriaAcc,
-    FailureStats, SteadyState, Summary,
+    ClassResponse, CompletedJob, Criteria, CriteriaAcc, FailureStats, SteadyState, Summary,
 };
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
-use lsps_workload::{FailurePolicy, FailureTraceSpec, Job, JobId, JobKind, Outage, WorkloadSpec};
+use lsps_workload::{FailurePolicy, Job, JobId, JobKind, Outage};
 
-use crate::pool::pool_map;
 use crate::spec::OpenEntry;
 use crate::Table;
-
-/// A named machine: `m` identical processors, or — with
-/// [`speeds`](PlatformCase::speeds) set — `m` *uniform* processors of the
-/// given relative speeds (§2.2 weak heterogeneity). Speeded platforms are
-/// only runnable by uniform-capable policies under the `direct` executor;
-/// between-cluster heterogeneity stays in `lsps-grid`.
-#[derive(Clone, Debug)]
-pub struct PlatformCase {
-    /// Display/CSV name.
-    pub name: String,
-    /// Processor count.
-    pub m: usize,
-    /// Per-processor relative speeds (`None` = identical machines). When
-    /// set, the length equals `m` and the values are injected into every
-    /// cell's [`PolicyCtx::speeds`].
-    pub speeds: Option<Vec<f64>>,
-    /// Node volatility: when set, cells on this platform run through the
-    /// failure-aware online executor (nodes fail and recover mid-run, and
-    /// killed jobs come back per the recovery policy). The failure trace
-    /// is regenerated per cell from the workload seed and the platform
-    /// name, so replications sweep the failure realization along with the
-    /// workload.
-    pub volatility: Option<VolatilityCase>,
-}
-
-/// Failure regime × recovery policy attached to a platform.
-#[derive(Clone, Debug)]
-pub struct VolatilityCase {
-    /// Failure/repair trace generator.
-    pub trace: FailureTraceSpec,
-    /// What happens to killed jobs.
-    pub policy: FailurePolicy,
-}
-
-impl PlatformCase {
-    /// A named `m`-processor identical machine.
-    pub fn new(name: impl Into<String>, m: usize) -> PlatformCase {
-        PlatformCase {
-            name: name.into(),
-            m,
-            speeds: None,
-            volatility: None,
-        }
-    }
-
-    /// A named uniform machine with one processor per speed entry.
-    pub fn uniform(name: impl Into<String>, speeds: Vec<f64>) -> PlatformCase {
-        assert!(
-            !speeds.is_empty() && speeds.iter().all(|&s| s > 0.0 && s.is_finite()),
-            "speeds must be non-empty, positive and finite"
-        );
-        PlatformCase {
-            name: name.into(),
-            m: speeds.len(),
-            speeds: Some(speeds),
-            volatility: None,
-        }
-    }
-
-    /// This platform with node volatility attached.
-    pub fn with_volatility(mut self, trace: FailureTraceSpec, policy: FailurePolicy) -> Self {
-        self.volatility = Some(VolatilityCase { trace, policy });
-        self
-    }
-}
-
-/// A workload generator: machine size + seeded RNG in, jobs out.
-/// `Send + Sync` so workload cases can sit in a runner shared across the
-/// worker pool (generators are pure functions of their captured spec).
-pub type WorkloadGen = Box<dyn Fn(usize, &mut SimRng) -> Vec<Job> + Send + Sync>;
-
-/// A named, seeded workload generator. Generation receives the machine
-/// size so widths can be drawn relative to the platform.
-pub struct WorkloadCase {
-    /// Display/CSV name of the workload family.
-    pub name: String,
-    /// Seed (also a CSV column, so multi-seed sweeps stay one schema).
-    pub seed: u64,
-    gen: WorkloadGen,
-}
-
-impl WorkloadCase {
-    /// A workload from an arbitrary generator function.
-    pub fn new(
-        name: impl Into<String>,
-        seed: u64,
-        gen: impl Fn(usize, &mut SimRng) -> Vec<Job> + Send + Sync + 'static,
-    ) -> WorkloadCase {
-        WorkloadCase {
-            name: name.into(),
-            seed,
-            gen: Box::new(gen),
-        }
-    }
-
-    /// A workload from a [`WorkloadSpec`].
-    pub fn from_spec(name: impl Into<String>, seed: u64, spec: WorkloadSpec) -> WorkloadCase {
-        WorkloadCase::new(name, seed, move |m, rng| spec.generate(m, rng))
-    }
-
-    /// A fixed job list (seed recorded but unused).
-    pub fn fixed(name: impl Into<String>, seed: u64, jobs: Vec<Job>) -> WorkloadCase {
-        WorkloadCase::new(name, seed, move |_m, _rng| jobs.clone())
-    }
-
-    /// A real-trace workload read from a Standard Workload Format file
-    /// (`lsps_workload::swf::from_swf`). The trace is parsed eagerly, so
-    /// I/O and format errors surface at construction, not mid-sweep; the
-    /// seed is recorded for the CSV but the jobs are the trace's.
-    pub fn from_swf_file(
-        name: impl Into<String>,
-        seed: u64,
-        path: impl AsRef<Path>,
-    ) -> Result<WorkloadCase, TraceLoadError> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(TraceLoadError::Io)?;
-        let jobs = lsps_workload::swf::from_swf(&text).map_err(TraceLoadError::Parse)?;
-        Ok(WorkloadCase::fixed(name, seed, jobs))
-    }
-
-    /// A real-trace workload read from a JSON-lines file
-    /// (`lsps_workload::swf::from_jsonl`) — the workspace's lossless native
-    /// interchange format, so moldable profiles survive the round trip.
-    pub fn from_jsonl_file(
-        name: impl Into<String>,
-        seed: u64,
-        path: impl AsRef<Path>,
-    ) -> Result<WorkloadCase, TraceLoadError> {
-        let text = std::fs::read_to_string(path.as_ref()).map_err(TraceLoadError::Io)?;
-        let jobs = lsps_workload::swf::from_jsonl(&text).map_err(TraceLoadError::Parse)?;
-        Ok(WorkloadCase::fixed(name, seed, jobs))
-    }
-
-    /// Generate the jobs for machine size `m`.
-    pub fn generate(&self, m: usize) -> Vec<Job> {
-        let mut rng = SimRng::seed_from(self.seed);
-        (self.gen)(m, &mut rng)
-    }
-}
-
-/// Why a trace-backed [`WorkloadCase`] could not be built.
-#[derive(Debug)]
-pub enum TraceLoadError {
-    /// The file could not be read.
-    Io(std::io::Error),
-    /// The file's content did not parse as the expected trace format.
-    Parse(lsps_workload::swf::ParseError),
-}
-
-impl fmt::Display for TraceLoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceLoadError::Io(e) => write!(f, "trace file unreadable: {e}"),
-            TraceLoadError::Parse(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for TraceLoadError {}
 
 /// How a cell is executed and its completion records extracted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -243,11 +78,12 @@ impl Executor {
     /// Can this executor run a policy of the given [`OutcomeKind`]?
     ///
     /// `direct` consumes every outcome through the uniform
-    /// [`Outcome::completed`] interface; the DES executors replay or drive
-    /// *rectangles* — a trial outcome's burnt machine time and a uniform
-    /// outcome's speed-scaled spans have no event representation there, so
-    /// those pairs are rejected (by campaign validation up front, and by a
-    /// loud panic in [`ExperimentRunner::run_cells`] for direct API users).
+    /// [`Outcome::completed`](lsps_core::outcome::Outcome::completed)
+    /// interface; the DES executors replay or drive *rectangles* — a trial
+    /// outcome's burnt machine time and a uniform outcome's speed-scaled
+    /// spans have no event representation there, so those pairs are
+    /// rejected (by campaign validation up front, and by a loud panic
+    /// should such a cell ever reach execution).
     pub fn supports(self, kind: OutcomeKind) -> bool {
         matches!(self, Executor::Direct) || kind == OutcomeKind::Rect
     }
@@ -339,7 +175,7 @@ pub struct Cell {
     pub failures: Option<FailureStats>,
 }
 
-/// The one CSV schema every runner-based binary emits.
+/// The one CSV schema every campaign and experiment binary emits.
 pub const CSV_HEADER: &str = "policy,executor,workload,seed,platform,m,n,cmax_s,cmax_ratio,\
                               csum_ratio,wsum_ratio,mean_flow_s,max_flow_s,utilization";
 
@@ -436,242 +272,6 @@ pub fn summarize_by<K: Eq + std::hash::Hash + Clone>(
             (k, s)
         })
         .collect()
-}
-
-/// The declarative experiment: run every policy over every workload over
-/// every platform through one code path.
-pub struct ExperimentRunner {
-    /// Policies under comparison.
-    pub policies: Vec<Box<dyn Policy>>,
-    /// Workload cases (family × seed).
-    pub workloads: Vec<WorkloadCase>,
-    /// Platforms.
-    pub platforms: Vec<PlatformCase>,
-    /// Shared scheduling context.
-    pub ctx: PolicyCtx,
-    /// Completion-record extraction mode.
-    pub executor: Executor,
-    /// Worker-pool size for [`run`](ExperimentRunner::run): `0` (the
-    /// default) means one thread per available core, `1` forces the
-    /// sequential path. Output is byte-identical regardless of the value.
-    pub threads: usize,
-}
-
-impl ExperimentRunner {
-    /// A runner over the given policies with default context, one platform
-    /// to be added via the struct fields.
-    pub fn new(policies: Vec<Box<dyn Policy>>) -> ExperimentRunner {
-        ExperimentRunner {
-            policies,
-            workloads: Vec::new(),
-            platforms: Vec::new(),
-            ctx: PolicyCtx::default(),
-            executor: Executor::Direct,
-            threads: 0,
-        }
-    }
-
-    /// The canonical cell order of the full cross product:
-    /// platform-major, then workload, then policy. Each task is a
-    /// `(platform, workload, policy)` index triple accepted by
-    /// [`run_cells`](ExperimentRunner::run_cells) — callers that skip cells
-    /// (the campaign cache) filter this list and still get byte-identical
-    /// output for the cells they do run.
-    pub fn cell_order(&self) -> Vec<(usize, usize, usize)> {
-        let mut tasks =
-            Vec::with_capacity(self.platforms.len() * self.workloads.len() * self.policies.len());
-        for pi in 0..self.platforms.len() {
-            for wi in 0..self.workloads.len() {
-                for ki in 0..self.policies.len() {
-                    tasks.push((pi, wi, ki));
-                }
-            }
-        }
-        tasks
-    }
-
-    /// Run the full cross product ([`cell_order`](ExperimentRunner::cell_order)).
-    /// Every schedule is validated against the policy's as-scheduled job
-    /// view — a policy bug fails loudly instead of producing flattering
-    /// numbers.
-    pub fn run(&self) -> Vec<Cell> {
-        self.run_cells(&self.cell_order())
-    }
-
-    /// Run exactly the given `(platform, workload, policy)` cells, in the
-    /// given order.
-    ///
-    /// Cells are independent, so they are fanned out over
-    /// [`threads`](ExperimentRunner::threads) workers; each worker claims
-    /// the next cell index off a shared counter and writes its result into
-    /// that cell's dedicated slot, so the returned order and every byte of
-    /// downstream CSV are identical to a sequential run.
-    pub fn run_cells(&self, tasks: &[(usize, usize, usize)]) -> Vec<Cell> {
-        // Workloads are generated once per referenced (platform, workload)
-        // pair on the calling thread: each case seeds a fresh RNG, so the
-        // jobs are a pure function of (case, m) no matter which subset of
-        // cells runs, and doing it up front keeps the workers pure
-        // functions of their task.
-        let mut jobs: HashMap<(usize, usize), Vec<Job>> = HashMap::new();
-        for &(pi, wi, _) in tasks {
-            jobs.entry((pi, wi))
-                .or_insert_with(|| self.workloads[wi].generate(self.platforms[pi].m));
-        }
-        pool_map(self.threads, tasks.len(), |i| {
-            let (pi, wi, ki) = tasks[i];
-            self.run_cell(
-                self.policies[ki].as_ref(),
-                &self.workloads[wi],
-                &self.platforms[pi],
-                &jobs[&(pi, wi)],
-            )
-        })
-    }
-
-    fn run_cell(
-        &self,
-        policy: &dyn Policy,
-        workload: &WorkloadCase,
-        platform: &PlatformCase,
-        jobs: &[Job],
-    ) -> Cell {
-        let cell_id = || {
-            format!(
-                "{} on {}/{} (m={}, {})",
-                policy.name(),
-                workload.name,
-                workload.seed,
-                platform.m,
-                self.executor.name()
-            )
-        };
-        // Per-cell context: a speeded platform injects its machine model.
-        let ctx: Cow<'_, PolicyCtx> = match &platform.speeds {
-            None => Cow::Borrowed(&self.ctx),
-            Some(speeds) => Cow::Owned(PolicyCtx {
-                speeds: speeds.clone(),
-                ..self.ctx.clone()
-            }),
-        };
-        assert!(
-            platform.volatility.is_none() || self.executor == Executor::DesOnline,
-            "{}: a volatile platform requires the des-online executor",
-            cell_id()
-        );
-        if self.executor != Executor::Direct {
-            // Validated capability check: the DES executors stay
-            // rectangle-only.
-            assert!(
-                self.executor.supports(policy.outcome_kind()),
-                "{}: policy produces `{}` outcomes, which executor `{}` \
-                 cannot replay or drive — run it under `direct`",
-                cell_id(),
-                policy.outcome_kind(),
-                self.executor.name()
-            );
-            assert!(
-                ctx.is_identical_machine(),
-                "{}: a speeded machine needs a uniform-capable policy \
-                 under the `direct` executor",
-                cell_id()
-            );
-        }
-        // Every executor yields the as-scheduled jobs (for the bounds) and
-        // the completion records; the batch executors also yield their
-        // outcome, whose machine model and trial counters feed the columns
-        // below, and a volatile platform its failure accounting.
-        let mut failures = None;
-        let (scheduled, mut records, outcome) = match (self.executor, &platform.volatility) {
-            (Executor::DesOnline, Some(vol)) => {
-                // Failure realization: a pure function of (platform name,
-                // workload seed), so replications resample the failure
-                // trace along with the workload. No retained-schedule
-                // validation: killed attempts are not part of any final
-                // rectangle schedule — overlap safety is enforced per
-                // commitment by the dispatcher's timelines instead.
-                let trace_seed = crate::spec::splitmix64(
-                    workload.seed ^ crate::spec::fnv64(platform.name.as_bytes()),
-                );
-                let plan = FailurePlan {
-                    outages: vol
-                        .trace
-                        .generate(platform.m, &mut SimRng::seed_from(trace_seed)),
-                    policy: vol.policy,
-                };
-                let out = des_online_volatile(policy, jobs, platform.m, &ctx, &plan, true);
-                failures = Some(out.failures);
-                (out.jobs, out.records, None)
-            }
-            (Executor::DesOnline, None) => {
-                let online = des_online(policy, jobs, platform.m, &ctx);
-                online
-                    .run
-                    .validate()
-                    .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
-                (online.run.jobs, online.records, None)
-            }
-            _ => {
-                // Batch-schedule once, and validate before extracting: a
-                // policy bug must fail with cell context, not deep inside
-                // the replay. `direct` reads every outcome kind (rectangle,
-                // trial-annotated, uniform-machine) through the one
-                // `Outcome::completed` interface; `des-replay` replays the
-                // rectangles through the event engine instead.
-                let orun = policy.run_outcome(jobs, platform.m, &ctx);
-                orun.validate()
-                    .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
-                let records = match orun.outcome.as_rect() {
-                    Some(schedule) if self.executor == Executor::DesReplay => {
-                        des_replay(schedule, &orun.jobs)
-                    }
-                    _ => orun.outcome.completed(&orun.jobs),
-                };
-                (orun.jobs, records, Some(orun.outcome))
-            }
-        };
-        // Canonical record order (job id) so every executor feeds Criteria
-        // the same summation order — the online-equivalence tests assert
-        // *bit*-identical metrics across executors.
-        records.sort_by_key(|r| r.id);
-        let criteria = Criteria::evaluate(&records);
-        // Bounds on the as-scheduled jobs: policies that strip releases or
-        // rigidify are measured against the instance they actually solved —
-        // on the machine model they actually solved it for (speed-aware
-        // bounds for uniform outcomes).
-        let (cmax_lb, csum_lb, wsum_lb) = match outcome.as_ref().and_then(Outcome::speeds) {
-            Some(speeds) => (
-                uniform_cmax_lower_bound(&scheduled, speeds),
-                uniform_csum_lower_bound(&scheduled, speeds),
-                uniform_wsum_lower_bound(&scheduled, speeds),
-            ),
-            None => (
-                cmax_lower_bound(&scheduled, platform.m).as_secs_f64(),
-                csum_lower_bound(&scheduled, platform.m),
-                wsum_lower_bound(&scheduled, platform.m),
-            ),
-        };
-        let stats = outcome.as_ref().and_then(Outcome::trial_stats);
-        Cell {
-            policy: policy.name().to_string(),
-            executor: self.executor.name().to_string(),
-            workload: workload.name.clone(),
-            seed: workload.seed,
-            platform: platform.name.clone(),
-            m: platform.m,
-            n: scheduled.len(),
-            utilization: criteria.utilization(platform.m),
-            cmax_ratio: criteria.cmax / cmax_lb.max(f64::MIN_POSITIVE),
-            csum_ratio: criteria.sum_completion / csum_lb.max(f64::MIN_POSITIVE),
-            wsum_ratio: criteria.weighted_sum_completion / wsum_lb.max(f64::MIN_POSITIVE),
-            criteria,
-            trials: stats.map(|s| s.trials),
-            kills: stats.map(|s| s.kills),
-            wasted_ticks: stats.map(|s| s.wasted_ticks),
-            class_names: None,
-            responses: None,
-            failures,
-        }
-    }
 }
 
 /// Commits every assignment of a finished schedule exactly as scheduled,
@@ -1168,25 +768,26 @@ fn finite_online(
 }
 
 /// Failure realization + recovery policy for one volatile run.
-struct FailurePlan {
+pub(crate) struct FailurePlan {
     /// Concrete outages (already generated from a
-    /// [`FailureTraceSpec`]), every node `< m`.
-    outages: Vec<Outage>,
+    /// [`FailureTraceSpec`](lsps_workload::FailureTraceSpec)), every node
+    /// `< m`.
+    pub(crate) outages: Vec<Outage>,
     /// What happens to a commitment killed mid-flight.
-    policy: FailurePolicy,
+    pub(crate) policy: FailurePolicy,
 }
 
 /// Outcome of one failure-aware online execution
 /// ([`des_online_volatile`]).
-struct VolatileOutcome {
+pub(crate) struct VolatileOutcome {
     /// Completion records against the **original** job shapes (original
     /// release, full length) with the final attempt's start/end — a killed
     /// job's flow includes every lost attempt. Sorted by job id.
-    records: Vec<CompletedJob>,
+    pub(crate) records: Vec<CompletedJob>,
     /// Kill/waste/goodput accounting for the aggregate CSV.
-    failures: FailureStats,
+    pub(crate) failures: FailureStats,
     /// The prepared (as-scheduled) job view, for lower bounds.
-    jobs: Vec<Job>,
+    pub(crate) jobs: Vec<Job>,
     /// Planner instrumentation (`None` on the full-replan oracle path).
     #[cfg_attr(not(test), allow(dead_code))]
     replan_touched: Option<u64>,
@@ -1206,7 +807,7 @@ struct VolatileOutcome {
 /// incremental planner and the full-replan oracle (`use_planner = false`)
 /// run the same kill rule, so the two paths stay bit-identical — the
 /// differential property the failure proptests pin down.
-fn des_online_volatile(
+pub(crate) fn des_online_volatile(
     policy: &dyn Policy,
     jobs: &[Job],
     m: usize,
@@ -1443,151 +1044,7 @@ pub fn des_online_open(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsps_core::policy::registry;
     use lsps_des::Dur;
-
-    /// The policies the DES executors can run (see [`Executor::supports`]).
-    fn rect_registry() -> Vec<Box<dyn Policy>> {
-        registry()
-            .into_iter()
-            .filter(|p| p.outcome_kind() == OutcomeKind::Rect)
-            .collect()
-    }
-
-    fn runner() -> ExperimentRunner {
-        let mut r = ExperimentRunner::new(rect_registry());
-        r.workloads = vec![
-            WorkloadCase::from_spec("fig2-par", 7, WorkloadSpec::fig2_parallel(30)),
-            WorkloadCase::from_spec("fig2-seq", 7, WorkloadSpec::fig2_sequential(30)),
-        ];
-        r.platforms = vec![PlatformCase::new("m32", 32)];
-        r
-    }
-
-    #[test]
-    fn full_registry_cross_product_runs() {
-        // Under `direct`, *every* registry policy — all three outcome
-        // kinds — runs through the one code path. (The fig2 workloads are
-        // moldable/sequential, inside every policy's domain.)
-        let mut r = runner();
-        r.policies = registry();
-        let cells = r.run();
-        assert_eq!(cells.len(), registry().len() * 2);
-        for c in &cells {
-            assert!(c.cmax_ratio >= 1.0 - 1e-9, "{}: beats the LB?", c.policy);
-            assert!(c.utilization <= 1.0 + 1e-9, "{}", c.policy);
-            assert_eq!(c.n, 30);
-        }
-        // Trial cells carry counters; everything else leaves them empty.
-        for c in &cells {
-            let has_stats = c.trials.is_some();
-            assert_eq!(
-                has_stats,
-                c.policy == "nonclairvoyant-exp-trial",
-                "{}",
-                c.policy
-            );
-            assert_eq!(c.kills.is_some(), has_stats, "{}", c.policy);
-            assert_eq!(c.wasted_ticks.is_some(), has_stats, "{}", c.policy);
-        }
-    }
-
-    #[test]
-    fn uniform_cells_run_on_speeded_platforms() {
-        let mut r = ExperimentRunner::new(vec![lsps_core::policy::by_name("uniform-mct").unwrap()]);
-        r.workloads = vec![WorkloadCase::from_spec(
-            "fig2-seq",
-            7,
-            WorkloadSpec::fig2_sequential(30),
-        )];
-        // Two CPU generations in one cluster (§2.2 weak heterogeneity).
-        let speeds: Vec<f64> = (0..16).map(|i| if i < 8 { 1.0 } else { 0.55 }).collect();
-        r.platforms = vec![PlatformCase::uniform("two-gen", speeds)];
-        let cells = r.run();
-        assert_eq!(cells.len(), 1);
-        let c = &cells[0];
-        assert_eq!(c.m, 16);
-        assert_eq!(c.n, 30);
-        assert!(c.cmax_ratio >= 1.0 - 1e-9, "speed-aware LB holds");
-        assert_eq!(c.trials, None, "uniform outcomes carry no trial counters");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot replay or drive")]
-    fn des_executors_reject_non_rect_policies() {
-        let mut r =
-            ExperimentRunner::new(vec![
-                lsps_core::policy::by_name("nonclairvoyant-exp-trial").unwrap()
-            ]);
-        r.workloads = vec![WorkloadCase::from_spec(
-            "fig2-seq",
-            7,
-            WorkloadSpec::fig2_sequential(10),
-        )];
-        r.platforms = vec![PlatformCase::new("m8", 8)];
-        r.executor = Executor::DesOnline;
-        r.run();
-    }
-
-    #[test]
-    fn des_replay_matches_direct_extraction() {
-        let mut r = runner();
-        r.workloads.truncate(1);
-        let direct = r.run();
-        r.executor = Executor::DesReplay;
-        let replayed = r.run();
-        assert_eq!(direct.len(), replayed.len());
-        for (a, b) in direct.iter().zip(&replayed) {
-            assert_eq!(a.policy, b.policy);
-            assert!((a.criteria.cmax - b.criteria.cmax).abs() < 1e-12);
-            assert!((a.criteria.mean_flow - b.criteria.mean_flow).abs() < 1e-12);
-            assert!(
-                (a.criteria.weighted_sum_completion - b.criteria.weighted_sum_completion).abs()
-                    < 1e-9
-            );
-        }
-    }
-
-    #[test]
-    fn csv_schema_is_stable() {
-        let mut r = runner();
-        r.workloads.truncate(1);
-        r.policies = vec![lsps_core::policy::by_name("list-fcfs").expect("registered")];
-        let cells = r.run();
-        let csv = to_csv(&cells);
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some(CSV_HEADER));
-        let row = lines.next().expect("one data row");
-        assert_eq!(row.split(',').count(), CSV_HEADER.split(',').count());
-        assert!(row.starts_with("list-fcfs,direct,fig2-par,7,m32,32,30,"));
-    }
-
-    #[test]
-    fn des_online_commits_everything_and_respects_arrivals() {
-        let mut r = runner();
-        r.workloads.truncate(1);
-        r.executor = Executor::DesOnline;
-        let cells = r.run();
-        assert_eq!(cells.len(), rect_registry().len());
-        for c in &cells {
-            assert_eq!(c.n, 30, "{}", c.policy);
-            assert_eq!(c.executor, "des-online");
-            assert!(c.cmax_ratio >= 1.0 - 1e-9, "{}", c.policy);
-        }
-    }
-
-    #[test]
-    fn parallel_run_is_byte_identical_to_sequential() {
-        for executor in Executor::ALL {
-            let mut r = runner();
-            r.executor = executor;
-            r.threads = 1;
-            let sequential = to_csv(&r.run());
-            r.threads = 4;
-            let parallel = to_csv(&r.run());
-            assert_eq!(sequential, parallel, "{}", executor.name());
-        }
-    }
 
     #[test]
     fn executor_names_round_trip_through_fromstr_and_display() {
@@ -1600,77 +1057,6 @@ mod tests {
         assert!(err.to_string().contains("des-online"));
         // Strict: the mapping is the stable CSV identifier, nothing looser.
         assert!("Direct".parse::<Executor>().is_err());
-    }
-
-    fn fixture(name: &str) -> std::path::PathBuf {
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../../examples/data")
-            .join(name)
-    }
-
-    #[test]
-    fn swf_file_workload_feeds_the_runner() {
-        let case = WorkloadCase::from_swf_file("trace", 5, fixture("sample_trace.swf"))
-            .expect("fixture parses");
-        let jobs = case.generate(16);
-        assert_eq!(jobs.len(), 10);
-        assert!(jobs.iter().all(|j| j.min_procs() <= 8));
-        // Submits are staggered: the trace exercises the release-date path.
-        assert!(jobs.last().unwrap().release > Time::ZERO);
-        let mut r = ExperimentRunner::new(vec![lsps_core::policy::by_name("list-fcfs").unwrap()]);
-        r.workloads = vec![case];
-        r.platforms = vec![PlatformCase::new("m16", 16)];
-        let cells = r.run();
-        assert_eq!(cells.len(), 1);
-        assert_eq!(cells[0].n, 10);
-        assert!(cells[0].cmax_ratio >= 1.0 - 1e-9);
-    }
-
-    #[test]
-    fn jsonl_file_workload_round_trips_profiles() {
-        use lsps_workload::{MoldableProfile, SpeedupModel};
-        let jobs = vec![
-            Job::rigid(1, 4, Dur::from_ticks(100)),
-            Job::moldable(
-                2,
-                MoldableProfile::from_model(Dur::from_ticks(500), &SpeedupModel::Linear, 8),
-            ),
-        ];
-        let dir = std::env::temp_dir().join(format!("lsps-jsonl-case-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.jsonl");
-        std::fs::write(&path, lsps_workload::swf::to_jsonl(&jobs)).unwrap();
-        let case = WorkloadCase::from_jsonl_file("jsonl", 3, &path).expect("round-trips");
-        assert_eq!(case.generate(16), jobs);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn trace_load_errors_are_reported() {
-        let missing = WorkloadCase::from_swf_file("x", 0, "/nonexistent/trace.swf");
-        assert!(matches!(missing, Err(TraceLoadError::Io(_))));
-        let dir = std::env::temp_dir().join(format!("lsps-bad-swf-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.swf");
-        std::fs::write(&path, "1 2 3\n").unwrap();
-        let bad = WorkloadCase::from_swf_file("x", 0, &path);
-        assert!(matches!(bad, Err(TraceLoadError::Parse(_))));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn run_cells_subset_matches_full_run() {
-        let r = runner();
-        let full = r.run();
-        let order = r.cell_order();
-        // Every other cell, out of their cross-product positions.
-        let subset: Vec<_> = order.iter().copied().step_by(2).collect();
-        let partial = r.run_cells(&subset);
-        assert_eq!(partial.len(), subset.len());
-        for (cell, &(pi, wi, ki)) in partial.iter().zip(&subset) {
-            let i = order.iter().position(|t| *t == (pi, wi, ki)).unwrap();
-            assert_eq!(cell.csv_row(), full[i].csv_row());
-        }
     }
 
     #[test]
@@ -1720,6 +1106,7 @@ mod replan_tests {
     use lsps_core::backfill::Reservation;
     use lsps_core::policy::Backfilling;
     use lsps_des::{Dur, SimRng};
+    use lsps_workload::FailureTraceSpec;
     use proptest::prelude::*;
 
     use crate::families::large_scale_instance;

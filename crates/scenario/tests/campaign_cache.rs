@@ -6,10 +6,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use lsps_scenario::runner::{to_csv, ExperimentRunner, PlatformCase, WorkloadCase};
-use lsps_scenario::spec::{ReplicationSpec, SeedDerivation, WorkloadEntry, WorkloadSource};
 use lsps_scenario::{run_campaign, CampaignOptions, CampaignSpec};
-use lsps_workload::WorkloadSpec;
 
 fn example_spec() -> (CampaignSpec, PathBuf) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/small_campaign.json");
@@ -144,39 +141,4 @@ fn aggregate_order_independent_of_thread_count() {
         single.raw_csv, wide.raw_csv,
         "raw CSV must not depend on --threads"
     );
-}
-
-#[test]
-fn campaign_matches_hand_built_runner() {
-    // The declarative layer is sugar, not semantics: a spec-driven run
-    // emits the exact bytes of the equivalent hand-built ExperimentRunner.
-    let mut spec = CampaignSpec::new("equiv");
-    spec.policies = vec!["list-fcfs".into(), "list-wspt".into()];
-    spec.platforms = vec![lsps_scenario::spec::PlatformSpec {
-        name: "m32".into(),
-        m: 32,
-        speeds: None,
-    }];
-    spec.workloads = vec![WorkloadEntry {
-        name: "par".into(),
-        source: WorkloadSource::Spec(WorkloadSpec::fig2_parallel(20)),
-        seed: None,
-    }];
-    spec.replication = ReplicationSpec {
-        base_seed: 5,
-        replications: 2,
-        derivation: SeedDerivation::Sequential,
-    };
-    let report = run_campaign(&spec, &CampaignOptions::default()).expect("runs");
-
-    let mut r = ExperimentRunner::new(vec![
-        lsps_core::policy::by_name("list-fcfs").unwrap(),
-        lsps_core::policy::by_name("list-wspt").unwrap(),
-    ]);
-    r.platforms = vec![PlatformCase::new("m32", 32)];
-    r.workloads = vec![
-        WorkloadCase::from_spec("par", 5, WorkloadSpec::fig2_parallel(20)),
-        WorkloadCase::from_spec("par", 6, WorkloadSpec::fig2_parallel(20)),
-    ];
-    assert_eq!(report.raw_csv, to_csv(&r.run()));
 }

@@ -1,7 +1,7 @@
 //! "Which policy for which application?" — the paper's question, answered
 //! for every cell of the (application × objective) matrix, and made
 //! runnable: each recommendation is instantiated into the `Policy` object
-//! the experiment runner would execute.
+//! a campaign would execute.
 //!
 //! ```sh
 //! cargo run --example policy_advisor

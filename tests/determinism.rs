@@ -8,7 +8,9 @@ use lsps::grid::exchange::{run_exchange, ExchangeParams};
 use lsps::grid::scenario::{ciment_locals, ciment_scenario, ScenarioParams};
 use lsps::platform::presets;
 use lsps::prelude::*;
-use lsps_bench::runner::{to_csv, Executor, ExperimentRunner, PlatformCase, WorkloadCase};
+use lsps::scenario::runner::{to_csv, Executor};
+use lsps::scenario::spec::{PlatformSpec, WorkloadEntry, WorkloadSource};
+use lsps::scenario::{run_campaign, CampaignOptions, CampaignSpec};
 
 #[test]
 fn workload_generation_is_deterministic() {
@@ -72,27 +74,42 @@ fn online_executor_is_deterministic_including_the_parallel_runner() {
     // worker-pool fan-out must not perturb a single byte either, whatever
     // the thread count. This is the guard against ordering nondeterminism
     // in the pool (results are slot-indexed, not completion-ordered).
-    let mk = |threads: usize| {
-        // DesOnline drives rectangle policies only (capability check).
-        let rect: Vec<_> = registry()
-            .into_iter()
-            .filter(|p| p.outcome_kind() == lsps::core::OutcomeKind::Rect)
-            .collect();
-        let mut r = ExperimentRunner::new(rect);
-        r.workloads = vec![
-            WorkloadCase::from_spec("fig2-par", 11, WorkloadSpec::fig2_parallel(40)),
-            WorkloadCase::from_spec("fig2-seq", 11, WorkloadSpec::fig2_sequential(40)),
-        ];
-        r.platforms = vec![PlatformCase::new("m32", 32)];
-        r.executor = Executor::DesOnline;
-        r.threads = threads;
-        r
+    // DesOnline drives rectangle policies only (capability check).
+    let mut spec = CampaignSpec::new("determinism");
+    spec.policies = registry()
+        .into_iter()
+        .filter(|p| p.outcome_kind() == lsps::core::OutcomeKind::Rect)
+        .map(|p| p.name().to_string())
+        .collect();
+    spec.executors = vec![Executor::DesOnline];
+    spec.platforms = vec![PlatformSpec {
+        name: "m32".into(),
+        m: 32,
+        speeds: None,
+    }];
+    spec.workloads = [
+        ("fig2-par", WorkloadSpec::fig2_parallel(40)),
+        ("fig2-seq", WorkloadSpec::fig2_sequential(40)),
+    ]
+    .into_iter()
+    .map(|(name, ws)| WorkloadEntry {
+        name: name.into(),
+        source: WorkloadSource::Spec(ws),
+        seed: Some(11),
+    })
+    .collect();
+    let run = |threads: usize| {
+        let opts = CampaignOptions {
+            threads,
+            ..CampaignOptions::default()
+        };
+        to_csv(&run_campaign(&spec, &opts).expect("campaign runs").cells)
     };
-    let sequential = to_csv(&mk(1).run());
-    let sequential_again = to_csv(&mk(1).run());
+    let sequential = run(1);
+    let sequential_again = run(1);
     assert_eq!(sequential, sequential_again, "two seeded runs diverged");
     for threads in [2, 4, 0] {
-        let parallel = to_csv(&mk(threads).run());
+        let parallel = run(threads);
         assert_eq!(
             sequential, parallel,
             "worker pool (threads = {threads}) perturbed the output"

@@ -1,7 +1,7 @@
 //! The contract of `Executor::DesOnline`, pinned for **every** registry
 //! policy the executor accepts (rectangle outcomes — trial and uniform
 //! policies are rejected by the validated capability check, covered in
-//! the runner's own tests):
+//! the campaign's own tests):
 //!
 //! * with exact runtimes (clairvoyance factor 1.0) and all-zero release
 //!   dates, the online event-driven execution is **bit-identical** to the
@@ -16,9 +16,10 @@ use std::collections::HashMap;
 
 use lsps::core::policy::{registry, Policy, PolicyCtx};
 use lsps::prelude::*;
-use lsps_bench::runner::{
-    des_online, des_replay, to_csv, Executor, ExperimentRunner, PlatformCase, WorkloadCase,
-};
+use lsps::scenario::runner::{des_online, des_replay, to_csv, Executor};
+use lsps::scenario::spec::{PlatformSpec, WorkloadEntry, WorkloadSource};
+use lsps::scenario::{run_campaign, CampaignOptions, CampaignSpec};
+use lsps::workload::swf::to_jsonl;
 
 /// The registry policies the DES executors can drive (`Executor::supports`).
 fn rect_registry() -> Vec<Box<dyn Policy>> {
@@ -83,15 +84,33 @@ fn zero_releases_make_online_bit_identical_to_direct() {
 
 #[test]
 fn zero_release_cells_agree_bit_for_bit_across_executors() {
-    // Same property one layer up: whole runner cells, CSV-rendered, equal
-    // in every byte except the executor column itself.
-    let mut r = ExperimentRunner::new(rect_registry());
-    r.workloads = vec![WorkloadCase::fixed(
-        "zero-rel",
-        5,
-        workload(5, 30, 32, false),
-    )];
-    r.platforms = vec![PlatformCase::new("m32", 32)];
+    // Same property one layer up: whole campaign cells, CSV-rendered,
+    // equal in every byte except the executor column itself. The jobs
+    // reach the campaign as a JSONL trace (the lossless native format).
+    let dir = std::env::temp_dir().join(format!("lsps-zero-rel-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("zero-rel.jsonl");
+    std::fs::write(&path, to_jsonl(&workload(5, 30, 32, false))).unwrap();
+    let mut spec = CampaignSpec::new("zero-rel");
+    spec.policies = rect_registry()
+        .iter()
+        .map(|p| p.name().to_string())
+        .collect();
+    spec.executors = vec![Executor::Direct, Executor::DesOnline];
+    spec.platforms = vec![PlatformSpec {
+        name: "m32".into(),
+        m: 32,
+        speeds: None,
+    }];
+    spec.workloads = vec![WorkloadEntry {
+        name: "zero-rel".into(),
+        source: WorkloadSource::JsonlFile(path.display().to_string()),
+        seed: Some(5),
+    }];
+    let cells = run_campaign(&spec, &CampaignOptions::default())
+        .expect("campaign runs")
+        .cells;
+    std::fs::remove_dir_all(&dir).unwrap();
     let rows = |csv: String| -> Vec<String> {
         csv.lines()
             .skip(1)
@@ -104,11 +123,11 @@ fn zero_release_cells_agree_bit_for_bit_across_executors() {
             })
             .collect()
     };
-    r.executor = Executor::Direct;
-    let direct = rows(to_csv(&r.run()));
-    r.executor = Executor::DesOnline;
-    let online = rows(to_csv(&r.run()));
-    assert_eq!(direct, online);
+    // Cells are executor-major: the direct sweep, then the online one.
+    let (direct, online) = cells.split_at(cells.len() / 2);
+    assert!(direct.iter().all(|c| c.executor == "direct"));
+    assert!(online.iter().all(|c| c.executor == "des-online"));
+    assert_eq!(rows(to_csv(direct)), rows(to_csv(online)));
 }
 
 #[test]
