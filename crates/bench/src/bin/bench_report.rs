@@ -1,11 +1,17 @@
-//! Machine-readable perf baseline: times the [`Timeline`] hot operations
-//! (the backfill / CiGri / DES placement workhorse) plus the end-to-end
-//! scheduler loops — conservative/EASY backfill of a `large-scale`
-//! instance and a 100k-job `trace-100k` DesOnline replay through the
-//! incremental planner — then writes the medians to `BENCH_timeline.json`,
-//! the committed perf trajectory future PRs compare against.
+//! The workspace's one benchmark harness: times the [`Timeline`] and
+//! [`ProcSet`] hot operations (the backfill / CiGri / DES placement
+//! workhorse), the end-to-end scheduler loops — conservative/EASY
+//! backfill of a `large-scale` instance, a 100k-job `trace-100k`
+//! DesOnline replay through the incremental planner, a million-completion
+//! open drive, a campaignd submit-to-aggregate — and the single-call
+//! kernels the paper's policy comparison rests on: DES dispatch, the
+//! divisible-load solvers, policy construction and registry dispatch
+//! against the direct call. It writes the medians to
+//! `BENCH_timeline.json`, the committed perf trajectory future PRs
+//! compare against.
 //!
 //! ```text
+//! cargo build --release --workspace                               # builds lsps-worker too
 //! cargo run --release -p lsps-bench --bin bench_report            # BENCH_timeline.json
 //! cargo run --release -p lsps-bench --bin bench_report -- out.json
 //! cargo run --release -p lsps-bench --bin bench_report -- --check # CI perf smoke gate
@@ -14,28 +20,36 @@
 //! `--check` re-measures with a reduced sample count and compares every
 //! datapoint against the committed baseline (`BENCH_timeline.json` or the
 //! path given after the flag): any op slower than 3× its committed median
-//! fails the run. The 3× headroom absorbs machine noise and CI jitter —
-//! the gate exists to catch algorithmic regressions (a dropped index, an
-//! accidental O(n²)), not percent-level drift.
-//!
-//! The timed operations mirror `benches/bench_timeline.rs`; this binary
-//! exists because the criterion harness prints for humans while the perf
-//! trajectory needs stable JSON. Absolute numbers are machine-specific —
-//! the trajectory tracks *relative* movement per op and size.
+//! fails the run, and so does an op measured on only one side, so a
+//! renamed or dropped op cannot fall out of the gate. The 3× headroom
+//! absorbs machine noise and CI jitter — the gate exists to catch
+//! algorithmic regressions (a dropped index, an accidental O(n²)), not
+//! percent-level drift. Absolute numbers are machine-specific — the
+//! trajectory tracks *relative* movement per op and size.
 
 use std::path::Path;
 use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use lsps_core::backfill::{backfill_schedule_estimated, BackfillPolicy};
-use lsps_core::policy::{Backfilling, PolicyCtx, ReleaseMode};
-use lsps_des::{Dur, EventQueue, SimRng, Time};
+use lsps_core::backfill::{backfill_schedule, backfill_schedule_estimated, BackfillPolicy};
+use lsps_core::bicriteria::{bicriteria_schedule, BiCriteriaParams};
+use lsps_core::list::{list_schedule, JobOrder};
+use lsps_core::mrt::{mrt_schedule, MrtParams};
+use lsps_core::policy::{by_name, Backfilling, PolicyCtx, ReleaseMode};
+use lsps_core::smart::smart_schedule;
+use lsps_des::{Ctx, Dur, EventQueue, Model, SimRng, Simulation, Time};
+use lsps_dlt::{
+    multi_round, self_schedule, star_single_round, star_steady_state, MultiRoundParams, Worker,
+    WorkerOrder,
+};
 use lsps_platform::{BookingKind, ProcSet, Timeline};
 use lsps_scenario::families::{large_scale_instance, trace_instance};
 use lsps_scenario::runner::{des_online, des_online_open};
 use lsps_scenario::spec::OpenEntry;
-use lsps_workload::{DistSpec, JobClass, OpenArrival, OpenStreamSpec};
+use lsps_workload::{
+    DistSpec, Job, JobClass, MoldableProfile, OpenArrival, OpenStreamSpec, SpeedupModel,
+};
 
 /// Median wall-clock nanoseconds per call of `f` over `samples` batches.
 fn median_ns(samples: usize, batch: u32, mut f: impl FnMut()) -> u64 {
@@ -52,8 +66,7 @@ fn median_ns(samples: usize, batch: u32, mut f: impl FnMut()) -> u64 {
     times[times.len() / 2]
 }
 
-/// A randomly loaded timeline with `bookings` live bookings (same shape as
-/// the criterion bench).
+/// A randomly loaded timeline with `bookings` live bookings.
 fn loaded_timeline(m: usize, bookings: usize, rng: &mut SimRng) -> Timeline {
     let mut tl = Timeline::with_procs(m);
     for _ in 0..bookings {
@@ -67,17 +80,105 @@ fn loaded_timeline(m: usize, bookings: usize, rng: &mut SimRng) -> Timeline {
     tl
 }
 
+/// Machine width of the policy-construction and registry-dispatch ops.
+const POLICY_M: usize = 100;
+
+/// `n` weighted rigid jobs of 1..`POLICY_M`/2 processors and 10..2000
+/// ticks, released at a seeded random walk (`online`) or all at zero.
+fn rigid_jobs(n: usize, online: bool, seed: u64) -> Vec<Job> {
+    let mut rng = SimRng::seed_from(seed);
+    let mut clock = 0u64;
+    (0..n)
+        .map(|i| {
+            if online {
+                clock += rng.int_range(0, 100);
+            }
+            Job::rigid(
+                i as u64,
+                rng.int_range(1, POLICY_M as u64 / 2) as usize,
+                Dur::from_ticks(rng.int_range(10, 2_000)),
+            )
+            .released_at(Time::from_ticks(clock))
+            .with_weight(rng.range(0.5, 5.0))
+        })
+        .collect()
+}
+
+/// `n` Amdahl moldable jobs over up to `POLICY_M` processors.
+fn moldable_jobs(n: usize, seed: u64) -> Vec<Job> {
+    let mut rng = SimRng::seed_from(seed);
+    (0..n)
+        .map(|i| {
+            Job::moldable(
+                i as u64,
+                MoldableProfile::from_model(
+                    Dur::from_ticks(rng.int_range(50, 5_000)),
+                    &SpeedupModel::Amdahl {
+                        seq_fraction: rng.range(0.0, 0.3),
+                    },
+                    rng.int_range(1, POLICY_M as u64) as usize,
+                ),
+            )
+        })
+        .collect()
+}
+
+/// `n` star workers with four speeds and three link bandwidths.
+fn dlt_workers(n: usize) -> Vec<Worker> {
+    (0..n)
+        .map(|i| Worker::new(1.0 + (i % 4) as f64 * 0.25, 5.0 + (i % 3) as f64, 1e-4))
+        .collect()
+}
+
+/// A DES model whose every event schedules the next one tick later until
+/// `left` runs out: pure engine dispatch, no model work.
+struct Chain {
+    left: u64,
+}
+
+impl Model for Chain {
+    type Event = ();
+    fn handle(&mut self, _: Time, _: (), ctx: &mut Ctx<'_, ()>) {
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.schedule_in(Dur::from_ticks(1), ());
+        }
+    }
+}
+
+/// One single-call op: name, size, batch and the call, its result type
+/// erased.
+type Row<'a> = (&'static str, usize, u32, Box<dyn FnMut() + 'a>);
+
+/// A [`Row`] whose call black-boxes `f`'s result so the work is kept.
+fn row<'a, T>(op: &'static str, size: usize, batch: u32, mut f: impl FnMut() -> T + 'a) -> Row<'a> {
+    let call = move || {
+        std::hint::black_box(f());
+    };
+    (op, size, batch, Box::new(call))
+}
+
 /// One measured datapoint: a micro-op over a loaded timeline (`size` =
-/// live bookings) or a scheduler-loop entry (`size` = instance jobs).
+/// live bookings) or an `ops` entry (`size` = instance jobs, or the
+/// events, workers or processors of a single-call kernel).
 struct Datapoint {
     op: &'static str,
     size: usize,
     median_ns: u64,
 }
 
-/// Measure everything. `samples` scales the micro-op batching; the
-/// scheduler loops are one-shot (they are seconds-scale already).
-fn measure(samples: usize) -> (Vec<Datapoint>, Vec<Datapoint>) {
+/// Measure everything. `samples` scales the micro-op and single-call
+/// batching; the scheduler loops are one-shot (they are seconds-scale
+/// already). Fails before timing anything when `lsps-worker` is not built
+/// next to this binary, so the campaignd ops are never silently dropped.
+fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
+    let worker = lsps_service::daemon::default_worker_cmd();
+    if !worker.is_file() {
+        return Err(format!(
+            "{} is missing: run `cargo build --release --workspace` first",
+            worker.display()
+        ));
+    }
     let m = 1024;
     let mut micro: Vec<Datapoint> = Vec::new();
     let push = |v: &mut Vec<Datapoint>, op: &'static str, size: usize, ns: u64| {
@@ -288,56 +389,130 @@ fn measure(samples: usize) -> (Vec<Datapoint>, Vec<Datapoint>) {
     // lsps-campaignd machinery — daemon boot, spec submission, sharding
     // over worker processes, final aggregate — cold (every cell computed
     // by a worker) and warm (a restarted daemon serving every cell from
-    // the content-addressed cache). Skipped when the `lsps-worker` binary
-    // isn't built alongside this one; the `--check` gate ignores ops
-    // present on only one side, so the skip is safe.
-    let worker = lsps_service::daemon::default_worker_cmd();
-    if worker.is_file() {
-        let spec_path =
-            Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/small_campaign.json");
-        let spec_text = std::fs::read_to_string(&spec_path).expect("small campaign spec");
-        let root =
-            std::env::temp_dir().join(format!("lsps-bench-campaignd-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let base_dir = spec_path.parent().expect("spec dir").to_path_buf();
-        let mut cells = 0usize;
-        let mut run_service = |tag: &str| -> u64 {
-            let mut cfg = lsps_service::daemon::config_under(&root, &worker);
-            cfg.workers = 4;
-            cfg.base_dir = Some(base_dir.clone());
-            // A fresh journal per boot so each timing covers exactly one
-            // submit-to-aggregate pass; the cache carries between passes.
-            cfg.journal_dir = root.join(format!("journal-{tag}"));
-            let t0 = Instant::now();
-            let daemon = lsps_service::Daemon::start(cfg).expect("daemon starts");
-            let id = daemon.submit(&spec_text).expect("spec accepted");
-            loop {
-                let status = daemon.status_json(&id).expect("status");
-                assert!(status.contains("\"failed\":0"), "cells failed: {status}");
-                if status.contains("\"complete\":true") {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(10));
+    // the content-addressed cache).
+    let spec_path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/small_campaign.json");
+    let spec_text = std::fs::read_to_string(&spec_path).expect("small campaign spec");
+    let root = std::env::temp_dir().join(format!("lsps-bench-campaignd-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let base_dir = spec_path.parent().expect("spec dir").to_path_buf();
+    let mut cells = 0usize;
+    let mut run_service = |tag: &str| -> u64 {
+        let mut cfg = lsps_service::daemon::config_under(&root, &worker);
+        cfg.workers = 4;
+        cfg.base_dir = Some(base_dir.clone());
+        // A fresh journal per boot so each timing covers exactly one
+        // submit-to-aggregate pass; the cache carries between passes.
+        cfg.journal_dir = root.join(format!("journal-{tag}"));
+        let t0 = Instant::now();
+        let daemon = lsps_service::Daemon::start(cfg).expect("daemon starts");
+        let id = daemon.submit(&spec_text).expect("spec accepted");
+        loop {
+            let status = daemon.status_json(&id).expect("status");
+            assert!(status.contains("\"failed\":0"), "cells failed: {status}");
+            if status.contains("\"complete\":true") {
+                break;
             }
-            let (_, agg) = daemon.csvs(&id).expect("aggregate");
-            cells = agg.lines().count() - 1;
-            daemon.shutdown();
-            t0.elapsed().as_nanos() as u64
-        };
-        let cold = run_service("cold");
-        let warm = run_service("warm");
-        push(&mut ops, "campaignd_small_spec_cold", 54, cold);
-        push(&mut ops, "campaignd_small_spec_warm", 54, warm);
-        assert_eq!(cells, 18, "small campaign aggregates to 18 groups");
-        let _ = std::fs::remove_dir_all(&root);
-    } else {
-        eprintln!(
-            "[skip] campaignd_small_spec: lsps-worker not built ({})",
-            worker.display()
-        );
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        let (_, agg) = daemon.csvs(&id).expect("aggregate");
+        cells = agg.lines().count() - 1;
+        daemon.shutdown();
+        t0.elapsed().as_nanos() as u64
+    };
+    let cold = run_service("cold");
+    let warm = run_service("warm");
+    push(&mut ops, "campaignd_small_spec_cold", 54, cold);
+    push(&mut ops, "campaignd_small_spec_warm", 54, warm);
+    assert_eq!(cells, 18, "small campaign aggregates to 18 groups");
+    let _ = std::fs::remove_dir_all(&root);
+
+    // Single-call kernels no datapoint above covers: DES engine dispatch,
+    // the divisible-load solvers, policy construction (n = 400) and
+    // registry dispatch next to the direct call (n = 1000; the trait
+    // object's `prepare` borrows its input, so the pair must cost the
+    // same), and the ProcSet ops the m = 1024 datapoints leave out, at
+    // m = 4096. `size` counts events, workers, jobs or processors.
+    let rigid0 = rigid_jobs(400, false, 1);
+    let rigid_online = rigid_jobs(400, true, 2);
+    let moldable = moldable_jobs(400, 3);
+    let dispatch = rigid_jobs(1000, true, 5);
+    let default_ctx = PolicyCtx::default();
+    let [list_obj, easy_obj, bicriteria_obj] =
+        ["list-lpt", "backfill-easy", "bicriteria"].map(|name| by_name(name).expect("registered"));
+    let workers64 = dlt_workers(64);
+    let workers = dlt_workers(1024);
+    let rounds = MultiRoundParams {
+        rounds: 8,
+        growth: 1.5,
+    };
+    let wide_a = ProcSet::from_indices((0..4096).filter(|i| i % 3 != 0));
+    let wide_b = ProcSet::from_indices((0..4096).filter(|i| i % 2 == 0));
+    let calls: Vec<Row> = vec![
+        row("engine_100k_chained_events", 100_000, 1, || {
+            let mut sim = Simulation::new(Chain { left: 100_000 });
+            sim.schedule_at(Time::ZERO, ());
+            sim.run_to_completion(200_000)
+        }),
+        row("self_sched_10k_chunks", 64, 1, || {
+            self_schedule(1e4, &workers64, 1.0)
+        }),
+        row("star_closed_form", 1024, 16, || {
+            star_single_round(1e5, &workers, WorkerOrder::ByBandwidth)
+        }),
+        row("steady_state", 1024, 16, || star_steady_state(&workers)),
+        row("multi_round_8", 1024, 4, || {
+            multi_round(1e5, &workers, rounds)
+        }),
+        row("list_fcfs", 400, 1, || {
+            list_schedule(&rigid0, POLICY_M, JobOrder::Fcfs)
+        }),
+        row("smart_weighted", 400, 1, || {
+            smart_schedule(&rigid0, POLICY_M, true)
+        }),
+        row("mrt", 400, 1, || {
+            mrt_schedule(&moldable, POLICY_M, MrtParams::default())
+        }),
+        row("bicriteria", 400, 1, || {
+            bicriteria_schedule(&rigid_online, POLICY_M, BiCriteriaParams::default())
+        }),
+        row("list_lpt_direct", 1000, 1, || {
+            list_schedule(&dispatch, POLICY_M, JobOrder::Lpt)
+        }),
+        row("list_lpt_trait_object", 1000, 1, || {
+            list_obj.schedule(&dispatch, POLICY_M, &default_ctx)
+        }),
+        row("backfill_easy_direct", 1000, 1, || {
+            backfill_schedule(&dispatch, POLICY_M, &[], BackfillPolicy::Easy)
+        }),
+        row("backfill_easy_trait_object", 1000, 1, || {
+            easy_obj.schedule(&dispatch, POLICY_M, &default_ctx)
+        }),
+        row("bicriteria_direct", 1000, 1, || {
+            bicriteria_schedule(&dispatch, POLICY_M, BiCriteriaParams::default())
+        }),
+        row("bicriteria_trait_object", 1000, 1, || {
+            bicriteria_obj.schedule(&dispatch, POLICY_M, &default_ctx)
+        }),
+        row("procset_union", 4096, 1024, || wide_a.union(&wide_b)),
+        row("procset_is_disjoint", 4096, 4096, || {
+            wide_a.is_disjoint(&wide_b)
+        }),
+        row("procset_iter_sum", 4096, 64, || {
+            wide_a.iter().map(|p| p.index()).sum::<usize>()
+        }),
+        row("procset_take_first_half", 4096, 1024, || {
+            wide_a.take_first(wide_a.len() / 2)
+        }),
+        row("procset_take_first_16", 4096, 4096, || {
+            wide_a.take_first(16)
+        }),
+    ];
+    for (op, size, batch, call) in calls {
+        push(&mut ops, op, size, median_ns(samples, batch, call));
     }
 
-    (micro, ops)
+    Ok((micro, ops))
 }
 
 fn to_json(entries: &[Datapoint], size_key: &str) -> Value {
@@ -382,8 +557,8 @@ fn baseline_rows(report: &Value) -> Vec<(String, u64, u64)> {
 }
 
 /// Compare fresh medians against the committed baseline: fail on any op
-/// slower than `factor ×` its committed median. Ops present on only one
-/// side are ignored (adding a datapoint must not break older baselines).
+/// slower than `factor ×` its committed median, and on any op measured on
+/// only one side (a renamed or skipped op must not drop out of the gate).
 fn check(baseline_path: &str, factor: f64) -> Result<(), String> {
     let text =
         std::fs::read_to_string(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
@@ -391,14 +566,21 @@ fn check(baseline_path: &str, factor: f64) -> Result<(), String> {
         serde_json::from_str(&text).map_err(|e| format!("parse {baseline_path}: {e:?}"))?;
     let baseline = baseline_rows(&committed);
 
-    let (micro, ops) = measure(9);
+    let (micro, ops) = measure(9)?;
     let fresh: Vec<(String, u64, u64)> = micro
         .iter()
         .chain(ops.iter())
         .map(|d| (d.op.to_string(), d.size as u64, d.median_ns))
         .collect();
 
-    let mut regressions = Vec::new();
+    let missing = |from: &[(String, u64, u64)], side: &str, other: &[(String, u64, u64)]| {
+        from.iter()
+            .filter(|(op, size, _)| !other.iter().any(|(o, s, _)| o == op && s == size))
+            .map(|(op, size, _)| format!("{op} @ {size}: {side}"))
+            .collect::<Vec<_>>()
+    };
+    let mut failures = missing(&baseline, "committed but not measured", &fresh);
+    failures.extend(missing(&fresh, "measured but not committed", &baseline));
     for (op, size, committed_ns) in &baseline {
         let Some((_, _, fresh_ns)) = fresh
             .iter()
@@ -408,12 +590,12 @@ fn check(baseline_path: &str, factor: f64) -> Result<(), String> {
         };
         let ratio = *fresh_ns as f64 / (*committed_ns).max(1) as f64;
         if ratio > factor {
-            regressions.push(format!(
+            failures.push(format!(
                 "{op} @ {size}: {fresh_ns} ns vs committed {committed_ns} ns ({ratio:.2}x > {factor}x)"
             ));
         }
     }
-    if regressions.is_empty() {
+    if failures.is_empty() {
         eprintln!(
             "[check] {} datapoints within {factor}x of {baseline_path}",
             baseline.len()
@@ -421,10 +603,15 @@ fn check(baseline_path: &str, factor: f64) -> Result<(), String> {
         Ok(())
     } else {
         Err(format!(
-            "perf regression vs {baseline_path}:\n  {}",
-            regressions.join("\n  ")
+            "perf gate failed vs {baseline_path}:\n  {}",
+            failures.join("\n  ")
         ))
     }
+}
+
+fn fail(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
 }
 
 fn main() {
@@ -435,8 +622,7 @@ fn main() {
             .map(String::as_str)
             .unwrap_or("BENCH_timeline.json");
         if let Err(msg) = check(baseline, 3.0) {
-            eprintln!("{msg}");
-            std::process::exit(1);
+            fail(&msg);
         }
         return;
     }
@@ -446,7 +632,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "BENCH_timeline.json".into());
     let samples = 30;
-    let (micro, ops) = measure(samples);
+    let (micro, ops) = measure(samples).unwrap_or_else(|msg| fail(&msg));
     let report = Value::Map(vec![
         ("schema".into(), "lsps-bench/timeline-v2".to_value()),
         ("m".into(), 1024usize.to_value()),

@@ -168,3 +168,45 @@ fn advisor_recommendations_round_trip_through_the_registry() {
         }
     }
 }
+
+/// Registry dispatch adds no behaviour: on the 1000-job online rigid
+/// workload `bench_report` times its `*_direct` / `*_trait_object` pairs on
+/// (m = 100, seed 5), the `Box<dyn Policy>` from `by_name` produces the
+/// same schedule as the direct algorithm call.
+#[test]
+fn registry_dispatch_matches_the_direct_call() {
+    use lsps::core::backfill::{backfill_schedule, BackfillPolicy};
+    use lsps::core::bicriteria::{bicriteria_schedule, BiCriteriaParams};
+    use lsps::core::list::{list_schedule, JobOrder};
+
+    let m = 100;
+    let mut rng = SimRng::seed_from(5);
+    let mut clock = 0u64;
+    let jobs: Vec<Job> = (0..1000)
+        .map(|i| {
+            clock += rng.int_range(0, 100);
+            Job::rigid(
+                i as u64,
+                rng.int_range(1, m as u64 / 2) as usize,
+                Dur::from_ticks(rng.int_range(10, 2_000)),
+            )
+            .released_at(Time::from_ticks(clock))
+            .with_weight(rng.range(0.5, 5.0))
+        })
+        .collect();
+    let ctx = PolicyCtx::default();
+    for (name, direct) in [
+        ("list-lpt", list_schedule(&jobs, m, JobOrder::Lpt)),
+        (
+            "backfill-easy",
+            backfill_schedule(&jobs, m, &[], BackfillPolicy::Easy),
+        ),
+        (
+            "bicriteria",
+            bicriteria_schedule(&jobs, m, BiCriteriaParams::default()),
+        ),
+    ] {
+        let policy = by_name(name).expect("registered");
+        assert_eq!(policy.schedule(&jobs, m, &ctx), direct, "{name}");
+    }
+}
