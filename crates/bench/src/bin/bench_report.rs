@@ -346,7 +346,7 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
     let run = des_online(&policy, &jobs, m, &ctx);
     let ns = t0.elapsed().as_nanos() as u64;
     assert_eq!(run.records.len(), n);
-    assert_eq!(run.replan_touched, Some(n as u64));
+    assert_eq!(run.replan_touched, n as u64);
     push(&mut ops, "des_online_100k", n, ns);
 
     // Open-arrival steady state: a million completions at ρ = 0.9 through

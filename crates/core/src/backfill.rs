@@ -300,8 +300,9 @@ pub(crate) fn easy_pass(
     let mut events: BinaryHeap<Reverse<Time>> = BinaryHeap::new();
     let mut next = 0usize; // first not-yet-released job in `order`
     let mut queue: Vec<usize> = Vec::new(); // indices into `order`, FCFS
-                                            // Running bookings with their TRUE completion; the estimate tail is
-                                            // released when the job actually finishes.
+
+    // Running bookings with their TRUE completion; the estimate tail is
+    // released when the job actually finishes.
     let mut running: Vec<(lsps_platform::BookingId, Time)> = Vec::new();
     if let Some(j) = order.first() {
         events.push(Reverse(j.release));

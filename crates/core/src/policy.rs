@@ -29,14 +29,12 @@
 //!
 //! [`Policy::schedule_pending`] is a *full replan*: every call rebuilds
 //! the availability state from the committed set before scheduling the
-//! batch. Event-driven callers that decide at every arrival/completion
-//! can instead ask for a persistent [`Policy::incremental_planner`],
-//! which keeps one timeline alive across decisions and does per-event
-//! work proportional to the **dirty window** — the new batch and the
-//! bookings that actually changed — instead of to everything live. The
-//! dirty-window invariant and the bit-identity argument live in
-//! [`crate::replan`]; the full-replan path stays as the differential
-//! oracle.
+//! batch. Event-driven callers decide through a persistent
+//! [`Policy::incremental_planner`]: [`FullReplan`] over `schedule_pending`
+//! by default, while the backfill family keeps one timeline alive and does
+//! per-event work proportional to the **dirty window** — the new batch and
+//! the bookings that actually changed. The invariant and the bit-identity
+//! argument live in [`crate::replan`].
 
 use std::borrow::Cow;
 
@@ -53,7 +51,7 @@ use crate::malleable::{deq_schedule, MalleableSchedule};
 use crate::mrt::{mrt_schedule, MrtParams};
 use crate::nonclairvoyant::exponential_trial_schedule;
 use crate::outcome::{Outcome, OutcomeKind, OutcomeRun};
-use crate::replan::{BackfillPlanner, IncrementalPlanner};
+use crate::replan::{BackfillPlanner, FullReplan, IncrementalPlanner};
 use crate::schedule::{Assignment, Schedule};
 use crate::shelf::{shelf_schedule, ShelfAlgo};
 use crate::smart::smart_schedule;
@@ -350,18 +348,17 @@ pub trait Policy: Send + Sync {
         }
     }
 
-    /// Persistent incremental planner for event-driven callers, or `None`
-    /// (the default) when the policy only supports the full-replan
-    /// [`schedule_pending`](Policy::schedule_pending) path. A returned
-    /// planner must produce placements bit-identical to the full replan —
+    /// Persistent planner for event-driven callers: [`FullReplan`] over
+    /// [`schedule_pending`](Policy::schedule_pending) by default. An
+    /// override must produce placements bit-identical to the full replan —
     /// it is an accelerator, never a different policy; see
     /// [`crate::replan`] for the invariant.
-    fn incremental_planner(
-        &self,
-        _m: usize,
-        _ctx: &PolicyCtx,
-    ) -> Option<Box<dyn IncrementalPlanner>> {
-        None
+    fn incremental_planner<'a>(
+        &'a self,
+        m: usize,
+        ctx: &'a PolicyCtx,
+    ) -> Box<dyn IncrementalPlanner + 'a> {
+        Box::new(FullReplan::new(self, m, ctx))
     }
 }
 
@@ -562,12 +559,12 @@ impl Policy for Backfilling {
         backfill_on_timeline(&jobs, m, tl, self.flavour, ctx.estimate_factor)
     }
 
-    fn incremental_planner(
-        &self,
+    fn incremental_planner<'a>(
+        &'a self,
         m: usize,
-        ctx: &PolicyCtx,
-    ) -> Option<Box<dyn IncrementalPlanner>> {
-        Some(Box::new(BackfillPlanner::new(self.flavour, m, ctx)))
+        ctx: &'a PolicyCtx,
+    ) -> Box<dyn IncrementalPlanner + 'a> {
+        Box::new(BackfillPlanner::new(self.flavour, m, ctx))
     }
 }
 

@@ -1,12 +1,12 @@
-//! Incremental replanning: persistent planner state for event-driven
+//! Online planners: persistent scheduler state for event-driven
 //! execution.
 //!
-//! The online executor calls [`crate::policy::Policy::schedule_pending`]
-//! at every arrival/completion instant. The default implementation is a
-//! *full replan*: rebuild a fresh [`Timeline`], re-book every live
-//! commitment, re-place every reservation, then schedule the new batch —
-//! O(live) work per event, O(n²) over a trace. For the backfill family
-//! that rebuild is provably redundant, and this module removes it.
+//! Every online decision goes through one [`IncrementalPlanner`]. The
+//! default, [`FullReplan`], calls [`Policy::schedule_pending`] at every
+//! arrival/completion instant: it re-books every live commitment,
+//! re-places every reservation, then schedules the batch — O(live) work
+//! per event, O(n²) over a trace. For the backfill family that rebuild is
+//! provably redundant, and [`BackfillPlanner`] removes it.
 //!
 //! # The dirty-window invariant
 //!
@@ -44,31 +44,30 @@
 //! pointwise from `now` on expose identical boundary sets there. Hence
 //! the planner's placements are **bit-identical** to the full replan's —
 //! the property the differential tests in `lsps_scenario` pin down, with
-//! the retained full-replan path as the oracle.
+//! [`FullReplan`] as the oracle.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
 use lsps_des::Time;
-use lsps_platform::{BookingId, BookingKind, Timeline};
+use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
 use crate::backfill::{
     book_reservations, conservative_pass, easy_pass, fcfs_order, BackfillPolicy,
 };
-use crate::policy::PolicyCtx;
+use crate::policy::{PinnedBooking, Policy, PolicyCtx};
 use crate::schedule::Schedule;
 
-/// Persistent incremental scheduler state behind
-/// [`Policy::incremental_planner`](crate::policy::Policy::incremental_planner).
+/// Persistent scheduler state behind [`Policy::incremental_planner`].
 ///
 /// The contract mirrors `schedule_pending` split across calls: the caller
 /// invokes [`advance`](IncrementalPlanner::advance) then
 /// [`plan`](IncrementalPlanner::plan) at every decision instant with
-/// non-decreasing `now`, handing over only the **newly pending** jobs
-/// (already [`prepare`](crate::policy::Policy::prepare)d); the returned
-/// schedule must equal what the full-replan path would produce, and its
-/// assignments are committed by the caller verbatim.
+/// non-decreasing `now`, handing over every job still pending (already
+/// [`prepare`](Policy::prepare)d); the assignments of a placed batch are
+/// committed by the caller verbatim. Every planner's placements equal
+/// [`FullReplan`]'s for the same policy.
 pub trait IncrementalPlanner {
     /// Release everything that completed at or before `now`. Must be
     /// called with non-decreasing `now`.
@@ -80,12 +79,16 @@ pub trait IncrementalPlanner {
     /// lands in `out`, which the caller hands back cleared each decision —
     /// planners run once per event, so the schedule buffer is recycled
     /// rather than reallocated.
-    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule);
+    ///
+    /// Returns `false` when the planner *defers*: it placed nothing, and
+    /// the jobs stay pending until a later decision. Otherwise every
+    /// pending job is placed.
+    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool;
 
     /// Jobs examined across all [`plan`](IncrementalPlanner::plan) calls —
     /// the instrumentation the O(dirty) regression tests read. A full
-    /// replan would count O(live + batch) per event; an incremental
-    /// planner counts O(batch).
+    /// replan counts O(live + batch) per event; an incremental planner
+    /// counts O(batch).
     fn touched(&self) -> u64;
 
     /// `(booking, true_end)` pairs created by the **last**
@@ -93,29 +96,121 @@ pub trait IncrementalPlanner {
     /// placements it wrote into `out` (insertion order). Failure-aware
     /// executors read this to associate each commitment with its planner
     /// booking, so a later kill can name the booking to evict.
-    ///
-    /// Default: volatility unsupported — fail loudly rather than let a
-    /// failure-blind planner drift from the oracle.
-    fn last_created(&self) -> &[(BookingId, Time)] {
-        unimplemented!("this planner does not support node volatility")
-    }
+    fn last_created(&self) -> &[(BookingId, Time)];
 
     /// Evict a still-live booking: the commitment behind it was killed by
     /// a node failure. This is the explicit relaxation of the
     /// "commitments are final" invariant — the booked interval leaves the
     /// profile *now*, and the planner must keep the dirty-window invariant
     /// against an oracle that no longer re-books the dead commitment.
-    fn invalidate(&mut self, id: BookingId) {
-        let _ = id;
-        unimplemented!("this planner does not support node volatility")
-    }
+    fn invalidate(&mut self, id: BookingId);
 
     /// Book a node outage: processor `node` is unavailable on
     /// `[start, end)`. The window expires off the profile at `end` exactly
-    /// like a completed commitment, matching the full replan's `gc`.
+    /// like a completed commitment.
+    fn add_outage(&mut self, node: u32, start: Time, end: Time);
+}
+
+/// The full replan: every decision hands the live commitments to
+/// [`Policy::schedule_pending`] and books the result. The default planner,
+/// and the oracle [`BackfillPlanner`] is tested against. A policy that
+/// cannot fill holes around running work (no [`Policy::supports_pinned`])
+/// defers while any commitment is live, so arrivals accumulate and the
+/// batch is scheduled when the machine drains — the paper's §4.2 online
+/// batch transformation.
+pub struct FullReplan<'a, P: Policy + ?Sized> {
+    policy: &'a P,
+    m: usize,
+    ctx: &'a PolicyCtx,
+    /// Live commitments and outage windows; `advance` garbage-collects
+    /// completed work, so a multi-day trace never accumulates dead
+    /// bookings.
+    committed: Timeline,
+    /// `(booking, end)` of every placement of the last `plan` call.
+    created: Vec<(BookingId, Time)>,
+    touched: u64,
+}
+
+impl<'a, P: Policy + ?Sized> FullReplan<'a, P> {
+    /// A full-replan planner for `policy` on `m` processors under `ctx`.
+    pub fn new(policy: &'a P, m: usize, ctx: &'a PolicyCtx) -> Self {
+        FullReplan {
+            policy,
+            m,
+            ctx,
+            committed: Timeline::with_procs(m),
+            created: Vec::new(),
+            touched: 0,
+        }
+    }
+}
+
+impl<P: Policy + ?Sized> IncrementalPlanner for FullReplan<'_, P> {
+    fn advance(&mut self, now: Time) {
+        // Completed commitments no longer constrain placement.
+        self.committed.gc(now);
+    }
+
+    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool {
+        self.created.clear();
+        if self.committed.n_bookings() > 0 && !self.policy.supports_pinned() {
+            // Hole-blind policy with work still running: keep
+            // accumulating. The final completion of the running batch
+            // re-invokes us with an empty commitment set.
+            return false;
+        }
+        let live: Vec<PinnedBooking> = self
+            .committed
+            .bookings()
+            .map(|(_, b)| PinnedBooking {
+                start: b.start,
+                end: b.end,
+                procs: b.procs.clone(),
+            })
+            .collect();
+        self.touched += (pending.len() + live.len()) as u64;
+        *out = self
+            .policy
+            .schedule_pending(pending, self.m, now, &live, self.ctx);
+        for a in out.assignments() {
+            let bk = self
+                .committed
+                .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "{}: commitment for job {} collides with running work: {e}",
+                        self.policy.name(),
+                        a.job
+                    )
+                });
+            self.created.push((bk, a.end));
+        }
+        true
+    }
+
+    fn touched(&self) -> u64 {
+        self.touched
+    }
+
+    fn last_created(&self) -> &[(BookingId, Time)] {
+        &self.created
+    }
+
+    fn invalidate(&mut self, id: BookingId) {
+        self.committed
+            .remove(id)
+            .expect("killed booking still present");
+    }
+
     fn add_outage(&mut self, node: u32, start: Time, end: Time) {
-        let _ = (node, start, end);
-        unimplemented!("this planner does not support node volatility")
+        self.committed
+            .try_book(
+                start,
+                end,
+                ProcSet::from_indices([node as usize]),
+                BookingKind::Reservation,
+            )
+            .unwrap_or_else(|e| panic!("outage on node {node} collides: {e:?}"));
     }
 }
 
@@ -193,7 +288,7 @@ impl IncrementalPlanner for BackfillPlanner {
         }
     }
 
-    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) {
+    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool {
         debug_assert!(
             out.is_empty(),
             "caller hands the scratch schedule back cleared"
@@ -202,7 +297,7 @@ impl IncrementalPlanner for BackfillPlanner {
         // *this* call, never a stale predecessor.
         self.created.clear();
         if pending.is_empty() {
-            return;
+            return true;
         }
         self.touched += pending.len() as u64;
         self.bumped.clear();
@@ -236,6 +331,7 @@ impl IncrementalPlanner for BackfillPlanner {
                 self.expiry.push(Reverse((true_end, bk)));
             }
         }
+        true
     }
 
     fn touched(&self) -> u64 {
@@ -260,12 +356,103 @@ impl IncrementalPlanner for BackfillPlanner {
             .try_book(
                 start,
                 end,
-                lsps_platform::ProcSet::from_indices([node as usize]),
+                ProcSet::from_indices([node as usize]),
                 BookingKind::Reservation,
             )
             .unwrap_or_else(|e| {
                 panic!("outage [{start:?}, {end:?}) on node {node} collides: {e:?}")
             });
         self.expiry.push(Reverse((end, id)));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::list::JobOrder;
+    use crate::policy::{Backfilling, ListScheduling};
+    use lsps_des::Dur;
+
+    fn d(ticks: u64) -> Dur {
+        Dur::from_ticks(ticks)
+    }
+
+    fn t(ticks: u64) -> Time {
+        Time::from_ticks(ticks)
+    }
+
+    /// `list-fcfs` cannot fill holes: while the first batch runs, later
+    /// arrivals wait — `plan` defers, places nothing and examines nothing.
+    /// The first decision after `advance` passes the last end places the
+    /// accumulated batch exactly as `schedule_pending`'s batch path does.
+    #[test]
+    fn hole_blind_full_replan_defers_until_the_machine_drains() {
+        let policy = ListScheduling::new(JobOrder::Fcfs);
+        let ctx = PolicyCtx::default();
+        let m = 2;
+        let mut planner = FullReplan::new(&policy, m, &ctx);
+        let mut out = Schedule::new(m);
+        planner.advance(t(0));
+        assert!(planner.plan(&[Job::rigid(1, 1, d(100))], t(0), &mut out));
+        assert_eq!(out.len(), 1);
+        assert_eq!(planner.touched(), 1, "one pending job, nothing live");
+        // Processor 1 idles, but the batch waits for the drain.
+        let later = [
+            Job::rigid(2, 1, d(10)).released_at(t(10)),
+            Job::rigid(3, 2, d(5)).released_at(t(20)),
+        ];
+        for now in [10, 20, 99] {
+            planner.advance(t(now));
+            out.clear();
+            assert!(!planner.plan(&later, t(now), &mut out), "placed at {now}");
+            assert!(out.is_empty() && planner.last_created().is_empty());
+            assert_eq!(planner.touched(), 1, "a deferred decision examines nothing");
+        }
+        planner.advance(t(100));
+        out.clear();
+        assert!(planner.plan(&later, t(100), &mut out));
+        assert_eq!(out, policy.schedule_pending(&later, m, t(100), &[], &ctx));
+        assert_eq!(planner.last_created().len(), 2);
+        assert_eq!(planner.touched(), 1 + 2);
+    }
+
+    /// Backfilling honours pinned bookings, so its full replan never
+    /// defers: a short job lands in the hole beside a live commitment, and
+    /// the decision examines the pending job plus the live one.
+    #[test]
+    fn pinned_capable_full_replan_fills_holes_around_live_work() {
+        let policy = Backfilling::conservative();
+        let ctx = PolicyCtx::default();
+        let m = 2;
+        let mut planner = FullReplan::new(&policy, m, &ctx);
+        let mut out = Schedule::new(m);
+        planner.advance(t(0));
+        assert!(planner.plan(&[Job::rigid(1, 1, d(100))], t(0), &mut out));
+        let live = PinnedBooking {
+            start: t(0),
+            end: t(100),
+            procs: out.assignments()[0].procs.clone(),
+        };
+        let hole = [Job::rigid(2, 1, d(10)).released_at(t(10))];
+        planner.advance(t(10));
+        out.clear();
+        assert!(
+            planner.plan(&hole, t(10), &mut out),
+            "backfilling never defers"
+        );
+        assert_eq!(
+            out,
+            policy.schedule_pending(&hole, m, t(10), std::slice::from_ref(&live), &ctx)
+        );
+        let a = &out.assignments()[0];
+        assert_eq!(a.start, t(10));
+        assert!(a.procs.is_disjoint(&live.procs));
+        assert_eq!(planner.last_created().len(), 1);
+        assert_eq!(planner.last_created()[0].1, t(20));
+        assert_eq!(
+            planner.touched(),
+            1 + (1 + 1),
+            "pending + live per decision"
+        );
     }
 }

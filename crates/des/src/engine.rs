@@ -3,8 +3,7 @@
 //! A [`Model`] owns the domain state (clusters, queues, jobs…) and reacts to
 //! its own event type; the [`Simulation`] owns the clock and the event queue
 //! and drives the model. The model schedules future events through the
-//! [`Ctx`] handle it receives on every callback, which also carries the
-//! execution trace.
+//! [`Ctx`] handle it receives on every callback.
 //!
 //! The engine enforces the causality invariant: a model may never schedule an
 //! event strictly in the past (it may schedule at `now`, which re-enters the
@@ -12,7 +11,6 @@
 
 use crate::queue::{EventKey, EventQueue};
 use crate::time::Time;
-use crate::trace::Trace;
 
 /// Domain logic plugged into a [`Simulation`].
 pub trait Model {
@@ -28,7 +26,6 @@ pub trait Model {
 pub struct Ctx<'a, E> {
     now: Time,
     queue: &'a mut EventQueue<E>,
-    trace: &'a mut Trace,
 }
 
 impl<'a, E> Ctx<'a, E> {
@@ -63,11 +60,6 @@ impl<'a, E> Ctx<'a, E> {
     pub fn cancel(&mut self, key: EventKey) -> bool {
         self.queue.cancel(key)
     }
-
-    /// Append a line to the execution trace (no-op when tracing is off).
-    pub fn trace(&mut self, text: impl FnOnce() -> String) {
-        self.trace.record(self.now, text);
-    }
 }
 
 /// Counters reported by the [`Simulation::run_to_completion`] /
@@ -92,7 +84,6 @@ pub struct Simulation<M: Model> {
     now: Time,
     queue: EventQueue<M::Event>,
     model: M,
-    trace: Trace,
     dispatched: u64,
     peak_live: usize,
     peak_heap: usize,
@@ -105,17 +96,10 @@ impl<M: Model> Simulation<M> {
             now: Time::ZERO,
             queue: EventQueue::new(),
             model,
-            trace: Trace::disabled(),
             dispatched: 0,
             peak_live: 0,
             peak_heap: 0,
         }
-    }
-
-    /// Enable execution tracing, keeping at most `capacity` most recent lines.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace = Trace::enabled(capacity);
-        self
     }
 
     /// Current simulated time.
@@ -126,16 +110,6 @@ impl<M: Model> Simulation<M> {
     /// Immutable access to the domain model.
     pub fn model(&self) -> &M {
         &self.model
-    }
-
-    /// Mutable access to the domain model (for setup between runs).
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
-    /// The execution trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Seed the agenda before running.
@@ -177,7 +151,6 @@ impl<M: Model> Simulation<M> {
                 let mut ctx = Ctx {
                     now: at,
                     queue: &mut self.queue,
-                    trace: &mut self.trace,
                 };
                 self.model.handle(at, event, &mut ctx);
                 self.dispatched += 1;
@@ -351,23 +324,5 @@ mod tests {
         let mut sim = Simulation::new(Bad);
         sim.schedule_at(Time::from_ticks(5), ());
         sim.run_to_completion(10);
-    }
-
-    #[test]
-    fn trace_records_when_enabled() {
-        struct Talks;
-        impl Model for Talks {
-            type Event = u32;
-            fn handle(&mut self, _: Time, e: u32, ctx: &mut Ctx<'_, u32>) {
-                ctx.trace(|| format!("saw {e}"));
-            }
-        }
-        let mut sim = Simulation::new(Talks).with_trace(16);
-        sim.schedule_at(Time::from_ticks(3), 7);
-        sim.run_to_completion(10);
-        let lines: Vec<_> = sim.trace().entries().collect();
-        assert_eq!(lines.len(), 1);
-        assert_eq!(lines[0].text, "saw 7");
-        assert_eq!(lines[0].at, Time::from_ticks(3));
     }
 }

@@ -42,7 +42,6 @@ pub mod online;
 pub mod queue;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Ctx, Model, RunStats, Simulation};
 pub use online::{
@@ -51,7 +50,6 @@ pub use online::{
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use time::{Dur, Time, TICKS_PER_SEC};
-pub use trace::{Trace, TraceEntry};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {

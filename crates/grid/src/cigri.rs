@@ -331,7 +331,6 @@ impl Model for CigriSim {
     fn handle(&mut self, now: Time, event: CigriEvent, ctx: &mut Ctx<'_, CigriEvent>) {
         match event {
             CigriEvent::LocalSubmit { cluster, job } => {
-                ctx.trace(|| format!("cluster {cluster}: local submit {}", job.id));
                 self.submit_local(now, cluster, job, ctx);
             }
             CigriEvent::LocalEnd { cluster, slot } => {
@@ -355,12 +354,6 @@ impl Model for CigriSim {
                 self.wake_server(now, ctx);
             }
             CigriEvent::CampaignSubmit(campaign) => {
-                ctx.trace(|| {
-                    format!(
-                        "campaign {}: {} runs × {}",
-                        campaign.id, campaign.n_runs, campaign.run_len
-                    )
-                });
                 self.be_total += campaign.n_runs as u64;
                 for _ in 0..campaign.n_runs {
                     self.queue.push_back(campaign.run_len);

@@ -515,7 +515,8 @@ impl CampaignPlan {
                     outages: trace.generate(m, &mut SimRng::seed_from(trace_seed)),
                     policy: failure.policy,
                 };
-                let out = des_online_volatile(policy, jobs, m, &ctx, &plan, true);
+                let planner = policy.incremental_planner(m, &ctx);
+                let out = des_online_volatile(policy, jobs, m, &ctx, &plan, planner);
                 failures = Some(out.failures);
                 (out.jobs, out.records, None)
             }
@@ -1162,6 +1163,17 @@ mod tests {
             panic!("an unparsable trace file is a trace error");
         };
         assert!(error.starts_with("trace parse error"), "{error}");
+        let dup = dir.join("dup.swf");
+        std::fs::write(&dup, "10 0 -1 60 1\n10 5 -1 30 1\n").unwrap();
+        let (spec, opts) = trace_spec(WorkloadSource::SwfFile(dup.display().to_string()));
+        let Some(CampaignError::Trace { error, .. }) = CampaignPlan::expand(&spec, &opts).err()
+        else {
+            panic!("a duplicate job id is a trace error");
+        };
+        assert_eq!(
+            error,
+            "trace parse error at line 2: duplicate job id j10 (first at line 1)"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

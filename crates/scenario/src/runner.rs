@@ -13,10 +13,11 @@
 //!   `lsps-des` event engine, cross-checking static against event-driven
 //!   accounting;
 //! * [`Executor::DesOnline`] — *drive* the policy event-by-event: arrivals
-//!   enqueue into a pending set and every arrival/completion instant
-//!   re-invokes [`Policy::schedule_pending`] over the current timeline, so
-//!   estimate-driven and non-clairvoyant behaviour is exercised in the
-//!   regime where it actually differs (see [`des_online`]).
+//!   enqueue into a pending set and every arrival/completion instant asks
+//!   the policy's [`IncrementalPlanner`] to place it around the live
+//!   commitments, so estimate-driven and non-clairvoyant behaviour is
+//!   exercised in the regime where it actually differs (see
+//!   [`des_online`]).
 //!
 //! Open (steady-state) entries run an unbounded stream through
 //! [`des_online_open`], and volatile platforms kill and resubmit work
@@ -29,7 +30,7 @@ use std::str::FromStr;
 use serde::{Deserialize, Serialize};
 
 use lsps_core::outcome::OutcomeKind;
-use lsps_core::policy::{PinnedBooking, Policy, PolicyCtx, PolicyRun, ReleaseMode};
+use lsps_core::policy::{Policy, PolicyCtx, PolicyRun, ReleaseMode};
 use lsps_core::replan::IncrementalPlanner;
 use lsps_core::schedule::{Assignment, Schedule};
 use lsps_des::{
@@ -39,7 +40,7 @@ use lsps_des::{
 use lsps_metrics::{
     ClassResponse, CompletedJob, Criteria, CriteriaAcc, FailureStats, SteadyState, Summary,
 };
-use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
+use lsps_platform::{BookingId, ProcSet};
 use lsps_workload::{FailurePolicy, Job, JobId, JobKind, Outage};
 
 use crate::spec::OpenEntry;
@@ -56,9 +57,9 @@ pub enum Executor {
     /// times, cross-checking the static view against the event-driven one.
     DesReplay,
     /// Drive the policy online: jobs arrive at their release dates and
-    /// every arrival/completion instant re-invokes
-    /// [`Policy::schedule_pending`] over the current timeline. The only
-    /// executor in which *when* the policy learns a job exists matters.
+    /// every arrival/completion instant re-plans the pending set through
+    /// the policy's [`IncrementalPlanner`]. The only executor in which
+    /// *when* the policy learns a job exists matters.
     DesOnline,
 }
 
@@ -319,38 +320,21 @@ pub fn des_replay(schedule: &Schedule, jobs: &[Job]) -> Vec<CompletedJob> {
 }
 
 /// The [`lsps_des::Dispatcher`] that turns a [`Policy`] into an online
-/// decision procedure.
-///
-/// Pinned-capable policies (backfilling) decide at every event: the whole
-/// pending set plus the still-live commitments go to
-/// [`Policy::schedule_pending`] and the result is committed in full. Any
-/// other policy cannot fill holes around running work, so arrivals
-/// *accumulate* while commitments are live and the batch is scheduled when
-/// the machine drains — the paper's §4.2 online batch transformation, with
-/// the drain instant delivered by the completion event instead of a
-/// hand-rolled loop.
+/// decision procedure: at every decision instant its
+/// [`IncrementalPlanner`] advances to `now` and plans the pending set, and
+/// a placed batch is committed in full. A planner that defers (the
+/// [`FullReplan`](lsps_core::replan::FullReplan) of a hole-blind policy
+/// while work is running) leaves the set pending for a later instant.
 struct PolicyDispatch<'a> {
     policy: &'a dyn Policy,
-    m: usize,
-    ctx: &'a PolicyCtx,
-    /// Live commitments, tracked on a real availability [`Timeline`]: the
-    /// long-running loop garbage-collects completed work out of the
-    /// profile every decision instant, so a multi-day trace never
-    /// accumulates dead bookings. The policy still sees plain
-    /// exact-processor [`PinnedBooking`]s.
-    committed: Timeline,
     /// Aggregate of every commitment, for end-of-run validation. `None`
     /// on the open (steady-state) path, where retaining one assignment
     /// per job would grow without bound over an unbounded stream, and on
     /// the volatile path, where a killed job commits more than once.
     schedule: Option<Schedule>,
-    /// Persistent incremental planner, when the policy offers one
-    /// ([`Policy::incremental_planner`]). Its placements are bit-identical
-    /// to the full-replan path below — the differential tests in this
-    /// module drive both and compare — but each event costs O(batch)
-    /// instead of an O(live) availability rebuild, and the planner's own
-    /// expiry heap subsumes the `committed` bookkeeping entirely.
-    planner: Option<Box<dyn IncrementalPlanner>>,
+    /// The policy's planner ([`Policy::incremental_planner`]), or the
+    /// full-replan oracle of the differential tests.
+    planner: Box<dyn IncrementalPlanner + 'a>,
     /// Scratch schedule the planner fills each decision — cleared and
     /// reused so the per-event path performs no allocation.
     plan_scratch: Schedule,
@@ -387,64 +371,21 @@ impl Dispatcher for PolicyDispatch<'_> {
     type Job = Job;
 
     fn decide(&mut self, now: Time, pending: &mut Vec<Job>, out: &mut Vec<Commitment<Job>>) {
-        let full: Schedule;
-        let booked: Vec<(BookingId, Time)>;
-        // This decision's placements, plus — where a kill must be able to
-        // name it — the booking behind each, aligned 1:1.
-        let (placed, bookings) = if let Some(planner) = self.planner.as_deref_mut() {
-            planner.advance(now);
-            self.plan_scratch.clear();
-            planner.plan(pending, now, &mut self.plan_scratch);
-            let created = self.volatile.is_some().then(|| planner.last_created());
-            (&self.plan_scratch, created)
-        } else {
-            // Completed commitments no longer constrain placement.
-            self.committed.gc(now);
-            if self.committed.n_bookings() > 0 && !self.policy.supports_pinned() {
-                // Hole-blind policy with work still running: keep
-                // accumulating. The final completion of the running batch
-                // re-invokes us with an empty commitment set.
-                return;
-            }
-            let live: Vec<PinnedBooking> = self
-                .committed
-                .bookings()
-                .map(|(_, b)| PinnedBooking {
-                    start: b.start,
-                    end: b.end,
-                    procs: b.procs.clone(),
-                })
-                .collect();
-            full = self
-                .policy
-                .schedule_pending(pending, self.m, now, &live, self.ctx);
-            booked = full
-                .assignments()
-                .iter()
-                .map(|a| {
-                    let bk = self
-                        .committed
-                        .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "{}: commitment for job {} collides with running work: {e}",
-                                self.policy.name(),
-                                a.job
-                            )
-                        });
-                    (bk, a.end)
-                })
-                .collect();
-            (&full, Some(booked.as_slice()))
-        };
-        if let Some(bookings) = bookings {
-            assert_eq!(
-                bookings.len(),
-                placed.assignments().len(),
-                "bookings must align 1:1 with placements"
-            );
+        self.planner.advance(now);
+        self.plan_scratch.clear();
+        if !self.planner.plan(pending, now, &mut self.plan_scratch) {
+            // Deferred: the jobs stay pending for a later decision.
+            return;
         }
-        for (i, a) in placed.assignments().iter().enumerate() {
+        let placed = self.plan_scratch.assignments();
+        // The booking behind each placement, so a kill can name it.
+        let bookings = self.planner.last_created();
+        assert_eq!(
+            bookings.len(),
+            placed.len(),
+            "bookings must align 1:1 with placements"
+        );
+        for (a, &(booking, _)) in placed.iter().zip(bookings) {
             // Drain the job by linear scan — decision batches are dirty
             // windows of a handful of jobs, so a scan beats building a
             // `HashMap` per decision, on every event of an open stream.
@@ -452,11 +393,11 @@ impl Dispatcher for PolicyDispatch<'_> {
                 panic!("{}: scheduled unknown job {}", self.policy.name(), a.job)
             };
             let job = pending.swap_remove(at);
-            if let (Some(vol), Some(bookings)) = (&mut self.volatile, bookings) {
+            if let Some(vol) = &mut self.volatile {
                 vol.live.insert(
                     a.job,
                     LiveBooking {
-                        booking: bookings[i].0,
+                        booking,
                         procs: a.procs.clone(),
                     },
                 );
@@ -492,8 +433,8 @@ impl Dispatcher for PolicyDispatch<'_> {
             .as_mut()
             .expect("volatility events reached a reliable-platform dispatcher");
         let node_idx = node as usize;
-        // Victims in slot order (deterministic, shared by the planner and
-        // full-replan paths): every commitment holding the failed node over
+        // Victims in slot order (deterministic, whichever planner runs):
+        // every commitment holding the failed node over
         // part of the outage window. `end == now` survives — the FIFO
         // tie-break fires this NodeDown before the same-instant Finish, and
         // a job that completed the instant the node died lost nothing.
@@ -509,14 +450,7 @@ impl Dispatcher for PolicyDispatch<'_> {
                 continue;
             }
             let lb = vol.live.remove(&c.job.id).expect("checked above");
-            match self.planner.as_deref_mut() {
-                Some(planner) => planner.invalidate(lb.booking),
-                None => {
-                    self.committed
-                        .remove(lb.booking)
-                        .expect("killed booking still present");
-                }
-            }
+            self.planner.invalidate(lb.booking);
             kill.push(slot);
             // Recovery accounting, in ticks. The commitment's span is the
             // job's *current* (possibly checkpoint-trimmed) length, so the
@@ -552,47 +486,25 @@ impl Dispatcher for PolicyDispatch<'_> {
         // The node is gone until `up`: pin the outage window so every
         // subsequent placement (the resubmits included) plans around it.
         // It expires off the profile at the repair instant exactly like a
-        // completed commitment, on both paths.
-        match self.planner.as_deref_mut() {
-            Some(planner) => planner.add_outage(node, now, up),
-            None => {
-                self.committed
-                    .try_book(
-                        now,
-                        up,
-                        ProcSet::from_indices([node_idx]),
-                        BookingKind::Reservation,
-                    )
-                    .unwrap_or_else(|e| panic!("outage on node {node} collides: {e:?}"));
-            }
-        }
+        // completed commitment.
+        self.planner.add_outage(node, now, up);
     }
 }
 
 impl<'a> PolicyDispatch<'a> {
-    /// A dispatcher for `policy` on `m` processors. `use_planner` takes the
-    /// policy's incremental planner when it offers one (`false` is the
-    /// full-replan oracle of the differential tests); `retain` keeps the
-    /// end-of-run [`Schedule`].
+    /// A dispatcher for `policy` on `m` processors, deciding through
+    /// `planner`; `retain` keeps the end-of-run [`Schedule`].
     fn new(
         policy: &'a dyn Policy,
         m: usize,
-        ctx: &'a PolicyCtx,
-        use_planner: bool,
+        planner: Box<dyn IncrementalPlanner + 'a>,
         retain: bool,
         volatile: Option<VolatileState>,
     ) -> Self {
         PolicyDispatch {
             policy,
-            m,
-            ctx,
-            committed: Timeline::with_procs(m),
             schedule: retain.then(|| Schedule::new(m)),
-            planner: if use_planner {
-                policy.incremental_planner(m, ctx)
-            } else {
-                None
-            },
+            planner,
             plan_scratch: Schedule::new(m),
             volatile,
         }
@@ -670,16 +582,16 @@ pub struct OnlineRun {
     pub records: Vec<CompletedJob>,
     /// Engine counters (arrivals + decisions + completions).
     pub stats: RunStats,
-    /// Jobs the incremental planner examined over the whole run, when one
-    /// was active (`None` on the full-replan path) — the instrumentation
-    /// the O(dirty) regression tests read.
-    pub replan_touched: Option<u64>,
+    /// Jobs the planner examined over the whole run — the
+    /// instrumentation the O(dirty) regression tests read.
+    pub replan_touched: u64,
 }
 
 /// Drive `policy` through the event engine: every job arrives at its
 /// release date (at time zero under [`ReleaseMode::Offline`]), arrivals at
 /// the same instant coalesce into one decision, and each decision commits
-/// the pending set via [`Policy::schedule_pending`] around the live
+/// the pending set through the policy's
+/// [`incremental_planner`](Policy::incremental_planner) around the live
 /// commitments. Completions fire as events; nothing is ever started before
 /// its arrival, so the execution is honestly online.
 ///
@@ -688,29 +600,15 @@ pub struct OnlineRun {
 /// [`Executor::Direct`] — the equivalence the test suite pins for every
 /// registry policy.
 pub fn des_online(policy: &dyn Policy, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> OnlineRun {
-    finite_online(policy, jobs, m, ctx, true)
+    finite_online(policy, jobs, m, ctx, policy.incremental_planner(m, ctx))
 }
 
-/// [`des_online`] with the incremental planner disabled: every decision
-/// goes through the full-replan `schedule_pending` path. This is the
-/// differential *oracle* — slower but independently derived — that the
-/// planner's bit-identity tests compare against.
-#[cfg(test)]
-fn des_online_full_replan(
-    policy: &dyn Policy,
+fn finite_online<'a>(
+    policy: &'a dyn Policy,
     jobs: &[Job],
     m: usize,
     ctx: &PolicyCtx,
-) -> OnlineRun {
-    finite_online(policy, jobs, m, ctx, false)
-}
-
-fn finite_online(
-    policy: &dyn Policy,
-    jobs: &[Job],
-    m: usize,
-    ctx: &PolicyCtx,
-    use_planner: bool,
+    planner: Box<dyn IncrementalPlanner + 'a>,
 ) -> OnlineRun {
     // The as-scheduled view (rigidified, possibly release-stripped) fixes
     // the job shapes once, against the full instance — re-preparing inside
@@ -732,7 +630,7 @@ fn finite_online(
     arrivals.sort_by_key(|&(at, _)| at);
     let mut completed = Vec::with_capacity(prepared.len());
     let run = drive(
-        PolicyDispatch::new(policy, m, ctx, use_planner, true, None),
+        PolicyDispatch::new(policy, m, planner, true, None),
         arrivals.into_iter(),
         &[],
         // n arrivals + n completions + at most one decision per event.
@@ -741,7 +639,7 @@ fn finite_online(
         },
         |c| completed.push(c),
     );
-    let replan_touched = run.dispatch.planner.as_ref().map(|p| p.touched());
+    let replan_touched = run.dispatch.planner.touched();
     let schedule = run
         .dispatch
         .schedule
@@ -788,9 +686,10 @@ pub(crate) struct VolatileOutcome {
     pub(crate) failures: FailureStats,
     /// The prepared (as-scheduled) job view, for lower bounds.
     pub(crate) jobs: Vec<Job>,
-    /// Planner instrumentation (`None` on the full-replan oracle path).
+    /// Jobs the planner examined over the whole run (read by the
+    /// differential tests only).
     #[cfg_attr(not(test), allow(dead_code))]
-    replan_touched: Option<u64>,
+    replan_touched: u64,
 }
 
 /// Drive `policy` through the event engine over a *volatile* platform:
@@ -803,17 +702,17 @@ pub(crate) struct VolatileOutcome {
 /// around the hole.
 ///
 /// Restrictions (asserted): pinned-capable policy, [`ReleaseMode::Online`],
-/// identical machines, no reservations or pinned bookings. Both the
-/// incremental planner and the full-replan oracle (`use_planner = false`)
-/// run the same kill rule, so the two paths stay bit-identical — the
-/// differential property the failure proptests pin down.
-pub(crate) fn des_online_volatile(
-    policy: &dyn Policy,
+/// identical machines, no reservations or pinned bookings. The kill rule
+/// lives here, not in `planner`, so the policy's planner and the
+/// full-replan oracle stay bit-identical — the differential property the
+/// failure proptests pin down.
+pub(crate) fn des_online_volatile<'a>(
+    policy: &'a dyn Policy,
     jobs: &[Job],
     m: usize,
     ctx: &PolicyCtx,
     plan: &FailurePlan,
-    use_planner: bool,
+    planner: Box<dyn IncrementalPlanner + 'a>,
 ) -> VolatileOutcome {
     assert!(
         policy.supports_pinned(),
@@ -863,8 +762,7 @@ pub(crate) fn des_online_volatile(
         PolicyDispatch::new(
             policy,
             m,
-            ctx,
-            use_planner,
+            planner,
             false,
             Some(VolatileState {
                 checkpoint: plan.policy.checkpoint_period(),
@@ -881,7 +779,7 @@ pub(crate) fn des_online_volatile(
         },
         |c| completed.push(c),
     );
-    let replan_touched = run.dispatch.planner.as_ref().map(|p| p.touched());
+    let replan_touched = run.dispatch.planner.touched();
     let vol = run
         .dispatch
         .volatile
@@ -976,7 +874,7 @@ pub(crate) fn open_arrivals(
 /// Arrivals are pulled one ahead from the seeded stream, finished
 /// commitments are folded into streaming accumulators by the machine's
 /// sink instead of being retained, and the policy plans through the same
-/// `PolicyDispatch` paths as the finite driver — minus the end-of-run
+/// `PolicyDispatch` as the finite driver — minus the end-of-run
 /// schedule aggregate, which would grow with the stream. Memory is
 /// `O(live jobs + counted completions)`.
 ///
@@ -1005,7 +903,7 @@ pub fn des_online_open(
     let mut steady = SteadyState::new();
     let mut crit = CriteriaAcc::new();
     let run = drive(
-        PolicyDispatch::new(policy, m, ctx, true, false, None),
+        PolicyDispatch::new(policy, m, policy.incremental_planner(m, ctx), false, None),
         open_arrivals(open, m, seed),
         &[],
         Stop::Completions(open.stop_completions),
@@ -1105,6 +1003,7 @@ mod replan_tests {
     use super::*;
     use lsps_core::backfill::Reservation;
     use lsps_core::policy::Backfilling;
+    use lsps_core::replan::FullReplan;
     use lsps_des::{Dur, SimRng};
     use lsps_workload::FailureTraceSpec;
     use proptest::prelude::*;
@@ -1153,9 +1052,12 @@ mod replan_tests {
                 Box::new(Backfilling::conservative())
             };
             let fast = des_online(policy.as_ref(), &jobs, m, &ctx);
-            let slow = des_online_full_replan(policy.as_ref(), &jobs, m, &ctx);
-            prop_assert!(fast.replan_touched.is_some(), "planner must be active");
-            prop_assert!(slow.replan_touched.is_none(), "oracle must not use the planner");
+            let oracle = Box::new(FullReplan::new(policy.as_ref(), m, &ctx));
+            let slow = finite_online(policy.as_ref(), &jobs, m, &ctx, oracle);
+            prop_assert!(
+                slow.replan_touched >= fast.replan_touched,
+                "the oracle re-examines live work the planner skips"
+            );
             prop_assert_eq!(
                 fast.run.schedule.assignments(),
                 slow.run.schedule.assignments(),
@@ -1215,10 +1117,16 @@ mod replan_tests {
             } else {
                 Box::new(Backfilling::conservative())
             };
-            let fast = des_online_volatile(policy.as_ref(), &jobs, m, &ctx, &plan, true);
-            let slow = des_online_volatile(policy.as_ref(), &jobs, m, &ctx, &plan, false);
-            prop_assert!(fast.replan_touched.is_some(), "planner must be active");
-            prop_assert!(slow.replan_touched.is_none(), "oracle must not use the planner");
+            let policy = policy.as_ref();
+            let fast = des_online_volatile(
+                policy, &jobs, m, &ctx, &plan, policy.incremental_planner(m, &ctx),
+            );
+            let oracle = Box::new(FullReplan::new(policy, m, &ctx));
+            let slow = des_online_volatile(policy, &jobs, m, &ctx, &plan, oracle);
+            prop_assert!(
+                slow.replan_touched >= fast.replan_touched,
+                "the oracle re-examines live work the planner skips"
+            );
             prop_assert_eq!(&fast.records, &slow.records, "records diverged");
             prop_assert_eq!(&fast.failures, &slow.failures, "failure accounting diverged");
             prop_assert_eq!(fast.records.len(), jobs.len(), "every job completes once");
@@ -1256,8 +1164,12 @@ mod replan_tests {
         };
         let ctx = online_ctx(1.0);
         let policy = Backfilling::easy();
-        for use_planner in [true, false] {
-            let out = des_online_volatile(&policy, &jobs, 1, &ctx, &plan, use_planner);
+        let planners: [Box<dyn IncrementalPlanner>; 2] = [
+            policy.incremental_planner(1, &ctx),
+            Box::new(FullReplan::new(&policy, 1, &ctx)),
+        ];
+        for planner in planners {
+            let out = des_online_volatile(&policy, &jobs, 1, &ctx, &plan, planner);
             assert_eq!(out.failures.kills, 0, "boundary completion must survive");
             assert_eq!(out.failures.resubmits, 0);
             assert_eq!(out.failures.wasted_ticks, 0);
@@ -1301,7 +1213,7 @@ mod replan_tests {
                 outages: outages.clone(),
                 policy: FailurePolicy::Resubmit,
             },
-            true,
+            policy.incremental_planner(1, &ctx),
         );
         assert_eq!(resubmit.failures.kills, 1);
         assert_eq!(resubmit.failures.resubmits, 1);
@@ -1318,7 +1230,7 @@ mod replan_tests {
                 outages,
                 policy: FailurePolicy::Checkpoint { period_s: 3.0 },
             },
-            true,
+            policy.incremental_planner(1, &ctx),
         );
         assert_eq!(ckpt.failures.kills, 1);
         // 4 s of work, checkpoint at 3 s → 1 s lost, 7 s left: [6, 13).
@@ -1443,7 +1355,7 @@ mod replan_tests {
             let finite = des_online(policy, &jobs, m, &ctx);
             let mut streamed = Vec::new();
             drive(
-                PolicyDispatch::new(policy, m, &ctx, true, false, None),
+                PolicyDispatch::new(policy, m, policy.incremental_planner(m, &ctx), false, None),
                 open_arrivals(&open, m, seed),
                 &[],
                 Stop::Completions(open.stop_completions),
@@ -1482,7 +1394,7 @@ mod replan_tests {
         let ctx = online_ctx(1.0);
         for policy in [Backfilling::conservative(), Backfilling::easy()] {
             let run = des_online(&policy, &jobs, m, &ctx);
-            let touched = run.replan_touched.expect("planner active");
+            let touched = run.replan_touched;
             assert_eq!(
                 touched,
                 n as u64,

@@ -11,6 +11,7 @@
 //!   paper's criteria are used: job number, submit time, run time,
 //!   allocated processors.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use lsps_des::{Dur, Time};
@@ -38,6 +39,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Record `id`, read at 1-based `line`, in `seen`. A repeat is a parse
+/// error: a trace is an instance, and every consumer keys jobs by id.
+fn note_id(seen: &mut HashMap<JobId, usize>, id: JobId, line: usize) -> Result<(), ParseError> {
+    match seen.insert(id, line) {
+        None => Ok(()),
+        Some(first) => Err(ParseError {
+            line,
+            message: format!("duplicate job id {id} (first at line {first})"),
+        }),
+    }
+}
+
 /// Serialize jobs as JSON lines (one job per line).
 pub fn to_jsonl(jobs: &[Job]) -> String {
     let mut out = String::new();
@@ -49,9 +62,10 @@ pub fn to_jsonl(jobs: &[Job]) -> String {
 }
 
 /// Parse JSON lines produced by [`to_jsonl`]. Blank lines and `#` comments
-/// are ignored.
+/// are ignored; a repeated job id is an error.
 pub fn from_jsonl(text: &str) -> Result<Vec<Job>, ParseError> {
     let mut jobs = Vec::new();
+    let mut seen = HashMap::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -61,6 +75,7 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Job>, ParseError> {
             line: i + 1,
             message: e.to_string(),
         })?;
+        note_id(&mut seen, job.id, i + 1)?;
         jobs.push(job);
     }
     Ok(jobs)
@@ -72,9 +87,11 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Job>, ParseError> {
 /// `0` job number, `1` submit time (s), `2` wait (ignored), `3` run time
 /// (s), `4` allocated processors. Records with non-positive run time or
 /// processor count are skipped (SWF uses -1 for "unknown"), matching the
-/// archive's own cleaning conventions.
+/// archive's own cleaning conventions. A repeated job number among the
+/// kept records is an error.
 pub fn from_swf(text: &str) -> Result<Vec<Job>, ParseError> {
     let mut jobs = Vec::new();
+    let mut seen = HashMap::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with(';') || line.starts_with('#') {
@@ -100,6 +117,7 @@ pub fn from_swf(text: &str) -> Result<Vec<Job>, ParseError> {
         if run <= 0.0 || procs <= 0.0 {
             continue; // unknown / cancelled record
         }
+        note_id(&mut seen, JobId(id), i + 1)?;
         let user = fields
             .get(11)
             .and_then(|s| s.parse::<i64>().ok())
@@ -187,6 +205,18 @@ mod tests {
     }
 
     #[test]
+    fn jsonl_rejects_duplicate_ids() {
+        let jobs = vec![
+            Job::sequential(1, Dur::from_ticks(5)),
+            Job::sequential(2, Dur::from_ticks(5)),
+            Job::sequential(1, Dur::from_ticks(7)),
+        ];
+        let err = from_jsonl(&to_jsonl(&jobs)).unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(err.message, "duplicate job id j1 (first at line 1)");
+    }
+
+    #[test]
     fn swf_basic_import() {
         let text = "\
 ; SWF header comment
@@ -236,6 +266,20 @@ mod tests {
         assert_eq!(projected, 1);
         let back = from_swf(&text).unwrap();
         assert_eq!(back[0].min_procs(), 1, "projected to sequential");
+    }
+
+    #[test]
+    fn swf_rejects_duplicate_ids() {
+        let text = "\
+; header
+10 0 -1 60 1
+10 5 -1 -1 -1
+11 5 -1 60 2
+10 9 -1 30 1
+";
+        let err = from_swf(text).unwrap_err();
+        assert_eq!(err.line, 5, "the skipped record 10 is no instance job");
+        assert_eq!(err.message, "duplicate job id j10 (first at line 2)");
     }
 
     #[test]
