@@ -77,9 +77,9 @@ impl PolicyChoice {
             SmartShelves,
         };
         match self {
-            PolicyChoice::MrtBatch => Some(Box::new(BatchedMrt::default())),
+            PolicyChoice::MrtBatch => Some(Box::new(BatchedMrt)),
             PolicyChoice::SmartShelves => Some(Box::new(SmartShelves::weighted())),
-            PolicyChoice::BiCriteriaBatches => Some(Box::new(BiCriteriaDoubling::default())),
+            PolicyChoice::BiCriteriaBatches => Some(Box::new(BiCriteriaDoubling)),
             PolicyChoice::Backfilling => Some(Box::new(Backfilling::easy())),
             PolicyChoice::WsptList => Some(Box::new(ListScheduling::new(
                 crate::list::JobOrder::WeightDensity,

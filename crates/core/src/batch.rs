@@ -24,40 +24,11 @@ use crate::schedule::Schedule;
 ///
 /// `offline(jobs, m)` must return a schedule of exactly `jobs` all released
 /// at zero; its makespan positions the next batch boundary.
-pub fn batch_online<F>(jobs: &[Job], m: usize, mut offline: F) -> Schedule
+pub fn batch_online<F>(jobs: &[Job], m: usize, offline: F) -> Schedule
 where
     F: FnMut(&[Job], usize) -> Schedule,
 {
-    let mut pending: Vec<&Job> = jobs.iter().collect();
-    pending.sort_by_key(|j| (j.release, j.id));
-    let mut sched = Schedule::new(m);
-    let mut i = 0usize;
-    // The first batch opens at the earliest release.
-    let mut boundary = pending.first().map(|j| j.release).unwrap_or(Time::ZERO);
-    while i < pending.len() {
-        if pending[i].release > boundary {
-            // Idle gap: jump to the next arrival.
-            boundary = pending[i].release;
-        }
-        // Collect the batch: everything released by the boundary.
-        let mut batch: Vec<Job> = Vec::new();
-        while i < pending.len() && pending[i].release <= boundary {
-            let mut job = pending[i].clone();
-            job.release = Time::ZERO;
-            batch.push(job);
-            i += 1;
-        }
-        let sub = offline(&batch, m);
-        assert_eq!(
-            sub.len(),
-            batch.len(),
-            "offline procedure must schedule the whole batch"
-        );
-        let span = sub.makespan().since_epoch();
-        sched.extend(sub.shifted(boundary.since_epoch()));
-        boundary += span;
-    }
-    sched
+    batch_online_avoiding(jobs, m, &[], offline)
 }
 
 /// Batch scheduling around advance reservations (§5.1).
@@ -89,9 +60,11 @@ where
     pending.sort_by_key(|j| (j.release, j.id));
     let mut sched = Schedule::new(m);
     let mut i = 0usize;
+    // The first batch opens at the earliest release.
     let mut boundary = pending.first().map(|j| j.release).unwrap_or(Time::ZERO);
     while i < pending.len() {
         if pending[i].release > boundary {
+            // Idle gap: jump to the next arrival.
             boundary = pending[i].release;
         }
         // Never start a batch inside a blackout window.
@@ -100,6 +73,7 @@ where
                 boundary = we;
             }
         }
+        // Collect the batch: everything released by the boundary.
         let mut batch: Vec<Job> = Vec::new();
         while i < pending.len() && pending[i].release <= boundary {
             let mut job = pending[i].clone();

@@ -31,8 +31,7 @@ pub struct BiCriteriaParams {
     /// First batch deadline `d0` in ticks; `None` = smallest job minimal
     /// time among the earliest arrivals (a natural self-calibration).
     pub d0: Option<u64>,
-    /// Geometric factor between batch deadlines (the paper uses 2; the
-    /// ablation bench sweeps it).
+    /// Geometric factor between batch deadlines (the paper uses 2).
     pub factor: f64,
 }
 

@@ -44,7 +44,7 @@ use lsps_workload::{Job, JobKind};
 
 use crate::allot::{choose_allotment, AllotRule};
 use crate::backfill::{backfill_on_timeline, book_reservations, BackfillPolicy, Reservation};
-use crate::batch::{batch_online, batch_online_avoiding};
+use crate::batch::batch_online_avoiding;
 use crate::bicriteria::{bicriteria_schedule, BiCriteriaParams};
 use crate::list::{list_schedule_allotted, JobOrder};
 use crate::malleable::{deq_schedule, MalleableSchedule};
@@ -86,8 +86,8 @@ pub enum Knowledge {
     },
 }
 
-/// Default first estimate of the exponential-trial doubling (60 s) when
-/// neither the policy nor the ctx picks one.
+/// First estimate of the exponential-trial doubling (60 s) when the ctx
+/// knowledge model does not pick one.
 pub const DEFAULT_INITIAL_ESTIMATE: Dur = Dur::from_secs(60);
 
 /// A booking with an exact processor set that the policy must not touch —
@@ -158,6 +158,22 @@ impl PolicyCtx {
         !self.reservations.is_empty() || !self.pinned.is_empty()
     }
 
+    /// An `m`-processor timeline holding the pinned bookings, then the
+    /// reservations placed first-fit — the decision-independent state every
+    /// backfill run starts from.
+    ///
+    /// # Panics
+    /// On conflicting pinned bookings or unsatisfiable reservations.
+    pub(crate) fn reserved_timeline(&self, m: usize) -> Timeline {
+        let mut tl = Timeline::with_procs(m);
+        for (i, p) in self.pinned.iter().enumerate() {
+            tl.try_book(p.start, p.end, p.procs.clone(), BookingKind::Reservation)
+                .unwrap_or_else(|e| panic!("pinned booking {i} conflicts: {e:?}"));
+        }
+        book_reservations(&mut tl, &self.reservations);
+        tl
+    }
+
     /// True iff the machine model is identical processors — no speeds, or
     /// all speeds exactly 1 (the degenerate uniform machine).
     pub fn is_identical_machine(&self) -> bool {
@@ -190,17 +206,6 @@ impl PolicyRun {
 pub trait Policy: Send + Sync {
     /// Stable, unique identifier (used in CSV output and lookups).
     fn name(&self) -> &str;
-
-    /// True iff the policy honours release dates natively (otherwise
-    /// [`prepare`](Policy::prepare) strips them).
-    fn supports_releases(&self) -> bool {
-        false
-    }
-
-    /// True iff the policy can work around advance reservations.
-    fn supports_reservations(&self) -> bool {
-        false
-    }
 
     /// True iff the policy honours [`PinnedBooking`]s *exactly* — placing
     /// work around arbitrary, possibly time-overlapping bookings without
@@ -454,10 +459,6 @@ impl Policy for ListScheduling {
         }
     }
 
-    fn supports_releases(&self) -> bool {
-        true
-    }
-
     fn prepare<'a>(&self, jobs: &'a [Job], m: usize, ctx: &PolicyCtx) -> Cow<'a, [Job]> {
         normalize_rigid(self.name(), jobs, m, ctx, false)
     }
@@ -532,14 +533,6 @@ impl Policy for Backfilling {
         }
     }
 
-    fn supports_releases(&self) -> bool {
-        true
-    }
-
-    fn supports_reservations(&self) -> bool {
-        true
-    }
-
     fn supports_pinned(&self) -> bool {
         true
     }
@@ -550,12 +543,7 @@ impl Policy for Backfilling {
 
     fn schedule(&self, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> Schedule {
         let jobs = self.prepare(jobs, m, ctx);
-        let mut tl = Timeline::with_procs(m);
-        for (i, p) in ctx.pinned.iter().enumerate() {
-            tl.try_book(p.start, p.end, p.procs.clone(), BookingKind::Reservation)
-                .unwrap_or_else(|e| panic!("pinned booking {i} conflicts: {e:?}"));
-        }
-        book_reservations(&mut tl, &ctx.reservations);
+        let tl = ctx.reserved_timeline(m);
         backfill_on_timeline(&jobs, m, tl, self.flavour, ctx.estimate_factor)
     }
 
@@ -608,10 +596,7 @@ impl Policy for SmartShelves {
 
 /// MRT two-shelf dual approximation, off-line moldable makespan (§4.1).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct MrtTwoShelf {
-    /// Dual-approximation search accuracy.
-    pub params: MrtParams,
-}
+pub struct MrtTwoShelf;
 
 impl Policy for MrtTwoShelf {
     fn name(&self) -> &str {
@@ -625,29 +610,18 @@ impl Policy for MrtTwoShelf {
     fn schedule(&self, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> Schedule {
         reject_reservations(self.name(), ctx);
         let jobs = self.prepare(jobs, m, ctx);
-        mrt_schedule(&jobs, m, self.params)
+        mrt_schedule(&jobs, m, MrtParams::default())
     }
 }
 
 /// MRT inside Shmoys doubling batches: the paper's 3 + ε on-line moldable
 /// algorithm (§4.2), reservation-aware via blackout-aligned batches.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BatchedMrt {
-    /// Inner off-line MRT accuracy.
-    pub params: MrtParams,
-}
+pub struct BatchedMrt;
 
 impl Policy for BatchedMrt {
     fn name(&self) -> &str {
         "batch-mrt"
-    }
-
-    fn supports_releases(&self) -> bool {
-        true
-    }
-
-    fn supports_reservations(&self) -> bool {
-        true
     }
 
     fn prepare<'a>(&self, jobs: &'a [Job], _m: usize, ctx: &PolicyCtx) -> Cow<'a, [Job]> {
@@ -656,38 +630,28 @@ impl Policy for BatchedMrt {
 
     fn schedule(&self, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> Schedule {
         let jobs = self.prepare(jobs, m, ctx);
-        let params = self.params;
-        if ctx.has_reservations() {
-            // Batch algorithms can only align batch boundaries with the
-            // reservation windows (§5.1's "likely inefficient" idea, priced
-            // honestly): every reservation becomes a full-machine blackout.
-            let mut windows: Vec<Reservation> = ctx.reservations.clone();
-            windows.extend(ctx.pinned.iter().map(|p| Reservation {
-                start: p.start,
-                end: p.end,
-                procs: p.procs.len(),
-            }));
-            batch_online_avoiding(&jobs, m, &windows, |b, mm| mrt_schedule(b, mm, params))
-        } else {
-            batch_online(&jobs, m, |b, mm| mrt_schedule(b, mm, params))
-        }
+        // Batch algorithms can only align batch boundaries with the
+        // reservation windows (§5.1's "likely inefficient" idea, priced
+        // honestly): every reservation becomes a full-machine blackout.
+        let mut windows: Vec<Reservation> = ctx.reservations.clone();
+        windows.extend(ctx.pinned.iter().map(|p| Reservation {
+            start: p.start,
+            end: p.end,
+            procs: p.procs.len(),
+        }));
+        batch_online_avoiding(&jobs, m, &windows, |b, mm| {
+            mrt_schedule(b, mm, MrtParams::default())
+        })
     }
 }
 
 /// The bi-criteria doubling-batch algorithm (§4.4).
 #[derive(Clone, Copy, Debug, Default)]
-pub struct BiCriteriaDoubling {
-    /// Batch geometry.
-    pub params: BiCriteriaParams,
-}
+pub struct BiCriteriaDoubling;
 
 impl Policy for BiCriteriaDoubling {
     fn name(&self) -> &str {
         "bicriteria"
-    }
-
-    fn supports_releases(&self) -> bool {
-        true
     }
 
     fn prepare<'a>(&self, jobs: &'a [Job], _m: usize, ctx: &PolicyCtx) -> Cow<'a, [Job]> {
@@ -697,7 +661,7 @@ impl Policy for BiCriteriaDoubling {
     fn schedule(&self, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> Schedule {
         reject_reservations(self.name(), ctx);
         let jobs = self.prepare(jobs, m, ctx);
-        bicriteria_schedule(&jobs, m, self.params)
+        bicriteria_schedule(&jobs, m, BiCriteriaParams::default())
     }
 }
 
@@ -725,10 +689,6 @@ impl Policy for DeqEquipartition {
         "deq-equipartition"
     }
 
-    fn supports_releases(&self) -> bool {
-        true
-    }
-
     fn prepare<'a>(&self, jobs: &'a [Job], m: usize, ctx: &PolicyCtx) -> Cow<'a, [Job]> {
         let share = (m / jobs.len().clamp(1, m)).max(1);
         let allot = move |j: &Job| share.min(j.max_procs()).max(1);
@@ -752,8 +712,7 @@ impl Policy for DeqEquipartition {
 ///
 /// The first estimate comes from the ctx knowledge model
 /// ([`Knowledge::NonClairvoyant`]); under a clairvoyant ctx the policy
-/// still runs its trials, seeded from [`NonclairvoyantExpTrial::initial_estimate`]
-/// ([`DEFAULT_INITIAL_ESTIMATE`] by default).
+/// still runs its trials, seeded from [`DEFAULT_INITIAL_ESTIMATE`].
 ///
 /// [`Policy::schedule`] returns the actual-times rectangle schedule (final
 /// trials only); the burnt machine time of killed trials is only visible
@@ -761,37 +720,19 @@ impl Policy for DeqEquipartition {
 /// [`crate::nonclairvoyant::TrialStats`] counters — which is why the
 /// policy's outcome kind is [`OutcomeKind::Trial`] and the event-driven
 /// executors refuse it.
-#[derive(Clone, Copy, Debug)]
-pub struct NonclairvoyantExpTrial {
-    /// Fallback first estimate when the ctx knowledge model does not set
-    /// one.
-    pub initial_estimate: Dur,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NonclairvoyantExpTrial;
 
-impl Default for NonclairvoyantExpTrial {
-    fn default() -> Self {
-        NonclairvoyantExpTrial {
-            initial_estimate: DEFAULT_INITIAL_ESTIMATE,
-        }
-    }
-}
-
-impl NonclairvoyantExpTrial {
-    fn estimate(&self, ctx: &PolicyCtx) -> Dur {
-        match ctx.knowledge {
-            Knowledge::NonClairvoyant { initial_estimate } => initial_estimate,
-            Knowledge::Clairvoyant => self.initial_estimate,
-        }
+fn initial_estimate(ctx: &PolicyCtx) -> Dur {
+    match ctx.knowledge {
+        Knowledge::NonClairvoyant { initial_estimate } => initial_estimate,
+        Knowledge::Clairvoyant => DEFAULT_INITIAL_ESTIMATE,
     }
 }
 
 impl Policy for NonclairvoyantExpTrial {
     fn name(&self) -> &str {
         "nonclairvoyant-exp-trial"
-    }
-
-    fn supports_releases(&self) -> bool {
-        true
     }
 
     fn outcome_kind(&self) -> OutcomeKind {
@@ -805,7 +746,7 @@ impl Policy for NonclairvoyantExpTrial {
     fn schedule(&self, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> Schedule {
         reject_reservations(self.name(), ctx);
         let jobs = self.prepare(jobs, m, ctx);
-        exponential_trial_schedule(&jobs, m, self.estimate(ctx)).0
+        exponential_trial_schedule(&jobs, m, initial_estimate(ctx)).0
     }
 
     fn run_outcome(&self, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> OutcomeRun {
@@ -816,7 +757,7 @@ impl Policy for NonclairvoyantExpTrial {
         );
         reject_reservations(self.name(), ctx);
         let prepared = self.prepare(jobs, m, ctx).into_owned();
-        let (schedule, stats) = exponential_trial_schedule(&prepared, m, self.estimate(ctx));
+        let (schedule, stats) = exponential_trial_schedule(&prepared, m, initial_estimate(ctx));
         OutcomeRun {
             outcome: Outcome::Trial { schedule, stats },
             jobs: prepared,
@@ -839,19 +780,8 @@ impl Policy for NonclairvoyantExpTrial {
 /// machine index = processor index), which is what keeps the policy
 /// runnable — and bit-comparable — next to the rectangle policies on
 /// homogeneous platforms.
-#[derive(Clone, Copy, Debug)]
-pub struct UniformMct {
-    /// Priority order jobs are placed in.
-    pub order: JobOrder,
-}
-
-impl Default for UniformMct {
-    fn default() -> Self {
-        UniformMct {
-            order: JobOrder::Lpt,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct UniformMct;
 
 impl UniformMct {
     fn effective_speeds(&self, m: usize, ctx: &PolicyCtx) -> Vec<f64> {
@@ -874,10 +804,6 @@ impl Policy for UniformMct {
         "uniform-mct"
     }
 
-    fn supports_releases(&self) -> bool {
-        true
-    }
-
     fn outcome_kind(&self) -> OutcomeKind {
         OutcomeKind::Uniform
     }
@@ -896,7 +822,7 @@ impl Policy for UniformMct {
             self.name()
         );
         let jobs = self.prepare(jobs, m, ctx);
-        let uni = uniform_list_schedule(&jobs, &vec![1.0; m], self.order);
+        let uni = uniform_list_schedule(&jobs, &vec![1.0; m], JobOrder::Lpt);
         let mut rect = Schedule::new(m);
         for a in uni.assignments() {
             rect.push(Assignment {
@@ -914,7 +840,7 @@ impl Policy for UniformMct {
         let prepared = self.prepare(jobs, m, ctx).into_owned();
         let speeds = self.effective_speeds(m, ctx);
         OutcomeRun {
-            outcome: Outcome::Uniform(uniform_list_schedule(&prepared, &speeds, self.order)),
+            outcome: Outcome::Uniform(uniform_list_schedule(&prepared, &speeds, JobOrder::Lpt)),
             jobs: prepared,
         }
     }
@@ -944,12 +870,12 @@ pub fn registry() -> Vec<Box<dyn Policy>> {
         Box::new(Backfilling::conservative()),
         Box::new(SmartShelves::unweighted()),
         Box::new(SmartShelves::weighted()),
-        Box::new(MrtTwoShelf::default()),
-        Box::new(BatchedMrt::default()),
-        Box::new(BiCriteriaDoubling::default()),
+        Box::new(MrtTwoShelf),
+        Box::new(BatchedMrt),
+        Box::new(BiCriteriaDoubling),
         Box::new(DeqEquipartition),
-        Box::new(NonclairvoyantExpTrial::default()),
-        Box::new(UniformMct::default()),
+        Box::new(NonclairvoyantExpTrial),
+        Box::new(UniformMct),
     ]
 }
 
@@ -1088,7 +1014,7 @@ mod tests {
     #[test]
     fn offline_mode_strips_releases() {
         let jobs = mixed_jobs();
-        let p = BiCriteriaDoubling::default();
+        let p = BiCriteriaDoubling;
         let prepared = p.prepare(&jobs, 8, &PolicyCtx::offline());
         assert!(prepared.iter().all(|j| j.release == Time::ZERO));
         // On-line mode keeps them (bicriteria handles releases natively).
@@ -1243,13 +1169,7 @@ mod tests {
             }],
             ..PolicyCtx::default()
         };
-        let s = BatchedMrt::default().schedule_pending(
-            &pending,
-            2,
-            Time::from_ticks(10),
-            &committed,
-            &ctx,
-        );
+        let s = BatchedMrt.schedule_pending(&pending, 2, Time::from_ticks(10), &committed, &ctx);
         assert_eq!(s.len(), 1);
         let a = &s.assignments()[0];
         assert!(a.start >= Time::from_ticks(50), "{a:?} inside the horizon");
@@ -1301,7 +1221,7 @@ mod tests {
             reservations: vec![resv],
             ..PolicyCtx::default()
         };
-        let run = BatchedMrt::default().run(&jobs, 2, &ctx);
+        let run = BatchedMrt.run(&jobs, 2, &ctx);
         assert_eq!(run.validate(), Ok(()));
         for a in run.schedule.assignments() {
             assert!(
@@ -1316,7 +1236,7 @@ mod tests {
         // True length 700 ticks, ctx estimate 100: kills at 100/200/400,
         // succeeds at 800 — the stats the rectangle interface cannot carry.
         let jobs = vec![Job::rigid(1, 1, d(700))];
-        let policy = NonclairvoyantExpTrial::default();
+        let policy = NonclairvoyantExpTrial;
         let ctx = PolicyCtx {
             knowledge: Knowledge::NonClairvoyant {
                 initial_estimate: d(100),
@@ -1348,7 +1268,7 @@ mod tests {
             speeds: vec![1.0, 2.0],
             ..PolicyCtx::default()
         };
-        let run = UniformMct::default().run_outcome(&jobs, 2, &ctx);
+        let run = UniformMct.run_outcome(&jobs, 2, &ctx);
         assert_eq!(run.validate(), Ok(()));
         // The lone job lands on the fast machine and finishes in 50 ticks.
         assert_eq!(run.outcome.makespan(), Time::from_ticks(50));
@@ -1358,7 +1278,7 @@ mod tests {
     #[test]
     fn uniform_mct_identical_projection_matches_unit_speed_outcome() {
         let jobs: Vec<Job> = (0..6).map(|i| Job::sequential(i, d(40 + 15 * i))).collect();
-        let policy = UniformMct::default();
+        let policy = UniformMct;
         let ctx = PolicyCtx::default();
         let rect = policy.run(&jobs, 3, &ctx);
         assert_eq!(rect.validate(), Ok(()));
@@ -1390,7 +1310,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn uniform_mct_rejects_wide_rigid_jobs() {
-        UniformMct::default().run_outcome(&[Job::rigid(1, 2, d(10))], 4, &PolicyCtx::default());
+        UniformMct.run_outcome(&[Job::rigid(1, 2, d(10))], 4, &PolicyCtx::default());
     }
 
     #[test]

@@ -53,9 +53,7 @@ use lsps_des::Time;
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
-use crate::backfill::{
-    book_reservations, conservative_pass, easy_pass, fcfs_order, BackfillPolicy,
-};
+use crate::backfill::{conservative_pass, easy_pass, fcfs_order, BackfillPolicy};
 use crate::policy::{PinnedBooking, Policy, PolicyCtx};
 use crate::schedule::Schedule;
 
@@ -254,17 +252,11 @@ impl BackfillPlanner {
             "estimates must not undershoot (got factor {})",
             ctx.estimate_factor
         );
-        let mut tl = Timeline::with_procs(m);
-        for (i, p) in ctx.pinned.iter().enumerate() {
-            tl.try_book(p.start, p.end, p.procs.clone(), BookingKind::Reservation)
-                .unwrap_or_else(|e| panic!("pinned booking {i} conflicts: {e:?}"));
-        }
-        book_reservations(&mut tl, &ctx.reservations);
         BackfillPlanner {
             flavour,
             m,
             factor: ctx.estimate_factor,
-            tl,
+            tl: ctx.reserved_timeline(m),
             expiry: BinaryHeap::new(),
             touched: 0,
             bumped: Vec::new(),

@@ -62,8 +62,7 @@ impl<'a, E> Ctx<'a, E> {
     }
 }
 
-/// Counters reported by the [`Simulation::run_to_completion`] /
-/// [`Simulation::run_until`] variants.
+/// Counters reported by [`Simulation::run_to_completion`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Events dispatched to the model.
@@ -188,29 +187,6 @@ impl<M: Model> Simulation<M> {
         }
     }
 
-    /// Run while events exist with a timestamp `<= horizon`. Events beyond
-    /// the horizon stay pending; the clock advances to the last dispatched
-    /// event (not to the horizon).
-    pub fn run_until(&mut self, horizon: Time) -> RunStats {
-        let start = self.dispatched;
-        loop {
-            match self.queue.peek_time() {
-                Some(t) if t <= horizon => {
-                    let progressed = self.step();
-                    debug_assert!(progressed);
-                }
-                _ => break,
-            }
-        }
-        self.note_queue_health();
-        RunStats {
-            events_dispatched: self.dispatched - start,
-            last_event_time: self.now,
-            peak_queue_live: self.peak_live,
-            peak_queue_heap: self.peak_heap,
-        }
-    }
-
     /// Consume the simulation and return the model (for extracting results).
     pub fn into_model(self) -> M {
         self.model
@@ -269,18 +245,6 @@ mod tests {
         sim.run_to_completion(100);
         assert_eq!(sim.model().fired, vec![(0, 3), (10, 2), (20, 1), (30, 0)]);
         assert_eq!(sim.now(), Time::from_ticks(30));
-    }
-
-    #[test]
-    fn run_until_leaves_future_events() {
-        let mut sim = Simulation::new(Counter { fired: vec![] });
-        sim.schedule_at(Time::from_ticks(10), Ev::Tick(1));
-        sim.schedule_at(Time::from_ticks(20), Ev::Tick(2));
-        let stats = sim.run_until(Time::from_ticks(15));
-        assert_eq!(stats.events_dispatched, 1);
-        assert_eq!(sim.pending(), 1);
-        sim.run_to_completion(10);
-        assert_eq!(sim.model().fired.len(), 2);
     }
 
     #[test]

@@ -32,10 +32,9 @@
 //!   entries exceed half the heap, the queue compacts in place (retain live
 //!   entries, rebuild bottom-up, O(n)), so the heap is always ≥ 50% live
 //!   and memory stays proportional to live events even under cancel-heavy
-//!   models. [`EventQueue::len`] counts live events only;
-//!   [`EventQueue::heap_len`] / [`EventQueue::occupancy`] expose the
-//!   live/dead accounting, and [`RunStats`] reports both high-water marks
-//!   as queue-health counters.
+//!   models. [`EventQueue::len`] counts live events only,
+//!   [`EventQueue::heap_len`] tombstones too, and [`RunStats`] reports both
+//!   high-water marks as queue-health counters.
 
 pub mod engine;
 pub mod online;

@@ -98,13 +98,6 @@ pub trait Dispatcher {
     ) {
         let _ = (now, node, up, running, kill, resubmit);
     }
-
-    /// The node failed earlier is repaired at `now`. Bookkeeping only —
-    /// the machine follows up with a decision request, so newly freed
-    /// capacity is replanned immediately.
-    fn node_up(&mut self, now: Time, node: u32) {
-        let _ = (now, node);
-    }
 }
 
 /// An arrival stream fed to the machine lazily, one job at a time — the
@@ -149,7 +142,8 @@ pub enum OnlineEvent {
         /// expected there).
         up: Time,
     },
-    /// A previously failed node comes back.
+    /// A previously failed node comes back. The machine requests a
+    /// decision, so the freed capacity is replanned at once.
     NodeUp {
         /// Repaired node index.
         node: u32,
@@ -386,7 +380,7 @@ where
                 (self.sink)(c);
             }
             OnlineEvent::NodeDown { node, up } => self.node_down(now, node, up, ctx),
-            OnlineEvent::NodeUp { node } => self.dispatcher.node_up(now, node),
+            OnlineEvent::NodeUp { .. } => {}
         }
         // Live jobs only grow on arrival; sampled once the event is done,
         // a same-instant completion has already left.

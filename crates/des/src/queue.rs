@@ -13,8 +13,8 @@
 //! whenever dead entries exceed half the heap, the queue compacts in place
 //! (retain the live entries, rebuild the heap bottom-up, O(n)), so heap
 //! occupancy stays ≥ 50% live and memory stays proportional to live events
-//! even under cancel-heavy workloads. See [`EventQueue::heap_len`] /
-//! [`EventQueue::occupancy`] for the live/dead accounting.
+//! even under cancel-heavy workloads. See [`EventQueue::len`] /
+//! [`EventQueue::heap_len`] for the live/dead accounting.
 
 use crate::time::Time;
 
@@ -168,22 +168,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Timestamp of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<Time> {
-        // Purge tombstone heads so the answer is accurate.
-        while let Some(head) = self.heap.first() {
-            let slot = &self.slots[head.slot as usize];
-            match slot.occupant {
-                Some((seq, _)) if seq == head.seq => return Some(head.at),
-                _ => {
-                    self.pop_heap();
-                    self.dead -= 1;
-                }
-            }
-        }
-        None
-    }
-
     /// Number of live events (cancelled-but-undiscarded entries excluded).
     pub fn len(&self) -> usize {
         self.heap.len() - self.dead
@@ -199,32 +183,6 @@ impl<E> EventQueue<E> {
     /// by at most the live count.
     pub fn heap_len(&self) -> usize {
         self.heap.len()
-    }
-
-    /// Fraction of heap entries that are live, in `(0.5, 1.0]`; `1.0` for an
-    /// empty queue. A health metric: values near `0.5` mean the workload is
-    /// cancel-heavy and compactions are frequent.
-    pub fn occupancy(&self) -> f64 {
-        if self.heap.is_empty() {
-            1.0
-        } else {
-            self.len() as f64 / self.heap.len() as f64
-        }
-    }
-
-    /// Drop every pending event. Outstanding keys are invalidated (their
-    /// slots' generations advance), so a key from before `clear` can never
-    /// cancel an event scheduled after it.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.dead = 0;
-        self.free.clear();
-        for (idx, slot) in self.slots.iter_mut().enumerate() {
-            if slot.occupant.take().is_some() {
-                slot.generation = slot.generation.wrapping_add(1);
-            }
-            self.free.push(idx as u32);
-        }
     }
 
     /// Drop every tombstone: retain live heap entries in place, then rebuild
@@ -365,39 +323,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.schedule(t(5), "b");
-        assert_eq!(q.peek_time(), Some(t(1)));
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(5)));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     fn empty_behaviour() {
         let mut q: EventQueue<u8> = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        assert_eq!(q.peek_time(), None);
         q.schedule(t(1), 1);
-        q.clear();
+        assert_eq!(q.pop().map(|(_, _, e)| e), Some(1));
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn clear_invalidates_outstanding_keys() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(t(1), "a");
-        q.clear();
-        let b = q.schedule(t(2), "b");
-        assert!(
-            !q.cancel(a),
-            "pre-clear key is dead even if its slot was reused"
-        );
-        assert!(q.cancel(b));
     }
 
     #[test]
@@ -427,10 +360,13 @@ mod tests {
             "heap holds {} entries for 1 live event",
             q.heap_len()
         );
-        assert!(q.occupancy() >= 0.5);
+        assert!(
+            2 * q.len() >= q.heap_len(),
+            "at least half the heap is live"
+        );
         assert_eq!(q.pop().map(|(_, _, e)| e), Some(999));
         assert!(q.is_empty());
-        assert_eq!(q.occupancy(), 1.0);
+        assert_eq!(q.heap_len(), 0);
     }
 
     #[test]
@@ -442,6 +378,5 @@ mod tests {
         q.cancel(a); // 1 dead of 3 — below the compaction threshold
         assert_eq!(q.len(), 2);
         assert_eq!(q.heap_len(), 3);
-        assert!((q.occupancy() - 2.0 / 3.0).abs() < 1e-12);
     }
 }

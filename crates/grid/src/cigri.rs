@@ -662,7 +662,7 @@ mod tests {
         assert_eq!(report.local.expect("locals completed").n, 3);
         // A batch policy cannot serve overlapping pinned bookings.
         let rejected = std::panic::catch_unwind(|| {
-            CigriSim::new(&p, d(50), true).with_local_policy(Box::new(BatchedMrt::default()))
+            CigriSim::new(&p, d(50), true).with_local_policy(Box::new(BatchedMrt))
         });
         assert!(rejected.is_err(), "batch-mrt must be rejected up front");
     }

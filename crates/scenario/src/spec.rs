@@ -514,10 +514,16 @@ impl CampaignSpec {
             }
         }
         for w in &self.workloads {
-            if let WorkloadSource::Family { family, n } = &w.source {
-                if builtin_family(family, *n).is_none() {
+            match &w.source {
+                WorkloadSource::Family { family, n } if builtin_family(family, *n).is_none() => {
                     problems.push(format!("workload `{}`: unknown family `{family}`", w.name));
                 }
+                WorkloadSource::Spec(ws) => {
+                    for p in ws.validate() {
+                        problems.push(format!("workload `{}`: {p}", w.name));
+                    }
+                }
+                _ => {}
             }
         }
         // Open (steady-state) entries change the execution model — the
@@ -658,8 +664,8 @@ impl CampaignSpec {
         if self.replication.replications == 0 {
             problems.push("`replication.replications` must be >= 1".into());
         }
-        if self.ctx.estimate_factor < 1.0 {
-            problems.push("`ctx.estimate_factor` must be >= 1".into());
+        if !(self.ctx.estimate_factor >= 1.0 && self.ctx.estimate_factor.is_finite()) {
+            problems.push("`ctx.estimate_factor` must be finite and >= 1".into());
         }
         if let Knowledge::NonClairvoyant { initial_estimate } = self.ctx.knowledge {
             if initial_estimate.is_zero() {
@@ -1270,5 +1276,112 @@ mod tests {
         assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+    }
+
+    /// A campaign over one `Spec` entry named `synthetic`, with `key`'s
+    /// value in the generator spec replaced by `value`.
+    fn finite_campaign(key: &str, value: &str, factor: &str) -> String {
+        let fields = [
+            ("n_jobs", "12"),
+            ("arrival", r#"{"Poisson": {"mean_interarrival_s": 60.0}}"#),
+            ("work_s", r#"{"LogUniform": [30.0, 600.0]}"#),
+            ("parallel_fraction", "0.5"),
+            ("models", r#"[{"Amdahl": {"seq_fraction": 0.1}}]"#),
+            ("max_procs_frac", "[0.1, 0.5]"),
+            ("weight", r#"{"Fixed": 1.0}"#),
+            ("user", "0"),
+        ];
+        let body: Vec<String> = fields
+            .iter()
+            .map(|&(k, v)| format!(r#""{k}": {}"#, if k == key { value } else { v }))
+            .collect();
+        format!(
+            r#"{{"name": "bad", "policies": ["list-fcfs"],
+                "platforms": [{{"name": "m8", "m": 8}}],
+                "workloads": [{{"name": "synthetic", "source": {{"Spec": {{{}}}}}}}],
+                "ctx": {{"estimate_factor": {factor}}}}}"#,
+            body.join(", ")
+        )
+    }
+
+    /// An open campaign over one stream entry named `stream` whose single
+    /// class has the given width and service distributions.
+    fn open_campaign(width: &str, service: &str) -> String {
+        format!(
+            r#"{{"name": "bad", "policies": ["list-fcfs"], "executors": ["des-online"],
+                "platforms": [{{"name": "m8", "m": 8}}],
+                "workloads": [{{"name": "stream", "source": {{"Open": {{
+                    "stream": {{"rho": 0.5, "arrival": "Poisson", "classes": [
+                        {{"name": "only", "mix": 1.0, "width": {width}, "service_s": {service}}}
+                    ]}},
+                    "stop_completions": 100, "warmup": {{"Fraction": 0.2}}, "batches": 4
+                }}}}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn malformed_generators_fail_expansion_instead_of_panicking() {
+        use crate::campaign::{CampaignError, CampaignOptions, CampaignPlan};
+        let expand = |text: &str| {
+            let spec: CampaignSpec = serde_json::from_str(text).expect("parses");
+            CampaignPlan::expand(&spec, &CampaignOptions::default())
+        };
+        // The unmutated templates are valid, so each row fails for its own
+        // reason only.
+        expand(&finite_campaign("", "", "1.0")).expect("valid finite template");
+        expand(&open_campaign(r#"{"Fixed": 1.0}"#, r#"{"Exp": 60.0}"#))
+            .expect("valid open template");
+        let rows = [
+            (
+                finite_campaign("work_s", r#"{"LogUniform": [600, 30]}"#, "1.0"),
+                ["synthetic", "work_s"],
+            ),
+            (
+                finite_campaign("parallel_fraction", "7", "1.0"),
+                ["synthetic", "parallel_fraction"],
+            ),
+            (
+                finite_campaign("models", r#"[{"Amdahl": {"seq_fraction": 3}}]"#, "1.0"),
+                ["synthetic", "seq_fraction"],
+            ),
+            (
+                finite_campaign("n_jobs", "0", "1.0"),
+                ["synthetic", "n_jobs"],
+            ),
+            (
+                finite_campaign(
+                    "arrival",
+                    r#"{"DailyCycle": {"mean_interarrival_s": 60.0, "amplitude": 1.5}}"#,
+                    "1.0",
+                ),
+                ["synthetic", "amplitude"],
+            ),
+            (
+                finite_campaign("max_procs_frac", "[0.5, 0.1]", "1.0"),
+                ["synthetic", "max_procs_frac"],
+            ),
+            (
+                open_campaign(r#"{"Fixed": 1.0}"#, r#"{"LogUniform": [600, 30]}"#),
+                ["stream", "service_s"],
+            ),
+            (
+                open_campaign(r#"{"Uniform": [8, 2]}"#, r#"{"Exp": 60.0}"#),
+                ["stream", "width"],
+            ),
+            (finite_campaign("", "", "1e999"), ["ctx", "estimate_factor"]),
+        ];
+        for (text, needles) in rows {
+            match expand(&text) {
+                Err(CampaignError::Spec(SpecError(msg))) => {
+                    for needle in needles {
+                        assert!(msg.contains(needle), "`{needle}` missing from: {msg}");
+                    }
+                }
+                other => panic!(
+                    "expected a spec error for {needles:?}, got {:?}",
+                    other.err()
+                ),
+            }
+        }
     }
 }

@@ -21,11 +21,11 @@
 //! worker holds at most [`INFLIGHT_CAP`] outstanding cells. A supervisor
 //! thread ticks every ~50 ms: a worker with outstanding work but no
 //! activity past the per-cell timeout is killed; dead workers have their
-//! in-flight cells requeued (up to [`DaemonConfig::max_attempts`], then
+//! in-flight cells requeued (up to [`MAX_ATTEMPTS`], then
 //! `Failed`) and are respawned with a clean environment. Respawns back
 //! off exponentially per slot (deterministic jitter, see
 //! [`respawn_delay`]) and the whole fleet is capped at
-//! [`DaemonConfig::max_respawns_per_min`] — a worker binary that dies on
+//! [`MAX_RESPAWNS_PER_MIN`] — a worker binary that dies on
 //! startup costs a bounded trickle of spawns, not a fork bomb. Fresh
 //! results are stored back into the cell cache, which is what makes
 //! restart resume free: the replayed campaign finds every completed cell
@@ -71,6 +71,17 @@ use crate::protocol::{FromWorker, ToWorker};
 /// latency, small enough that a worker death costs little rework.
 pub const INFLIGHT_CAP: usize = 2;
 
+/// Dispatch attempts per cell before it is marked `Failed`.
+pub const MAX_ATTEMPTS: usize = 3;
+
+/// Base delay before respawning a dead worker; doubles per consecutive
+/// failure of the same slot (capped, jittered — see [`respawn_delay`]).
+pub const RESPAWN_BACKOFF: Duration = Duration::from_millis(100);
+
+/// Hard ceiling on fleet-wide respawns per rolling minute; a slot that
+/// would exceed it stays down until the window frees.
+pub const MAX_RESPAWNS_PER_MIN: usize = 60;
+
 /// Everything the daemon needs to run.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
@@ -79,8 +90,6 @@ pub struct DaemonConfig {
     /// A worker with outstanding cells but no completions for this long is
     /// considered wedged, killed, and its cells reassigned.
     pub cell_timeout: Duration,
-    /// Dispatch attempts per cell before it is marked `Failed`.
-    pub max_attempts: usize,
     /// Content-addressed cell cache directory (shared with
     /// `lsps-campaign`).
     pub cache_dir: PathBuf,
@@ -93,13 +102,6 @@ pub struct DaemonConfig {
     /// Extra environment for *first-generation* workers only — the
     /// fault-injection hook. Respawned workers always run clean.
     pub worker_env: Vec<(String, String)>,
-    /// Base delay before respawning a dead worker; doubles per
-    /// consecutive failure of the same slot (capped, jittered — see
-    /// [`respawn_delay`]).
-    pub respawn_backoff: Duration,
-    /// Hard ceiling on fleet-wide respawns per rolling minute; a slot
-    /// that would exceed it stays down until the window frees.
-    pub max_respawns_per_min: usize,
 }
 
 impl DaemonConfig {
@@ -108,14 +110,11 @@ impl DaemonConfig {
         DaemonConfig {
             workers: 2,
             cell_timeout: Duration::from_secs(120),
-            max_attempts: 3,
             cache_dir: PathBuf::from("results/cache"),
             journal_dir: PathBuf::from("results/journal"),
             base_dir: None,
             worker_cmd: worker_cmd.into(),
             worker_env: Vec::new(),
-            respawn_backoff: Duration::from_millis(100),
-            max_respawns_per_min: 60,
         }
     }
 }
@@ -435,18 +434,14 @@ impl Daemon {
         let _ = slot.child.kill();
         let inflight = std::mem::take(&mut slot.inflight);
         sh.consecutive_failures[widx] = sh.consecutive_failures[widx].saturating_add(1);
-        sh.next_spawn_at[widx] = Instant::now()
-            + respawn_delay(
-                widx,
-                sh.consecutive_failures[widx],
-                self.cfg.respawn_backoff,
-            );
+        sh.next_spawn_at[widx] =
+            Instant::now() + respawn_delay(widx, sh.consecutive_failures[widx], RESPAWN_BACKOFF);
         for (cid, cell) in inflight {
             let Some(camp) = sh.campaigns.get_mut(&cid) else {
                 continue;
             };
             camp.attempts[cell] += 1;
-            if camp.attempts[cell] >= self.cfg.max_attempts {
+            if camp.attempts[cell] >= MAX_ATTEMPTS {
                 camp.states[cell] = CellState::Failed;
                 camp.error
                     .get_or_insert_with(|| format!("cell {cell}: worker died repeatedly"));
@@ -504,7 +499,7 @@ impl Daemon {
                         slot.inflight.retain(|(c, i)| !(c == &id && *i == cell));
                         if let Some(camp) = sh.campaigns.get_mut(&id) {
                             camp.attempts[cell] += 1;
-                            if camp.attempts[cell] >= self.cfg.max_attempts {
+                            if camp.attempts[cell] >= MAX_ATTEMPTS {
                                 camp.states[cell] = CellState::Failed;
                                 camp.error.get_or_insert(format!("cell {cell}: {error}"));
                             } else {
@@ -665,13 +660,13 @@ impl Daemon {
                         {
                             sh.respawn_times.pop_front();
                         }
-                        if sh.respawn_times.len() >= self.cfg.max_respawns_per_min {
+                        if sh.respawn_times.len() >= MAX_RESPAWNS_PER_MIN {
                             if !sh.rate_capped {
                                 sh.rate_capped = true;
                                 eprintln!(
                                     "[campaignd] respawn rate cap hit ({}/min): worker {w} \
                                      stays down until the window frees",
-                                    self.cfg.max_respawns_per_min
+                                    MAX_RESPAWNS_PER_MIN
                                 );
                             }
                             continue;
@@ -685,12 +680,8 @@ impl Daemon {
                             // so the retry loop cannot run hot.
                             sh.consecutive_failures[w] =
                                 sh.consecutive_failures[w].saturating_add(1);
-                            sh.next_spawn_at[w] = now
-                                + respawn_delay(
-                                    w,
-                                    sh.consecutive_failures[w],
-                                    self.cfg.respawn_backoff,
-                                );
+                            sh.next_spawn_at[w] =
+                                now + respawn_delay(w, sh.consecutive_failures[w], RESPAWN_BACKOFF);
                             eprintln!("[campaignd] worker {w}: respawn failed: {e}");
                         }
                     }

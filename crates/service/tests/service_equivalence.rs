@@ -165,6 +165,15 @@ fn http_api_end_to_end() {
     assert_eq!(status, 404);
     let (status, _) = post(&addr, "/campaigns", "{not json").expect("bad spec");
     assert_eq!(status, 400);
+    // Parses, but fails validation: reversed log-uniform bounds would
+    // panic every worker that ran a cell of it.
+    let good = fs::read_to_string(examples_dir().join("small_campaign.json")).expect("example");
+    let bounds = r#""work_s": {"LogUniform": [30.0, 600.0]}"#;
+    assert!(good.contains(bounds));
+    let reversed = good.replace(bounds, r#""work_s": {"LogUniform": [600.0, 30.0]}"#);
+    let (status, body) = post(&addr, "/campaigns", &reversed).expect("invalid spec");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("work_s"), "{body}");
     let (status, _) = get(&addr, "/nope").expect("bad path");
     assert_eq!(status, 404);
 

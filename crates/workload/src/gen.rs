@@ -101,6 +101,34 @@ impl DistSpec {
         }
     }
 
+    /// Check the parameters are ones [`sample`](Self::sample) accepts:
+    /// every parameter finite, `Uniform` with `lo < hi`, `LogUniform` with
+    /// `0 < lo <= hi`, `Exp` with a positive mean, `BoundedPareto` with
+    /// `alpha > 0` and `0 < lo < hi`.
+    pub fn validate(&self) -> Result<(), String> {
+        let (ok, needs) = match *self {
+            DistSpec::Fixed(v) => (v.is_finite(), "a finite value"),
+            DistSpec::Uniform(lo, hi) => (
+                lo.is_finite() && hi.is_finite() && lo < hi,
+                "finite lo < hi",
+            ),
+            DistSpec::LogUniform(lo, hi) => (
+                lo > 0.0 && lo <= hi && hi.is_finite(),
+                "finite 0 < lo <= hi",
+            ),
+            DistSpec::Exp(mean) => (mean > 0.0 && mean.is_finite(), "a finite positive mean"),
+            DistSpec::BoundedPareto(alpha, lo, hi) => (
+                alpha > 0.0 && alpha.is_finite() && lo > 0.0 && lo < hi && hi.is_finite(),
+                "finite alpha > 0 and 0 < lo < hi",
+            ),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{self:?} needs {needs}"))
+        }
+    }
+
     /// Closed-form expectation of the distribution — the quantity the
     /// open-arrival layer needs to turn a target utilization ρ into an
     /// arrival rate (`λ = ρ·m / E[width]·E[service]`).
@@ -194,6 +222,57 @@ impl WorkloadSpec {
             parallel_fraction: 0.0,
             ..WorkloadSpec::fig2_parallel(n)
         }
+    }
+
+    /// Check the spec is one [`generate`](Self::generate) can sample;
+    /// returns the problems found (empty = valid), each naming its field.
+    pub fn validate(&self) -> Vec<String> {
+        let mut errs = Vec::new();
+        if self.n_jobs == 0 {
+            errs.push("`n_jobs` must be >= 1".into());
+        }
+        // `AllAtZero` draws nothing: stand-ins that pass both checks.
+        let (mean, amplitude) = match self.arrival {
+            ArrivalSpec::AllAtZero => (1.0, 0.0),
+            ArrivalSpec::Poisson {
+                mean_interarrival_s,
+            } => (mean_interarrival_s, 0.0),
+            ArrivalSpec::DailyCycle {
+                mean_interarrival_s,
+                amplitude,
+            } => (mean_interarrival_s, amplitude),
+        };
+        if !(mean > 0.0 && mean.is_finite()) {
+            errs.push(format!(
+                "`arrival`: `mean_interarrival_s` {mean} must be positive and finite"
+            ));
+        }
+        if !(0.0..1.0).contains(&amplitude) {
+            errs.push(format!("`arrival`: `amplitude` {amplitude} outside [0, 1)"));
+        }
+        if !(0.0..=1.0).contains(&self.parallel_fraction) {
+            errs.push(format!(
+                "`parallel_fraction` {} outside [0, 1]",
+                self.parallel_fraction
+            ));
+        }
+        for m in &self.models {
+            if let Err(e) = m.validate() {
+                errs.push(format!("`models`: {e}"));
+            }
+        }
+        let (lo, hi) = self.max_procs_frac;
+        if !(lo.is_finite() && hi.is_finite() && lo <= hi) {
+            errs.push(format!(
+                "`max_procs_frac` [{lo}, {hi}] needs finite lo <= hi"
+            ));
+        }
+        for (field, dist) in [("work_s", &self.work_s), ("weight", &self.weight)] {
+            if let Err(e) = dist.validate() {
+                errs.push(format!("`{field}`: {e}"));
+            }
+        }
+        errs
     }
 
     /// Generate the job list for a machine of `m` processors.

@@ -105,6 +105,11 @@ impl OpenStreamSpec {
                     c.name, c.mix
                 ));
             }
+            for (field, dist) in [("width", &c.width), ("service_s", &c.service_s)] {
+                if let Err(e) = dist.validate() {
+                    errs.push(format!("class `{}`: `{field}`: {e}", c.name));
+                }
+            }
             if !(c.width.mean() >= 1.0 && c.width.mean().is_finite()) {
                 errs.push(format!(
                     "class `{}`: mean width {} below one processor",

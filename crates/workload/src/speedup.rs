@@ -51,6 +51,28 @@ pub enum SpeedupModel {
 }
 
 impl SpeedupModel {
+    /// Check the parameter lies in the range
+    /// [`relative_time`](Self::relative_time) asserts; the message names
+    /// the parameter.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            SpeedupModel::Amdahl { seq_fraction: f } if !(0.0..=1.0).contains(&f) => {
+                Err(format!("Amdahl `seq_fraction` {f} outside [0, 1]"))
+            }
+            SpeedupModel::PowerLaw { sigma } if !(0.0..=1.0).contains(&sigma) => {
+                Err(format!("PowerLaw `sigma` {sigma} outside [0, 1]"))
+            }
+            SpeedupModel::CommPenalty { overhead }
+                if !(overhead >= 0.0 && overhead.is_finite()) =>
+            {
+                Err(format!(
+                    "CommPenalty `overhead` {overhead} must be finite and >= 0"
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Raw (un-clamped) relative time at `k` processors, as a fraction of
     /// the sequential time. `k >= 1`.
     pub fn relative_time(&self, k: usize) -> f64 {
