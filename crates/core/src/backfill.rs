@@ -43,6 +43,22 @@ pub struct Reservation {
     pub procs: usize,
 }
 
+/// Largest accepted runtime-estimate factor. Placement books `⌈true ×
+/// factor⌉` ticks, so an unbounded factor saturates the estimate and the
+/// booking end runs off the tick axis. Users over-request wall time by
+/// small factors (every checked-in campaign uses ≤ 1.2); 1000× leaves room
+/// for any sweep while keeping every booking far inside the axis.
+pub const MAX_ESTIMATE_FACTOR: f64 = 1000.0;
+
+/// Panic unless `factor` lies in `[1, MAX_ESTIMATE_FACTOR]` — the contract
+/// every backfill entry point enforces (NaN fails too).
+pub(crate) fn assert_estimate_factor(factor: f64) {
+    assert!(
+        (1.0..=MAX_ESTIMATE_FACTOR).contains(&factor),
+        "estimate factor must lie in [1, {MAX_ESTIMATE_FACTOR}] (got {factor})"
+    );
+}
+
 /// Backfilling flavours.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BackfillPolicy {
@@ -73,9 +89,10 @@ pub fn backfill_schedule(
 /// still *complete* at their true length, and the freed tail becomes
 /// visible to later decisions at the completion instant.
 ///
-/// `estimate_factor >= 1` is required: under-estimates would let a running
-/// job outlive its booking, which real systems handle by killing — that
-/// path is modelled by `lsps_core::nonclairvoyant` instead.
+/// `1 <= estimate_factor <= MAX_ESTIMATE_FACTOR` is required:
+/// under-estimates would let a running job outlive its booking, which real
+/// systems handle by killing — that path is modelled by
+/// `lsps_core::nonclairvoyant` instead.
 pub fn backfill_schedule_estimated(
     jobs: &[Job],
     m: usize,
@@ -118,11 +135,11 @@ pub fn book_reservations(tl: &mut Timeline, reservations: &[Reservation]) {
 }
 
 /// [`backfill_schedule_estimated`] over a pre-populated [`Timeline`]: every
-/// existing booking (whatever its kind) is treated as inviolable. This is
-/// the entry point the [`crate::policy`] layer and the grid's cluster-level
-/// scheduling use to pin *exact* processor sets (a count-based
-/// [`Reservation`] re-fits first-fit, which an incremental caller cannot
-/// rely on).
+/// existing booking (whatever its kind) is treated as inviolable. The
+/// [`crate::policy`] layer starts it from the reserved timeline; a caller
+/// holding *exact* processor sets (live work, outage windows) books them
+/// first — a count-based [`Reservation`] re-fits first-fit, which such a
+/// caller cannot rely on.
 pub fn backfill_on_timeline(
     jobs: &[Job],
     m: usize,
@@ -130,10 +147,7 @@ pub fn backfill_on_timeline(
     policy: BackfillPolicy,
     estimate_factor: f64,
 ) -> Schedule {
-    assert!(
-        estimate_factor >= 1.0 && estimate_factor.is_finite(),
-        "estimates must not undershoot (got factor {estimate_factor})"
-    );
+    assert_estimate_factor(estimate_factor);
     assert_eq!(tl.capacity().len(), m, "timeline capacity must match m");
     for j in jobs {
         assert!(

@@ -58,7 +58,7 @@ pub use malleable::{deq_schedule, MalleableSchedule, MalleableSegment};
 pub use mrt::{mrt_schedule, MrtParams};
 pub use nonclairvoyant::{exponential_trial_schedule, TrialStats};
 pub use outcome::{Outcome, OutcomeError, OutcomeKind, OutcomeRun};
-pub use policy::{registry, Knowledge, PinnedBooking, Policy, PolicyCtx, PolicyRun, ReleaseMode};
+pub use policy::{registry, Knowledge, Policy, PolicyCtx, PolicyRun, ReleaseMode};
 pub use schedule::{Assignment, Schedule, ValidationError};
 pub use shelf::{shelf_schedule, ShelfAlgo};
 pub use single::{single_machine, SingleRule};
@@ -79,9 +79,7 @@ pub mod prelude {
     pub use crate::mrt::{mrt_schedule, MrtParams};
     pub use crate::nonclairvoyant::{exponential_trial_schedule, TrialStats};
     pub use crate::outcome::{Outcome, OutcomeError, OutcomeKind, OutcomeRun};
-    pub use crate::policy::{
-        registry, Knowledge, PinnedBooking, Policy, PolicyCtx, PolicyRun, ReleaseMode,
-    };
+    pub use crate::policy::{registry, Knowledge, Policy, PolicyCtx, PolicyRun, ReleaseMode};
     pub use crate::schedule::{Assignment, Schedule, ValidationError};
     pub use crate::shelf::{shelf_schedule, ShelfAlgo};
     pub use crate::single::{single_machine, SingleRule};

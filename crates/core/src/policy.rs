@@ -20,26 +20,24 @@
 //!   instead of hard-coding dispatch.
 //!
 //! The trait is deliberately object-safe: the campaign executor
-//! (`lsps_scenario::CampaignPlan`), the CiGri cluster scheduler
-//! (`lsps_grid::cigri`) and the advisor
-//! ([`crate::advisor::PolicyChoice::instantiate`]) all traffic in
+//! (`lsps_scenario::CampaignPlan`) and the advisor
+//! ([`crate::advisor::PolicyChoice::instantiate`]) both traffic in
 //! `Box<dyn Policy>`.
 //!
-//! # Incremental replanning
+//! # Online decisions
 //!
-//! [`Policy::schedule_pending`] is a *full replan*: every call rebuilds
-//! the availability state from the committed set before scheduling the
-//! batch. Event-driven callers decide through a persistent
-//! [`Policy::incremental_planner`]: [`FullReplan`] over `schedule_pending`
-//! by default, while the backfill family keeps one timeline alive and does
-//! per-event work proportional to the **dirty window** — the new batch and
-//! the bookings that actually changed. The invariant and the bit-identity
-//! argument live in [`crate::replan`].
+//! Event-driven callers decide through a persistent
+//! [`Policy::incremental_planner`]. There are two: the backfill family
+//! keeps one timeline alive and places each arrival in a hole around the
+//! running work ([`BackfillPlanner`]); every other policy holds arrivals
+//! until the machine drains and schedules them as one batch
+//! ([`BatchPlanner`], the §4.2 online batch transformation). The
+//! invariants live in [`crate::replan`].
 
 use std::borrow::Cow;
 
 use lsps_des::{Dur, Time};
-use lsps_platform::{BookingKind, ProcSet, Timeline};
+use lsps_platform::{ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
 use crate::allot::{choose_allotment, AllotRule};
@@ -51,7 +49,7 @@ use crate::malleable::{deq_schedule, MalleableSchedule};
 use crate::mrt::{mrt_schedule, MrtParams};
 use crate::nonclairvoyant::exponential_trial_schedule;
 use crate::outcome::{Outcome, OutcomeKind, OutcomeRun};
-use crate::replan::{BackfillPlanner, FullReplan, IncrementalPlanner};
+use crate::replan::{BackfillPlanner, BatchPlanner, IncrementalPlanner};
 use crate::schedule::{Assignment, Schedule};
 use crate::shelf::{shelf_schedule, ShelfAlgo};
 use crate::smart::smart_schedule;
@@ -90,20 +88,6 @@ pub enum Knowledge {
 /// knowledge model does not pick one.
 pub const DEFAULT_INITIAL_ESTIMATE: Dur = Dur::from_secs(60);
 
-/// A booking with an exact processor set that the policy must not touch —
-/// the incremental/grid form of an advance reservation, where re-fitting a
-/// processor *count* first-fit (as [`Reservation`] placement does) would
-/// not match the machine's real occupancy.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PinnedBooking {
-    /// Window start.
-    pub start: Time,
-    /// Window end (exclusive).
-    pub end: Time,
-    /// Exact processors blocked during the window.
-    pub procs: ProcSet,
-}
-
 /// Everything a policy may need beyond the jobs and the machine size.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PolicyCtx {
@@ -111,8 +95,6 @@ pub struct PolicyCtx {
     pub release_mode: ReleaseMode,
     /// Advance reservations (§5.1), placed first-fit by processor count.
     pub reservations: Vec<Reservation>,
-    /// Exact-processor bookings (grid integration).
-    pub pinned: Vec<PinnedBooking>,
     /// Clairvoyance knob: runtime estimates are `true × factor` (≥ 1;
     /// 1.0 = exact). Only estimate-aware policies (backfilling) use it.
     pub estimate_factor: f64,
@@ -136,7 +118,6 @@ impl Default for PolicyCtx {
         PolicyCtx {
             release_mode: ReleaseMode::Online,
             reservations: Vec::new(),
-            pinned: Vec::new(),
             estimate_factor: 1.0,
             allot_rule: AllotRule::Balanced,
             speeds: Vec::new(),
@@ -154,22 +135,14 @@ impl PolicyCtx {
         }
     }
 
-    fn has_reservations(&self) -> bool {
-        !self.reservations.is_empty() || !self.pinned.is_empty()
-    }
-
-    /// An `m`-processor timeline holding the pinned bookings, then the
-    /// reservations placed first-fit — the decision-independent state every
-    /// backfill run starts from.
+    /// An `m`-processor timeline holding the reservations placed
+    /// first-fit — the decision-independent state every backfill run
+    /// starts from.
     ///
     /// # Panics
-    /// On conflicting pinned bookings or unsatisfiable reservations.
+    /// On unsatisfiable reservations.
     pub(crate) fn reserved_timeline(&self, m: usize) -> Timeline {
         let mut tl = Timeline::with_procs(m);
-        for (i, p) in self.pinned.iter().enumerate() {
-            tl.try_book(p.start, p.end, p.procs.clone(), BookingKind::Reservation)
-                .unwrap_or_else(|e| panic!("pinned booking {i} conflicts: {e:?}"));
-        }
         book_reservations(&mut tl, &self.reservations);
         tl
     }
@@ -207,12 +180,11 @@ pub trait Policy: Send + Sync {
     /// Stable, unique identifier (used in CSV output and lookups).
     fn name(&self) -> &str;
 
-    /// True iff the policy honours [`PinnedBooking`]s *exactly* — placing
-    /// work around arbitrary, possibly time-overlapping bookings without
-    /// touching their processors. This is what incremental callers (the
-    /// grid's cluster-level scheduling) need; batch policies that can only
-    /// treat reservations as disjoint full-machine blackouts must return
-    /// false.
+    /// True iff the policy has a hole-filling incremental planner: it
+    /// places work around arbitrary, possibly time-overlapping bookings
+    /// without touching their processors. Required by volatile runs, which
+    /// plan around outage windows; batch policies that can only treat
+    /// reservations as disjoint full-machine blackouts return false.
     fn supports_pinned(&self) -> bool {
         false
     }
@@ -275,95 +247,16 @@ pub trait Policy: Send + Sync {
         }
     }
 
-    /// Incremental decision hook: schedule the `pending` jobs (all already
-    /// arrived, i.e. every release is `<= now`) around the `committed`
-    /// bookings of work that has already been started or promised, no
-    /// earlier than `now`. This is the entry point event-driven callers use
-    /// — the online executor at every arrival/completion instant, the grid's
-    /// cluster-level scheduler per local submission.
-    ///
-    /// The default implementation re-runs the batch path:
-    ///
-    /// * a policy that honours [`PinnedBooking`]s schedules the pending jobs
-    ///   (releases bumped to `now`) around the still-relevant commitments —
-    ///   true hole-filling, exactly what `lsps_grid::cigri` always did;
-    /// * any other policy schedules the pending batch on an empty machine
-    ///   (releases zeroed — everything pending is available, and keeping
-    ///   absolute releases would replay the arrival gaps inside the batch)
-    ///   and shifts the result past the last committed completion — the
-    ///   paper's online batch transformation (§4.2), priced honestly.
-    ///
-    /// Either way, with no commitments at `now == 0` the result is
-    /// bit-identical to [`schedule`](Policy::schedule) — the property the
-    /// online-equivalence tests pin down.
-    ///
-    /// Under [`ReleaseMode::Online`] every returned start is `>= now`; the
-    /// [`ReleaseMode::Offline`] ctx (which strips releases) only makes
-    /// sense for a single decision instant at time zero.
-    fn schedule_pending(
-        &self,
-        pending: &[Job],
-        m: usize,
-        now: Time,
-        committed: &[PinnedBooking],
-        ctx: &PolicyCtx,
-    ) -> Schedule {
-        if self.supports_pinned() {
-            let mut ctx = ctx.clone();
-            // Commitments already over by `now` cannot constrain anything.
-            ctx.pinned
-                .extend(committed.iter().filter(|p| p.end > now).cloned());
-            let bumped: Vec<Job> = pending
-                .iter()
-                .map(|j| {
-                    let mut j = j.clone();
-                    j.release = j.release.max(now);
-                    j
-                })
-                .collect();
-            self.schedule(&bumped, m, &ctx)
-        } else {
-            let horizon = committed.iter().map(|p| p.end).fold(now, Time::max);
-            let batch: Vec<Job> = pending
-                .iter()
-                .map(|j| {
-                    let mut j = j.clone();
-                    j.release = Time::ZERO;
-                    j
-                })
-                .collect();
-            // The batch is scheduled in a zero-based frame and shifted by
-            // `horizon` afterwards, so any absolute reservation windows in
-            // the ctx must be translated into that frame — otherwise the
-            // shift would push work *into* the windows it avoided.
-            let shift = horizon.since_epoch();
-            let to_frame = |t: Time| Time::from_ticks(t.ticks().saturating_sub(shift.ticks()));
-            let mut ctx = ctx.clone();
-            ctx.reservations.retain(|r| r.end > horizon);
-            for r in &mut ctx.reservations {
-                r.start = to_frame(r.start);
-                r.end = to_frame(r.end);
-            }
-            ctx.pinned.retain(|p| p.end > horizon);
-            for p in &mut ctx.pinned {
-                p.start = to_frame(p.start);
-                p.end = to_frame(p.end);
-            }
-            self.schedule(&batch, m, &ctx).shifted(shift)
-        }
-    }
-
-    /// Persistent planner for event-driven callers: [`FullReplan`] over
-    /// [`schedule_pending`](Policy::schedule_pending) by default. An
-    /// override must produce placements bit-identical to the full replan —
-    /// it is an accelerator, never a different policy; see
-    /// [`crate::replan`] for the invariant.
+    /// Persistent planner for event-driven callers: the online batch
+    /// transformation ([`BatchPlanner`]) by default. The backfill family
+    /// overrides it with the hole-filling [`BackfillPlanner`]; see
+    /// [`crate::replan`] for the invariants.
     fn incremental_planner<'a>(
         &'a self,
         m: usize,
         ctx: &'a PolicyCtx,
     ) -> Box<dyn IncrementalPlanner + 'a> {
-        Box::new(FullReplan::new(self, m, ctx))
+        Box::new(BatchPlanner::new(self, m, ctx))
     }
 }
 
@@ -430,7 +323,7 @@ fn normalize_rigid<'a>(
 
 fn reject_reservations(policy_name: &str, ctx: &PolicyCtx) {
     assert!(
-        !ctx.has_reservations(),
+        ctx.reservations.is_empty(),
         "{policy_name} cannot honour reservations; use a backfilling or \
          batch policy"
     );
@@ -633,13 +526,7 @@ impl Policy for BatchedMrt {
         // Batch algorithms can only align batch boundaries with the
         // reservation windows (§5.1's "likely inefficient" idea, priced
         // honestly): every reservation becomes a full-machine blackout.
-        let mut windows: Vec<Reservation> = ctx.reservations.clone();
-        windows.extend(ctx.pinned.iter().map(|p| Reservation {
-            start: p.start,
-            end: p.end,
-            procs: p.procs.len(),
-        }));
-        batch_online_avoiding(&jobs, m, &windows, |b, mm| {
+        batch_online_avoiding(&jobs, m, &ctx.reservations, |b, mm| {
             mrt_schedule(b, mm, MrtParams::default())
         })
     }
@@ -885,7 +772,7 @@ pub fn by_name(name: &str) -> Option<Box<dyn Policy>> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lsps_des::Dur;
     use lsps_workload::{MoldableProfile, SpeedupModel};
@@ -909,7 +796,7 @@ mod tests {
     /// The registry workload every policy can schedule: `mixed_jobs` with
     /// wide rigid work narrowed to the sequential domain for
     /// uniform-machine policies.
-    fn domain_jobs(policy: &dyn Policy) -> Vec<Job> {
+    pub(crate) fn domain_jobs(policy: &dyn Policy) -> Vec<Job> {
         match policy.outcome_kind() {
             OutcomeKind::Uniform => mixed_jobs()
                 .into_iter()
@@ -1044,26 +931,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_bookings_are_inviolable() {
-        // Pin the exact processor {0} for [0, 100); a 1-proc job must land
-        // on processor 1 (count-based refit could not guarantee that).
-        let jobs = vec![Job::sequential(1, d(10))];
-        let ctx = PolicyCtx {
-            pinned: vec![PinnedBooking {
-                start: Time::ZERO,
-                end: Time::from_ticks(100),
-                procs: ProcSet::from_indices([0]),
-            }],
-            ..PolicyCtx::default()
-        };
-        let run = Backfilling::conservative().run(&jobs, 2, &ctx);
-        assert_eq!(run.validate(), Ok(()));
-        let a = &run.schedule.assignments()[0];
-        assert_eq!(a.start, Time::ZERO);
-        assert_eq!(a.procs, ProcSet::from_indices([1]));
-    }
-
-    #[test]
     #[should_panic]
     fn reservation_blind_policies_reject_reservations() {
         let ctx = PolicyCtx {
@@ -1085,125 +952,6 @@ mod tests {
             ..Job::sequential(1, d(1))
         };
         ListScheduling::new(JobOrder::Fcfs).schedule(&[j], 2, &PolicyCtx::default());
-    }
-
-    #[test]
-    fn schedule_pending_with_no_commitments_at_zero_is_the_batch_schedule() {
-        // The hook's contract: pending jobs have all arrived (release <=
-        // now), so at now = 0 the jobs are release-free.
-        let ctx = PolicyCtx::default();
-        for policy in registry() {
-            let jobs: Vec<Job> = domain_jobs(policy.as_ref())
-                .into_iter()
-                .map(|j| j.released_at(Time::ZERO))
-                .collect();
-            let batch = policy.schedule(&jobs, 8, &ctx);
-            let incremental = policy.schedule_pending(&jobs, 8, Time::ZERO, &[], &ctx);
-            assert_eq!(batch, incremental, "{}", policy.name());
-        }
-    }
-
-    #[test]
-    fn schedule_pending_fills_holes_around_commitments_when_pinned_capable() {
-        // Processor 0 is committed over [0, 100); a 1-proc pending job at
-        // now = 10 must start at 10 on processor 1 — hole-filling, not
-        // waiting for the horizon.
-        let pending = vec![Job::sequential(1, d(10))];
-        let committed = [PinnedBooking {
-            start: Time::ZERO,
-            end: Time::from_ticks(100),
-            procs: ProcSet::from_indices([0]),
-        }];
-        let s = Backfilling::conservative().schedule_pending(
-            &pending,
-            2,
-            Time::from_ticks(10),
-            &committed,
-            &PolicyCtx::default(),
-        );
-        let a = &s.assignments()[0];
-        assert_eq!(a.start, Time::from_ticks(10));
-        assert_eq!(a.procs, ProcSet::from_indices([1]));
-    }
-
-    #[test]
-    fn schedule_pending_batch_fallback_waits_for_the_horizon() {
-        // Shelf packing cannot work around commitments: the pending batch is
-        // scheduled from scratch and shifted past the last committed end.
-        let pending = vec![Job::rigid(1, 1, d(10)), Job::rigid(2, 1, d(5))];
-        let committed = [PinnedBooking {
-            start: Time::from_ticks(20),
-            end: Time::from_ticks(50),
-            procs: ProcSet::from_indices([0]),
-        }];
-        let s = ShelfPacking::new(ShelfAlgo::Nfdh).schedule_pending(
-            &pending,
-            2,
-            Time::from_ticks(30),
-            &committed,
-            &PolicyCtx::default(),
-        );
-        assert_eq!(s.len(), 2);
-        for a in s.assignments() {
-            assert!(a.start >= Time::from_ticks(50), "{a:?} inside the horizon");
-        }
-    }
-
-    #[test]
-    fn schedule_pending_batch_fallback_translates_reservations_into_the_shifted_frame() {
-        // batch-mrt avoids reservations as full-machine blackouts; the
-        // batch fallback schedules zero-based and shifts by the committed
-        // horizon, so the absolute window [100, 200) must still be avoided
-        // *after* the shift.
-        let pending = vec![Job::sequential(1, d(60))];
-        let committed = [PinnedBooking {
-            start: Time::ZERO,
-            end: Time::from_ticks(50),
-            procs: ProcSet::from_indices([0, 1]),
-        }];
-        let ctx = PolicyCtx {
-            reservations: vec![Reservation {
-                start: Time::from_ticks(100),
-                end: Time::from_ticks(200),
-                procs: 2,
-            }],
-            ..PolicyCtx::default()
-        };
-        let s = BatchedMrt.schedule_pending(&pending, 2, Time::from_ticks(10), &committed, &ctx);
-        assert_eq!(s.len(), 1);
-        let a = &s.assignments()[0];
-        assert!(a.start >= Time::from_ticks(50), "{a:?} inside the horizon");
-        assert!(
-            a.end <= Time::from_ticks(100) || a.start >= Time::from_ticks(200),
-            "{a:?} crosses the absolute reservation window"
-        );
-    }
-
-    #[test]
-    fn schedule_pending_expired_commitments_do_not_constrain() {
-        // A commitment fully in the past must not block "the whole machine
-        // now" placements.
-        let pending = vec![Job::rigid(1, 2, d(10))];
-        let committed = [PinnedBooking {
-            start: Time::ZERO,
-            end: Time::from_ticks(5),
-            procs: ProcSet::from_indices([0, 1]),
-        }];
-        for policy in [Backfilling::easy(), Backfilling::conservative()] {
-            let s = policy.schedule_pending(
-                &pending,
-                2,
-                Time::from_ticks(5),
-                &committed,
-                &PolicyCtx::default(),
-            );
-            assert_eq!(
-                s.assignments()[0].start,
-                Time::from_ticks(5),
-                "{}",
-                policy.name()
-            );
-        }
     }
 
     #[test]

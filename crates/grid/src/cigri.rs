@@ -7,6 +7,10 @@
 //!   reservations only; `full_tl` additionally holds best-effort bookings.
 //!   Local placement consults `local_tl`, so grid jobs are *invisible* to
 //!   local users — the paper's no-disturbance guarantee by construction;
+//! * each local job is conservatively backfilled on arrival: it takes the
+//!   earliest slot of `local_tl` that disturbs no earlier booking, so a
+//!   short job may jump ahead into a hole but never delays one already
+//!   placed;
 //! * a local booking that collides with running best-effort work kills it:
 //!   the victim's booking is truncated, its end event cancelled, the run
 //!   requeued at the server, and the spent CPU time counted as *wasted*;
@@ -16,7 +20,6 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use lsps_core::policy::{Backfilling, PinnedBooking, Policy, PolicyCtx};
 use lsps_des::{Ctx, Dur, EventKey, Model, Simulation, Time};
 use lsps_metrics::{CompletedJob, Criteria};
 use lsps_platform::{BookingId, BookingKind, Platform, Timeline};
@@ -88,11 +91,6 @@ pub struct CigriSim {
     best_effort_enabled: bool,
     campaign_done_at: Time,
     be_total: u64,
-    /// Cluster-level scheduling policy for local jobs. Each arrival is
-    /// placed by handing the policy the single job plus the cluster's
-    /// current local bookings as [`PinnedBooking`]s — the same `Policy`
-    /// abstraction the off-line experiments use, driven incrementally.
-    local_policy: Box<dyn Policy>,
 }
 
 impl CigriSim {
@@ -126,25 +124,7 @@ impl CigriSim {
             best_effort_enabled,
             campaign_done_at: Time::ZERO,
             be_total: 0,
-            local_policy: Box::new(Backfilling::conservative()),
         }
-    }
-
-    /// Replace the cluster-level local scheduling policy (default:
-    /// conservative backfilling, the production batch-system behaviour).
-    /// Local placement hands the policy the cluster's current bookings as
-    /// [`PinnedBooking`]s — arbitrary, time-overlapping, exact processor
-    /// sets — so the policy must support pinned bookings (batch policies
-    /// that only align around disjoint blackout windows do not qualify).
-    pub fn with_local_policy(mut self, policy: Box<dyn Policy>) -> CigriSim {
-        assert!(
-            policy.supports_pinned(),
-            "{}: cluster-level scheduling needs a policy that honours \
-             pinned (exact, possibly overlapping) bookings",
-            policy.name()
-        );
-        self.local_policy = policy;
-        self
     }
 
     /// Scale a reference duration to cluster `c`'s speed (conservative
@@ -163,37 +143,14 @@ impl CigriSim {
         let m = self.clusters[c].local_tl.capacity().len();
         assert!(q <= m, "job wider than cluster");
         // Placement sees only local load — grid jobs are invisible. The
-        // decision goes through the same incremental hook the online
-        // executor uses ([`Policy::schedule_pending`]): one rigid probe
-        // (speed-scaled, released "now") around the cluster's current local
-        // bookings as exact-processor commitments. The hook drops bookings
-        // already over by the decision instant, so the gc'ed timeline can be
-        // handed over wholesale.
-        let (start, procs) = {
-            let cl = &self.clusters[c];
-            let release = now.max(job.release);
-            let committed: Vec<PinnedBooking> = cl
-                .local_tl
-                .bookings()
-                .map(|(_, b)| PinnedBooking {
-                    start: b.start,
-                    end: b.end,
-                    procs: b.procs.clone(),
-                })
-                .collect();
-            let mut probe = job.clone();
-            probe.release = release;
-            probe.kind = JobKind::Rigid { procs: q, len };
-            let placed = self.local_policy.schedule_pending(
-                &[probe],
-                m,
-                release,
-                &committed,
-                &PolicyCtx::default(),
-            );
-            let a = &placed.assignments()[0];
-            (a.start, a.procs.clone())
-        };
+        // job (speed-scaled, released "now") is conservatively backfilled:
+        // the earliest slot around the cluster's current local bookings.
+        // Bookings that ended at or before `now` cannot affect a query
+        // starting at or after `now`, so the timeline needs no gc first.
+        let (start, procs) = self.clusters[c]
+            .local_tl
+            .earliest_slot(now.max(job.release), len, q)
+            .expect("q <= m, so a slot always exists");
         let cl = &mut self.clusters[c];
         let end = start + len;
         let local_bk = cl
@@ -640,31 +597,33 @@ mod tests {
     }
 
     #[test]
-    fn custom_local_policy_runs_and_unsuitable_ones_are_rejected() {
-        use lsps_core::policy::BatchedMrt;
-        // EASY backfilling honours pinned bookings: accepted, and a busy
-        // cluster (overlapping concurrent locals) simulates fine.
-        let p = two_cluster_platform();
-        let locals = vec![
-            (0, Job::sequential(1, d(300))),
-            (0, Job::sequential(2, d(200)).released_at(t(10))),
-            (0, Job::sequential(3, d(100)).released_at(t(20))),
-        ];
-        let mut sim = Simulation::new(
-            CigriSim::new(&p, d(50), true).with_local_policy(Box::new(Backfilling::easy())),
+    fn locals_are_conservatively_backfilled() {
+        // One 2-proc cluster. C holds one processor over [0, 100); A needs
+        // both, so it is booked at 100. B fits the idle processor before
+        // A's booking and jumps ahead at its release without delaying A.
+        use lsps_platform::{Cluster, LinkClass, NetworkModel};
+        let p = Platform::new(
+            "one",
+            vec![Cluster::homogeneous("c", 2, 1, 1.0, LinkClass::gige())],
+            NetworkModel::light_grid_default(),
         );
-        for (cluster, job) in locals {
-            let at = job.release;
-            sim.schedule_at(at, CigriEvent::LocalSubmit { cluster, job });
-        }
-        sim.run_to_completion(10_000);
-        let report = sim.model().report(sim.now());
-        assert_eq!(report.local.expect("locals completed").n, 3);
-        // A batch policy cannot serve overlapping pinned bookings.
-        let rejected = std::panic::catch_unwind(|| {
-            CigriSim::new(&p, d(50), true).with_local_policy(Box::new(BatchedMrt))
-        });
-        assert!(rejected.is_err(), "batch-mrt must be rejected up front");
+        let locals = vec![
+            (0, Job::sequential(1, d(100))),
+            (0, Job::rigid(2, 2, d(50)).released_at(t(10))),
+            (0, Job::sequential(3, d(30)).released_at(t(20))),
+        ];
+        let report = run_cigri(&p, locals, vec![], d(50), true);
+        let start_of = |id: u64| {
+            report
+                .local_records
+                .iter()
+                .find(|r| r.id.0 == id)
+                .expect("local completed")
+                .start
+        };
+        assert_eq!(start_of(1), t(0));
+        assert_eq!(start_of(2), t(100), "A waits for C");
+        assert_eq!(start_of(3), t(20), "B backfills ahead of A");
     }
 
     #[test]

@@ -323,8 +323,8 @@ pub fn des_replay(schedule: &Schedule, jobs: &[Job]) -> Vec<CompletedJob> {
 /// decision procedure: at every decision instant its
 /// [`IncrementalPlanner`] advances to `now` and plans the pending set, and
 /// a placed batch is committed in full. A planner that defers (the
-/// [`FullReplan`](lsps_core::replan::FullReplan) of a hole-blind policy
-/// while work is running) leaves the set pending for a later instant.
+/// [`BatchPlanner`](lsps_core::replan::BatchPlanner) while work is
+/// running) leaves the set pending for a later instant.
 struct PolicyDispatch<'a> {
     policy: &'a dyn Policy,
     /// Aggregate of every commitment, for end-of-run validation. `None`
@@ -701,8 +701,9 @@ pub(crate) struct VolatileOutcome {
 /// reservation until repair, so all replanning (incremental or full) packs
 /// around the hole.
 ///
-/// Restrictions (asserted): pinned-capable policy, [`ReleaseMode::Online`],
-/// identical machines, no reservations or pinned bookings. The kill rule
+/// Restrictions (asserted): a policy with a hole-filling planner
+/// ([`Policy::supports_pinned`]), [`ReleaseMode::Online`], identical
+/// machines, no reservations. The kill rule
 /// lives here, not in `planner`, so the policy's planner and the
 /// full-replan oracle stay bit-identical — the differential property the
 /// failure proptests pin down.
@@ -716,7 +717,7 @@ pub(crate) fn des_online_volatile<'a>(
 ) -> VolatileOutcome {
     assert!(
         policy.supports_pinned(),
-        "{}: volatility needs a pinned-capable policy (it must plan around outage windows)",
+        "{}: volatility needs a hole-filling policy (it must plan around outage windows)",
         policy.name()
     );
     assert!(
@@ -724,8 +725,8 @@ pub(crate) fn des_online_volatile<'a>(
         "volatility is an online phenomenon; offline release stripping is meaningless"
     );
     assert!(
-        ctx.reservations.is_empty() && ctx.pinned.is_empty() && ctx.is_identical_machine(),
-        "volatile runs support neither reservations, pinned bookings nor speeds"
+        ctx.reservations.is_empty() && ctx.is_identical_machine(),
+        "volatile runs support neither reservations nor speeds"
     );
     for o in &plan.outages {
         assert!(
@@ -995,26 +996,130 @@ mod tests {
 
 #[cfg(test)]
 mod replan_tests {
-    //! Differential tests for the incremental planner: the retained
-    //! full-replan `schedule_pending` path is the oracle, and the planner
-    //! must be bit-identical to it — assignments (starts, ends, exact
-    //! processor sets), committed intervals and completion records alike.
+    //! Differential tests for the incremental planner: the full replan
+    //! ([`FullReplanOracle`]) is the oracle, and the planner must be
+    //! bit-identical to it — assignments (starts, ends, exact processor
+    //! sets), committed intervals and completion records alike.
 
     use super::*;
-    use lsps_core::backfill::Reservation;
+    use lsps_core::backfill::{
+        backfill_on_timeline, book_reservations, BackfillPolicy, Reservation,
+    };
     use lsps_core::policy::Backfilling;
-    use lsps_core::replan::FullReplan;
     use lsps_des::{Dur, SimRng};
+    use lsps_platform::{BookingKind, Timeline};
     use lsps_workload::FailureTraceSpec;
     use proptest::prelude::*;
 
     use crate::families::large_scale_instance;
+
+    /// The EASY or conservative backfill policy, with its flavour.
+    fn backfill(easy: bool) -> (Box<dyn Policy>, BackfillPolicy) {
+        if easy {
+            (Box::new(Backfilling::easy()), BackfillPolicy::Easy)
+        } else {
+            (
+                Box::new(Backfilling::conservative()),
+                BackfillPolicy::Conservative,
+            )
+        }
+    }
 
     fn online_ctx(factor: f64) -> PolicyCtx {
         PolicyCtx {
             release_mode: ReleaseMode::Online,
             estimate_factor: factor,
             ..PolicyCtx::default()
+        }
+    }
+
+    /// The re-book-everything oracle for the backfill family: every
+    /// decision builds a fresh timeline from the live commitments (then
+    /// the reservations, first-fit, exactly as a batch run places them)
+    /// and packs the pending batch with the batch-path
+    /// [`backfill_on_timeline`]. O(live) work per event — the rebuild
+    /// [`BackfillPlanner`](lsps_core::replan::BackfillPlanner) proves
+    /// redundant, and the reference it must match bit for bit.
+    struct FullReplanOracle {
+        flavour: BackfillPolicy,
+        factor: f64,
+        reservations: Vec<Reservation>,
+        /// Live commitments and outage windows at true lengths.
+        committed: Timeline,
+        created: Vec<(BookingId, Time)>,
+        touched: u64,
+    }
+
+    impl FullReplanOracle {
+        fn new(flavour: BackfillPolicy, m: usize, ctx: &PolicyCtx) -> Self {
+            FullReplanOracle {
+                flavour,
+                factor: ctx.estimate_factor,
+                reservations: ctx.reservations.clone(),
+                committed: Timeline::with_procs(m),
+                created: Vec::new(),
+                touched: 0,
+            }
+        }
+    }
+
+    impl IncrementalPlanner for FullReplanOracle {
+        fn advance(&mut self, now: Time) {
+            self.committed.gc(now);
+        }
+
+        fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool {
+            self.created.clear();
+            let m = self.committed.capacity().len();
+            let mut tl = Timeline::with_procs(m);
+            for (_, b) in self.committed.bookings().filter(|(_, b)| b.end > now) {
+                tl.try_book(b.start, b.end, b.procs.clone(), BookingKind::Reservation)
+                    .expect("live commitments are disjoint");
+            }
+            book_reservations(&mut tl, &self.reservations);
+            let bumped: Vec<Job> = pending
+                .iter()
+                .map(|j| {
+                    let mut j = j.clone();
+                    j.release = j.release.max(now);
+                    j
+                })
+                .collect();
+            self.touched += (pending.len() + self.committed.n_bookings()) as u64;
+            *out = backfill_on_timeline(&bumped, m, tl, self.flavour, self.factor);
+            for a in out.assignments() {
+                let bk = self
+                    .committed
+                    .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
+                    .expect("placements avoid live work");
+                self.created.push((bk, a.end));
+            }
+            true
+        }
+
+        fn touched(&self) -> u64 {
+            self.touched
+        }
+
+        fn last_created(&self) -> &[(BookingId, Time)] {
+            &self.created
+        }
+
+        fn invalidate(&mut self, id: BookingId) {
+            self.committed
+                .remove(id)
+                .expect("killed booking still present");
+        }
+
+        fn add_outage(&mut self, node: u32, start: Time, end: Time) {
+            self.committed
+                .try_book(
+                    start,
+                    end,
+                    ProcSet::from_indices([node as usize]),
+                    BookingKind::Reservation,
+                )
+                .expect("outages on one node never overlap");
         }
     }
 
@@ -1046,13 +1151,9 @@ mod replan_tests {
                     procs,
                 });
             }
-            let policy: Box<dyn Policy> = if easy {
-                Box::new(Backfilling::easy())
-            } else {
-                Box::new(Backfilling::conservative())
-            };
+            let (policy, flavour) = backfill(easy);
             let fast = des_online(policy.as_ref(), &jobs, m, &ctx);
-            let oracle = Box::new(FullReplan::new(policy.as_ref(), m, &ctx));
+            let oracle = Box::new(FullReplanOracle::new(flavour, m, &ctx));
             let slow = finite_online(policy.as_ref(), &jobs, m, &ctx, oracle);
             prop_assert!(
                 slow.replan_touched >= fast.replan_touched,
@@ -1112,16 +1213,12 @@ mod replan_tests {
                 },
             };
             let ctx = online_ctx([1.0, 1.3, 2.0][factor_pick]);
-            let policy: Box<dyn Policy> = if easy {
-                Box::new(Backfilling::easy())
-            } else {
-                Box::new(Backfilling::conservative())
-            };
+            let (policy, flavour) = backfill(easy);
             let policy = policy.as_ref();
             let fast = des_online_volatile(
                 policy, &jobs, m, &ctx, &plan, policy.incremental_planner(m, &ctx),
             );
-            let oracle = Box::new(FullReplan::new(policy, m, &ctx));
+            let oracle = Box::new(FullReplanOracle::new(flavour, m, &ctx));
             let slow = des_online_volatile(policy, &jobs, m, &ctx, &plan, oracle);
             prop_assert!(
                 slow.replan_touched >= fast.replan_touched,
@@ -1166,7 +1263,7 @@ mod replan_tests {
         let policy = Backfilling::easy();
         let planners: [Box<dyn IncrementalPlanner>; 2] = [
             policy.incremental_planner(1, &ctx),
-            Box::new(FullReplan::new(&policy, 1, &ctx)),
+            Box::new(FullReplanOracle::new(BackfillPolicy::Easy, 1, &ctx)),
         ];
         for planner in planners {
             let out = des_online_volatile(&policy, &jobs, 1, &ctx, &plan, planner);

@@ -16,6 +16,7 @@ use std::str::FromStr;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use lsps_core::allot::AllotRule;
+use lsps_core::backfill::MAX_ESTIMATE_FACTOR;
 use lsps_core::outcome::OutcomeKind;
 use lsps_core::policy::{by_name, Knowledge, PolicyCtx, ReleaseMode, DEFAULT_INITIAL_ESTIMATE};
 use lsps_des::Dur;
@@ -324,8 +325,8 @@ impl Serialize for FailureEntry {
     }
 }
 
-/// The scheduling-context knobs a spec may set (reservations and pinned
-/// bookings are runtime concerns, not spec data).
+/// The scheduling-context knobs a spec may set (reservations are runtime
+/// concerns, not spec data).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CtxSpec {
     /// Release-date handling (`"online"` / `"offline"` in JSON).
@@ -622,7 +623,7 @@ impl CampaignSpec {
         // A volatile axis changes the execution model the same way open
         // entries do: cells must be *driven* (kills happen mid-flight), so
         // the campaign has to be uniformly des-online with honest releases,
-        // pinned-capable policies (they plan around outage windows),
+        // hole-filling policies (they plan around outage windows),
         // identical machines, and finite workloads.
         if self.is_volatile() {
             if self.executors != vec![Executor::DesOnline] {
@@ -640,7 +641,7 @@ impl CampaignSpec {
                 if by_name(p).is_some_and(|pol| !pol.supports_pinned()) {
                     problems.push(format!(
                         "policy `{p}` cannot plan around outage windows \
-                         (pinned-capable policies only under a volatile `failures` axis)"
+                         (hole-filling policies only under a volatile `failures` axis)"
                     ));
                 }
             }
@@ -664,8 +665,10 @@ impl CampaignSpec {
         if self.replication.replications == 0 {
             problems.push("`replication.replications` must be >= 1".into());
         }
-        if !(self.ctx.estimate_factor >= 1.0 && self.ctx.estimate_factor.is_finite()) {
-            problems.push("`ctx.estimate_factor` must be finite and >= 1".into());
+        if !(1.0..=MAX_ESTIMATE_FACTOR).contains(&self.ctx.estimate_factor) {
+            problems.push(format!(
+                "`ctx.estimate_factor` must lie in [1, {MAX_ESTIMATE_FACTOR}]"
+            ));
         }
         if let Knowledge::NonClairvoyant { initial_estimate } = self.ctx.knowledge {
             if initial_estimate.is_zero() {
@@ -1369,6 +1372,9 @@ mod tests {
                 ["stream", "width"],
             ),
             (finite_campaign("", "", "1e999"), ["ctx", "estimate_factor"]),
+            // Finite but huge: the estimate saturates the tick axis, so it
+            // must fail validation instead of panicking in a worker.
+            (finite_campaign("", "", "1e300"), ["ctx", "estimate_factor"]),
         ];
         for (text, needles) in rows {
             match expand(&text) {
