@@ -193,7 +193,6 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
     for &bookings in &[100usize, 1_000, 4_000] {
         let mut rng = SimRng::seed_from(3);
         let tl = loaded_timeline(m, bookings, &mut rng);
-        let horizon = tl.horizon(Time::ZERO);
         push(
             &mut micro,
             "earliest_slot",
@@ -204,14 +203,6 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
                     Dur::from_ticks(100),
                     16,
                 ));
-            }),
-        );
-        push(
-            &mut micro,
-            "free_profile_full",
-            bookings,
-            median_ns(samples, 8, || {
-                std::hint::black_box(tl.free_profile(Time::ZERO, horizon));
             }),
         );
         push(

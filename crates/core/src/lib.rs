@@ -33,7 +33,6 @@ pub mod allot;
 pub mod backfill;
 pub mod batch;
 pub mod bicriteria;
-pub mod gantt;
 pub mod list;
 pub mod malleable;
 pub mod mixed;
@@ -52,7 +51,6 @@ pub use advisor::{advise, Application, Objective, PolicyChoice, Recommendation};
 pub use backfill::{backfill_schedule, backfill_schedule_estimated, BackfillPolicy, Reservation};
 pub use batch::batch_online;
 pub use bicriteria::{bicriteria_schedule, BiCriteriaParams};
-pub use gantt::{gantt_svg, GanttOptions};
 pub use list::{list_schedule, JobOrder};
 pub use malleable::{deq_schedule, MalleableSchedule, MalleableSegment};
 pub use mrt::{mrt_schedule, MrtParams};
@@ -73,7 +71,6 @@ pub mod prelude {
     };
     pub use crate::batch::batch_online;
     pub use crate::bicriteria::{bicriteria_schedule, BiCriteriaParams};
-    pub use crate::gantt::{gantt_svg, GanttOptions};
     pub use crate::list::{list_schedule, JobOrder};
     pub use crate::malleable::{deq_schedule, MalleableSchedule, MalleableSegment};
     pub use crate::mrt::{mrt_schedule, MrtParams};

@@ -127,14 +127,6 @@ impl Default for PolicyCtx {
 }
 
 impl PolicyCtx {
-    /// Off-line context (all release dates stripped).
-    pub fn offline() -> PolicyCtx {
-        PolicyCtx {
-            release_mode: ReleaseMode::Offline,
-            ..PolicyCtx::default()
-        }
-    }
-
     /// An `m`-processor timeline holding the reservations placed
     /// first-fit — the decision-independent state every backfill run
     /// starts from.
@@ -843,7 +835,11 @@ pub(crate) mod tests {
     fn every_policy_schedules_a_mixed_workload() {
         for policy in registry() {
             let jobs = domain_jobs(policy.as_ref());
-            for ctx in [PolicyCtx::default(), PolicyCtx::offline()] {
+            let offline = PolicyCtx {
+                release_mode: ReleaseMode::Offline,
+                ..PolicyCtx::default()
+            };
+            for ctx in [PolicyCtx::default(), offline] {
                 let run = policy.run(&jobs, 8, &ctx);
                 assert_eq!(
                     run.validate(),
@@ -902,7 +898,11 @@ pub(crate) mod tests {
     fn offline_mode_strips_releases() {
         let jobs = mixed_jobs();
         let p = BiCriteriaDoubling;
-        let prepared = p.prepare(&jobs, 8, &PolicyCtx::offline());
+        let offline = PolicyCtx {
+            release_mode: ReleaseMode::Offline,
+            ..PolicyCtx::default()
+        };
+        let prepared = p.prepare(&jobs, 8, &offline);
         assert!(prepared.iter().all(|j| j.release == Time::ZERO));
         // On-line mode keeps them (bicriteria handles releases natively).
         let online = p.prepare(&jobs, 8, &PolicyCtx::default());

@@ -89,11 +89,6 @@ impl Schedule {
         }
     }
 
-    /// Machine size.
-    pub fn machine_size(&self) -> usize {
-        self.m
-    }
-
     /// Append an assignment (unchecked here; run [`validate`](Self::validate)
     /// before consuming the schedule).
     pub fn push(&mut self, a: Assignment) {

@@ -127,30 +127,6 @@ impl SimRng {
         assert!(!items.is_empty(), "choice on empty slice");
         &items[self.int_range(0, items.len() as u64 - 1) as usize]
     }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.int_range(0, i as u64) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Sample an index according to non-negative weights (at least one
-    /// strictly positive).
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weighted_index: weights sum to {total}");
-        let mut x = self.f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            debug_assert!(w >= 0.0);
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1 // numeric edge: fall to the last positive bucket
-    }
 }
 
 impl RngCore for SimRng {
@@ -249,30 +225,6 @@ mod tests {
         let median = xs[n / 2];
         // Geometric mean of bounds = 100.
         assert!((50.0..200.0).contains(&median), "median {median}");
-    }
-
-    #[test]
-    fn weighted_index_hits_proportions() {
-        let mut r = SimRng::seed_from(19);
-        let w = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..8000 {
-            counts[r.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let ratio = counts[2] as f64 / counts[0] as f64;
-        assert!((2.4..3.6).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut r = SimRng::seed_from(23);
-        let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(v, (0..50).collect::<Vec<_>>(), "astronomically unlikely");
     }
 
     #[test]

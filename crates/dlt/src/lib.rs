@@ -23,8 +23,9 @@
 //!   against.
 //!
 //! Units: *load* is measured in abstract units (1 unit = 1 second of work
-//! for a speed-1.0 reference CPU); worker speeds are units/second; links
-//! carry `bytes_per_unit · units` bytes at their bandwidth. All math is
+//! for a speed-1.0 reference CPU); worker speeds and link bandwidths are
+//! both units/second (a link's bytes/s divided by the application's bytes
+//! per unit), so the crate needs no platform model. All math is
 //! `f64` (rounded to ticks only at the simulation boundary, per DESIGN.md).
 
 pub mod bus;

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use lsps_platform::Cluster;
-
 /// One computation resource behind a link, as DLT sees it.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Worker {
@@ -42,19 +40,6 @@ impl Worker {
         assert!(units >= 0.0);
         units / self.speed
     }
-}
-
-/// Build DLT workers from a cluster: one worker per CPU, link shared
-/// parameters from the cluster interconnect. `bytes_per_unit` converts the
-/// application's data density (bytes moved per unit of work) into
-/// unit-bandwidth.
-pub fn workers_from_cluster(cluster: &Cluster, bytes_per_unit: f64) -> Vec<Worker> {
-    assert!(bytes_per_unit > 0.0);
-    let bw_units = cluster.interconnect.bandwidth_bps / bytes_per_unit;
-    let lat = cluster.interconnect.latency_s;
-    (0..cluster.total_procs())
-        .map(|i| Worker::new(cluster.proc_speed(i), bw_units, lat))
-        .collect()
 }
 
 /// The outcome of a distribution policy.
@@ -98,7 +83,6 @@ impl DltPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsps_platform::LinkClass;
 
     #[test]
     fn worker_times() {
@@ -106,16 +90,6 @@ mod tests {
         assert!((w.recv_time(20.0) - 2.5).abs() < 1e-12);
         assert_eq!(w.recv_time(0.0), 0.0, "empty messages cost nothing");
         assert!((w.compute_time(20.0) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cluster_conversion() {
-        let c = Cluster::homogeneous("c", 4, 2, 0.5, LinkClass::new(1e-3, 1e8));
-        let ws = workers_from_cluster(&c, 1e6); // 1 MB per unit
-        assert_eq!(ws.len(), 8);
-        assert!(ws.iter().all(|w| (w.speed - 0.5).abs() < 1e-12));
-        assert!(ws.iter().all(|w| (w.bandwidth - 100.0).abs() < 1e-12));
-        assert!(ws.iter().all(|w| (w.latency - 1e-3).abs() < 1e-12));
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub use completed::CompletedJob;
 pub use criteria::{Criteria, CriteriaAcc};
 pub use fairness::{jain_index, per_user, UserReport};
 pub use lower_bounds::{
-    area_seconds, cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound,
-    uniform_csum_lower_bound, uniform_wsum_lower_bound, wsum_lower_bound,
+    cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
+    uniform_wsum_lower_bound, wsum_lower_bound,
 };
 pub use steady::{batch_means_ci95, ClassResponse, SteadyState, WarmupSpec};
 pub use summary::Summary;
@@ -44,8 +44,8 @@ pub mod prelude {
     pub use crate::criteria::{Criteria, CriteriaAcc};
     pub use crate::fairness::{jain_index, per_user, UserReport};
     pub use crate::lower_bounds::{
-        area_seconds, cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound,
-        uniform_csum_lower_bound, uniform_wsum_lower_bound, wsum_lower_bound,
+        cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
+        uniform_wsum_lower_bound, wsum_lower_bound,
     };
     pub use crate::steady::{batch_means_ci95, ClassResponse, SteadyState, WarmupSpec};
     pub use crate::summary::Summary;

@@ -155,13 +155,6 @@ pub fn uniform_csum_lower_bound(jobs: &[Job], speeds: &[f64]) -> f64 {
     uniform_wsum_lower_bound(&unweighted, speeds)
 }
 
-/// Hint for sizing experiments: the time `Σ min_work / m` it takes the
-/// whole machine to chew through the workload area (seconds).
-pub fn area_seconds(jobs: &[Job], m: usize) -> f64 {
-    let total: u128 = jobs.iter().map(|j| j.min_work().ticks() as u128).sum();
-    total as f64 / m as f64 / lsps_des::TICKS_PER_SEC as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,7 +271,6 @@ mod tests {
         // More machines ⇒ weaker (smaller) bounds.
         assert!(wsum_lower_bound(&jobs, 1) > wsum_lower_bound(&jobs, 4));
         assert!(cmax_lower_bound(&jobs, 1) > cmax_lower_bound(&jobs, 4));
-        assert!((area_seconds(&jobs, 32) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`Node`], [`Cluster`], [`Platform`] — the machine hierarchy of Fig. 1 /
 //!   Fig. 3 with per-node relative speeds (weak intra-cluster heterogeneity)
 //!   and per-cluster interconnect classes.
-//! * [`LinkClass`], [`NetworkModel`] — latency + bandwidth affine transfer
-//!   costs at the three levels of the hierarchy (intra-node, intra-cluster,
-//!   inter-cluster).
+//! * [`LinkClass`], [`NetworkModel`] — the latency and bandwidth of each
+//!   of the three levels of the hierarchy (intra-node, intra-cluster,
+//!   inter-cluster), rendered and serialized with the platform.
 //! * [`Timeline`] — per-processor availability over time: bookings, advance
 //!   reservations (§5.1), hole queries. This is the substrate both for
 //!   backfilling policies and for the CiGri best-effort hole-filling (§5.2).

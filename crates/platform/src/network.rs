@@ -2,16 +2,16 @@
 //!
 //! The PT and DLT models both *hide* communications inside coarse
 //! parameters — a penalty factor for parallel tasks, a distribution cost for
-//! divisible loads (paper §2). What remains observable is an affine
-//! latency + bandwidth cost per message, differing by hierarchy level:
-//! inside an SMP node, inside a cluster (Myrinet vs GigE vs 100 Mb
-//! Ethernet in Fig. 3), and between clusters.
+//! divisible loads (paper §2). What remains is a description of the
+//! interconnect: a latency and a bandwidth per hierarchy level — inside an
+//! SMP node, inside a cluster (Myrinet vs GigE vs 100 Mb Ethernet in
+//! Fig. 3), and between clusters. [`Platform::render`](crate::Platform::render)
+//! prints it and the platform JSON carries it; no scheduler prices a
+//! transfer with it (DLT charges its own per-worker link cost).
 
 use serde::{Deserialize, Serialize};
 
-use lsps_des::Dur;
-
-/// An affine link: transferring `b` bytes costs `latency + b / bandwidth`.
+/// A link class: one-way latency and bandwidth.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct LinkClass {
     /// One-way latency, in seconds.
@@ -55,37 +55,6 @@ impl LinkClass {
     pub fn smp_bus() -> Self {
         LinkClass::new(1e-6, 2e9)
     }
-
-    /// Time to move `bytes` across this link, in seconds.
-    pub fn transfer_secs(&self, bytes: f64) -> f64 {
-        assert!(bytes >= 0.0);
-        self.latency_s + bytes / self.bandwidth_bps
-    }
-
-    /// Time to move `bytes`, rounded up to the workspace tick grid.
-    pub fn transfer_dur(&self, bytes: f64) -> Dur {
-        Dur::from_ticks((self.transfer_secs(bytes) * lsps_des::TICKS_PER_SEC as f64).ceil() as u64)
-    }
-
-    /// Effective throughput (bytes/s) for a message of `bytes`, i.e.
-    /// `bytes / transfer_secs` — approaches `bandwidth_bps` for large
-    /// messages, collapses for small ones (the latency wall the PT model
-    /// hides in its penalty factor).
-    pub fn effective_bandwidth(&self, bytes: f64) -> f64 {
-        assert!(bytes > 0.0);
-        bytes / self.transfer_secs(bytes)
-    }
-}
-
-/// Where two processors sit relative to each other in the hierarchy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum NetworkLevel {
-    /// Same SMP node.
-    IntraNode,
-    /// Same cluster, different nodes.
-    IntraCluster,
-    /// Different clusters of the grid.
-    InterCluster,
 }
 
 /// Three-level hierarchical network model of a light grid (Fig. 1).
@@ -117,20 +86,6 @@ impl NetworkModel {
             LinkClass::campus_wan(),
         )
     }
-
-    /// The link class used at `level`.
-    pub fn link(&self, level: NetworkLevel) -> LinkClass {
-        match level {
-            NetworkLevel::IntraNode => self.intra_node,
-            NetworkLevel::IntraCluster => self.intra_cluster,
-            NetworkLevel::InterCluster => self.inter_cluster,
-        }
-    }
-
-    /// Transfer time of `bytes` at `level`, in seconds.
-    pub fn transfer_secs(&self, level: NetworkLevel, bytes: f64) -> f64 {
-        self.link(level).transfer_secs(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -138,53 +93,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn affine_cost() {
-        let l = LinkClass::new(0.001, 1000.0);
-        assert!((l.transfer_secs(0.0) - 0.001).abs() < 1e-12);
-        assert!((l.transfer_secs(2000.0) - 2.001).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transfer_dur_rounds_up() {
-        let l = LinkClass::new(0.0, 1000.0); // 1 byte = 1 ms = 1 tick
-        assert_eq!(l.transfer_dur(1.0), Dur::from_ticks(1));
-        assert_eq!(l.transfer_dur(1.5), Dur::from_ticks(2));
-        assert_eq!(l.transfer_dur(0.0), Dur::ZERO);
-    }
-
-    #[test]
-    fn effective_bandwidth_saturates() {
-        let l = LinkClass::gige();
-        let small = l.effective_bandwidth(1e3);
-        let large = l.effective_bandwidth(1e9);
-        assert!(
-            small < 0.2 * l.bandwidth_bps,
-            "latency dominates small messages"
-        );
-        assert!(
-            large > 0.9 * l.bandwidth_bps,
-            "large messages reach line rate"
-        );
-    }
-
-    #[test]
     fn hierarchy_is_ordered() {
         // A light grid must have strictly "faster inside than outside".
         let nm = NetworkModel::light_grid_default();
-        let b = 1e6;
-        let tn = nm.transfer_secs(NetworkLevel::IntraNode, b);
-        let tc = nm.transfer_secs(NetworkLevel::IntraCluster, b);
-        let tg = nm.transfer_secs(NetworkLevel::InterCluster, b);
+        let (tn, tc, tg) = (
+            nm.intra_node.latency_s,
+            nm.intra_cluster.latency_s,
+            nm.inter_cluster.latency_s,
+        );
         assert!(tn < tc && tc < tg, "{tn} < {tc} < {tg}");
-    }
-
-    #[test]
-    fn fig3_interconnect_classes_ranked() {
-        let b = 10e6; // 10 MB
-        let myri = LinkClass::myrinet().transfer_secs(b);
-        let gige = LinkClass::gige().transfer_secs(b);
-        let eth = LinkClass::eth100().transfer_secs(b);
-        assert!(myri < gige && gige < eth);
     }
 
     #[test]

@@ -5,19 +5,20 @@
 //!   bi-Athlon on 100 Mb Ethernet).
 //! * [`imag`] — the 225-PC IMAG cluster of §1.1.
 //! * [`fig2`] — the 100-machine cluster of the Fig. 2 simulation.
-//! * [`uniform`] / [`hetero_speeds`] — synthetic platforms for experiments.
-
-use lsps_des::SimRng;
+//!
+//! The `platforms` binary prints and serializes all three; the grid
+//! experiments run on [`ciment`]. Campaign specs describe their own machines.
 
 use crate::network::{LinkClass, NetworkModel};
-use crate::spec::{Cluster, Node, Platform};
+use crate::spec::{Cluster, Platform};
 
 /// The four largest clusters of the CIMENT light grid (Fig. 3).
 ///
 /// Relative speeds encode the between-cluster heterogeneity: Itanium 2 is the
 /// reference (1.0), the P4 Xeon class runs at 0.8, the Athlon class at 0.55.
-/// Within a cluster nodes are identical — the paper's weak internal
-/// heterogeneity is modelled by [`hetero_speeds`] when needed.
+/// Within a cluster nodes are identical; the paper's weak internal
+/// heterogeneity is left to platforms built from [`Node`](crate::Node)s of
+/// different speeds.
 pub fn ciment() -> Platform {
     Platform::new(
         "CIMENT",
@@ -53,30 +54,6 @@ pub fn imag() -> Platform {
 /// The 100 identical machines of the Fig. 2 simulation.
 pub fn fig2() -> Platform {
     Platform::uniform("fig2-cluster", 100)
-}
-
-/// A single homogeneous cluster of `m` unit-speed CPUs.
-pub fn uniform(m: usize) -> Platform {
-    Platform::uniform(format!("uniform-{m}"), m)
-}
-
-/// A single cluster of `m` single-CPU nodes whose speeds are drawn uniformly
-/// in `[1 - spread, 1 + spread]` — the paper's *weak* intra-cluster
-/// heterogeneity (same OS, different clock generations).
-pub fn hetero_speeds(m: usize, spread: f64, rng: &mut SimRng) -> Platform {
-    assert!((0.0..1.0).contains(&spread));
-    let nodes = (0..m)
-        .map(|_| Node::new(1, rng.range(1.0 - spread, 1.0 + spread + f64::EPSILON)))
-        .collect();
-    Platform::new(
-        format!("hetero-{m}"),
-        vec![Cluster {
-            name: "c0".into(),
-            nodes,
-            interconnect: LinkClass::gige(),
-        }],
-        NetworkModel::light_grid_default(),
-    )
 }
 
 #[cfg(test)]
@@ -119,19 +96,5 @@ mod tests {
         let p = fig2();
         assert_eq!(p.total_procs(), 100);
         assert!((p.total_power() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn hetero_speeds_within_spread() {
-        let mut rng = SimRng::seed_from(1);
-        let p = hetero_speeds(50, 0.2, &mut rng);
-        assert_eq!(p.total_procs(), 50);
-        for n in &p.clusters[0].nodes {
-            assert!((0.8..=1.2 + 1e-9).contains(&n.speed), "speed {}", n.speed);
-        }
-        // Deterministic under the same seed.
-        let mut rng2 = SimRng::seed_from(1);
-        let p2 = hetero_speeds(50, 0.2, &mut rng2);
-        assert_eq!(p, p2);
     }
 }

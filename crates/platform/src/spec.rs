@@ -141,11 +141,6 @@ impl Platform {
         ProcSet::range(off, off + self.clusters[ci].total_procs())
     }
 
-    /// The full processor set of the platform.
-    pub fn all_procs(&self) -> ProcSet {
-        ProcSet::full(self.total_procs())
-    }
-
     /// Which cluster a global processor index belongs to.
     pub fn cluster_of(&self, p: ProcId) -> usize {
         let mut rest = p.index();
@@ -172,21 +167,6 @@ impl Platform {
         (0..self.total_procs())
             .map(|i| self.proc_speed(ProcId(i as u32)))
             .sum()
-    }
-
-    /// The flattened per-processor speed vector, in global processor
-    /// order — the bridge from a structured [`Platform`] to the
-    /// uniform-machine model (`lsps_core::uniform`, the scenario layer's
-    /// speeded platform axis).
-    pub fn proc_speeds(&self) -> Vec<f64> {
-        self.clusters
-            .iter()
-            .flat_map(|c| {
-                c.nodes
-                    .iter()
-                    .flat_map(|n| std::iter::repeat_n(n.speed, n.cpus as usize))
-            })
-            .collect()
     }
 
     /// A one-paragraph ASCII rendition of the platform (Fig. 1 / Fig. 3
@@ -243,7 +223,6 @@ mod tests {
         assert_eq!(p.cluster_offset(1), 4);
         assert_eq!(p.cluster_procs(0), ProcSet::range(0, 4));
         assert_eq!(p.cluster_procs(1), ProcSet::range(4, 7));
-        assert_eq!(p.all_procs(), ProcSet::full(7));
     }
 
     #[test]
@@ -256,18 +235,6 @@ mod tests {
         assert_eq!(p.proc_speed(ProcId(1)), 1.0);
         assert_eq!(p.proc_speed(ProcId(5)), 0.5);
         assert!((p.total_power() - (4.0 + 1.5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn proc_speeds_flattens_in_global_order() {
-        let p = two_cluster();
-        let speeds = p.proc_speeds();
-        assert_eq!(speeds, vec![1.0, 1.0, 1.0, 1.0, 0.5, 0.5, 0.5]);
-        // Consistent with the per-proc accessor and the aggregate power.
-        for (i, &s) in speeds.iter().enumerate() {
-            assert_eq!(s, p.proc_speed(ProcId(i as u32)));
-        }
-        assert!((speeds.iter().sum::<f64>() - p.total_power()).abs() < 1e-12);
     }
 
     #[test]

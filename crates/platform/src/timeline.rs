@@ -9,8 +9,8 @@
 //! * backfilling (EASY books only the head job's reservation, conservative
 //!   books every queued job),
 //! * the CiGri best-effort layer (§5.2), which fills current holes of the
-//!   local schedules (via [`Timeline::earliest_slot_within`] /
-//!   [`Timeline::free_profile`]) with killable grid jobs.
+//!   local schedules (via [`Timeline::earliest_slot_within`]) with killable
+//!   grid jobs.
 //!
 //! Invariant enforced at booking time: a booking's processors are a subset
 //! of capacity and disjoint from every time-overlapping booking. Everything
@@ -45,7 +45,6 @@
 //! * [`Timeline::free_at`] is one binary search,
 //! * [`Timeline::free_during`] unions the busy sets of the covered
 //!   segments,
-//! * [`Timeline::free_profile`] is a range read,
 //! * [`Timeline::earliest_slot`] walks forward over the boundaries where
 //!   processors are *freed* (the only instants the sliding-window free set
 //!   can grow), testing feasibility with an allocation-free popcount.
@@ -704,65 +703,6 @@ impl Timeline {
         None
     }
 
-    /// Piecewise-constant free sets over `[from, to)`: the *holes* of the
-    /// schedule. Segments with an empty free set are included (callers
-    /// filter); consecutive segments with equal free sets are merged.
-    pub fn free_profile(&self, from: Time, to: Time) -> Vec<(Time, Time, ProcSet)> {
-        assert!(to >= from);
-        let mut segments: Vec<(Time, Time, ProcSet)> = Vec::new();
-        if from == to {
-            return segments;
-        }
-        let mut cur_start = from;
-        let mut cur_free = self.free_at(from);
-        // Scratch free set: segments whose free set matches the running one
-        // are folded in without materializing a fresh ProcSet each.
-        let mut free = ProcSet::new();
-        for &(t, ref seg) in self.profile.between(from, to) {
-            free.clone_from(&self.capacity);
-            free.subtract(&seg.busy);
-            if free != cur_free {
-                segments.push((cur_start, t, cur_free));
-                cur_start = t;
-                cur_free = free.clone();
-            }
-        }
-        segments.push((cur_start, to, cur_free));
-        segments
-    }
-
-    /// Fraction of the capacity×window rectangle `[from, to)` that is
-    /// booked (all booking kinds). A range read over the profile: exact
-    /// integer proc-tick accounting, one division at the end.
-    pub fn utilization(&self, from: Time, to: Time) -> f64 {
-        assert!(to > from, "empty utilization window");
-        let cap = self.capacity.len();
-        if cap == 0 {
-            return 0.0;
-        }
-        let mut busy_ticks: u128 = 0;
-        let mut seg_start = from;
-        let mut seg_busy = self.profile.seg_at(from).count as usize;
-        for &(t, ref seg) in self.profile.between(from, to) {
-            busy_ticks += (t - seg_start).ticks() as u128 * seg_busy as u128;
-            seg_start = t;
-            seg_busy = seg.count as usize;
-        }
-        busy_ticks += (to - seg_start).ticks() as u128 * seg_busy as u128;
-        let window = (to - from).ticks() as f64;
-        busy_ticks as f64 / (window * cap as f64)
-    }
-
-    /// Latest end over all bookings (the timeline's makespan), or `from` if
-    /// no booking exists. Scans the booking table: zero-occupancy bookings
-    /// count here even though they never touch the profile.
-    pub fn horizon(&self, from: Time) -> Time {
-        self.bookings
-            .iter_unordered()
-            .map(|(_, b)| b.end)
-            .fold(from, Time::max)
-    }
-
     /// Structural invariants of the profile (test support): coalesced,
     /// anchored at zero, and equal to a from-scratch recomputation over the
     /// booking table.
@@ -927,58 +867,6 @@ mod naive {
                 }
             }
             None
-        }
-
-        pub fn free_profile(&self, from: Time, to: Time) -> Vec<(Time, Time, ProcSet)> {
-            assert!(to >= from);
-            let mut points: Vec<Time> = vec![from, to];
-            for b in self.bookings.values() {
-                if b.start > from && b.start < to {
-                    points.push(b.start);
-                }
-                if b.end > from && b.end < to {
-                    points.push(b.end);
-                }
-            }
-            points.sort_unstable();
-            points.dedup();
-            let mut segments: Vec<(Time, Time, ProcSet)> = Vec::new();
-            for w in points.windows(2) {
-                let (s, e) = (w[0], w[1]);
-                let free = self.free_at(s);
-                match segments.last_mut() {
-                    Some(last) if last.2 == free && last.1 == s => last.1 = e,
-                    _ => segments.push((s, e, free)),
-                }
-            }
-            segments
-        }
-
-        pub fn utilization(&self, from: Time, to: Time) -> f64 {
-            assert!(to > from, "empty utilization window");
-            let window = (to - from).ticks() as f64;
-            let cap = self.capacity.len() as f64;
-            if cap == 0.0 {
-                return 0.0;
-            }
-            let busy: f64 = self
-                .bookings
-                .values()
-                .map(|b| {
-                    let s = b.start.max(from);
-                    let e = b.end.min(to);
-                    if e > s {
-                        (e - s).ticks() as f64 * b.procs.len() as f64
-                    } else {
-                        0.0
-                    }
-                })
-                .sum();
-            busy / (window * cap)
-        }
-
-        pub fn horizon(&self, from: Time) -> Time {
-            self.bookings.values().map(|b| b.end).fold(from, Time::max)
         }
     }
 }
@@ -1197,45 +1085,6 @@ mod tests {
     }
 
     #[test]
-    fn free_profile_enumerates_holes() {
-        let mut tl = Timeline::with_procs(2);
-        tl.book(t(10), t(20), ProcSet::from_indices([0]), BookingKind::Job);
-        let prof = tl.free_profile(t(0), t(30));
-        assert_eq!(
-            prof,
-            vec![
-                (t(0), t(10), ProcSet::full(2)),
-                (t(10), t(20), ProcSet::from_indices([1])),
-                (t(20), t(30), ProcSet::full(2)),
-            ]
-        );
-        assert!(tl.free_profile(t(5), t(5)).is_empty());
-    }
-
-    #[test]
-    fn free_profile_merges_equal_segments() {
-        let mut tl = Timeline::with_procs(2);
-        // Two back-to-back bookings on the same proc: free set identical
-        // across the boundary.
-        tl.book(t(0), t(10), ProcSet::from_indices([0]), BookingKind::Job);
-        tl.book(t(10), t(20), ProcSet::from_indices([0]), BookingKind::Job);
-        let prof = tl.free_profile(t(0), t(20));
-        assert_eq!(prof, vec![(t(0), t(20), ProcSet::from_indices([1]))]);
-        tl.assert_profile_consistent();
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        let mut tl = Timeline::with_procs(2);
-        tl.book(t(0), t(10), ProcSet::from_indices([0]), BookingKind::Job);
-        // 10 proc-ticks busy out of 2×20 = 40.
-        assert!((tl.utilization(t(0), t(20)) - 0.25).abs() < 1e-12);
-        // Clipped to the window.
-        assert!((tl.utilization(t(5), t(10)) - 0.5).abs() < 1e-12);
-        assert_eq!(tl.utilization(t(10), t(20)), 0.0);
-    }
-
-    #[test]
     fn gc_drops_past_bookings() {
         let mut tl = Timeline::with_procs(1);
         tl.book(t(0), t(10), ProcSet::full(1), BookingKind::Job);
@@ -1244,14 +1093,6 @@ mod tests {
         assert_eq!(tl.n_bookings(), 1);
         assert!(tl.booking(keep).is_some());
         tl.assert_profile_consistent();
-    }
-
-    #[test]
-    fn horizon_is_latest_end() {
-        let mut tl = Timeline::with_procs(1);
-        assert_eq!(tl.horizon(t(5)), t(5));
-        tl.book(t(0), t(42), ProcSet::full(1), BookingKind::Job);
-        assert_eq!(tl.horizon(t(5)), t(42));
     }
 
     #[test]
@@ -1333,33 +1174,6 @@ mod proptests {
                 }
             } else {
                 prop_assert!(width > m);
-            }
-        }
-
-        /// free_profile segments tile the window and agree with free_at.
-        #[test]
-        fn profile_tiles_window(
-            intervals in prop::collection::vec((0u64..100, 1u64..40, 0usize..4, 1usize..3), 0..8),
-        ) {
-            let m = 4;
-            let mut tl = Timeline::with_procs(m);
-            for (s, len, p0, w) in intervals {
-                let hi = (p0 + w).min(m);
-                if p0 >= hi { continue; }
-                let _ = tl.try_book(t(s), t(s + len), ProcSet::range(p0, hi), BookingKind::Job);
-            }
-            let prof = tl.free_profile(t(0), t(150));
-            // Tiling.
-            prop_assert_eq!(prof.first().map(|s| s.0), Some(t(0)));
-            prop_assert_eq!(prof.last().map(|s| s.1), Some(t(150)));
-            for w in prof.windows(2) {
-                prop_assert_eq!(w[0].1, w[1].0, "segments contiguous");
-            }
-            // Agreement with free_at at segment starts and midpoints.
-            for (s, e, free) in &prof {
-                prop_assert_eq!(&tl.free_at(*s), free);
-                let mid = Time::from_ticks((s.ticks() + e.ticks()) / 2);
-                prop_assert_eq!(&tl.free_at(mid), free);
             }
         }
     }
@@ -1458,8 +1272,7 @@ mod proptests {
                 prop_assert_eq!(fast.n_bookings(), slow.n_bookings());
             }
             fast.assert_profile_consistent();
-            // Query battery over the final state: all four query APIs plus
-            // the accounting reads.
+            // Query battery over the final state: every query API.
             for &(p, len) in &probes {
                 prop_assert_eq!(fast.free_at(t(p)), slow.free_at(t(p)), "free_at({p})");
                 prop_assert_eq!(
@@ -1473,19 +1286,6 @@ mod proptests {
                     slow.free_during(t(p + len), t(p)),
                     "inverted free_during"
                 );
-                prop_assert_eq!(
-                    fast.free_profile(t(p), t(p + len)),
-                    slow.free_profile(t(p), t(p + len)),
-                    "free_profile({p}, {})", p + len
-                );
-                if len > 0 {
-                    let (a, b) = (
-                        fast.utilization(t(p), t(p + len)),
-                        slow.utilization(t(p), t(p + len)),
-                    );
-                    prop_assert!((a - b).abs() < 1e-9, "utilization {a} vs {b}");
-                }
-                prop_assert_eq!(fast.horizon(t(p)), slow.horizon(t(p)));
             }
             for &(earliest, latest, dur, width) in &slots {
                 let a = fast.earliest_slot_within(t(earliest), t(latest), Dur::from_ticks(dur), width);

@@ -1,7 +1,7 @@
 //! `lsps-campaign` — run a declarative campaign spec.
 //!
 //! ```text
-//! lsps-campaign <spec.json> [--dry-run] [--no-cache] [--resume] [--threads N] [--cache-dir DIR]
+//! lsps-campaign <spec.json> [--dry-run] [--no-cache] [--threads N] [--cache-dir DIR]
 //! ```
 //!
 //! Reads a JSON [`CampaignSpec`], expands the grid, serves every cell it
@@ -11,7 +11,7 @@
 //! `<name>_agg.csv` (replications aggregated with mean/std/ci95/min/
 //! median/max per metric). Output is byte-identical whether cells came
 //! from the cache or fresh execution, so re-running after an interruption
-//! *is* resume; `--resume` spells that out and overrides `--no-cache`.
+//! *is* resume; `--no-cache` turns the cache off.
 //!
 //! `--dry-run` stops after expansion: it prints the cell count, how many
 //! cells the cache would serve, and a per-group breakdown (the same
@@ -31,20 +31,18 @@ struct Args {
     spec_path: PathBuf,
     dry_run: bool,
     no_cache: bool,
-    resume: bool,
     threads: usize,
     cache_dir: Option<PathBuf>,
 }
 
-const USAGE: &str = "usage: lsps-campaign <spec.json> [--dry-run] [--no-cache] [--resume] \
-                     [--threads N] [--cache-dir DIR]";
+const USAGE: &str =
+    "usage: lsps-campaign <spec.json> [--dry-run] [--no-cache] [--threads N] [--cache-dir DIR]";
 
 /// `Ok(None)` means help was requested: print usage to stdout, exit 0.
 fn parse_args() -> Result<Option<Args>, String> {
     let mut spec_path = None;
     let mut dry_run = false;
     let mut no_cache = false;
-    let mut resume = false;
     let mut threads = 0usize;
     let mut cache_dir = None;
     let mut argv = std::env::args().skip(1);
@@ -52,7 +50,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         match arg.as_str() {
             "--dry-run" => dry_run = true,
             "--no-cache" => no_cache = true,
-            "--resume" => resume = true,
             "--threads" => {
                 let v = argv.next().ok_or("--threads needs a value")?;
                 threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
@@ -75,7 +72,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         spec_path: spec_path.ok_or(USAGE)?,
         dry_run,
         no_cache,
-        resume,
         threads,
         cache_dir,
     }))
@@ -91,10 +87,8 @@ fn run() -> Result<(), String> {
     let spec: CampaignSpec =
         serde_json::from_str(&text).map_err(|e| format!("{}: {e}", args.spec_path.display()))?;
     let results = results_dir();
-    // --resume is the explicit spelling of the default: caching on.
-    let caching = args.resume || !args.no_cache;
     let opts = CampaignOptions {
-        cache_dir: caching.then(|| {
+        cache_dir: (!args.no_cache).then(|| {
             args.cache_dir
                 .clone()
                 .unwrap_or_else(|| results.join("cache"))

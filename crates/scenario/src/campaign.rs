@@ -312,6 +312,28 @@ impl CampaignPlan {
                 }
             }
         }
+        // Likewise a trace job wider than some platform could never start:
+        // every policy would panic on it inside a worker.
+        for (exp, entry) in expanded.iter().zip(&spec.workloads) {
+            let EntryGen::Trace(jobs) = &exp.gen else {
+                continue;
+            };
+            let Some(widest) = jobs.iter().max_by_key(|j| j.min_procs()) else {
+                continue;
+            };
+            if let Some(p) = spec.platforms.iter().find(|p| widest.min_procs() > p.m) {
+                return Err(CampaignError::Trace {
+                    entry: entry.name.clone(),
+                    error: format!(
+                        "job {} needs {} processors, wider than platform `{}` (m = {})",
+                        widest.id,
+                        widest.min_procs(),
+                        p.name,
+                        p.m
+                    ),
+                });
+            }
+        }
         let mut cells = Vec::with_capacity(spec.cell_count());
         for &executor in &spec.executors {
             for pi in 0..spec.platforms.len() {
@@ -1173,6 +1195,19 @@ mod tests {
         assert_eq!(
             error,
             "trace parse error at line 2: duplicate job id j10 (first at line 1)"
+        );
+        // A job wider than the platform parses but could never start.
+        let wide = dir.join("wide.swf");
+        std::fs::write(&wide, "1 0 -1 60 1\n2 0 -1 60 64\n").unwrap();
+        let (spec, opts) = trace_spec(WorkloadSource::SwfFile(wide.display().to_string()));
+        let Some(CampaignError::Trace { entry, error }) = CampaignPlan::expand(&spec, &opts).err()
+        else {
+            panic!("a job wider than the platform is a trace error");
+        };
+        assert_eq!(entry, "trace");
+        assert_eq!(
+            error,
+            "job j2 needs 64 processors, wider than platform `m16` (m = 16)"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -232,23 +232,23 @@ pub fn unknown_runtimes_instance(rng: &mut SimRng, n: usize) -> Vec<Job> {
         .collect()
 }
 
-/// Every built-in family name, for docs and error messages.
-pub const FAMILY_NAMES: [&str; 10] = [
-    "fig2-parallel",
-    "fig2-sequential",
-    "fig2-rigid",
-    "moldable0",
-    "moldable-online",
-    "rigid0",
-    "large-scale",
-    "trace-100k",
-    "uniform-seq",
-    "unknown-runtimes",
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every built-in family name.
+    const FAMILY_NAMES: [&str; 10] = [
+        "fig2-parallel",
+        "fig2-sequential",
+        "fig2-rigid",
+        "moldable0",
+        "moldable-online",
+        "rigid0",
+        "large-scale",
+        "trace-100k",
+        "uniform-seq",
+        "unknown-runtimes",
+    ];
 
     #[test]
     fn every_listed_family_resolves_and_generates() {
@@ -355,7 +355,7 @@ mod tests {
     }
 
     #[test]
-    fn guarantee_families_depend_on_machine_size_stream() {
+    fn guarantee_families_draw_one_stream_per_m() {
         // The per-m child stream means different machine sizes draw
         // different instances from the same seed — the historical shape.
         let family = builtin_family("rigid0", 10).unwrap();

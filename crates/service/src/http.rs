@@ -26,11 +26,26 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// Read one line of the header block, charging it to `budget` (the header
+/// bytes still allowed). The read stops one byte past the budget, so an
+/// endless line fails as `headers too large` instead of growing a buffer.
+fn read_header_line(reader: &mut impl BufRead, budget: &mut usize) -> io::Result<String> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
+    if n > *budget {
+        return Err(bad("headers too large"));
+    }
+    *budget -= n;
+    String::from_utf8(line).map_err(|_| bad("headers are not utf-8"))
+}
+
 /// Read and parse one request from the stream.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut budget = MAX_HEADER_BYTES;
+    let line = read_header_line(&mut reader, &mut budget)?;
     let mut parts = line.split_whitespace();
     let method = parts.next().ok_or_else(|| bad("empty request line"))?;
     let path = parts
@@ -39,15 +54,10 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
     let (method, path) = (method.to_string(), path.to_string());
 
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut h = String::new();
-        if reader.read_line(&mut h)? == 0 {
+        let h = read_header_line(&mut reader, &mut budget)?;
+        if h.is_empty() {
             return Err(bad("connection closed mid-headers"));
-        }
-        header_bytes += h.len();
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(bad("headers too large"));
         }
         let h = h.trim_end();
         if h.is_empty() {
@@ -129,4 +139,46 @@ pub fn get(addr: &str, path: &str) -> io::Result<(u16, String)> {
 /// `POST body` to `path` on `addr`; returns `(status, body)`.
 pub fn post(addr: &str, path: &str, body: &str) -> io::Result<(u16, String)> {
     request(addr, "POST", path, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::{Shutdown, TcpListener};
+
+    /// Send `head` over loopback, half-close, and parse it server-side.
+    fn parse_sent(head: Vec<u8>) -> io::Result<Request> {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(&head).unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            stream
+        });
+        let (mut server, _) = listener.accept().unwrap();
+        let parsed = read_request(&mut server);
+        // Keep both ends open until the client has written everything.
+        drop(client.join().unwrap());
+        parsed
+    }
+
+    #[test]
+    fn oversized_header_lines_fail_at_the_budget() {
+        // A request line that never ends.
+        let mut head = b"GET /".to_vec();
+        head.resize(20_000, b'a');
+        let err = parse_sent(head).err().expect("oversized request line");
+        assert_eq!(err.to_string(), "headers too large");
+        // A well-formed request line followed by one huge header.
+        let mut head = b"GET / HTTP/1.1\r\nX-Big: ".to_vec();
+        head.resize(20_000, b'a');
+        head.extend_from_slice(b"\r\n\r\n");
+        let err = parse_sent(head).err().expect("oversized header line");
+        assert_eq!(err.to_string(), "headers too large");
+        // The budget leaves ordinary requests alone.
+        let req = parse_sent(b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi".to_vec()).unwrap();
+        assert_eq!((req.method.as_str(), req.path.as_str()), ("POST", "/x"));
+        assert_eq!(req.body, "hi");
+    }
 }

@@ -6,15 +6,15 @@
 //! Each run takes a relatively short time to complete, this time being often
 //! the same for every run."
 //!
-//! A [`Campaign`] is that object: a bag of `n_runs` short, identical (or
-//! near-identical), independent sequential runs. It is the discrete
-//! counterpart of a [`JobKind::Divisible`](crate::job::JobKind::Divisible)
-//! load and the payload of the CiGri best-effort layer, where runs are
-//! killable and resubmittable at unit grain.
+//! A [`Campaign`] is that object: a bag of `n_runs` short, identical,
+//! independent sequential runs. It is the discrete counterpart of a
+//! [`JobKind::Divisible`](crate::job::JobKind::Divisible) load and the
+//! payload of the CiGri best-effort layer, where runs are killable and
+//! resubmittable at unit grain.
 
 use serde::{Deserialize, Serialize};
 
-use lsps_des::{Dur, SimRng, Time};
+use lsps_des::{Dur, Time};
 
 use crate::job::{Job, UserId};
 
@@ -25,11 +25,8 @@ pub struct Campaign {
     pub id: u64,
     /// Number of runs.
     pub n_runs: usize,
-    /// Nominal run length.
+    /// Length of every run.
     pub run_len: Dur,
-    /// Relative jitter on individual run lengths (0 = identical runs, the
-    /// common case per the paper; 0.1 = ±10% uniform).
-    pub jitter: f64,
     /// Submission date of the campaign.
     pub release: Time,
     /// Owning community.
@@ -37,24 +34,16 @@ pub struct Campaign {
 }
 
 impl Campaign {
-    /// A campaign of `n_runs` runs of `run_len` each, no jitter.
+    /// A campaign of `n_runs` runs of `run_len` each.
     pub fn new(id: u64, n_runs: usize, run_len: Dur) -> Campaign {
         assert!(n_runs >= 1 && run_len > Dur::ZERO);
         Campaign {
             id,
             n_runs,
             run_len,
-            jitter: 0.0,
             release: Time::ZERO,
             user: UserId::default(),
         }
-    }
-
-    /// Builder: relative jitter on run lengths.
-    pub fn with_jitter(mut self, jitter: f64) -> Campaign {
-        assert!((0.0..1.0).contains(&jitter));
-        self.jitter = jitter;
-        self
     }
 
     /// Builder: release date.
@@ -80,30 +69,17 @@ impl Campaign {
         self.total_work().as_secs_f64()
     }
 
-    /// Materialize the runs as sequential jobs. Ids are
-    /// `base_id + run_index`; run lengths get the configured jitter.
-    pub fn runs(&self, base_id: u64, rng: &mut SimRng) -> Vec<Job> {
+    /// Materialize the runs as sequential jobs with ids
+    /// `base_id + run_index`.
+    pub fn runs(&self, base_id: u64) -> Vec<Job> {
         (0..self.n_runs)
             .map(|i| {
-                let len = if self.jitter > 0.0 {
-                    let f = rng.range(1.0 - self.jitter, 1.0 + self.jitter);
-                    self.run_len.scale_ceil(f).max(Dur::from_ticks(1))
-                } else {
-                    self.run_len
-                };
-                Job::sequential(base_id + i as u64, len)
+                Job::sequential(base_id + i as u64, self.run_len)
                     .released_at(self.release)
                     .with_user(self.user)
             })
             .collect()
     }
-}
-
-/// Convenience: a jitter-free campaign's runs, with ids starting at
-/// `base_id`.
-pub fn campaign(n_runs: usize, run_len: Dur, base_id: u64) -> Vec<Job> {
-    let mut rng = SimRng::seed_from(0); // unused without jitter
-    Campaign::new(0, n_runs, run_len).runs(base_id, &mut rng)
 }
 
 #[cfg(test)]
@@ -116,28 +92,13 @@ mod tests {
     }
 
     #[test]
-    fn identical_runs_without_jitter() {
-        let jobs = campaign(100, d(500), 10);
+    fn runs_are_identical_sequential_jobs() {
+        let jobs = Campaign::new(0, 100, d(500)).runs(10);
         assert_eq!(jobs.len(), 100);
         assert!(jobs.iter().all(|j| j.min_time() == d(500)));
         assert!(jobs.iter().all(|j| j.min_procs() == 1));
         assert_eq!(jobs[0].id, JobId(10));
         assert_eq!(jobs[99].id, JobId(109));
-    }
-
-    #[test]
-    fn jitter_bounds_run_lengths() {
-        let c = Campaign::new(1, 200, d(1000)).with_jitter(0.2);
-        let mut rng = SimRng::seed_from(7);
-        let jobs = c.runs(0, &mut rng);
-        for j in &jobs {
-            let t = j.min_time().ticks();
-            assert!((800..=1201).contains(&t), "run len {t}");
-        }
-        // Jitter actually varies lengths.
-        let distinct: std::collections::HashSet<_> =
-            jobs.iter().map(|j| j.min_time().ticks()).collect();
-        assert!(distinct.len() > 10);
     }
 
     #[test]
@@ -152,8 +113,7 @@ mod tests {
         let c = Campaign::new(3, 5, d(10))
             .released_at(Time::from_ticks(99))
             .with_user(UserId(4));
-        let mut rng = SimRng::seed_from(1);
-        for j in c.runs(0, &mut rng) {
+        for j in c.runs(0) {
             assert_eq!(j.release, Time::from_ticks(99));
             assert_eq!(j.user, UserId(4));
         }

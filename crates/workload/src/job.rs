@@ -214,12 +214,6 @@ impl Job {
             JobKind::Divisible { work } => Dur::from_secs_f64(*work),
         }
     }
-
-    /// True iff the job is a parallel task needing more than one processor
-    /// in every admissible allotment (i.e. a rigid job with `procs > 1`).
-    pub fn is_strictly_parallel(&self) -> bool {
-        matches!(&self.kind, JobKind::Rigid { procs, .. } if *procs > 1)
-    }
 }
 
 #[cfg(test)]
@@ -240,7 +234,6 @@ mod tests {
         assert_eq!(j.min_time(), d(100));
         assert_eq!(j.seq_time(), d(400));
         assert_eq!(j.min_work(), d(400));
-        assert!(j.is_strictly_parallel());
         assert!(j.profile().is_none());
     }
 
@@ -263,7 +256,6 @@ mod tests {
         assert_eq!(j.max_procs(), 8);
         assert_eq!(j.min_time(), j.time_on(8));
         assert_eq!(j.min_work(), d(1000));
-        assert!(!j.is_strictly_parallel());
     }
 
     #[test]

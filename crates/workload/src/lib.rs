@@ -26,7 +26,7 @@ pub mod open;
 pub mod speedup;
 pub mod swf;
 
-pub use campaign::{campaign, Campaign};
+pub use campaign::Campaign;
 pub use failure::{FailurePolicy, FailureRegime, FailureTraceSpec, Outage, ScriptedOutage};
 pub use gen::{ArrivalSpec, CommunityProfile, DistSpec, WorkloadSpec};
 pub use job::{Job, JobId, JobKind, UserId};
@@ -35,7 +35,7 @@ pub use speedup::{MoldableProfile, SpeedupModel};
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::campaign::{campaign, Campaign};
+    pub use crate::campaign::Campaign;
     pub use crate::failure::{FailurePolicy, FailureRegime, FailureTraceSpec, Outage};
     pub use crate::gen::{ArrivalSpec, CommunityProfile, DistSpec, WorkloadSpec};
     pub use crate::job::{Job, JobId, JobKind, UserId};

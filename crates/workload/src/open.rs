@@ -194,16 +194,6 @@ pub struct OpenStream {
 }
 
 impl OpenStream {
-    /// The spec this stream samples.
-    pub fn spec(&self) -> &OpenStreamSpec {
-        &self.spec
-    }
-
-    /// Jobs drawn so far (also the next job id).
-    pub fn drawn(&self) -> u64 {
-        self.next_id
-    }
-
     /// Draw the next job: `(class index, job)`. Releases are
     /// nondecreasing; the class index is also recorded as the job's
     /// [`UserId`] so per-class metrics survive the trip through the

@@ -139,36 +139,6 @@ pub fn from_swf(text: &str) -> Result<Vec<Job>, ParseError> {
     Ok(jobs)
 }
 
-/// Export rigid jobs to SWF (fields beyond the five used by
-/// [`from_swf`] are filled with the standard `-1` placeholder). Moldable
-/// jobs are exported at their sequential shape (SWF cannot express
-/// profiles) — a lossy projection, flagged by the returned count of
-/// projected jobs.
-pub fn to_swf(jobs: &[Job]) -> (String, usize) {
-    use std::fmt::Write;
-    let mut out = String::from("; generated by lsps-workload\n");
-    let mut projected = 0usize;
-    for j in jobs {
-        let (procs, run_s) = match &j.kind {
-            JobKind::Rigid { procs, len } => (*procs, len.as_secs_f64()),
-            _ => {
-                projected += 1;
-                (1, j.seq_time().as_secs_f64())
-            }
-        };
-        let _ = writeln!(
-            out,
-            "{} {:.0} -1 {:.0} {} -1 -1 -1 -1 -1 -1 {} -1 -1 -1 -1 -1 -1",
-            j.id.0,
-            j.release.as_secs_f64(),
-            run_s.max(1.0),
-            procs,
-            j.user.0,
-        );
-    }
-    (out, projected)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,34 +208,6 @@ mod tests {
         assert_eq!(jobs[0].user, UserId(7));
         assert_eq!(jobs[1].release, Time::from_secs(250));
         assert_eq!(jobs[1].min_procs(), 1);
-    }
-
-    #[test]
-    fn swf_export_roundtrips_rigid_jobs() {
-        let jobs = vec![
-            Job::rigid(1, 4, Dur::from_secs(3600)).released_at(Time::from_secs(10)),
-            Job::sequential(2, Dur::from_secs(60)).with_user(UserId(3)),
-        ];
-        let (text, projected) = to_swf(&jobs);
-        assert_eq!(projected, 0);
-        let back = from_swf(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].kind, jobs[0].kind);
-        assert_eq!(back[0].release, jobs[0].release);
-        assert_eq!(back[1].user, UserId(3));
-    }
-
-    #[test]
-    fn swf_export_flags_moldable_projection() {
-        use crate::speedup::{MoldableProfile, SpeedupModel};
-        let jobs = vec![Job::moldable(
-            1,
-            MoldableProfile::from_model(Dur::from_secs(100), &SpeedupModel::Linear, 4),
-        )];
-        let (text, projected) = to_swf(&jobs);
-        assert_eq!(projected, 1);
-        let back = from_swf(&text).unwrap();
-        assert_eq!(back[0].min_procs(), 1, "projected to sequential");
     }
 
     #[test]

@@ -13,7 +13,7 @@ fn campaign_as_pt_jobs_matches_divisible_work() {
     // A campaign's total work must be identical whether counted as
     // discrete sequential runs (PT view) or as a divisible load (DLT view).
     let c = Campaign::new(1, 500, Dur::from_secs(120));
-    let runs = c.runs(0, &mut SimRng::seed_from(1));
+    let runs = c.runs(0);
     let pt_work: f64 = runs.iter().map(|j| j.seq_time().as_secs_f64()).sum();
     assert!((pt_work - c.as_divisible_work()).abs() < 1e-9);
 }
