@@ -27,6 +27,11 @@
 //! * running slots are recycled through a free list, and each slot keeps
 //!   its queued `Finish` event's key, so memory tracks the concurrency
 //!   high-water mark and a kill cancels its completion in O(1);
+//! * each [`Commitment`] carries the dispatcher's placement (`placed`:
+//!   processors, a planner booking — whatever the dispatcher needs to act
+//!   on the commitment later). The machine only stores it and hands it
+//!   back, to the sink and to [`Dispatcher::node_down`], so a dispatcher
+//!   keeps no side table keyed by job;
 //! * completions go to a sink callback instead of a retained log — a
 //!   finite run passes a sink that collects;
 //! * a commitment is final **unless a node fails under it**: an
@@ -42,17 +47,19 @@ use crate::engine::{Ctx, Model, Simulation};
 use crate::queue::EventKey;
 use crate::time::Time;
 
-/// A decision the dispatcher made for one job: run it over `[start, end)`.
-/// `start` may lie in the future (a planned, reserved start); `end` must not
-/// precede `start`.
+/// A decision the dispatcher made for one job: run it over `[start, end)`
+/// on the placement `placed`. `start` may lie in the future (a planned,
+/// reserved start); `end` must not precede `start`.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Commitment<J> {
+pub struct Commitment<J, P = ()> {
     /// The committed job.
     pub job: J,
     /// Start of execution.
     pub start: Time,
     /// Completion instant.
     pub end: Time,
+    /// Where the dispatcher placed the job, opaque to the machine.
+    pub placed: P,
 }
 
 /// The decision procedure the machine drives — one abstract "scheduling
@@ -60,6 +67,10 @@ pub struct Commitment<J> {
 pub trait Dispatcher {
     /// The job type flowing through the machine.
     type Job;
+
+    /// What each commitment carries besides its job and interval
+    /// ([`Commitment::placed`]); `()` for a dispatcher that needs nothing.
+    type Placement;
 
     /// Decide at `now` over the pending set (arrival order). Jobs the
     /// dispatcher commits must be *removed* from `pending` and pushed onto
@@ -74,15 +85,16 @@ pub trait Dispatcher {
         &mut self,
         now: Time,
         pending: &mut Vec<Self::Job>,
-        out: &mut Vec<Commitment<Self::Job>>,
+        out: &mut Vec<Commitment<Self::Job, Self::Placement>>,
     );
 
     /// A node failed at `now` and will be repaired at `up`. Inspect the
-    /// running table (slot-indexed; `None` entries are free slots) and push
-    /// the slots to kill into `kill` and the replacement jobs to queue into
-    /// `resubmit`. The machine then cancels each killed slot's completion
-    /// event, re-queues the resubmitted jobs, and requests a decision at
-    /// `now`.
+    /// running table (slot-indexed; `None` entries are free slots; each
+    /// commitment carries the placement [`decide`](Dispatcher::decide)
+    /// gave it) and push the slots to kill into `kill` and the replacement
+    /// jobs to queue into `resubmit`. The machine then cancels each killed
+    /// slot's completion event, re-queues the resubmitted jobs, and
+    /// requests a decision at `now`.
     ///
     /// Only slots holding `Some` commitment may be killed, and a slot at
     /// most once. The default ignores failures entirely — volatility-blind
@@ -92,7 +104,7 @@ pub trait Dispatcher {
         now: Time,
         node: u32,
         up: Time,
-        running: &[Option<Commitment<Self::Job>>],
+        running: &[Option<Commitment<Self::Job, Self::Placement>>],
         kill: &mut Vec<usize>,
         resubmit: &mut Vec<Self::Job>,
     ) {
@@ -182,7 +194,7 @@ pub struct OnlineMachine<D: Dispatcher, S, F> {
     next: Option<(Time, D::Job)>,
     sink: F,
     pending: Vec<D::Job>,
-    running: Vec<Option<Commitment<D::Job>>>,
+    running: Vec<Option<Commitment<D::Job, D::Placement>>>,
     /// Queued `Finish` event of each slot, parallel to `running` — the
     /// handle that lets a node failure cancel a doomed completion in O(1)
     /// instead of leaving a stale event to fire on a recycled slot.
@@ -193,7 +205,7 @@ pub struct OnlineMachine<D: Dispatcher, S, F> {
     /// Recycled scratch handed to [`Dispatcher::decide`] — cleared before
     /// every invocation, so the dispatch loop allocates nothing in steady
     /// state.
-    commitments: Vec<Commitment<D::Job>>,
+    commitments: Vec<Commitment<D::Job, D::Placement>>,
     /// Recycled scratch handed to [`Dispatcher::node_down`].
     kill_scratch: Vec<usize>,
     resubmit_scratch: Vec<D::Job>,
@@ -207,7 +219,7 @@ impl<D, S, F> OnlineMachine<D, S, F>
 where
     D: Dispatcher,
     S: ArrivalSource<Job = D::Job>,
-    F: FnMut(Commitment<D::Job>),
+    F: FnMut(Commitment<D::Job, D::Placement>),
 {
     /// A simulation of a machine over `source`, with the first arrival's
     /// wake-up already seeded. `sink` observes every completion.
@@ -358,7 +370,7 @@ impl<D, S, F> Model for OnlineMachine<D, S, F>
 where
     D: Dispatcher,
     S: ArrivalSource<Job = D::Job>,
-    F: FnMut(Commitment<D::Job>),
+    F: FnMut(Commitment<D::Job, D::Placement>),
 {
     type Event = OnlineEvent;
 
@@ -411,6 +423,7 @@ mod tests {
 
     impl Dispatcher for Fcfs {
         type Job = u32;
+        type Placement = ();
         fn decide(&mut self, now: Time, pending: &mut Vec<u32>, out: &mut Vec<Commitment<u32>>) {
             // Commit only the head, and only if the machine is idle now.
             if self.free_at > now || pending.is_empty() {
@@ -423,6 +436,7 @@ mod tests {
                 job,
                 start: now,
                 end: self.free_at,
+                placed: (),
             });
         }
     }
@@ -436,7 +450,7 @@ mod tests {
 
     /// Run `dispatcher` over `arrivals` to completion; returns the
     /// completion sequence and the final counters.
-    fn run<D: Dispatcher<Job = u32>>(
+    fn run<D: Dispatcher<Job = u32, Placement = ()>>(
         dispatcher: D,
         arrivals: Vec<(Time, u32)>,
         max_events: u64,
@@ -463,12 +477,14 @@ mod tests {
                 Commitment {
                     job: 1,
                     start: t(0),
-                    end: t(10)
+                    end: t(10),
+                    placed: ()
                 },
                 Commitment {
                     job: 2,
                     start: t(10),
-                    end: t(15)
+                    end: t(15),
+                    placed: ()
                 },
             ]
         );
@@ -480,6 +496,7 @@ mod tests {
 
     impl Dispatcher for DrainAll {
         type Job = u32;
+        type Placement = ();
         fn decide(&mut self, now: Time, pending: &mut Vec<u32>, out: &mut Vec<Commitment<u32>>) {
             let mut at = now;
             out.extend(pending.drain(..).map(|job| {
@@ -487,6 +504,7 @@ mod tests {
                     job,
                     start: at,
                     end: at + Dur::from_ticks(u64::from(job)),
+                    placed: (),
                 };
                 at = c.end;
                 c
@@ -535,6 +553,7 @@ mod tests {
         struct Defer;
         impl Dispatcher for Defer {
             type Job = u32;
+            type Placement = ();
             fn decide(
                 &mut self,
                 now: Time,
@@ -545,6 +564,7 @@ mod tests {
                     job,
                     start: now + Dur::from_ticks(100),
                     end: now + Dur::from_ticks(101),
+                    placed: (),
                 }));
             }
         }
@@ -572,6 +592,7 @@ mod tests {
                 job,
                 start,
                 end: free,
+                placed: (),
             });
         }
         let (done, counters) = run(fcfs(lens), arrivals, 1_000);
@@ -634,6 +655,7 @@ mod tests {
 
     impl Dispatcher for VolatileFcfs {
         type Job = u32;
+        type Placement = ();
         fn decide(&mut self, now: Time, pending: &mut Vec<u32>, out: &mut Vec<Commitment<u32>>) {
             self.fcfs.decide(now, pending, out);
         }
@@ -694,7 +716,8 @@ mod tests {
             &[Commitment {
                 job: 1,
                 start: t(7),
-                end: t(17)
+                end: t(17),
+                placed: ()
             }]
         );
     }
@@ -713,7 +736,8 @@ mod tests {
             &[Commitment {
                 job: 1,
                 start: t(0),
-                end: t(10)
+                end: t(10),
+                placed: ()
             }]
         );
     }
@@ -724,6 +748,7 @@ mod tests {
         struct Sloppy;
         impl Dispatcher for Sloppy {
             type Job = u32;
+            type Placement = ();
             fn decide(
                 &mut self,
                 now: Time,
@@ -735,6 +760,7 @@ mod tests {
                     job: pending[0],
                     start: now,
                     end: now,
+                    placed: (),
                 });
             }
         }

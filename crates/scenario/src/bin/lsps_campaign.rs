@@ -115,10 +115,7 @@ fn run() -> Result<(), String> {
         spec.policies.len(),
         spec.executors.len(),
         spec.platforms.len(),
-        spec.workloads
-            .iter()
-            .map(|w| spec.replication.seeds_for(w).len())
-            .sum::<usize>(),
+        spec.workload_reps(),
     );
     if args.dry_run {
         return dry_run(&spec, &opts);

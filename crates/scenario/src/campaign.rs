@@ -23,23 +23,23 @@ use std::path::{Path, PathBuf};
 
 use lsps_core::outcome::Outcome;
 use lsps_core::policy::by_name;
-use lsps_des::SimRng;
+use lsps_des::{Dur, SimRng};
 use lsps_metrics::{
     cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
     uniform_wsum_lower_bound, wsum_lower_bound, Criteria, Summary,
 };
-use lsps_workload::{Job, WorkloadSpec};
+use lsps_workload::{Job, JobKind, WorkloadSpec};
 use serde::{Serialize, Value};
 
 use crate::cache::{CellCache, CACHE_VERSION};
 use crate::families::{builtin_family, FamilyGen};
 use crate::pool::pool_map;
 use crate::runner::{
-    des_online, des_online_open, des_online_volatile, des_replay, open_arrivals, to_csv, Cell,
-    Executor, FailurePlan,
+    des_online_open, des_replay, finite_online, open_arrivals, to_csv, Cell, Executor, FailurePlan,
 };
 use crate::spec::{
     fnv64, splitmix64, CampaignSpec, FailureEntry, OpenEntry, SpecError, WorkloadSource,
+    MAX_JOB_TIME_S,
 };
 
 /// How a campaign runs: where the cache lives, how wide the pool is, and
@@ -312,12 +312,34 @@ impl CampaignPlan {
                 }
             }
         }
-        // Likewise a trace job wider than some platform could never start:
-        // every policy would panic on it inside a worker.
+        // Likewise a trace job wider than some platform could never start,
+        // and one released or running past the job-time bound would wrap
+        // the tick axis: every policy would panic on either inside a worker.
+        let time_bound = Dur::from_secs_f64(MAX_JOB_TIME_S);
         for (exp, entry) in expanded.iter().zip(&spec.workloads) {
             let EntryGen::Trace(jobs) = &exp.gen else {
                 continue;
             };
+            // A moldable job runs longest on one processor (time monotony).
+            let runtime = |j: &Job| match j.kind {
+                JobKind::Rigid { len, .. } => len,
+                _ => j.seq_time(),
+            };
+            if let Some(j) = jobs
+                .iter()
+                .find(|j| j.release.since_epoch() > time_bound || runtime(j) > time_bound)
+            {
+                return Err(CampaignError::Trace {
+                    entry: entry.name.clone(),
+                    error: format!(
+                        "job {} is released at {:e} s and runs {:e} s; both must stay \
+                         within the {MAX_JOB_TIME_S:e} s job-time bound",
+                        j.id,
+                        j.release.as_secs_f64(),
+                        runtime(j).as_secs_f64()
+                    ),
+                });
+            }
             let Some(widest) = jobs.iter().max_by_key(|j| j.min_procs()) else {
                 continue;
             };
@@ -438,11 +460,13 @@ impl CampaignPlan {
 
     /// The one path from a planned cell to its [`Cell`]. The workload
     /// source, executor and failure entry pick the drive: an open entry
-    /// runs its stream through [`des_online_open`]; a volatile failure
-    /// entry drives `jobs` through the failure-aware online driver;
-    /// `des-online` drives them through [`des_online`]; `direct` and
-    /// `des-replay` batch-schedule once. Every schedule is validated — a
-    /// policy bug fails loudly instead of producing flattering numbers.
+    /// runs its stream through [`des_online_open`]; `des-online` drives
+    /// `jobs` through the finite online driver behind
+    /// [`des_online`](crate::runner::des_online), on the failure entry's
+    /// outages (none for a reliable entry); `direct` and `des-replay`
+    /// batch-schedule once. Every finite schedule is validated — on a
+    /// failing platform, its final attempts — so a policy bug fails loudly
+    /// instead of producing flattering numbers.
     fn execute(&self, c: &PlannedCell, jobs: &[Job]) -> Cell {
         let policy = by_name(&self.spec.policies[c.policy]).expect("validated policy");
         let policy = policy.as_ref();
@@ -525,30 +549,26 @@ impl CampaignPlan {
                     failures: None,
                 };
             }
-            (_, Executor::DesOnline, Some(trace)) => {
+            (_, Executor::DesOnline, trace) => {
                 // Failure realization: a pure function of (platform display
                 // name, workload seed), so replications resample the failure
-                // trace along with the workload. No retained-schedule
-                // validation: killed attempts are not part of any final
-                // rectangle schedule — overlap safety is enforced per
-                // commitment by the dispatcher's timelines instead.
+                // trace along with the workload. A reliable entry has no
+                // outages.
                 let trace_seed = splitmix64(c.seed ^ fnv64(platform.as_bytes()));
                 let plan = FailurePlan {
-                    outages: trace.generate(m, &mut SimRng::seed_from(trace_seed)),
+                    outages: trace.as_ref().map_or_else(Vec::new, |t| {
+                        t.generate(m, &mut SimRng::seed_from(trace_seed))
+                    }),
                     policy: failure.policy,
                 };
                 let planner = policy.incremental_planner(m, &ctx);
-                let out = des_online_volatile(policy, jobs, m, &ctx, &plan, planner);
-                failures = Some(out.failures);
-                (out.jobs, out.records, None)
-            }
-            (_, Executor::DesOnline, None) => {
-                let online = des_online(policy, jobs, m, &ctx);
+                let online = finite_online(policy, jobs, m, &ctx, &plan, planner);
                 online
                     .run
                     .validate()
                     .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
-                (online.run.jobs, online.records, None)
+                failures = trace.is_some().then_some(online.failures);
+                (online.jobs, online.records, None)
             }
             _ => {
                 // Batch-schedule once, and validate before extracting: a
@@ -1209,6 +1229,27 @@ mod tests {
             error,
             "job j2 needs 64 processors, wider than platform `m16` (m = 16)"
         );
+        // A release or runtime past the job-time bound would wrap the tick
+        // axis inside a worker.
+        for (name, line, needle) in [
+            ("late.swf", "2 1e300 -1 60 1", "job j2 is released at 1.8"),
+            ("long.swf", "2 0 -1 1e300 1", "and runs 1.8"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, format!("1 0 -1 60 1\n{line}\n")).unwrap();
+            let (spec, opts) = trace_spec(WorkloadSource::SwfFile(path.display().to_string()));
+            let Some(CampaignError::Trace { entry, error }) =
+                CampaignPlan::expand(&spec, &opts).err()
+            else {
+                panic!("{name}: a time past the bound is a trace error");
+            };
+            assert_eq!(entry, "trace");
+            assert!(error.contains(needle), "{error}");
+            assert!(
+                error.ends_with("within the 1e10 s job-time bound"),
+                "{error}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,10 +20,18 @@
 //!   [`des_online`]).
 //!
 //! Open (steady-state) entries run an unbounded stream through
-//! [`des_online_open`], and volatile platforms kill and resubmit work
-//! through the same online driver.
+//! [`des_online_open`]. Failing platforms kill and resubmit work through
+//! the finite driver behind [`des_online`], of which a reliable platform
+//! is the no-outage case.
+//!
+//! Every online commitment carries its placement: the processors the
+//! planner gave it and the planner booking behind it. A node failure reads
+//! both from the machine's running table to pick its victims and evict
+//! their bookings, and a finite drive builds its records and its
+//! final-attempt schedule from the completions alone, so the dispatcher
+//! keeps no per-job table beyond the original shapes of interrupted jobs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -281,12 +289,14 @@ struct Replay<'a>(&'a [Assignment]);
 
 impl Dispatcher for Replay<'_> {
     type Job = usize;
+    type Placement = ();
 
     fn decide(&mut self, _now: Time, pending: &mut Vec<usize>, out: &mut Vec<Commitment<usize>>) {
         out.extend(pending.drain(..).map(|i| Commitment {
             job: i,
             start: self.0[i].start,
             end: self.0[i].end,
+            placed: (),
         }));
     }
 }
@@ -311,66 +321,61 @@ pub fn des_replay(schedule: &Schedule, jobs: &[Job]) -> Vec<CompletedJob> {
             records.push(CompletedJob::from_job(job, c.start, c.end, a.procs.len()));
         },
     );
-    // A wake-up and a decision per start instant, a completion per
-    // assignment.
-    sim.run_to_completion(3 * assignments.len() as u64 + 1);
+    // Finite for the reason given at `Stop::Drain`; the replay commits
+    // every arrival at once, so nothing can stay pending.
+    sim.run_to_completion(u64::MAX);
     drop(sim);
     records.sort_by_key(|r| r.id);
     records
 }
 
+/// Where a [`PolicyDispatch`] commitment runs: its processors, and the
+/// planner booking behind it, which a node failure names to evict.
+struct Placement {
+    procs: ProcSet,
+    booking: BookingId,
+}
+
 /// The [`lsps_des::Dispatcher`] that turns a [`Policy`] into an online
 /// decision procedure: at every decision instant its
 /// [`IncrementalPlanner`] advances to `now` and plans the pending set, and
-/// a placed batch is committed in full. A planner that defers (the
+/// a placed batch is committed in full, each commitment carrying its
+/// [`Placement`]. A planner that defers (the
 /// [`BatchPlanner`](lsps_core::replan::BatchPlanner) while work is
-/// running) leaves the set pending for a later instant.
+/// running) leaves the set pending for a later instant. On a node failure
+/// it kills the commitments holding the node and resubmits their jobs per
+/// the recovery policy.
 struct PolicyDispatch<'a> {
     policy: &'a dyn Policy,
-    /// Aggregate of every commitment, for end-of-run validation. `None`
-    /// on the open (steady-state) path, where retaining one assignment
-    /// per job would grow without bound over an unbounded stream, and on
-    /// the volatile path, where a killed job commits more than once.
-    schedule: Option<Schedule>,
     /// The policy's planner ([`Policy::incremental_planner`]), or the
     /// full-replan oracle of the differential tests.
     planner: Box<dyn IncrementalPlanner + 'a>,
     /// Scratch schedule the planner fills each decision — cleared and
     /// reused so the per-event path performs no allocation.
     plan_scratch: Schedule,
-    /// Failure bookkeeping, present only on volatile platforms
-    /// ([`des_online_volatile`]). Tracks the booking behind every live
-    /// commitment so a node failure can evict exactly the affected work,
-    /// and accumulates the recovery accounting.
-    volatile: Option<VolatileState>,
-}
-
-/// The booking a live commitment occupies, for targeted eviction on kill.
-struct LiveBooking {
-    booking: BookingId,
-    procs: ProcSet,
-}
-
-/// Per-run failure bookkeeping of [`PolicyDispatch`].
-struct VolatileState {
-    /// Checkpoint interval in ticks (`None` = resubmit from scratch).
-    checkpoint: Option<Dur>,
-    /// Original (full-length, original-release) prepared job shapes — the
-    /// reference for recovery accounting and completion records.
+    /// Checkpoint interval of the recovery policy; [`Dur::MAX`] under
+    /// resubmit-from-scratch, whose killed work never reaches a checkpoint.
+    checkpoint: Dur,
+    /// Original (full-length, original-release) prepared shape of every
+    /// job killed at least once, stored at its first kill — the reference
+    /// for recovery accounting and completion records. Its keys are the
+    /// interrupted jobs.
     originals: HashMap<JobId, Job>,
-    /// Booking behind every committed-but-unfinished job.
-    live: HashMap<JobId, LiveBooking>,
     /// Proc-ticks executed by killed attempts and not saved by a
     /// checkpoint.
     wasted_ticks: u64,
-    /// Jobs interrupted at least once.
-    interrupted: HashSet<JobId>,
 }
 
 impl Dispatcher for PolicyDispatch<'_> {
     type Job = Job;
+    type Placement = Placement;
 
-    fn decide(&mut self, now: Time, pending: &mut Vec<Job>, out: &mut Vec<Commitment<Job>>) {
+    fn decide(
+        &mut self,
+        now: Time,
+        pending: &mut Vec<Job>,
+        out: &mut Vec<Commitment<Job, Placement>>,
+    ) {
         self.planner.advance(now);
         self.plan_scratch.clear();
         if !self.planner.plan(pending, now, &mut self.plan_scratch) {
@@ -392,23 +397,14 @@ impl Dispatcher for PolicyDispatch<'_> {
             let Some(at) = pending.iter().position(|j| j.id == a.job) else {
                 panic!("{}: scheduled unknown job {}", self.policy.name(), a.job)
             };
-            let job = pending.swap_remove(at);
-            if let Some(vol) = &mut self.volatile {
-                vol.live.insert(
-                    a.job,
-                    LiveBooking {
-                        booking,
-                        procs: a.procs.clone(),
-                    },
-                );
-            }
-            if let Some(s) = &mut self.schedule {
-                s.push(a.clone());
-            }
             out.push(Commitment {
-                job,
+                job: pending.swap_remove(at),
                 start: a.start,
                 end: a.end,
+                placed: Placement {
+                    procs: a.procs.clone(),
+                    booking,
+                },
             });
         }
         assert!(
@@ -424,15 +420,10 @@ impl Dispatcher for PolicyDispatch<'_> {
         now: Time,
         node: u32,
         up: Time,
-        running: &[Option<Commitment<Job>>],
+        running: &[Option<Commitment<Job, Placement>>],
         kill: &mut Vec<usize>,
         resubmit: &mut Vec<Job>,
     ) {
-        let vol = self
-            .volatile
-            .as_mut()
-            .expect("volatility events reached a reliable-platform dispatcher");
-        let node_idx = node as usize;
         // Victims in slot order (deterministic, whichever planner runs):
         // every commitment holding the failed node over
         // part of the outage window. `end == now` survives — the FIFO
@@ -440,41 +431,34 @@ impl Dispatcher for PolicyDispatch<'_> {
         // a job that completed the instant the node died lost nothing.
         for (slot, c) in running.iter().enumerate() {
             let Some(c) = c else { continue };
-            let holds_node = vol
-                .live
-                .get(&c.job.id)
-                .expect("running commitment has a live booking")
-                .procs
-                .contains(node_idx);
-            if !holds_node || c.end <= now || c.start >= up {
+            if !c.placed.procs.contains(node as usize) || c.end <= now || c.start >= up {
                 continue;
             }
-            let lb = vol.live.remove(&c.job.id).expect("checked above");
-            self.planner.invalidate(lb.booking);
+            self.planner.invalidate(c.placed.booking);
             kill.push(slot);
-            // Recovery accounting, in ticks. The commitment's span is the
-            // job's *current* (possibly checkpoint-trimmed) length, so the
+            // Recovery accounting, in ticks. A first kill finds the job in
+            // its prepared shape. The commitment's span is the job's
+            // *current* (possibly checkpoint-trimmed) length, so the
             // original length splits into work already checkpointed before
             // this attempt plus this attempt's span.
-            let orig = &vol.originals[&c.job.id];
+            let orig = self
+                .originals
+                .entry(c.job.id)
+                .or_insert_with(|| c.job.clone());
             let (q, orig_len) = match orig.kind {
                 JobKind::Rigid { procs, len } => (procs, len.ticks()),
-                _ => unreachable!("volatile driver prepares rigid jobs"),
+                _ => unreachable!("failing platforms run prepared rigid jobs"),
             };
             let attempt = (c.end - c.start).ticks();
             let done_before = orig_len - attempt;
             let work_this = now.saturating_sub(c.start).ticks();
             let cum = done_before + work_this;
-            let kept = match vol.checkpoint {
-                None => 0,
-                Some(p) => cum / p.ticks() * p.ticks(),
-            };
+            let kept = cum / self.checkpoint.ticks() * self.checkpoint.ticks();
             debug_assert!(
                 kept <= cum && cum < orig_len,
                 "kill implies unfinished work"
             );
-            vol.wasted_ticks += (cum - kept) * q as u64;
-            vol.interrupted.insert(c.job.id);
+            self.wasted_ticks += (cum - kept) * q as u64;
             let mut job = orig.clone();
             job.release = now;
             job.kind = JobKind::Rigid {
@@ -493,30 +477,33 @@ impl Dispatcher for PolicyDispatch<'_> {
 
 impl<'a> PolicyDispatch<'a> {
     /// A dispatcher for `policy` on `m` processors, deciding through
-    /// `planner`; `retain` keeps the end-of-run [`Schedule`].
+    /// `planner` and recovering killed work per `recovery`.
     fn new(
         policy: &'a dyn Policy,
         m: usize,
         planner: Box<dyn IncrementalPlanner + 'a>,
-        retain: bool,
-        volatile: Option<VolatileState>,
+        recovery: FailurePolicy,
     ) -> Self {
         PolicyDispatch {
             policy,
-            schedule: retain.then(|| Schedule::new(m)),
             planner,
             plan_scratch: Schedule::new(m),
-            volatile,
+            checkpoint: recovery.checkpoint_period().unwrap_or(Dur::MAX),
+            originals: HashMap::new(),
+            wasted_ticks: 0,
         }
     }
 }
 
 /// When an online drive stops.
 enum Stop {
-    /// Run the agenda dry — every job commits and completes — panicking
-    /// past `max_events`: a drive that outgrows its budget is a dispatcher
-    /// bug, not a workload.
-    Drain { max_events: u64 },
+    /// Run the agenda dry: every job commits and completes. No event
+    /// budget is needed, because an online drive cannot run forever:
+    /// arrivals and node events are finite, kills happen only at node
+    /// events, each commitment completes once, and a decision needs
+    /// another event at its instant. So a stalled dispatcher can only
+    /// leave jobs pending, and the drain reports exactly that.
+    Drain,
     /// Stop at the N-th completion, or earlier if the source runs dry.
     Completions(u64),
 }
@@ -528,16 +515,16 @@ struct Drive<'a> {
     stats: RunStats,
 }
 
-/// The one online driver behind [`des_online`], [`des_online_open`] and
-/// the volatile-platform cells: feed `arrivals` to an [`OnlineMachine`]
-/// around `dispatch`, fail nodes per `outages`, hand every completion to
-/// `sink`, and step until `stop`.
+/// The one online driver behind [`des_online`] (reliable and failing
+/// platforms alike) and [`des_online_open`]: feed `arrivals` to an
+/// [`OnlineMachine`] around `dispatch`, fail nodes per `outages`, hand
+/// every completion to `sink`, and step until `stop`.
 fn drive<'a>(
     dispatch: PolicyDispatch<'a>,
     arrivals: impl ArrivalSource<Job = Job>,
     outages: &[Outage],
     stop: Stop,
-    sink: impl FnMut(Commitment<Job>),
+    sink: impl FnMut(Commitment<Job, Placement>),
 ) -> Drive<'a> {
     let policy = dispatch.policy;
     let mut sim = OnlineMachine::start(dispatch, arrivals, sink);
@@ -556,8 +543,8 @@ fn drive<'a>(
         sim.schedule_at(o.end, OnlineEvent::NodeUp { node: o.node });
     }
     let stats = match stop {
-        Stop::Drain { max_events } => {
-            let stats = sim.run_to_completion(max_events);
+        Stop::Drain => {
+            let stats = sim.run_to_completion(u64::MAX);
             let left = sim.model().pending().len();
             assert!(left == 0, "{}: {left} jobs never committed", policy.name());
             stats
@@ -574,12 +561,21 @@ fn drive<'a>(
 
 /// Outcome of one event-driven online execution.
 pub struct OnlineRun {
-    /// The aggregate of all committed assignments plus the as-scheduled job
-    /// view — validates exactly like a batch [`PolicyRun`].
+    /// The final attempt of every job, with the job shapes those attempts
+    /// ran — validates exactly like a batch [`PolicyRun`]. Without outages
+    /// the shapes are the prepared jobs.
     pub run: PolicyRun,
-    /// Completion records, collected at simulated event times and sorted by
-    /// job id.
+    /// The as-scheduled (prepared) job view, in input order — what the
+    /// lower bounds measure.
+    pub jobs: Vec<Job>,
+    /// Completion records against the prepared job shapes (original
+    /// release, full length) with the final attempt's start and end — a
+    /// killed job's flow includes every lost attempt. Collected at
+    /// simulated event times and sorted by job id.
     pub records: Vec<CompletedJob>,
+    /// Kill, waste and goodput accounting (a perfect score without
+    /// outages).
+    pub failures: FailureStats,
     /// Engine counters (arrivals + decisions + completions).
     pub stats: RunStats,
     /// Jobs the planner examined over the whole run — the
@@ -600,20 +596,84 @@ pub struct OnlineRun {
 /// [`Executor::Direct`] — the equivalence the test suite pins for every
 /// registry policy.
 pub fn des_online(policy: &dyn Policy, jobs: &[Job], m: usize, ctx: &PolicyCtx) -> OnlineRun {
-    finite_online(policy, jobs, m, ctx, policy.incremental_planner(m, ctx))
+    let planner = policy.incremental_planner(m, ctx);
+    finite_online(policy, jobs, m, ctx, &RELIABLE, planner)
 }
 
-fn finite_online<'a>(
+/// Failure realization + recovery policy for one run.
+pub(crate) struct FailurePlan {
+    /// Concrete outages (already generated from a
+    /// [`FailureTraceSpec`](lsps_workload::FailureTraceSpec)), every node
+    /// `< m`. Empty on a reliable platform.
+    pub(crate) outages: Vec<Outage>,
+    /// What happens to a commitment killed mid-flight.
+    pub(crate) policy: FailurePolicy,
+}
+
+/// A reliable platform: no outages, so the recovery policy is moot.
+const RELIABLE: FailurePlan = FailurePlan {
+    outages: Vec::new(),
+    policy: FailurePolicy::Resubmit,
+};
+
+/// The finite online drive behind [`des_online`], on a platform whose
+/// nodes fail and recover per `plan`. Every failure kills the commitments
+/// running on the node, and killed jobs come back per the recovery policy
+/// (resubmitted from scratch, or from the last checkpoint). This is the
+/// explicit relaxation of the "commitments are final" invariant — a kill
+/// evicts the commitment's booking and the outage window is pinned as a
+/// reservation until repair, so all replanning (incremental or full) packs
+/// around the hole. A reliable platform is the plan with no outages.
+///
+/// Restrictions when `plan` has outages (asserted): a policy with a
+/// hole-filling planner ([`Policy::supports_pinned`]),
+/// [`ReleaseMode::Online`], identical machines, no reservations, prepared
+/// rigid jobs of length ≥ 1, and outages inside the machine. The kill rule
+/// lives here, not in `planner`, so the policy's planner and the
+/// full-replan oracle stay bit-identical — the differential property the
+/// failure proptests pin down.
+pub(crate) fn finite_online<'a>(
     policy: &'a dyn Policy,
     jobs: &[Job],
     m: usize,
     ctx: &PolicyCtx,
+    plan: &FailurePlan,
     planner: Box<dyn IncrementalPlanner + 'a>,
 ) -> OnlineRun {
     // The as-scheduled view (rigidified, possibly release-stripped) fixes
     // the job shapes once, against the full instance — re-preparing inside
     // each decision would let allotments drift with the pending count.
     let prepared = policy.prepare(jobs, m, ctx).into_owned();
+    if !plan.outages.is_empty() {
+        assert!(
+            policy.supports_pinned(),
+            "{}: volatility needs a hole-filling policy (it must plan around outage windows)",
+            policy.name()
+        );
+        assert!(
+            matches!(ctx.release_mode, ReleaseMode::Online),
+            "volatility is an online phenomenon; offline release stripping is meaningless"
+        );
+        assert!(
+            ctx.reservations.is_empty() && ctx.is_identical_machine(),
+            "volatile runs support neither reservations nor speeds"
+        );
+        for o in &plan.outages {
+            assert!(
+                (o.node as usize) < m && o.end > o.start,
+                "outage {o:?} does not fit an {m}-processor machine"
+            );
+        }
+        for j in &prepared {
+            let JobKind::Rigid { len, .. } = j.kind else {
+                panic!(
+                    "volatile driver expects prepared rigid jobs; job {} is not",
+                    j.id
+                )
+            };
+            assert!(len.ticks() >= 1, "job {} has zero length", j.id);
+        }
+    }
     // Arrival instants come from the *input* releases: offline-only
     // policies strip releases from their job view (their documented head
     // start on the clock they are measured against), but information still
@@ -630,203 +690,68 @@ fn finite_online<'a>(
     arrivals.sort_by_key(|&(at, _)| at);
     let mut completed = Vec::with_capacity(prepared.len());
     let run = drive(
-        PolicyDispatch::new(policy, m, planner, true, None),
-        arrivals.into_iter(),
-        &[],
-        // n arrivals + n completions + at most one decision per event.
-        Stop::Drain {
-            max_events: 4 * prepared.len() as u64 + 8,
-        },
-        |c| completed.push(c),
-    );
-    let replan_touched = run.dispatch.planner.touched();
-    let schedule = run
-        .dispatch
-        .schedule
-        .expect("finite runs retain the schedule");
-    let procs: HashMap<JobId, usize> = schedule
-        .assignments()
-        .iter()
-        .map(|a| (a.job, a.procs.len()))
-        .collect();
-    let mut records: Vec<CompletedJob> = completed
-        .iter()
-        .map(|c| CompletedJob::from_job(&c.job, c.start, c.end, procs[&c.job.id]))
-        .collect();
-    records.sort_by_key(|r| r.id);
-    OnlineRun {
-        run: PolicyRun {
-            schedule,
-            jobs: prepared,
-        },
-        records,
-        stats: run.stats,
-        replan_touched,
-    }
-}
-
-/// Failure realization + recovery policy for one volatile run.
-pub(crate) struct FailurePlan {
-    /// Concrete outages (already generated from a
-    /// [`FailureTraceSpec`](lsps_workload::FailureTraceSpec)), every node
-    /// `< m`.
-    pub(crate) outages: Vec<Outage>,
-    /// What happens to a commitment killed mid-flight.
-    pub(crate) policy: FailurePolicy,
-}
-
-/// Outcome of one failure-aware online execution
-/// ([`des_online_volatile`]).
-pub(crate) struct VolatileOutcome {
-    /// Completion records against the **original** job shapes (original
-    /// release, full length) with the final attempt's start/end — a killed
-    /// job's flow includes every lost attempt. Sorted by job id.
-    pub(crate) records: Vec<CompletedJob>,
-    /// Kill/waste/goodput accounting for the aggregate CSV.
-    pub(crate) failures: FailureStats,
-    /// The prepared (as-scheduled) job view, for lower bounds.
-    pub(crate) jobs: Vec<Job>,
-    /// Jobs the planner examined over the whole run (read by the
-    /// differential tests only).
-    #[cfg_attr(not(test), allow(dead_code))]
-    replan_touched: u64,
-}
-
-/// Drive `policy` through the event engine over a *volatile* platform:
-/// nodes fail and recover per `plan`, every failure kills the commitments
-/// running on the node, and killed jobs come back per the recovery policy
-/// (resubmitted from scratch, or from the last checkpoint). This is the
-/// explicit relaxation of the "commitments are final" invariant — a kill
-/// evicts the commitment's booking and the outage window is pinned as a
-/// reservation until repair, so all replanning (incremental or full) packs
-/// around the hole.
-///
-/// Restrictions (asserted): a policy with a hole-filling planner
-/// ([`Policy::supports_pinned`]), [`ReleaseMode::Online`], identical
-/// machines, no reservations. The kill rule
-/// lives here, not in `planner`, so the policy's planner and the
-/// full-replan oracle stay bit-identical — the differential property the
-/// failure proptests pin down.
-pub(crate) fn des_online_volatile<'a>(
-    policy: &'a dyn Policy,
-    jobs: &[Job],
-    m: usize,
-    ctx: &PolicyCtx,
-    plan: &FailurePlan,
-    planner: Box<dyn IncrementalPlanner + 'a>,
-) -> VolatileOutcome {
-    assert!(
-        policy.supports_pinned(),
-        "{}: volatility needs a hole-filling policy (it must plan around outage windows)",
-        policy.name()
-    );
-    assert!(
-        matches!(ctx.release_mode, ReleaseMode::Online),
-        "volatility is an online phenomenon; offline release stripping is meaningless"
-    );
-    assert!(
-        ctx.reservations.is_empty() && ctx.is_identical_machine(),
-        "volatile runs support neither reservations nor speeds"
-    );
-    for o in &plan.outages {
-        assert!(
-            (o.node as usize) < m && o.end > o.start,
-            "outage {o:?} does not fit an {m}-processor machine"
-        );
-    }
-    let prepared = policy.prepare(jobs, m, ctx).into_owned();
-    let mut originals = HashMap::with_capacity(prepared.len());
-    let mut useful_area = 0u64;
-    for j in &prepared {
-        let JobKind::Rigid { procs, len } = j.kind else {
-            panic!(
-                "volatile driver expects prepared rigid jobs; job {} is not",
-                j.id
-            )
-        };
-        assert!(len.ticks() >= 1, "job {} has zero length", j.id);
-        useful_area += len.ticks() * procs as u64;
-        originals.insert(j.id, j.clone());
-    }
-    let mut arrivals: Vec<(Time, Job)> = prepared.iter().map(|j| (j.release, j.clone())).collect();
-    arrivals.sort_by_key(|&(at, _)| at);
-    // Budget: every job arrives once and can be killed at most once per
-    // outage (a kill needs a node to go down), plus two events per outage;
-    // ×4 covers the decision fan-out, +16 is slack.
-    let n = prepared.len() as u64;
-    let k = plan.outages.len() as u64;
-    let mut completed = Vec::with_capacity(prepared.len());
-    let run = drive(
-        // No end-of-run Schedule: a killed job commits more than once, so
-        // the one-assignment-per-job rectangle validation does not apply —
-        // overlap safety is enforced per commitment by the timelines.
-        PolicyDispatch::new(
-            policy,
-            m,
-            planner,
-            false,
-            Some(VolatileState {
-                checkpoint: plan.policy.checkpoint_period(),
-                originals,
-                live: HashMap::new(),
-                wasted_ticks: 0,
-                interrupted: HashSet::new(),
-            }),
-        ),
+        PolicyDispatch::new(policy, m, planner, plan.policy),
         arrivals.into_iter(),
         &plan.outages,
-        Stop::Drain {
-            max_events: 4 * (n + n * k + 2 * k) + 16,
-        },
+        Stop::Drain,
         |c| completed.push(c),
     );
-    let replan_touched = run.dispatch.planner.touched();
-    let vol = run
-        .dispatch
-        .volatile
-        .expect("volatile driver keeps its state");
-    let mut records: Vec<CompletedJob> = completed
-        .iter()
-        .map(|c| {
-            let orig = &vol.originals[&c.job.id];
-            CompletedJob::from_job(orig, c.start, c.end, orig.min_procs())
-        })
-        .collect();
-    records.sort_by_key(|r| r.id);
+    let dispatch = run.dispatch;
     assert_eq!(
-        records.len(),
+        completed.len(),
         prepared.len(),
         "every job must complete exactly once"
     );
+    // One pass over the final attempts, in job-id order: the records, the
+    // validated schedule with the shapes its attempts ran, the useful area
+    // and the interrupted-job slowdowns (sorted-id order, so identical
+    // across the planner and oracle paths).
+    completed.sort_by_key(|c| c.job.id);
     debug_assert!(
-        records.windows(2).all(|w| w[0].id < w[1].id),
+        completed.windows(2).all(|w| w[0].job.id < w[1].job.id),
         "duplicate completion records"
     );
-    // Interrupted-job slowdowns in sorted-id order: deterministic, and
-    // identical across the planner and oracle paths.
-    let slowdowns: Vec<f64> = records
-        .iter()
-        .filter(|r| vol.interrupted.contains(&r.id))
-        .map(|r| {
-            let len = match vol.originals[&r.id].kind {
-                JobKind::Rigid { len, .. } => len.ticks(),
-                _ => unreachable!(),
-            };
-            r.flow().ticks() as f64 / len as f64
-        })
-        .collect();
+    let mut records = Vec::with_capacity(completed.len());
+    let mut schedule = Schedule::new(m);
+    let mut attempted = Vec::with_capacity(completed.len());
+    let mut useful_area = 0u64;
+    let mut slowdowns = Vec::new();
+    for c in completed {
+        let orig = dispatch.originals.get(&c.job.id);
+        let shape = orig.unwrap_or(&c.job);
+        let q = c.placed.procs.len();
+        let record = CompletedJob::from_job(shape, c.start, c.end, q);
+        let len = shape.time_on(q).ticks();
+        useful_area += len * q as u64;
+        if orig.is_some() {
+            slowdowns.push(record.flow().ticks() as f64 / len as f64);
+        }
+        records.push(record);
+        schedule.push(Assignment {
+            job: c.job.id,
+            start: c.start,
+            end: c.end,
+            procs: c.placed.procs,
+        });
+        attempted.push(c.job);
+    }
     let failures = FailureStats::evaluate(
         useful_area,
-        vol.wasted_ticks,
+        dispatch.wasted_ticks,
         run.counters.kills,
         run.counters.resubmits,
         &slowdowns,
     );
-    VolatileOutcome {
+    OnlineRun {
+        run: PolicyRun {
+            schedule,
+            jobs: attempted,
+        },
+        jobs: prepared,
         records,
         failures,
-        jobs: prepared,
-        replan_touched,
+        stats: run.stats,
+        replan_touched: dispatch.planner.touched(),
     }
 }
 
@@ -874,10 +799,10 @@ pub(crate) fn open_arrivals(
 ///
 /// Arrivals are pulled one ahead from the seeded stream, finished
 /// commitments are folded into streaming accumulators by the machine's
-/// sink instead of being retained, and the policy plans through the same
-/// `PolicyDispatch` as the finite driver — minus the end-of-run
-/// schedule aggregate, which would grow with the stream. Memory is
-/// `O(live jobs + counted completions)`.
+/// sink instead of being retained (the finite driver collects them to
+/// build and validate its schedule, which here would grow with the
+/// stream), and the policy plans through the same `PolicyDispatch` as the
+/// finite driver. Memory is `O(live jobs + counted completions)`.
 ///
 /// Slowdown here is `flow / runtime` (runtime = completion − start), the
 /// open-queueing convention: over a stream there is no fixed instance to
@@ -903,14 +828,15 @@ pub fn des_online_open(
     );
     let mut steady = SteadyState::new();
     let mut crit = CriteriaAcc::new();
+    let planner = policy.incremental_planner(m, ctx);
     let run = drive(
-        PolicyDispatch::new(policy, m, policy.incremental_planner(m, ctx), false, None),
+        // No outages reach an open drive.
+        PolicyDispatch::new(policy, m, planner, RELIABLE.policy),
         open_arrivals(open, m, seed),
         &[],
         Stop::Completions(open.stop_completions),
         |c| {
-            // Open streams are rigid, so the allotment is the job's own.
-            let rec = CompletedJob::from_job(&c.job, c.start, c.end, c.job.min_procs());
+            let rec = CompletedJob::from_job(&c.job, c.start, c.end, c.placed.procs.len());
             let flow = rec.flow().as_secs_f64();
             let runtime = c.end.saturating_sub(c.start).as_secs_f64();
             let slowdown = if runtime > 0.0 { flow / runtime } else { 1.0 };
@@ -1154,7 +1080,7 @@ mod replan_tests {
             let (policy, flavour) = backfill(easy);
             let fast = des_online(policy.as_ref(), &jobs, m, &ctx);
             let oracle = Box::new(FullReplanOracle::new(flavour, m, &ctx));
-            let slow = finite_online(policy.as_ref(), &jobs, m, &ctx, oracle);
+            let slow = finite_online(policy.as_ref(), &jobs, m, &ctx, &RELIABLE, oracle);
             prop_assert!(
                 slow.replan_touched >= fast.replan_touched,
                 "the oracle re-examines live work the planner skips"
@@ -1215,11 +1141,11 @@ mod replan_tests {
             let ctx = online_ctx([1.0, 1.3, 2.0][factor_pick]);
             let (policy, flavour) = backfill(easy);
             let policy = policy.as_ref();
-            let fast = des_online_volatile(
+            let fast = finite_online(
                 policy, &jobs, m, &ctx, &plan, policy.incremental_planner(m, &ctx),
             );
             let oracle = Box::new(FullReplanOracle::new(flavour, m, &ctx));
-            let slow = des_online_volatile(policy, &jobs, m, &ctx, &plan, oracle);
+            let slow = finite_online(policy, &jobs, m, &ctx, &plan, oracle);
             prop_assert!(
                 slow.replan_touched >= fast.replan_touched,
                 "the oracle re-examines live work the planner skips"
@@ -1228,6 +1154,9 @@ mod replan_tests {
             prop_assert_eq!(&fast.failures, &slow.failures, "failure accounting diverged");
             prop_assert_eq!(fast.records.len(), jobs.len(), "every job completes once");
             prop_assert!(fast.failures.goodput > 0.0 && fast.failures.goodput <= 1.0);
+            // The final attempts form a valid schedule of the shapes they
+            // ran: a checkpointed rerun is checked at its trimmed length.
+            prop_assert_eq!(fast.run.validate(), Ok(()));
         }
     }
 
@@ -1266,7 +1195,7 @@ mod replan_tests {
             Box::new(FullReplanOracle::new(BackfillPolicy::Easy, 1, &ctx)),
         ];
         for planner in planners {
-            let out = des_online_volatile(&policy, &jobs, 1, &ctx, &plan, planner);
+            let out = finite_online(&policy, &jobs, 1, &ctx, &plan, planner);
             assert_eq!(out.failures.kills, 0, "boundary completion must survive");
             assert_eq!(out.failures.resubmits, 0);
             assert_eq!(out.failures.wasted_ticks, 0);
@@ -1301,7 +1230,7 @@ mod replan_tests {
         let outages = trace.generate(1, &mut SimRng::seed_from(0));
         let ctx = online_ctx(1.0);
         let policy = Backfilling::conservative();
-        let resubmit = des_online_volatile(
+        let resubmit = finite_online(
             &policy,
             &jobs,
             1,
@@ -1318,7 +1247,7 @@ mod replan_tests {
         // Restart from scratch at repair: [6, 16).
         assert_eq!(resubmit.records[0].start, Time::from_secs(6));
         assert_eq!(resubmit.records[0].completion, Time::from_secs(16));
-        let ckpt = des_online_volatile(
+        let ckpt = finite_online(
             &policy,
             &jobs,
             1,
@@ -1336,6 +1265,11 @@ mod replan_tests {
         assert_eq!(ckpt.records[0].completion, Time::from_secs(13));
         assert_eq!(ckpt.failures.interrupted_slowdown, Some(1.3));
         assert!(ckpt.failures.goodput > resubmit.failures.goodput);
+        // Both final attempts validate: the checkpointed one against its
+        // trimmed 7 s shape released at the kill.
+        assert_eq!(resubmit.run.validate(), Ok(()));
+        assert_eq!(ckpt.run.validate(), Ok(()));
+        assert_eq!(ckpt.run.jobs[0].release, Time::from_secs(4));
     }
 
     fn sample_open_entry(rho: f64, stop: u64) -> OpenEntry {
@@ -1452,7 +1386,12 @@ mod replan_tests {
             let finite = des_online(policy, &jobs, m, &ctx);
             let mut streamed = Vec::new();
             drive(
-                PolicyDispatch::new(policy, m, policy.incremental_planner(m, &ctx), false, None),
+                PolicyDispatch::new(
+                    policy,
+                    m,
+                    policy.incremental_planner(m, &ctx),
+                    FailurePolicy::Resubmit,
+                ),
                 open_arrivals(&open, m, seed),
                 &[],
                 Stop::Completions(open.stop_completions),
@@ -1500,5 +1439,51 @@ mod replan_tests {
             );
             assert_eq!(run.records.len(), n);
         }
+    }
+
+    /// A planner that defers every decision.
+    struct Stalled;
+
+    impl IncrementalPlanner for Stalled {
+        fn advance(&mut self, _now: Time) {}
+
+        fn plan(&mut self, _pending: &[Job], _now: Time, _out: &mut Schedule) -> bool {
+            false
+        }
+
+        fn touched(&self) -> u64 {
+            0
+        }
+
+        fn last_created(&self) -> &[(BookingId, Time)] {
+            &[]
+        }
+
+        fn invalidate(&mut self, _id: BookingId) {
+            unreachable!("a stalled planner books nothing")
+        }
+
+        fn add_outage(&mut self, _node: u32, _start: Time, _end: Time) {}
+    }
+
+    /// The drive has no event budget: a dispatcher that never commits
+    /// still terminates, with the jobs left pending, and the drain check
+    /// names them.
+    #[test]
+    #[should_panic(expected = "2 jobs never committed")]
+    fn a_stalled_planner_fails_the_drain_check() {
+        let jobs = vec![
+            Job::rigid(0, 1, Dur::from_secs(1)),
+            Job::rigid(1, 1, Dur::from_secs(1)).released_at(Time::from_secs(5)),
+        ];
+        let policy = Backfilling::easy();
+        finite_online(
+            &policy,
+            &jobs,
+            1,
+            &online_ctx(1.0),
+            &RELIABLE,
+            Box::new(Stalled),
+        );
     }
 }

@@ -21,10 +21,65 @@ use lsps_core::outcome::OutcomeKind;
 use lsps_core::policy::{by_name, Knowledge, PolicyCtx, ReleaseMode, DEFAULT_INITIAL_ESTIMATE};
 use lsps_des::Dur;
 use lsps_metrics::WarmupSpec;
-use lsps_workload::{FailurePolicy, FailureTraceSpec, OpenStreamSpec, WorkloadSpec};
+use lsps_workload::{
+    ArrivalSpec, DistSpec, FailurePolicy, FailureTraceSpec, OpenStreamSpec, WorkloadSpec,
+};
 
 use crate::families::builtin_family;
 use crate::runner::Executor;
+
+// Size and time bounds on what a spec may ask for. A spec crosses a trust
+// boundary (campaignd takes it over HTTP), so an absurd size must fail
+// validation instead of aborting the process on allocation. Each bound
+// sits far above every checked-in spec, built-in campaign and benchmark
+// spec, whose largest have 1 024 cells, m = 2 048 and n = 100 000.
+
+/// Largest grid a spec may expand into (cells are planned in memory).
+pub(crate) const MAX_CELLS: usize = 100_000;
+
+/// Largest platform a spec may name, in processors.
+pub(crate) const MAX_PROCS: usize = 65_536;
+
+/// Largest job count of one generated workload entry (`Family` `n`,
+/// `Spec` `n_jobs`).
+pub(crate) const MAX_JOBS: usize = 10_000_000;
+
+/// Latest release and longest runtime a job entering a campaign may have,
+/// in seconds (about 317 years). At the bound a booking ends by
+/// `release + ⌈runtime × MAX_ESTIMATE_FACTOR⌉` ≈ 1.0e16 ticks, 1 800×
+/// inside the `u64` tick axis, so time arithmetic on such jobs cannot
+/// wrap.
+pub(crate) const MAX_JOB_TIME_S: f64 = 1e10;
+
+/// Largest value `dist` can draw, in its own unit. `SimRng` draws its
+/// uniforms on a 2^-53 grid, so an exponential draw `-mean·ln(1 - u)` never
+/// exceeds 53·ln 2 ≈ 36.7 means.
+fn reach(dist: &DistSpec) -> f64 {
+    match *dist {
+        DistSpec::Fixed(v) => v,
+        DistSpec::Uniform(_, hi)
+        | DistSpec::LogUniform(_, hi)
+        | DistSpec::BoundedPareto(_, _, hi) => hi,
+        DistSpec::Exp(mean) => mean * 53.0 * std::f64::consts::LN_2,
+    }
+}
+
+/// Latest release `ws` can draw, in seconds: `n_jobs` inter-arrival
+/// gaps, each within the exponential reach of the mean gap. Thinning can
+/// stretch a daily cycle past that, but only with vanishing probability,
+/// and the margin of [`MAX_JOB_TIME_S`] to the tick axis absorbs it.
+fn release_reach(ws: &WorkloadSpec) -> f64 {
+    match ws.arrival {
+        ArrivalSpec::AllAtZero => 0.0,
+        ArrivalSpec::Poisson {
+            mean_interarrival_s,
+        }
+        | ArrivalSpec::DailyCycle {
+            mean_interarrival_s,
+            ..
+        } => ws.n_jobs as f64 * reach(&DistSpec::Exp(mean_interarrival_s)),
+    }
+}
 
 /// SplitMix64 finalizer: a bijective avalanche mix, the standard way to
 /// derive well-spread independent seeds from structured inputs.
@@ -494,6 +549,12 @@ impl CampaignSpec {
             if plat.m == 0 {
                 problems.push(format!("platform `{}` has m = 0", plat.name));
             }
+            if plat.m > MAX_PROCS {
+                problems.push(format!(
+                    "platform `{}` has m = {}, above the {MAX_PROCS}-processor bound",
+                    plat.name, plat.m
+                ));
+            }
             if !seen_platforms.insert(plat.name.as_str()) {
                 problems.push(format!("duplicate platform name `{}`", plat.name));
             }
@@ -515,16 +576,38 @@ impl CampaignSpec {
             }
         }
         for w in &self.workloads {
-            match &w.source {
-                WorkloadSource::Family { family, n } if builtin_family(family, *n).is_none() => {
-                    problems.push(format!("workload `{}`: unknown family `{family}`", w.name));
+            let (field, n) = match &w.source {
+                WorkloadSource::Family { family, n } => {
+                    if builtin_family(family, *n).is_none() {
+                        problems.push(format!("workload `{}`: unknown family `{family}`", w.name));
+                    }
+                    ("n", *n)
                 }
                 WorkloadSource::Spec(ws) => {
                     for p in ws.validate() {
                         problems.push(format!("workload `{}`: {p}", w.name));
                     }
+                    for (field, at) in [
+                        ("work_s", reach(&ws.work_s)),
+                        ("arrival", release_reach(ws)),
+                    ] {
+                        if at > MAX_JOB_TIME_S {
+                            problems.push(format!(
+                                "workload `{}`: `{field}` can draw {at:e} s, past the \
+                                 {MAX_JOB_TIME_S:e} s job-time bound",
+                                w.name
+                            ));
+                        }
+                    }
+                    ("n_jobs", ws.n_jobs)
                 }
-                _ => {}
+                _ => continue,
+            };
+            if n > MAX_JOBS {
+                problems.push(format!(
+                    "workload `{}`: `{field}` = {n} is above the {MAX_JOBS}-job bound",
+                    w.name
+                ));
             }
         }
         // Open (steady-state) entries change the execution model — the
@@ -665,6 +748,13 @@ impl CampaignSpec {
         if self.replication.replications == 0 {
             problems.push("`replication.replications` must be >= 1".into());
         }
+        if self.cell_count() > MAX_CELLS {
+            problems.push(format!(
+                "the grid has {} cells, above the {MAX_CELLS}-cell bound \
+                 (check `replication.replications` and the axes)",
+                self.cell_count()
+            ));
+        }
         if !(1.0..=MAX_ESTIMATE_FACTOR).contains(&self.ctx.estimate_factor) {
             problems.push(format!(
                 "`ctx.estimate_factor` must lie in [1, {MAX_ESTIMATE_FACTOR}]"
@@ -682,18 +772,30 @@ impl CampaignSpec {
         }
     }
 
-    /// Total cell count of the expanded grid.
-    pub fn cell_count(&self) -> usize {
-        let reps: usize = self
-            .workloads
+    /// Workload replications summed over the entries: the seeds they
+    /// expand into, counted without building them (saturating, as the
+    /// spec may not be validated yet).
+    pub fn workload_reps(&self) -> usize {
+        self.workloads
             .iter()
-            .map(|w| self.replication.seeds_for(w).len())
-            .sum();
-        self.policies.len()
-            * self.executors.len()
-            * self.platforms.len()
-            * self.failures.len()
-            * reps
+            .map(|w| match w.seed {
+                Some(_) => 1,
+                None => self.replication.replications,
+            })
+            .fold(0, usize::saturating_add)
+    }
+
+    /// Total cell count of the expanded grid (saturating, like
+    /// [`workload_reps`](Self::workload_reps)).
+    pub fn cell_count(&self) -> usize {
+        [
+            self.policies.len(),
+            self.executors.len(),
+            self.platforms.len(),
+            self.failures.len(),
+        ]
+        .into_iter()
+        .fold(self.workload_reps(), usize::saturating_mul)
     }
 }
 
@@ -1370,6 +1472,45 @@ mod tests {
             (
                 open_campaign(r#"{"Uniform": [8, 2]}"#, r#"{"Exp": 60.0}"#),
                 ["stream", "width"],
+            ),
+            // Sizes past their bounds fail validation before anything is
+            // allocated for them.
+            (
+                finite_campaign("", "", "1.0").replacen(
+                    r#""name": "bad","#,
+                    r#""name": "bad", "replication": {"replications": 100000000000},"#,
+                    1,
+                ),
+                ["cells", "replication.replications"],
+            ),
+            (
+                finite_campaign("", "", "1.0").replace(r#""m": 8"#, r#""m": 1000000000000"#),
+                ["m8", "m = 1000000000000"],
+            ),
+            (
+                finite_campaign("n_jobs", "100000000000", "1.0"),
+                ["synthetic", "n_jobs"],
+            ),
+            (
+                r#"{"name": "bad", "policies": ["list-fcfs"],
+                    "platforms": [{"name": "m8", "m": 8}],
+                    "workloads": [{"name": "fam",
+                        "source": {"Family": {"family": "rigid0", "n": 100000000000}}}]}"#
+                    .to_string(),
+                ["fam", "`n` = 100000000000"],
+            ),
+            // Times past the job-time bound would wrap the tick axis.
+            (
+                finite_campaign("work_s", r#"{"Fixed": 1e300}"#, "1.0"),
+                ["synthetic", "work_s"],
+            ),
+            (
+                finite_campaign(
+                    "arrival",
+                    r#"{"Poisson": {"mean_interarrival_s": 1e9}}"#,
+                    "1.0",
+                ),
+                ["synthetic", "arrival"],
             ),
             (finite_campaign("", "", "1e999"), ["ctx", "estimate_factor"]),
             // Finite but huge: the estimate saturates the tick axis, so it
