@@ -15,20 +15,27 @@
 //! `lsps-campaignd` daemon plans campaigns and shards cells over worker
 //! processes through exactly this surface, and `lsps-campaign --dry-run`
 //! prints it.
+//!
+//! Expansion is also the spec's only check. [`CampaignPlan::expand`]
+//! walks each axis once, resolves every policy, family and trace file
+//! once, and checks each workload source where it resolves against one
+//! job-count and job-time rule. Every problem lands in one [`SpecError`];
+//! a plan exists only for a spec with none.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use lsps_core::outcome::Outcome;
-use lsps_core::policy::by_name;
-use lsps_des::{Dur, SimRng};
+use lsps_core::backfill::MAX_ESTIMATE_FACTOR;
+use lsps_core::outcome::{Outcome, OutcomeKind};
+use lsps_core::policy::{by_name, Knowledge, Policy, ReleaseMode};
+use lsps_des::{Dur, SimRng, TICKS_PER_SEC};
 use lsps_metrics::{
     cmax_lower_bound, csum_lower_bound, uniform_cmax_lower_bound, uniform_csum_lower_bound,
-    uniform_wsum_lower_bound, wsum_lower_bound, Criteria, Summary,
+    uniform_wsum_lower_bound, wsum_lower_bound, Criteria, Summary, WarmupSpec,
 };
-use lsps_workload::{Job, JobKind, WorkloadSpec};
+use lsps_workload::{ArrivalSpec, DistSpec, Job, JobKind, WorkloadSpec};
 use serde::{Serialize, Value};
 
 use crate::cache::{CellCache, CACHE_VERSION};
@@ -38,9 +45,74 @@ use crate::runner::{
     des_online_open, des_replay, finite_online, open_arrivals, to_csv, Cell, Executor, FailurePlan,
 };
 use crate::spec::{
-    fnv64, splitmix64, CampaignSpec, FailureEntry, OpenEntry, SpecError, WorkloadSource,
-    MAX_JOB_TIME_S,
+    fnv64, splitmix64, CampaignSpec, FailureEntry, OpenEntry, SpecError, WorkloadEntry,
+    WorkloadSource,
 };
+
+// Size and time bounds on what a spec may ask for. A spec crosses a trust
+// boundary (campaignd takes it over HTTP), so an absurd size must fail
+// expansion instead of aborting the process on allocation. Each bound
+// sits far above every checked-in spec, built-in campaign and benchmark
+// spec, whose largest have 1 024 cells, m = 2 048 and n = 100 000.
+
+/// Largest grid a spec may expand into (cells are planned in memory).
+const MAX_CELLS: usize = 100_000;
+
+/// Largest platform a spec may name, in processors.
+const MAX_PROCS: usize = 65_536;
+
+/// Largest job count of one workload entry: `Family` `n`, `Spec` `n_jobs`,
+/// a trace's job list, and an open entry's `stop_completions` (its drive
+/// keeps one response observation per counted completion).
+const MAX_JOBS: u64 = 10_000_000;
+
+/// Latest release and longest runtime a job entering a campaign may have,
+/// in seconds (about 317 years). At the bound a booking ends by
+/// `release + ⌈runtime × MAX_ESTIMATE_FACTOR⌉` ≈ 1.0e16 ticks, 1 800×
+/// inside the `u64` tick axis, so time arithmetic on such jobs cannot
+/// wrap.
+const MAX_JOB_TIME_S: f64 = 1e10;
+
+/// Largest value `dist` can draw, in its own unit. `SimRng` draws its
+/// uniforms on a 2^-53 grid, so an exponential draw `-mean·ln(1 - u)` never
+/// exceeds 53·ln 2 ≈ 36.7 means.
+fn reach(dist: &DistSpec) -> f64 {
+    match *dist {
+        DistSpec::Fixed(v) => v,
+        DistSpec::Uniform(_, hi)
+        | DistSpec::LogUniform(_, hi)
+        | DistSpec::BoundedPareto(_, _, hi) => hi,
+        DistSpec::Exp(mean) => mean * 53.0 * std::f64::consts::LN_2,
+    }
+}
+
+/// Latest release `n` arrivals can draw, in seconds: `n` inter-arrival
+/// gaps, each within the exponential reach of the mean gap. Thinning can
+/// stretch a daily cycle past that, but only with vanishing probability,
+/// and the margin of [`MAX_JOB_TIME_S`] to the tick axis absorbs it.
+fn release_reach(n: u64, mean_gap_s: f64) -> f64 {
+    n as f64 * reach(&DistSpec::Exp(mean_gap_s))
+}
+
+/// The job-count and job-time rule every workload source answers to:
+/// `count` is the field that sets how many jobs the entry holds, and each
+/// of `times` names a quantity with the latest value it can draw.
+fn check_jobs(
+    problems: &mut Vec<String>,
+    (field, n): (&str, u64),
+    times: impl IntoIterator<Item = (String, f64)>,
+) {
+    if n > MAX_JOBS {
+        problems.push(format!("`{field}` = {n} is above the {MAX_JOBS}-job bound"));
+    }
+    for (what, at) in times {
+        if at > MAX_JOB_TIME_S {
+            problems.push(format!(
+                "{what} can draw {at:e} s, past the {MAX_JOB_TIME_S:e} s job-time bound"
+            ));
+        }
+    }
+}
 
 /// How a campaign runs: where the cache lives, how wide the pool is, and
 /// what relative trace paths resolve against.
@@ -83,15 +155,9 @@ impl CampaignReport {
 /// Why a campaign could not run.
 #[derive(Debug)]
 pub enum CampaignError {
-    /// The spec itself is invalid.
+    /// The spec is invalid: every problem [`CampaignPlan::expand`] found,
+    /// trace files included.
     Spec(SpecError),
-    /// A trace-backed workload entry failed to load.
-    Trace {
-        /// Workload entry name.
-        entry: String,
-        /// Underlying error rendering.
-        error: String,
-    },
     /// The cache directory could not be created.
     Cache(String),
 }
@@ -100,9 +166,6 @@ impl fmt::Display for CampaignError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CampaignError::Spec(e) => e.fmt(f),
-            CampaignError::Trace { entry, error } => {
-                write!(f, "workload `{entry}`: {error}")
-            }
             CampaignError::Cache(e) => write!(f, "cache: {e}"),
         }
     }
@@ -150,61 +213,183 @@ fn resolve_path(base: &Option<PathBuf>, path: &str) -> PathBuf {
     }
 }
 
-fn expand_entries(
+/// Resolve one workload entry and check it where it resolves: its source's
+/// own rules, the job bounds, trace widths against the platforms, and
+/// whether an open horizon admits an arrival. The problems come back
+/// without the entry's name, which the caller prefixes.
+fn expand_entry(
     spec: &CampaignSpec,
     opts: &CampaignOptions,
-) -> Result<Vec<ExpandedEntry>, CampaignError> {
-    spec.workloads
-        .iter()
-        .map(|entry| {
-            let seeds = spec.replication.seeds_for(entry);
-            let gen = match &entry.source {
-                WorkloadSource::Spec(ws) => EntryGen::Spec(ws.clone()),
-                WorkloadSource::Family { family, n } => {
-                    EntryGen::Family(builtin_family(family, *n).expect("validated family"))
+    entry: &WorkloadEntry,
+    seeds: Vec<u64>,
+) -> Result<ExpandedEntry, Vec<String>> {
+    let mut problems = Vec::new();
+    let mut canonical_source = None;
+    let gen = match &entry.source {
+        WorkloadSource::Spec(ws) => {
+            problems.extend(ws.validate());
+            let arrivals = match ws.arrival {
+                ArrivalSpec::AllAtZero => 0.0,
+                ArrivalSpec::Poisson {
+                    mean_interarrival_s,
                 }
-                WorkloadSource::Open(open) => EntryGen::Open(open.clone()),
-                // Trace files are keyed by *content*: replacing the file
-                // invalidates its cells even though the path is unchanged.
-                WorkloadSource::SwfFile(path) | WorkloadSource::JsonlFile(path) => {
-                    let trace_err = |error: String| CampaignError::Trace {
-                        entry: entry.name.clone(),
-                        error,
-                    };
-                    let resolved = resolve_path(&opts.base_dir, path);
-                    let text = std::fs::read_to_string(&resolved)
-                        .map_err(|e| trace_err(format!("{}: {e}", resolved.display())))?;
-                    let (tag, jobs) = match &entry.source {
-                        WorkloadSource::SwfFile(_) => {
-                            ("SwfFile", lsps_workload::swf::from_swf(&text))
-                        }
-                        _ => ("JsonlFile", lsps_workload::swf::from_jsonl(&text)),
-                    };
-                    let jobs = jobs.map_err(|e| trace_err(e.to_string()))?;
-                    let canon = Value::Map(vec![(
-                        tag.into(),
-                        Value::Map(vec![
-                            ("path".into(), path.to_value()),
-                            (
-                                "content_fnv".into(),
-                                format!("{:016x}", fnv64(text.as_bytes())).to_value(),
-                            ),
-                        ]),
-                    )]);
-                    return Ok(ExpandedEntry {
-                        seeds,
-                        canonical_source: canon,
-                        gen: EntryGen::Trace(jobs),
-                    });
-                }
+                | ArrivalSpec::DailyCycle {
+                    mean_interarrival_s,
+                    ..
+                } => release_reach(ws.n_jobs as u64, mean_interarrival_s),
             };
-            Ok(ExpandedEntry {
-                seeds,
-                canonical_source: entry.source.to_value(),
-                gen,
-            })
-        })
-        .collect()
+            check_jobs(
+                &mut problems,
+                ("n_jobs", ws.n_jobs as u64),
+                [
+                    ("`work_s`".into(), reach(&ws.work_s)),
+                    ("`arrival`".into(), arrivals),
+                ],
+            );
+            EntryGen::Spec(ws.clone())
+        }
+        WorkloadSource::Family { family, n } => {
+            check_jobs(&mut problems, ("n", *n as u64), []);
+            let Some(gen) = builtin_family(family, *n) else {
+                problems.push(format!("unknown family `{family}`"));
+                return Err(problems);
+            };
+            EntryGen::Family(gen)
+        }
+        WorkloadSource::SwfFile(path) | WorkloadSource::JsonlFile(path) => {
+            let resolved = resolve_path(&opts.base_dir, path);
+            let text = std::fs::read_to_string(&resolved)
+                .map_err(|e| vec![format!("{}: {e}", resolved.display())])?;
+            let (tag, jobs) = match &entry.source {
+                WorkloadSource::SwfFile(_) => ("SwfFile", lsps_workload::swf::from_swf(&text)),
+                _ => ("JsonlFile", lsps_workload::swf::from_jsonl(&text)),
+            };
+            let jobs = jobs.map_err(|e| vec![e.to_string()])?;
+            // A job released or running past the job-time bound would wrap
+            // the tick axis, and one wider than some platform could never
+            // start: every policy would panic on either inside a worker. A
+            // moldable job runs longest on one processor (time monotony).
+            check_jobs(&mut problems, ("jobs", jobs.len() as u64), []);
+            let time_bound = Dur::from_secs_f64(MAX_JOB_TIME_S);
+            let runtime = |j: &Job| match j.kind {
+                JobKind::Rigid { len, .. } => len,
+                _ => j.seq_time(),
+            };
+            if let Some(j) = jobs
+                .iter()
+                .find(|j| j.release.since_epoch() > time_bound || runtime(j) > time_bound)
+            {
+                problems.push(format!(
+                    "job {} is released at {:e} s and runs {:e} s; both must stay \
+                     within the {MAX_JOB_TIME_S:e} s job-time bound",
+                    j.id,
+                    j.release.as_secs_f64(),
+                    runtime(j).as_secs_f64()
+                ));
+            }
+            if let Some(widest) = jobs.iter().max_by_key(|j| j.min_procs()) {
+                for p in spec.platforms.iter().filter(|p| widest.min_procs() > p.m) {
+                    problems.push(format!(
+                        "job {} needs {} processors, wider than platform `{}` (m = {})",
+                        widest.id,
+                        widest.min_procs(),
+                        p.name,
+                        p.m
+                    ));
+                }
+            }
+            // Trace files are keyed by *content*: replacing the file
+            // invalidates its cells even though the path is unchanged.
+            canonical_source = Some(Value::Map(vec![(
+                tag.into(),
+                Value::Map(vec![
+                    ("path".into(), path.to_value()),
+                    (
+                        "content_fnv".into(),
+                        format!("{:016x}", fnv64(text.as_bytes())).to_value(),
+                    ),
+                ]),
+            )]));
+            EntryGen::Trace(jobs)
+        }
+        WorkloadSource::Open(open) => {
+            problems.extend(open.stream.validate());
+            if open.stop_completions == 0 {
+                problems.push("`stop_completions` must be >= 1".into());
+            }
+            if open.batches < 2 {
+                problems.push("`batches` must be >= 2".into());
+            }
+            if let Some(h) = open.horizon_s {
+                if !(h > 0.0 && h.is_finite()) {
+                    problems.push("`horizon_s` must be positive and finite".into());
+                }
+            }
+            if let WarmupSpec::Fraction(f) = open.warmup {
+                if !(0.0..1.0).contains(&f) {
+                    problems.push("warmup fraction must be in [0, 1)".into());
+                }
+            }
+            // A service draw rounds up to one tick, so a class whose mean
+            // service is shorter offers more load than `rho` says: at the
+            // extreme, unboundedly many arrivals per tick.
+            let tick_s = 1.0 / TICKS_PER_SEC as f64;
+            for c in &open.stream.classes {
+                let mean = c.service_s.mean();
+                if mean > 0.0 && mean < tick_s {
+                    problems.push(format!(
+                        "class `{}`: mean service {mean:e} s is below one tick ({tick_s} s)",
+                        c.name
+                    ));
+                }
+            }
+            // The drive counts `stop_completions` jobs, released at gaps
+            // that are widest on the smallest platform.
+            let min_m = spec.platforms.iter().map(|p| p.m).min().unwrap_or(1);
+            let services = open.stream.classes.iter().map(|c| {
+                (
+                    format!("class `{}`: `service_s`", c.name),
+                    reach(&c.service_s),
+                )
+            });
+            let arrivals = release_reach(
+                open.stop_completions,
+                open.stream.mean_interarrival_s(min_m),
+            );
+            check_jobs(
+                &mut problems,
+                ("stop_completions", open.stop_completions),
+                services.chain([("`arrival`".into(), arrivals)]),
+            );
+            // A cell whose horizon admits no arrival would drive nothing.
+            // Drawing each cell's first arrival is O(1), but it samples the
+            // stream, so it waits for an otherwise sound entry and skips
+            // platforms that failed their own checks.
+            if let (Some(h), true) = (open.horizon_s, problems.is_empty()) {
+                let empty = spec
+                    .platforms
+                    .iter()
+                    .filter(|p| (1..=MAX_PROCS).contains(&p.m))
+                    .flat_map(|p| seeds.iter().map(move |&seed| (p, seed)))
+                    .find(|&(p, seed)| open_arrivals(open, p.m, seed).next().is_none());
+                if let Some((p, seed)) = empty {
+                    problems.push(format!(
+                        "`horizon_s` {h} admits no arrival (platform `{}`, seed {seed})",
+                        p.name
+                    ));
+                }
+            }
+            EntryGen::Open(open.clone())
+        }
+    };
+    if !problems.is_empty() {
+        return Err(problems);
+    }
+    Ok(ExpandedEntry {
+        seeds,
+        canonical_source: canonical_source.unwrap_or_else(|| entry.source.to_value()),
+        gen,
+    })
 }
 
 /// The key preimage of one cell: everything its outcome depends on, as
@@ -267,94 +452,258 @@ pub struct PlannedCell {
     pub key: String,
 }
 
-/// A validated, fully expanded campaign: the spec, each workload entry's
-/// generator (trace content read once, keyed by hash), and every cell in
-/// canonical order with its cache key. This is the library surface shared
-/// by [`run_campaign`], the `lsps-campaign --dry-run` breakdown, and the
+/// A validated, fully expanded campaign: the spec, its resolved policies,
+/// each workload entry's generator (trace content read once, keyed by
+/// hash), and every cell in canonical order with its cache key. A plan is
+/// the only proof that a spec is valid: [`CampaignPlan::expand`] is its
+/// only constructor. This is the library surface shared by
+/// [`run_campaign`], the `lsps-campaign --dry-run` breakdown, and the
 /// `lsps-campaignd` / `lsps-worker` service tier: the daemon plans, probes
 /// the cache and shards cell indices; each worker re-expands the same spec
 /// and runs single cells via [`CampaignPlan::run_cell`].
 pub struct CampaignPlan {
     spec: CampaignSpec,
+    policies: Vec<Box<dyn Policy>>,
     expanded: Vec<ExpandedEntry>,
     cells: Vec<PlannedCell>,
 }
 
 impl CampaignPlan {
-    /// Validate `spec` and expand it into the canonical cell list.
+    /// Validate `spec` and expand it into the canonical cell list: the one
+    /// check a spec gets. One pass over each axis resolves every policy and
+    /// family name once and reads every trace file once, checking each
+    /// source where it resolves. Beyond JSON shape that means non-empty
+    /// axes, resolvable names, the size and time bounds, and executor /
+    /// platform × policy *capability compatibility* — the DES executors
+    /// and speeded platforms only accept the policies that can honour them.
+    /// Every problem is collected into one [`SpecError`] (joined with
+    /// `; `), so a sweep with three typos fails with three messages up
+    /// front instead of panicking mid-run on the first.
     pub fn expand(
         spec: &CampaignSpec,
         opts: &CampaignOptions,
     ) -> Result<CampaignPlan, CampaignError> {
-        spec.validate()?;
-        let expanded = expand_entries(spec, opts)?;
-        // An open cell whose horizon admits no arrival would drive nothing:
-        // reject it here, where a bad spec is an error (campaignd's 400)
-        // rather than a worker panic. Drawing each cell's first arrival is
-        // O(1).
-        for (exp, entry) in expanded.iter().zip(&spec.workloads) {
-            let EntryGen::Open(open) = &exp.gen else {
+        let mut problems: Vec<String> = Vec::new();
+        if spec.name.is_empty() {
+            problems.push("empty campaign name".into());
+        }
+        for (what, empty) in [
+            ("policies", spec.policies.is_empty()),
+            ("executors", spec.executors.is_empty()),
+            ("platforms", spec.platforms.is_empty()),
+            ("workloads", spec.workloads.is_empty()),
+        ] {
+            if empty {
+                problems.push(format!("`{what}` must be non-empty"));
+            }
+        }
+        let volatile = spec.is_volatile();
+        let mut seen_policies = HashSet::new();
+        let mut policies = Vec::with_capacity(spec.policies.len());
+        for p in &spec.policies {
+            if !seen_policies.insert(p.as_str()) {
+                problems.push(format!("duplicate policy `{p}`"));
+            }
+            let Some(policy) = by_name(p) else {
+                problems.push(format!("unknown policy `{p}` (not in the registry)"));
                 continue;
             };
-            let Some(horizon_s) = open.horizon_s else {
-                continue;
-            };
-            for p in &spec.platforms {
-                for &seed in &exp.seeds {
-                    if open_arrivals(open, p.m, seed).next().is_none() {
-                        return Err(SpecError(format!(
-                            "workload `{}`: `horizon_s` {horizon_s} admits no arrival \
-                             (platform `{}`, seed {seed})",
-                            entry.name, p.name
-                        ))
-                        .into());
-                    }
+            // Capability compatibility, checked before any cell runs: the
+            // DES executors replay/drive rectangles only, a speeded
+            // platform needs a uniform-capable policy, and a volatile axis
+            // a hole-filling one (it plans around outage windows).
+            let kind = policy.outcome_kind();
+            for &e in &spec.executors {
+                if !e.supports(kind) {
+                    problems.push(format!(
+                        "policy `{p}` produces `{kind}` outcomes, which executor \
+                         `{e}` cannot replay or drive (use `direct`)"
+                    ));
+                }
+            }
+            if kind != OutcomeKind::Uniform {
+                for plat in spec.platforms.iter().filter(|pl| pl.speeds.is_some()) {
+                    problems.push(format!(
+                        "platform `{}` has per-processor speeds, which policy \
+                         `{p}` (outcome `{kind}`) cannot honour — uniform-capable \
+                         policies only",
+                        plat.name
+                    ));
+                }
+            }
+            if volatile && !policy.supports_pinned() {
+                problems.push(format!(
+                    "policy `{p}` cannot plan around outage windows \
+                     (hole-filling policies only under a volatile `failures` axis)"
+                ));
+            }
+            policies.push(policy);
+        }
+        let mut seen_executors = HashSet::new();
+        for e in &spec.executors {
+            if !seen_executors.insert(e.name()) {
+                problems.push(format!("duplicate executor `{e}`"));
+            }
+        }
+        // Workload entries may share a name (explicit per-seed entries of
+        // one family group under it), but platforms group the aggregate by
+        // name alone — two different machines under one name would silently
+        // pool into one row.
+        let mut seen_platforms = HashSet::new();
+        for plat in &spec.platforms {
+            if plat.m == 0 {
+                problems.push(format!("platform `{}` has m = 0", plat.name));
+            }
+            if plat.m > MAX_PROCS {
+                problems.push(format!(
+                    "platform `{}` has m = {}, above the {MAX_PROCS}-processor bound",
+                    plat.name, plat.m
+                ));
+            }
+            if !seen_platforms.insert(plat.name.as_str()) {
+                problems.push(format!("duplicate platform name `{}`", plat.name));
+            }
+            if let Some(speeds) = &plat.speeds {
+                if speeds.len() != plat.m {
+                    problems.push(format!(
+                        "platform `{}`: {} speeds for m = {}",
+                        plat.name,
+                        speeds.len(),
+                        plat.m
+                    ));
+                }
+                if !speeds.iter().all(|&s| s > 0.0 && s.is_finite()) {
+                    problems.push(format!(
+                        "platform `{}`: speeds must be positive and finite",
+                        plat.name
+                    ));
                 }
             }
         }
-        // Likewise a trace job wider than some platform could never start,
-        // and one released or running past the job-time bound would wrap
-        // the tick axis: every policy would panic on either inside a worker.
-        let time_bound = Dur::from_secs_f64(MAX_JOB_TIME_S);
-        for (exp, entry) in expanded.iter().zip(&spec.workloads) {
-            let EntryGen::Trace(jobs) = &exp.gen else {
-                continue;
+        // Seeds are built only for a grid within the cell bound. An empty
+        // axis makes the cell count 0, so the rep count is the guard.
+        let reps_ok = spec.workload_reps() <= MAX_CELLS;
+        let mut expanded = Vec::with_capacity(spec.workloads.len());
+        for w in &spec.workloads {
+            let seeds = if reps_ok {
+                spec.replication.seeds_for(w)
+            } else {
+                Vec::new()
             };
-            // A moldable job runs longest on one processor (time monotony).
-            let runtime = |j: &Job| match j.kind {
-                JobKind::Rigid { len, .. } => len,
-                _ => j.seq_time(),
-            };
-            if let Some(j) = jobs
-                .iter()
-                .find(|j| j.release.since_epoch() > time_bound || runtime(j) > time_bound)
-            {
-                return Err(CampaignError::Trace {
-                    entry: entry.name.clone(),
-                    error: format!(
-                        "job {} is released at {:e} s and runs {:e} s; both must stay \
-                         within the {MAX_JOB_TIME_S:e} s job-time bound",
-                        j.id,
-                        j.release.as_secs_f64(),
-                        runtime(j).as_secs_f64()
-                    ),
-                });
+            match expand_entry(spec, opts, w, seeds) {
+                Ok(exp) => expanded.push(exp),
+                Err(ps) => {
+                    problems.extend(ps.iter().map(|p| format!("workload `{}`: {p}", w.name)))
+                }
             }
-            let Some(widest) = jobs.iter().max_by_key(|j| j.min_procs()) else {
-                continue;
-            };
-            if let Some(p) = spec.platforms.iter().find(|p| widest.min_procs() > p.m) {
-                return Err(CampaignError::Trace {
-                    entry: entry.name.clone(),
-                    error: format!(
-                        "job {} needs {} processors, wider than platform `{}` (m = {})",
-                        widest.id,
-                        widest.min_procs(),
-                        p.name,
-                        p.m
-                    ),
-                });
+        }
+        // Open (steady-state) entries change the execution model — the
+        // campaign drives a stream with a stopping rule instead of running
+        // a job list to completion — so they demand a uniform campaign:
+        // every entry open, exactly the des-online executor, honest online
+        // releases.
+        let n_open = spec
+            .workloads
+            .iter()
+            .filter(|w| matches!(w.source, WorkloadSource::Open(_)))
+            .count();
+        if n_open > 0 {
+            if n_open != spec.workloads.len() {
+                problems.push(
+                    "open-arrival entries cannot mix with finite workload entries \
+                     in one campaign"
+                        .into(),
+                );
             }
+            if spec.executors != vec![Executor::DesOnline] {
+                problems.push(
+                    "open-arrival workloads run under exactly `[\"des-online\"]` executors".into(),
+                );
+            }
+            if spec.ctx.release_mode != ReleaseMode::Online {
+                problems.push(
+                    "open-arrival workloads require `ctx.release_mode: \"online\"` \
+                     (offline would collapse the stream to one batch)"
+                        .into(),
+                );
+            }
+        }
+        if spec.failures.is_empty() {
+            problems.push(
+                "`failures` must be non-empty (omit the block for the reliable default)".into(),
+            );
+        }
+        let mut seen_failures = HashSet::new();
+        for f in &spec.failures {
+            if !seen_failures.insert(f.name.as_str()) {
+                problems.push(format!("duplicate failure entry name `{}`", f.name));
+            }
+            let Some(trace) = &f.trace else { continue };
+            for p in trace.validate().into_iter().chain(f.policy.validate()) {
+                problems.push(format!("failure entry `{}`: {p}", f.name));
+            }
+            if let Some(max_node) = trace.max_node() {
+                for plat in spec.platforms.iter().filter(|pl| max_node as usize >= pl.m) {
+                    problems.push(format!(
+                        "failure entry `{}` scripts node {max_node}, but platform \
+                         `{}` only has m = {}",
+                        f.name, plat.name, plat.m
+                    ));
+                }
+            }
+        }
+        // A volatile axis changes the execution model the same way open
+        // entries do: cells must be *driven* (kills happen mid-flight), so
+        // the campaign has to be uniformly des-online with honest releases,
+        // hole-filling policies (checked with the policies above),
+        // identical machines, and finite workloads.
+        if volatile {
+            if spec.executors != vec![Executor::DesOnline] {
+                problems.push(
+                    "a volatile `failures` axis runs under exactly `[\"des-online\"]` executors"
+                        .into(),
+                );
+            }
+            if spec.ctx.release_mode != ReleaseMode::Online {
+                problems.push(
+                    "a volatile `failures` axis requires `ctx.release_mode: \"online\"`".into(),
+                );
+            }
+            for plat in spec.platforms.iter().filter(|pl| pl.speeds.is_some()) {
+                problems.push(format!(
+                    "platform `{}` has per-processor speeds, which the volatile \
+                     executor does not model",
+                    plat.name
+                ));
+            }
+            if n_open > 0 {
+                problems.push(
+                    "open-arrival workloads cannot combine with a volatile `failures` axis".into(),
+                );
+            }
+        }
+        if spec.replication.replications == 0 {
+            problems.push("`replication.replications` must be >= 1".into());
+        }
+        if spec.cell_count() > MAX_CELLS {
+            problems.push(format!(
+                "the grid has {} cells, above the {MAX_CELLS}-cell bound \
+                 (check `replication.replications` and the axes)",
+                spec.cell_count()
+            ));
+        }
+        if !(1.0..=MAX_ESTIMATE_FACTOR).contains(&spec.ctx.estimate_factor) {
+            problems.push(format!(
+                "`ctx.estimate_factor` must lie in [1, {MAX_ESTIMATE_FACTOR}]"
+            ));
+        }
+        if let Knowledge::NonClairvoyant { initial_estimate } = spec.ctx.knowledge {
+            if initial_estimate.is_zero() {
+                problems.push("`ctx.initial_estimate_s` must be positive".into());
+            }
+        }
+        if !problems.is_empty() {
+            return Err(SpecError(problems.join("; ")).into());
         }
         let mut cells = Vec::with_capacity(spec.cell_count());
         for &executor in &spec.executors {
@@ -389,6 +738,7 @@ impl CampaignPlan {
         }
         Ok(CampaignPlan {
             spec: spec.clone(),
+            policies,
             expanded,
             cells,
         })
@@ -468,8 +818,7 @@ impl CampaignPlan {
     /// failing platform, its final attempts — so a policy bug fails loudly
     /// instead of producing flattering numbers.
     fn execute(&self, c: &PlannedCell, jobs: &[Job]) -> Cell {
-        let policy = by_name(&self.spec.policies[c.policy]).expect("validated policy");
-        let policy = policy.as_ref();
+        let policy = self.policies[c.policy].as_ref();
         let workload = &self.spec.workloads[c.entry].name;
         let plat = &self.spec.platforms[c.platform];
         let failure = &self.spec.failures[c.failure];
@@ -485,6 +834,8 @@ impl CampaignPlan {
         if let Some(speeds) = &plat.speeds {
             ctx.speeds = speeds.clone();
         }
+        // `expand` has matched executor, platform and failure entry to the
+        // policy, and a plan has no other constructor.
         let cell_id = || {
             format!(
                 "{} on {workload}/{} (m={m}, {})",
@@ -493,29 +844,6 @@ impl CampaignPlan {
                 c.executor.name()
             )
         };
-        assert!(
-            failure.trace.is_none() || c.executor == Executor::DesOnline,
-            "{}: a volatile platform requires the des-online executor",
-            cell_id()
-        );
-        if c.executor != Executor::Direct {
-            // Validated capability check: the DES executors stay
-            // rectangle-only.
-            assert!(
-                c.executor.supports(policy.outcome_kind()),
-                "{}: policy produces `{}` outcomes, which executor `{}` \
-                 cannot replay or drive — run it under `direct`",
-                cell_id(),
-                policy.outcome_kind(),
-                c.executor.name()
-            );
-            assert!(
-                ctx.is_identical_machine(),
-                "{}: a speeded machine needs a uniform-capable policy \
-                 under the `direct` executor",
-                cell_id()
-            );
-        }
         // Every finite drive yields the as-scheduled jobs (for the bounds)
         // and the completion records; the batch executors also yield their
         // outcome, whose machine model and trial counters feed the columns
@@ -1186,48 +1514,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The one error of a spec that fails expansion, without its
+    /// `campaign spec: ` prefix.
+    fn spec_error(spec: &CampaignSpec, opts: &CampaignOptions) -> String {
+        match CampaignPlan::expand(spec, opts) {
+            Err(CampaignError::Spec(SpecError(msg))) => msg,
+            Err(e) => panic!("not a spec error: {e}"),
+            Ok(_) => panic!("expected a spec error"),
+        }
+    }
+
     #[test]
     fn trace_load_errors_are_reported() {
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile("/nonexistent/trace.swf".into()));
-        let missing = CampaignPlan::expand(&spec, &opts).err();
-        let Some(CampaignError::Trace { entry, error }) = missing else {
-            panic!("a missing trace file is a trace error");
-        };
-        assert_eq!(entry, "trace");
-        assert!(error.starts_with("/nonexistent/trace.swf: "), "{error}");
+        let error = spec_error(&spec, &opts);
+        assert!(
+            error.starts_with("workload `trace`: /nonexistent/trace.swf: "),
+            "{error}"
+        );
         let dir = std::env::temp_dir().join(format!("lsps-bad-swf-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.swf");
         std::fs::write(&path, "1 2 3\n").unwrap();
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile(path.display().to_string()));
-        let bad = CampaignPlan::expand(&spec, &opts).err();
-        let Some(CampaignError::Trace { error, .. }) = bad else {
-            panic!("an unparsable trace file is a trace error");
-        };
-        assert!(error.starts_with("trace parse error"), "{error}");
+        let error = spec_error(&spec, &opts);
+        assert!(
+            error.starts_with("workload `trace`: trace parse error"),
+            "{error}"
+        );
         let dup = dir.join("dup.swf");
         std::fs::write(&dup, "10 0 -1 60 1\n10 5 -1 30 1\n").unwrap();
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile(dup.display().to_string()));
-        let Some(CampaignError::Trace { error, .. }) = CampaignPlan::expand(&spec, &opts).err()
-        else {
-            panic!("a duplicate job id is a trace error");
-        };
         assert_eq!(
-            error,
-            "trace parse error at line 2: duplicate job id j10 (first at line 1)"
+            spec_error(&spec, &opts),
+            "workload `trace`: trace parse error at line 2: duplicate job id j10 (first at line 1)"
         );
         // A job wider than the platform parses but could never start.
         let wide = dir.join("wide.swf");
         std::fs::write(&wide, "1 0 -1 60 1\n2 0 -1 60 64\n").unwrap();
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile(wide.display().to_string()));
-        let Some(CampaignError::Trace { entry, error }) = CampaignPlan::expand(&spec, &opts).err()
-        else {
-            panic!("a job wider than the platform is a trace error");
-        };
-        assert_eq!(entry, "trace");
         assert_eq!(
-            error,
-            "job j2 needs 64 processors, wider than platform `m16` (m = 16)"
+            spec_error(&spec, &opts),
+            "workload `trace`: job j2 needs 64 processors, wider than platform `m16` (m = 16)"
         );
         // A release or runtime past the job-time bound would wrap the tick
         // axis inside a worker.
@@ -1238,17 +1566,39 @@ mod tests {
             let path = dir.join(name);
             std::fs::write(&path, format!("1 0 -1 60 1\n{line}\n")).unwrap();
             let (spec, opts) = trace_spec(WorkloadSource::SwfFile(path.display().to_string()));
-            let Some(CampaignError::Trace { entry, error }) =
-                CampaignPlan::expand(&spec, &opts).err()
-            else {
-                panic!("{name}: a time past the bound is a trace error");
-            };
-            assert_eq!(entry, "trace");
+            let error = spec_error(&spec, &opts);
+            assert!(error.starts_with("workload `trace`: "), "{error}");
             assert!(error.contains(needle), "{error}");
             assert!(
                 error.ends_with("within the 1e10 s job-time bound"),
                 "{error}"
             );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_expansion_names_every_problem_across_sources() {
+        // Three problems in three places: the policy axis, a trace file
+        // that is not there, and a trace job wider than the platform.
+        let dir = std::env::temp_dir().join(format!("lsps-all-problems-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let wide = dir.join("wide.swf");
+        std::fs::write(&wide, "1 0 -1 60 1\n2 0 -1 60 64\n").unwrap();
+        let (mut spec, opts) = trace_spec(WorkloadSource::SwfFile("/nonexistent/trace.swf".into()));
+        spec.policies.push("no-such-policy".into());
+        spec.workloads.push(entry(
+            "wide",
+            5,
+            WorkloadSource::SwfFile(wide.display().to_string()),
+        ));
+        let error = spec_error(&spec, &opts);
+        for needle in [
+            "unknown policy `no-such-policy`",
+            "workload `trace`: /nonexistent/trace.swf: ",
+            "workload `wide`: job j2 needs 64 processors, wider than platform `m16`",
+        ] {
+            assert!(error.contains(needle), "`{needle}` missing from: {error}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -136,16 +136,16 @@ pub fn guarantees_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignOptions, CampaignPlan};
 
     #[test]
     fn builtin_specs_validate() {
-        fig2_spec().validate().expect("fig2");
+        let expand = |spec| CampaignPlan::expand(&spec, &CampaignOptions::default()).map(|_| ());
+        expand(fig2_spec()).expect("fig2");
         for mode in [ReleaseMode::Offline, ReleaseMode::Online] {
-            models_compare_spec(mode).validate().expect("models");
+            expand(models_compare_spec(mode)).expect("models");
         }
-        guarantees_spec("mrt", "moldable0", 0, 12, 64, 40)
-            .validate()
-            .expect("guarantees");
+        expand(guarantees_spec("mrt", "moldable0", 0, 12, 64, 40)).expect("guarantees");
     }
 
     #[test]

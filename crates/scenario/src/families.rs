@@ -1,8 +1,8 @@
 //! Named workload families — generator closures a campaign spec can name.
 //!
 //! A family is a seeded generator parameterized by an instance size `n`;
-//! resolution happens at spec-validation time, so an unknown family fails
-//! before any cell runs. The built-ins cover the paper's experiment
+//! campaign expansion resolves each family once, so an unknown family
+//! fails before any cell runs. The built-ins cover the paper's experiment
 //! populations:
 //!
 //! * `fig2-parallel` / `fig2-sequential` — the Fig. 2 job populations,
@@ -86,7 +86,7 @@ pub fn rigidify_at_half_width(jobs: Vec<Job>) -> Vec<Job> {
 }
 
 /// Resolve a built-in family name at instance size `n`. Returns `None` for
-/// unknown names (spec validation reports that before any cell runs).
+/// unknown names (campaign expansion reports that before any cell runs).
 pub fn builtin_family(family: &str, n: usize) -> Option<FamilyGen> {
     Some(match family {
         "fig2-parallel" => Arc::new(move |m, rng: &mut SimRng| {

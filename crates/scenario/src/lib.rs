@@ -11,12 +11,14 @@
 //!   [`spec::CampaignSpec`] names policy sets (resolved through
 //!   `lsps_core::policy::by_name`), platform families, workload families
 //!   (synthetic generator specs, named [`families`], and SWF/JSONL trace
-//!   files) and a replication block; [`campaign::CampaignPlan`] expands the
-//!   grid into cells and turns each into a [`runner::Cell`] through one
-//!   function; [`campaign::run_campaign`] skips cells already present in
-//!   the content-addressed [`cache`], executes the rest over a worker pool,
-//!   and aggregates replications into per-group statistics (a second CSV
-//!   alongside the raw per-cell one).
+//!   files) and a replication block; [`campaign::CampaignPlan::expand`]
+//!   is the spec's one check (every problem in one [`spec::SpecError`],
+//!   the same text `lsps-campaignd` answers a bad POST with) and expands
+//!   the grid into cells; the plan turns each cell into a [`runner::Cell`]
+//!   through one function; [`campaign::run_campaign`] skips cells already
+//!   present in the content-addressed [`cache`], executes the rest over a
+//!   worker pool, and aggregates replications into per-group statistics (a
+//!   second CSV alongside the raw per-cell one).
 //!
 //! The `lsps-campaign` binary is the CLI over the declarative layer; the
 //! `models_compare`, `guarantees` and `fig2` binaries are thin wrappers

@@ -90,9 +90,8 @@ impl Executor {
     /// [`Outcome::completed`](lsps_core::outcome::Outcome::completed)
     /// interface; the DES executors replay or drive *rectangles* — a trial
     /// outcome's burnt machine time and a uniform outcome's speed-scaled
-    /// spans have no event representation there, so those pairs are
-    /// rejected (by campaign validation up front, and by a loud panic
-    /// should such a cell ever reach execution).
+    /// spans have no event representation there, so campaign expansion
+    /// rejects those pairs before any cell exists.
     pub fn supports(self, kind: OutcomeKind) -> bool {
         matches!(self, Executor::Direct) || kind == OutcomeKind::Rect
     }

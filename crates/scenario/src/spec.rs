@@ -9,6 +9,10 @@
 //! Specs deserialize from JSON with layered defaults (only `name`,
 //! `policies`, `platforms` and `workloads` are required), so a minimal
 //! file stays minimal; see `examples/small_campaign.json`.
+//!
+//! This module holds the data and its serde only. A spec that parses is
+//! not yet known to be runnable: [`crate::campaign::CampaignPlan::expand`]
+//! is its one check, and the bounds a spec must stay within live there.
 
 use std::fmt;
 use std::str::FromStr;
@@ -16,70 +20,12 @@ use std::str::FromStr;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 
 use lsps_core::allot::AllotRule;
-use lsps_core::backfill::MAX_ESTIMATE_FACTOR;
-use lsps_core::outcome::OutcomeKind;
-use lsps_core::policy::{by_name, Knowledge, PolicyCtx, ReleaseMode, DEFAULT_INITIAL_ESTIMATE};
+use lsps_core::policy::{Knowledge, PolicyCtx, ReleaseMode, DEFAULT_INITIAL_ESTIMATE};
 use lsps_des::Dur;
 use lsps_metrics::WarmupSpec;
-use lsps_workload::{
-    ArrivalSpec, DistSpec, FailurePolicy, FailureTraceSpec, OpenStreamSpec, WorkloadSpec,
-};
+use lsps_workload::{FailurePolicy, FailureTraceSpec, OpenStreamSpec, WorkloadSpec};
 
-use crate::families::builtin_family;
 use crate::runner::Executor;
-
-// Size and time bounds on what a spec may ask for. A spec crosses a trust
-// boundary (campaignd takes it over HTTP), so an absurd size must fail
-// validation instead of aborting the process on allocation. Each bound
-// sits far above every checked-in spec, built-in campaign and benchmark
-// spec, whose largest have 1 024 cells, m = 2 048 and n = 100 000.
-
-/// Largest grid a spec may expand into (cells are planned in memory).
-pub(crate) const MAX_CELLS: usize = 100_000;
-
-/// Largest platform a spec may name, in processors.
-pub(crate) const MAX_PROCS: usize = 65_536;
-
-/// Largest job count of one generated workload entry (`Family` `n`,
-/// `Spec` `n_jobs`).
-pub(crate) const MAX_JOBS: usize = 10_000_000;
-
-/// Latest release and longest runtime a job entering a campaign may have,
-/// in seconds (about 317 years). At the bound a booking ends by
-/// `release + ⌈runtime × MAX_ESTIMATE_FACTOR⌉` ≈ 1.0e16 ticks, 1 800×
-/// inside the `u64` tick axis, so time arithmetic on such jobs cannot
-/// wrap.
-pub(crate) const MAX_JOB_TIME_S: f64 = 1e10;
-
-/// Largest value `dist` can draw, in its own unit. `SimRng` draws its
-/// uniforms on a 2^-53 grid, so an exponential draw `-mean·ln(1 - u)` never
-/// exceeds 53·ln 2 ≈ 36.7 means.
-fn reach(dist: &DistSpec) -> f64 {
-    match *dist {
-        DistSpec::Fixed(v) => v,
-        DistSpec::Uniform(_, hi)
-        | DistSpec::LogUniform(_, hi)
-        | DistSpec::BoundedPareto(_, _, hi) => hi,
-        DistSpec::Exp(mean) => mean * 53.0 * std::f64::consts::LN_2,
-    }
-}
-
-/// Latest release `ws` can draw, in seconds: `n_jobs` inter-arrival
-/// gaps, each within the exponential reach of the mean gap. Thinning can
-/// stretch a daily cycle past that, but only with vanishing probability,
-/// and the margin of [`MAX_JOB_TIME_S`] to the tick axis absorbs it.
-fn release_reach(ws: &WorkloadSpec) -> f64 {
-    match ws.arrival {
-        ArrivalSpec::AllAtZero => 0.0,
-        ArrivalSpec::Poisson {
-            mean_interarrival_s,
-        }
-        | ArrivalSpec::DailyCycle {
-            mean_interarrival_s,
-            ..
-        } => ws.n_jobs as f64 * reach(&DistSpec::Exp(mean_interarrival_s)),
-    }
-}
 
 /// SplitMix64 finalizer: a bijective avalanche mix, the standard way to
 /// derive well-spread independent seeds from structured inputs.
@@ -121,7 +67,7 @@ pub enum WorkloadSource {
     Spec(WorkloadSpec),
     /// A named built-in family (see [`crate::families`]) at size `n`.
     Family {
-        /// Family name, resolved via [`builtin_family`].
+        /// Family name, resolved via [`crate::families::builtin_family`].
         family: String,
         /// Instance size (jobs).
         n: usize,
@@ -479,299 +425,6 @@ impl CampaignSpec {
         self.failures.iter().any(|f| f.trace.is_some())
     }
 
-    /// Semantic validation beyond JSON shape: non-empty axes, resolvable
-    /// policy and family names, sane sizes, and executor/platform ×
-    /// policy *capability compatibility* — the DES executors and speeded
-    /// platforms only accept the policies that can honour them. Every
-    /// problem is collected and reported at once (joined with `; `), so a
-    /// sweep with three typos fails with three messages up front instead
-    /// of panicking mid-run on the first. Trace-file existence is checked
-    /// at expansion time (paths resolve relative to the spec file).
-    pub fn validate(&self) -> Result<(), SpecError> {
-        let mut problems: Vec<String> = Vec::new();
-        if self.name.is_empty() {
-            problems.push("empty campaign name".into());
-        }
-        for (what, empty) in [
-            ("policies", self.policies.is_empty()),
-            ("executors", self.executors.is_empty()),
-            ("platforms", self.platforms.is_empty()),
-            ("workloads", self.workloads.is_empty()),
-        ] {
-            if empty {
-                problems.push(format!("`{what}` must be non-empty"));
-            }
-        }
-        let mut seen_policies = std::collections::HashSet::new();
-        for p in &self.policies {
-            if !seen_policies.insert(p.as_str()) {
-                problems.push(format!("duplicate policy `{p}`"));
-            }
-            let Some(policy) = by_name(p) else {
-                problems.push(format!("unknown policy `{p}` (not in the registry)"));
-                continue;
-            };
-            // Capability compatibility, checked before any cell runs: the
-            // DES executors replay/drive rectangles only, and a speeded
-            // platform needs a uniform-capable policy.
-            let kind = policy.outcome_kind();
-            for &e in &self.executors {
-                if !e.supports(kind) {
-                    problems.push(format!(
-                        "policy `{p}` produces `{kind}` outcomes, which executor \
-                         `{e}` cannot replay or drive (use `direct`)"
-                    ));
-                }
-            }
-            if kind != OutcomeKind::Uniform {
-                for plat in self.platforms.iter().filter(|pl| pl.speeds.is_some()) {
-                    problems.push(format!(
-                        "platform `{}` has per-processor speeds, which policy \
-                         `{p}` (outcome `{kind}`) cannot honour — uniform-capable \
-                         policies only",
-                        plat.name
-                    ));
-                }
-            }
-        }
-        let mut seen_executors = std::collections::HashSet::new();
-        for e in &self.executors {
-            if !seen_executors.insert(e.name()) {
-                problems.push(format!("duplicate executor `{e}`"));
-            }
-        }
-        // Workload entries may share a name (explicit per-seed entries of
-        // one family group under it), but platforms group the aggregate by
-        // name alone — two different machines under one name would silently
-        // pool into one row.
-        let mut seen_platforms = std::collections::HashSet::new();
-        for plat in &self.platforms {
-            if plat.m == 0 {
-                problems.push(format!("platform `{}` has m = 0", plat.name));
-            }
-            if plat.m > MAX_PROCS {
-                problems.push(format!(
-                    "platform `{}` has m = {}, above the {MAX_PROCS}-processor bound",
-                    plat.name, plat.m
-                ));
-            }
-            if !seen_platforms.insert(plat.name.as_str()) {
-                problems.push(format!("duplicate platform name `{}`", plat.name));
-            }
-            if let Some(speeds) = &plat.speeds {
-                if speeds.len() != plat.m {
-                    problems.push(format!(
-                        "platform `{}`: {} speeds for m = {}",
-                        plat.name,
-                        speeds.len(),
-                        plat.m
-                    ));
-                }
-                if !speeds.iter().all(|&s| s > 0.0 && s.is_finite()) {
-                    problems.push(format!(
-                        "platform `{}`: speeds must be positive and finite",
-                        plat.name
-                    ));
-                }
-            }
-        }
-        for w in &self.workloads {
-            let (field, n) = match &w.source {
-                WorkloadSource::Family { family, n } => {
-                    if builtin_family(family, *n).is_none() {
-                        problems.push(format!("workload `{}`: unknown family `{family}`", w.name));
-                    }
-                    ("n", *n)
-                }
-                WorkloadSource::Spec(ws) => {
-                    for p in ws.validate() {
-                        problems.push(format!("workload `{}`: {p}", w.name));
-                    }
-                    for (field, at) in [
-                        ("work_s", reach(&ws.work_s)),
-                        ("arrival", release_reach(ws)),
-                    ] {
-                        if at > MAX_JOB_TIME_S {
-                            problems.push(format!(
-                                "workload `{}`: `{field}` can draw {at:e} s, past the \
-                                 {MAX_JOB_TIME_S:e} s job-time bound",
-                                w.name
-                            ));
-                        }
-                    }
-                    ("n_jobs", ws.n_jobs)
-                }
-                _ => continue,
-            };
-            if n > MAX_JOBS {
-                problems.push(format!(
-                    "workload `{}`: `{field}` = {n} is above the {MAX_JOBS}-job bound",
-                    w.name
-                ));
-            }
-        }
-        // Open (steady-state) entries change the execution model — the
-        // campaign drives a stream with a stopping rule instead of running
-        // a job list to completion — so they demand a uniform campaign:
-        // every entry open, exactly the des-online executor, honest online
-        // releases.
-        let n_open = self
-            .workloads
-            .iter()
-            .filter(|w| matches!(w.source, WorkloadSource::Open(_)))
-            .count();
-        if n_open > 0 {
-            if n_open != self.workloads.len() {
-                problems.push(
-                    "open-arrival entries cannot mix with finite workload entries \
-                     in one campaign"
-                        .into(),
-                );
-            }
-            if self.executors != vec![Executor::DesOnline] {
-                problems.push(
-                    "open-arrival workloads run under exactly `[\"des-online\"]` executors".into(),
-                );
-            }
-            if self.ctx.release_mode != ReleaseMode::Online {
-                problems.push(
-                    "open-arrival workloads require `ctx.release_mode: \"online\"` \
-                     (offline would collapse the stream to one batch)"
-                        .into(),
-                );
-            }
-        }
-        for w in &self.workloads {
-            let WorkloadSource::Open(open) = &w.source else {
-                continue;
-            };
-            for p in open.stream.validate() {
-                problems.push(format!("workload `{}`: {p}", w.name));
-            }
-            if open.stop_completions == 0 {
-                problems.push(format!(
-                    "workload `{}`: `stop_completions` must be >= 1",
-                    w.name
-                ));
-            }
-            if open.batches < 2 {
-                problems.push(format!("workload `{}`: `batches` must be >= 2", w.name));
-            }
-            if let Some(h) = open.horizon_s {
-                if !(h > 0.0 && h.is_finite()) {
-                    problems.push(format!(
-                        "workload `{}`: `horizon_s` must be positive and finite",
-                        w.name
-                    ));
-                }
-            }
-            if let WarmupSpec::Fraction(f) = open.warmup {
-                if !(0.0..1.0).contains(&f) {
-                    problems.push(format!(
-                        "workload `{}`: warmup fraction must be in [0, 1)",
-                        w.name
-                    ));
-                }
-            }
-        }
-        if self.failures.is_empty() {
-            problems.push(
-                "`failures` must be non-empty (omit the block for the reliable default)".into(),
-            );
-        }
-        let mut seen_failures = std::collections::HashSet::new();
-        for f in &self.failures {
-            if !seen_failures.insert(f.name.as_str()) {
-                problems.push(format!("duplicate failure entry name `{}`", f.name));
-            }
-            let Some(trace) = &f.trace else { continue };
-            for p in trace.validate() {
-                problems.push(format!("failure entry `{}`: {p}", f.name));
-            }
-            for p in f.policy.validate() {
-                problems.push(format!("failure entry `{}`: {p}", f.name));
-            }
-            if let Some(max_node) = trace.max_node() {
-                for plat in &self.platforms {
-                    if max_node as usize >= plat.m {
-                        problems.push(format!(
-                            "failure entry `{}` scripts node {max_node}, but platform \
-                             `{}` only has m = {}",
-                            f.name, plat.name, plat.m
-                        ));
-                    }
-                }
-            }
-        }
-        // A volatile axis changes the execution model the same way open
-        // entries do: cells must be *driven* (kills happen mid-flight), so
-        // the campaign has to be uniformly des-online with honest releases,
-        // hole-filling policies (they plan around outage windows),
-        // identical machines, and finite workloads.
-        if self.is_volatile() {
-            if self.executors != vec![Executor::DesOnline] {
-                problems.push(
-                    "a volatile `failures` axis runs under exactly `[\"des-online\"]` executors"
-                        .into(),
-                );
-            }
-            if self.ctx.release_mode != ReleaseMode::Online {
-                problems.push(
-                    "a volatile `failures` axis requires `ctx.release_mode: \"online\"`".into(),
-                );
-            }
-            for p in &self.policies {
-                if by_name(p).is_some_and(|pol| !pol.supports_pinned()) {
-                    problems.push(format!(
-                        "policy `{p}` cannot plan around outage windows \
-                         (hole-filling policies only under a volatile `failures` axis)"
-                    ));
-                }
-            }
-            for plat in self.platforms.iter().filter(|pl| pl.speeds.is_some()) {
-                problems.push(format!(
-                    "platform `{}` has per-processor speeds, which the volatile \
-                     executor does not model",
-                    plat.name
-                ));
-            }
-            if self
-                .workloads
-                .iter()
-                .any(|w| matches!(w.source, WorkloadSource::Open(_)))
-            {
-                problems.push(
-                    "open-arrival workloads cannot combine with a volatile `failures` axis".into(),
-                );
-            }
-        }
-        if self.replication.replications == 0 {
-            problems.push("`replication.replications` must be >= 1".into());
-        }
-        if self.cell_count() > MAX_CELLS {
-            problems.push(format!(
-                "the grid has {} cells, above the {MAX_CELLS}-cell bound \
-                 (check `replication.replications` and the axes)",
-                self.cell_count()
-            ));
-        }
-        if !(1.0..=MAX_ESTIMATE_FACTOR).contains(&self.ctx.estimate_factor) {
-            problems.push(format!(
-                "`ctx.estimate_factor` must lie in [1, {MAX_ESTIMATE_FACTOR}]"
-            ));
-        }
-        if let Knowledge::NonClairvoyant { initial_estimate } = self.ctx.knowledge {
-            if initial_estimate.is_zero() {
-                problems.push("`ctx.initial_estimate_s` must be positive".into());
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(SpecError(problems.join("; ")))
-        }
-    }
-
     /// Workload replications summed over the entries: the seeds they
     /// expand into, counted without building them (saturating, as the
     /// spec may not be validated yet).
@@ -1042,6 +695,16 @@ impl Serialize for CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignError, CampaignOptions, CampaignPlan};
+
+    /// The spec's one check: expansion, with the plan discarded.
+    fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
+        match CampaignPlan::expand(spec, &CampaignOptions::default()) {
+            Ok(_) => Ok(()),
+            Err(CampaignError::Spec(e)) => Err(e),
+            Err(e) => panic!("not a spec error: {e}"),
+        }
+    }
 
     const MINIMAL: &str = r#"{
         "name": "mini",
@@ -1059,7 +722,7 @@ mod tests {
         assert_eq!(spec.replication, ReplicationSpec::default());
         assert_eq!(spec.ctx, CtxSpec::default());
         assert_eq!(spec.workloads[0].seed, None);
-        spec.validate().expect("valid");
+        validate(&spec).expect("valid");
         assert_eq!(spec.cell_count(), 1);
     }
 
@@ -1087,27 +750,26 @@ mod tests {
     fn validation_rejects_unknowns() {
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies = vec!["no-such-policy".into()];
-        assert!(spec.validate().unwrap_err().0.contains("no-such-policy"));
+        assert!(validate(&spec).unwrap_err().0.contains("no-such-policy"));
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.workloads[0].source = WorkloadSource::Family {
             family: "no-such-family".into(),
             n: 5,
         };
-        assert!(spec.validate().unwrap_err().0.contains("no-such-family"));
+        assert!(validate(&spec).unwrap_err().0.contains("no-such-family"));
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies.clear();
-        assert!(spec.validate().is_err());
+        assert!(validate(&spec).is_err());
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies = vec!["list-fcfs".into(), "list-fcfs".into()];
-        assert!(spec.validate().unwrap_err().0.contains("duplicate policy"));
+        assert!(validate(&spec).unwrap_err().0.contains("duplicate policy"));
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.platforms.push(PlatformSpec {
             name: "m8".into(),
             m: 64,
             speeds: None,
         });
-        assert!(spec
-            .validate()
+        assert!(validate(&spec)
             .unwrap_err()
             .0
             .contains("duplicate platform"));
@@ -1140,7 +802,7 @@ mod tests {
             n: 5,
         };
         spec.replication.replications = 0;
-        let msg = spec.validate().unwrap_err().0;
+        let msg = validate(&spec).unwrap_err().0;
         for needle in [
             "no-such-policy",
             "also-missing",
@@ -1157,26 +819,26 @@ mod tests {
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies = vec!["nonclairvoyant-exp-trial".into(), "uniform-mct".into()];
         spec.executors = vec![Executor::Direct, Executor::DesOnline];
-        let msg = spec.validate().unwrap_err().0;
+        let msg = validate(&spec).unwrap_err().0;
         assert!(msg.contains("nonclairvoyant-exp-trial"), "{msg}");
         assert!(msg.contains("uniform-mct"), "{msg}");
         assert!(msg.contains("des-online"), "{msg}");
         // Under direct alone the same pair is fine.
         spec.executors = vec![Executor::Direct];
-        spec.validate().expect("direct handles every outcome kind");
+        validate(&spec).expect("direct handles every outcome kind");
         // A speeded platform rejects every non-uniform policy.
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.platforms[0].speeds = Some(vec![1.0; 8]);
-        let msg = spec.validate().unwrap_err().0;
+        let msg = validate(&spec).unwrap_err().0;
         assert!(msg.contains("per-processor speeds"), "{msg}");
         spec.policies = vec!["uniform-mct".into()];
-        spec.validate().expect("uniform policy rides the speeds");
+        validate(&spec).expect("uniform policy rides the speeds");
         // Speed-vector shape is checked too.
         spec.platforms[0].speeds = Some(vec![1.0; 3]);
-        let msg = spec.validate().unwrap_err().0;
+        let msg = validate(&spec).unwrap_err().0;
         assert!(msg.contains("3 speeds for m = 8"), "{msg}");
         spec.platforms[0].speeds = Some(vec![1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
-        let msg = spec.validate().unwrap_err().0;
+        let msg = validate(&spec).unwrap_err().0;
         assert!(msg.contains("positive and finite"), "{msg}");
     }
 
@@ -1202,7 +864,7 @@ mod tests {
                 initial_estimate: Dur::from_secs(120)
             }
         );
-        spec.validate().expect("valid");
+        validate(&spec).expect("valid");
         let back: CampaignSpec =
             serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(spec, back);
@@ -1275,7 +937,7 @@ mod tests {
         assert_eq!(open.horizon_s, None);
         assert_eq!(open.warmup, OpenEntry::DEFAULT_WARMUP);
         assert_eq!(open.batches, OpenEntry::DEFAULT_BATCHES);
-        spec.validate().expect("valid");
+        validate(&spec).expect("valid");
         let back: CampaignSpec =
             serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(spec, back);
@@ -1293,18 +955,18 @@ mod tests {
             },
             seed: None,
         });
-        assert!(spec.validate().unwrap_err().0.contains("cannot mix"));
+        assert!(validate(&spec).unwrap_err().0.contains("cannot mix"));
         // Any executor list other than exactly [des-online] is rejected.
         let mut spec: CampaignSpec = serde_json::from_str(OPEN).unwrap();
         spec.executors = vec![Executor::Direct];
-        assert!(spec.validate().unwrap_err().0.contains("des-online"));
+        assert!(validate(&spec).unwrap_err().0.contains("des-online"));
         let mut spec: CampaignSpec = serde_json::from_str(OPEN).unwrap();
         spec.executors = vec![Executor::DesOnline, Executor::Direct];
-        assert!(spec.validate().is_err());
+        assert!(validate(&spec).is_err());
         // Offline releases would collapse the stream into one batch.
         let mut spec: CampaignSpec = serde_json::from_str(OPEN).unwrap();
         spec.ctx.release_mode = ReleaseMode::Offline;
-        assert!(spec.validate().unwrap_err().0.contains("release_mode"));
+        assert!(validate(&spec).unwrap_err().0.contains("release_mode"));
     }
 
     #[test]
@@ -1320,7 +982,7 @@ mod tests {
             open.horizon_s = Some(-3.0);
             open.warmup = WarmupSpec::Fraction(1.0);
         }
-        let msg = spec.validate().unwrap_err().0;
+        let msg = validate(&spec).unwrap_err().0;
         for needle in ["rho", "stop_completions", "batches", "horizon_s", "warmup"] {
             assert!(msg.contains(needle), "`{needle}` missing from: {msg}");
         }
@@ -1426,7 +1088,6 @@ mod tests {
 
     #[test]
     fn malformed_generators_fail_expansion_instead_of_panicking() {
-        use crate::campaign::{CampaignError, CampaignOptions, CampaignPlan};
         let expand = |text: &str| {
             let spec: CampaignSpec = serde_json::from_str(text).expect("parses");
             CampaignPlan::expand(&spec, &CampaignOptions::default())
@@ -1511,6 +1172,32 @@ mod tests {
                     "1.0",
                 ),
                 ["synthetic", "arrival"],
+            ),
+            // Open streams answer to the same job-time bound: service
+            // times, and releases over `stop_completions` gaps.
+            (
+                open_campaign(r#"{"Fixed": 1.0}"#, r#"{"Fixed": 1e12}"#),
+                ["stream", "service_s"],
+            ),
+            (
+                open_campaign(r#"{"Fixed": 1.0}"#, r#"{"Exp": 60.0}"#)
+                    .replace(r#""rho": 0.5"#, r#""rho": 1e-15"#),
+                ["stream", "arrival"],
+            ),
+            // A mean service under one tick would flood the drive with
+            // arrivals.
+            (
+                open_campaign(r#"{"Fixed": 1.0}"#, r#"{"Exp": 1e-300}"#),
+                ["stream", "below one tick"],
+            ),
+            // Open streams answer to the job-count bound through
+            // `stop_completions`.
+            (
+                open_campaign(r#"{"Fixed": 1.0}"#, r#"{"Exp": 60.0}"#).replace(
+                    r#""stop_completions": 100,"#,
+                    r#""stop_completions": 100000000000,"#,
+                ),
+                ["stream", "`stop_completions` = 100000000000"],
             ),
             (finite_campaign("", "", "1e999"), ["ctx", "estimate_factor"]),
             // Finite but huge: the estimate saturates the tick axis, so it

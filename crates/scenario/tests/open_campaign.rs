@@ -54,7 +54,7 @@ const SPEC: &str = r#"{
 
 fn spec() -> CampaignSpec {
     let spec: CampaignSpec = serde_json::from_str(SPEC).expect("spec parses");
-    spec.validate().expect("spec valid");
+    CampaignPlan::expand(&spec, &opts(None)).expect("spec valid");
     spec
 }
 
@@ -146,7 +146,7 @@ fn checked_in_open_specs_parse_and_validate() {
     ] {
         let text = fs::read_to_string(dir.join(file)).expect("checked-in spec");
         let spec: CampaignSpec = serde_json::from_str(&text).expect("parses");
-        spec.validate().expect("valid");
+        CampaignPlan::expand(&spec, &opts(None)).expect("valid");
         assert_eq!(spec.cell_count(), cells, "{file}");
     }
 }
@@ -165,8 +165,6 @@ fn an_open_horizon_that_admits_nothing_is_a_spec_error() {
         panic!("heavy-traffic workloads are open");
     };
     open.horizon_s = Some(0.001);
-    spec.validate()
-        .expect("a positive horizon passes validation");
     for err in [
         CampaignPlan::expand(&spec, &opts(None)).err(),
         run_campaign(&spec, &opts(None)).err(),

@@ -7,7 +7,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use lsps_scenario::campaign::{aggregate_header, aggregate_header_for};
-use lsps_scenario::{run_campaign, CampaignOptions, CampaignSpec, FailureEntry};
+use lsps_scenario::{run_campaign, CampaignOptions, CampaignPlan, CampaignSpec, FailureEntry};
 
 fn example_spec() -> (CampaignSpec, PathBuf) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/volatile_campaign.json");
@@ -36,8 +36,8 @@ fn opts(base_dir: &Path, cache: Option<PathBuf>) -> CampaignOptions {
 
 #[test]
 fn checked_in_volatile_spec_parses_validates_and_counts() {
-    let (spec, _) = example_spec();
-    spec.validate().expect("valid");
+    let (spec, base) = example_spec();
+    CampaignPlan::expand(&spec, &opts(&base, None)).expect("valid");
     assert!(spec.is_volatile());
     // 2 policies × 1 executor × (1 platform × 5 failure entries) × 1
     // workload × 2 replications.
