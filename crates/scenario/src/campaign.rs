@@ -344,22 +344,28 @@ fn expand_entry(
                 }
             }
             // The drive counts `stop_completions` jobs, released at gaps
-            // that are widest on the smallest platform.
-            let min_m = spec.platforms.iter().map(|p| p.m).min().unwrap_or(1);
+            // that are widest on the smallest platform; platforms out of
+            // bounds fail their own check.
             let services = open.stream.classes.iter().map(|c| {
                 (
                     format!("class `{}`: `service_s`", c.name),
                     reach(&c.service_s),
                 )
             });
-            let arrivals = release_reach(
-                open.stop_completions,
-                open.stream.mean_interarrival_s(min_m),
-            );
+            let arrivals = (spec.platforms.iter().map(|p| p.m))
+                .filter(|m| (1..=MAX_PROCS).contains(m))
+                .min()
+                .map(|m| {
+                    let gap_s = open.stream.mean_interarrival_s(m);
+                    (
+                        "`arrival`".into(),
+                        release_reach(open.stop_completions, gap_s),
+                    )
+                });
             check_jobs(
                 &mut problems,
                 ("stop_completions", open.stop_completions),
-                services.chain([("`arrival`".into(), arrivals)]),
+                services.chain(arrivals),
             );
             // A cell whose horizon admits no arrival would drive nothing.
             // Drawing each cell's first arrival is O(1), but it samples the
@@ -1275,7 +1281,7 @@ pub fn aggregate_csv(cells: &[Cell]) -> String {
 pub mod builtin;
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lsps_core::outcome::OutcomeKind;
     use lsps_core::policy::registry;
@@ -1283,6 +1289,17 @@ mod tests {
 
     use crate::runner::CSV_HEADER;
     use crate::spec::{PlatformSpec, WorkloadEntry};
+
+    /// The spec check for tests that need no plan: expand `spec` and keep
+    /// only the verdict, a spec error's text without its `campaign spec: `
+    /// prefix. Panics on an error other than a spec error.
+    pub(crate) fn check_spec(spec: &CampaignSpec, opts: &CampaignOptions) -> Result<(), String> {
+        match CampaignPlan::expand(spec, opts) {
+            Ok(_) => Ok(()),
+            Err(CampaignError::Spec(SpecError(msg))) => Err(msg),
+            Err(e) => panic!("not a spec error: {e}"),
+        }
+    }
 
     /// The policies the DES executors can run (see [`Executor::supports`]).
     fn rect_names() -> Vec<String> {
@@ -1514,20 +1531,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The one error of a spec that fails expansion, without its
-    /// `campaign spec: ` prefix.
-    fn spec_error(spec: &CampaignSpec, opts: &CampaignOptions) -> String {
-        match CampaignPlan::expand(spec, opts) {
-            Err(CampaignError::Spec(SpecError(msg))) => msg,
-            Err(e) => panic!("not a spec error: {e}"),
-            Ok(_) => panic!("expected a spec error"),
-        }
-    }
-
     #[test]
     fn trace_load_errors_are_reported() {
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile("/nonexistent/trace.swf".into()));
-        let error = spec_error(&spec, &opts);
+        let error = check_spec(&spec, &opts).unwrap_err();
         assert!(
             error.starts_with("workload `trace`: /nonexistent/trace.swf: "),
             "{error}"
@@ -1537,7 +1544,7 @@ mod tests {
         let path = dir.join("bad.swf");
         std::fs::write(&path, "1 2 3\n").unwrap();
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile(path.display().to_string()));
-        let error = spec_error(&spec, &opts);
+        let error = check_spec(&spec, &opts).unwrap_err();
         assert!(
             error.starts_with("workload `trace`: trace parse error"),
             "{error}"
@@ -1546,7 +1553,7 @@ mod tests {
         std::fs::write(&dup, "10 0 -1 60 1\n10 5 -1 30 1\n").unwrap();
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile(dup.display().to_string()));
         assert_eq!(
-            spec_error(&spec, &opts),
+            check_spec(&spec, &opts).unwrap_err(),
             "workload `trace`: trace parse error at line 2: duplicate job id j10 (first at line 1)"
         );
         // A job wider than the platform parses but could never start.
@@ -1554,7 +1561,7 @@ mod tests {
         std::fs::write(&wide, "1 0 -1 60 1\n2 0 -1 60 64\n").unwrap();
         let (spec, opts) = trace_spec(WorkloadSource::SwfFile(wide.display().to_string()));
         assert_eq!(
-            spec_error(&spec, &opts),
+            check_spec(&spec, &opts).unwrap_err(),
             "workload `trace`: job j2 needs 64 processors, wider than platform `m16` (m = 16)"
         );
         // A release or runtime past the job-time bound would wrap the tick
@@ -1566,7 +1573,7 @@ mod tests {
             let path = dir.join(name);
             std::fs::write(&path, format!("1 0 -1 60 1\n{line}\n")).unwrap();
             let (spec, opts) = trace_spec(WorkloadSource::SwfFile(path.display().to_string()));
-            let error = spec_error(&spec, &opts);
+            let error = check_spec(&spec, &opts).unwrap_err();
             assert!(error.starts_with("workload `trace`: "), "{error}");
             assert!(error.contains(needle), "{error}");
             assert!(
@@ -1592,7 +1599,7 @@ mod tests {
             5,
             WorkloadSource::SwfFile(wide.display().to_string()),
         ));
-        let error = spec_error(&spec, &opts);
+        let error = check_spec(&spec, &opts).unwrap_err();
         for needle in [
             "unknown policy `no-such-policy`",
             "workload `trace`: /nonexistent/trace.swf: ",

@@ -136,16 +136,17 @@ pub fn guarantees_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignOptions, CampaignPlan};
+    use crate::campaign::tests::check_spec;
+    use crate::campaign::CampaignOptions;
 
     #[test]
     fn builtin_specs_validate() {
-        let expand = |spec| CampaignPlan::expand(&spec, &CampaignOptions::default()).map(|_| ());
-        expand(fig2_spec()).expect("fig2");
+        let opts = CampaignOptions::default();
+        check_spec(&fig2_spec(), &opts).expect("fig2");
         for mode in [ReleaseMode::Offline, ReleaseMode::Online] {
-            expand(models_compare_spec(mode)).expect("models");
+            check_spec(&models_compare_spec(mode), &opts).expect("models");
         }
-        expand(guarantees_spec("mrt", "moldable0", 0, 12, 64, 40)).expect("guarantees");
+        check_spec(&guarantees_spec("mrt", "moldable0", 0, 12, 64, 40), &opts).expect("guarantees");
     }
 
     #[test]

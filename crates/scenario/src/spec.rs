@@ -695,16 +695,8 @@ impl Serialize for CampaignSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignError, CampaignOptions, CampaignPlan};
-
-    /// The spec's one check: expansion, with the plan discarded.
-    fn validate(spec: &CampaignSpec) -> Result<(), SpecError> {
-        match CampaignPlan::expand(spec, &CampaignOptions::default()) {
-            Ok(_) => Ok(()),
-            Err(CampaignError::Spec(e)) => Err(e),
-            Err(e) => panic!("not a spec error: {e}"),
-        }
-    }
+    use crate::campaign::tests::check_spec;
+    use crate::campaign::CampaignOptions;
 
     const MINIMAL: &str = r#"{
         "name": "mini",
@@ -722,7 +714,7 @@ mod tests {
         assert_eq!(spec.replication, ReplicationSpec::default());
         assert_eq!(spec.ctx, CtxSpec::default());
         assert_eq!(spec.workloads[0].seed, None);
-        validate(&spec).expect("valid");
+        check_spec(&spec, &CampaignOptions::default()).expect("valid");
         assert_eq!(spec.cell_count(), 1);
     }
 
@@ -750,28 +742,33 @@ mod tests {
     fn validation_rejects_unknowns() {
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies = vec!["no-such-policy".into()];
-        assert!(validate(&spec).unwrap_err().0.contains("no-such-policy"));
+        assert!(check_spec(&spec, &CampaignOptions::default())
+            .unwrap_err()
+            .contains("no-such-policy"));
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.workloads[0].source = WorkloadSource::Family {
             family: "no-such-family".into(),
             n: 5,
         };
-        assert!(validate(&spec).unwrap_err().0.contains("no-such-family"));
+        assert!(check_spec(&spec, &CampaignOptions::default())
+            .unwrap_err()
+            .contains("no-such-family"));
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies.clear();
-        assert!(validate(&spec).is_err());
+        assert!(check_spec(&spec, &CampaignOptions::default()).is_err());
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies = vec!["list-fcfs".into(), "list-fcfs".into()];
-        assert!(validate(&spec).unwrap_err().0.contains("duplicate policy"));
+        assert!(check_spec(&spec, &CampaignOptions::default())
+            .unwrap_err()
+            .contains("duplicate policy"));
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.platforms.push(PlatformSpec {
             name: "m8".into(),
             m: 64,
             speeds: None,
         });
-        assert!(validate(&spec)
+        assert!(check_spec(&spec, &CampaignOptions::default())
             .unwrap_err()
-            .0
             .contains("duplicate platform"));
         assert!(serde_json::from_str::<CampaignSpec>(r#"{"name": "x"}"#).is_err());
         // Misspelled keys are rejected, not silently defaulted.
@@ -802,7 +799,7 @@ mod tests {
             n: 5,
         };
         spec.replication.replications = 0;
-        let msg = validate(&spec).unwrap_err().0;
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
         for needle in [
             "no-such-policy",
             "also-missing",
@@ -819,26 +816,26 @@ mod tests {
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.policies = vec!["nonclairvoyant-exp-trial".into(), "uniform-mct".into()];
         spec.executors = vec![Executor::Direct, Executor::DesOnline];
-        let msg = validate(&spec).unwrap_err().0;
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
         assert!(msg.contains("nonclairvoyant-exp-trial"), "{msg}");
         assert!(msg.contains("uniform-mct"), "{msg}");
         assert!(msg.contains("des-online"), "{msg}");
         // Under direct alone the same pair is fine.
         spec.executors = vec![Executor::Direct];
-        validate(&spec).expect("direct handles every outcome kind");
+        check_spec(&spec, &CampaignOptions::default()).expect("direct handles every outcome kind");
         // A speeded platform rejects every non-uniform policy.
         let mut spec: CampaignSpec = serde_json::from_str(MINIMAL).unwrap();
         spec.platforms[0].speeds = Some(vec![1.0; 8]);
-        let msg = validate(&spec).unwrap_err().0;
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
         assert!(msg.contains("per-processor speeds"), "{msg}");
         spec.policies = vec!["uniform-mct".into()];
-        validate(&spec).expect("uniform policy rides the speeds");
+        check_spec(&spec, &CampaignOptions::default()).expect("uniform policy rides the speeds");
         // Speed-vector shape is checked too.
         spec.platforms[0].speeds = Some(vec![1.0; 3]);
-        let msg = validate(&spec).unwrap_err().0;
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
         assert!(msg.contains("3 speeds for m = 8"), "{msg}");
         spec.platforms[0].speeds = Some(vec![1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]);
-        let msg = validate(&spec).unwrap_err().0;
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
         assert!(msg.contains("positive and finite"), "{msg}");
     }
 
@@ -864,7 +861,7 @@ mod tests {
                 initial_estimate: Dur::from_secs(120)
             }
         );
-        validate(&spec).expect("valid");
+        check_spec(&spec, &CampaignOptions::default()).expect("valid");
         let back: CampaignSpec =
             serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(spec, back);
@@ -937,7 +934,7 @@ mod tests {
         assert_eq!(open.horizon_s, None);
         assert_eq!(open.warmup, OpenEntry::DEFAULT_WARMUP);
         assert_eq!(open.batches, OpenEntry::DEFAULT_BATCHES);
-        validate(&spec).expect("valid");
+        check_spec(&spec, &CampaignOptions::default()).expect("valid");
         let back: CampaignSpec =
             serde_json::from_str(&serde_json::to_string(&spec).unwrap()).unwrap();
         assert_eq!(spec, back);
@@ -955,18 +952,24 @@ mod tests {
             },
             seed: None,
         });
-        assert!(validate(&spec).unwrap_err().0.contains("cannot mix"));
+        assert!(check_spec(&spec, &CampaignOptions::default())
+            .unwrap_err()
+            .contains("cannot mix"));
         // Any executor list other than exactly [des-online] is rejected.
         let mut spec: CampaignSpec = serde_json::from_str(OPEN).unwrap();
         spec.executors = vec![Executor::Direct];
-        assert!(validate(&spec).unwrap_err().0.contains("des-online"));
+        assert!(check_spec(&spec, &CampaignOptions::default())
+            .unwrap_err()
+            .contains("des-online"));
         let mut spec: CampaignSpec = serde_json::from_str(OPEN).unwrap();
         spec.executors = vec![Executor::DesOnline, Executor::Direct];
-        assert!(validate(&spec).is_err());
+        assert!(check_spec(&spec, &CampaignOptions::default()).is_err());
         // Offline releases would collapse the stream into one batch.
         let mut spec: CampaignSpec = serde_json::from_str(OPEN).unwrap();
         spec.ctx.release_mode = ReleaseMode::Offline;
-        assert!(validate(&spec).unwrap_err().0.contains("release_mode"));
+        assert!(check_spec(&spec, &CampaignOptions::default())
+            .unwrap_err()
+            .contains("release_mode"));
     }
 
     #[test]
@@ -982,7 +985,7 @@ mod tests {
             open.horizon_s = Some(-3.0);
             open.warmup = WarmupSpec::Fraction(1.0);
         }
-        let msg = validate(&spec).unwrap_err().0;
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
         for needle in ["rho", "stop_completions", "batches", "horizon_s", "warmup"] {
             assert!(msg.contains(needle), "`{needle}` missing from: {msg}");
         }
@@ -1087,10 +1090,21 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_platform_is_an_open_campaigns_only_problem() {
+        // The open entry's release bound skips a platform that fails its
+        // own check instead of dividing by its m = 0.
+        let text = open_campaign(r#"{"Fixed": 1.0}"#, r#"{"Exp": 60.0}"#)
+            .replace(r#""m": 8"#, r#""m": 0"#);
+        let spec: CampaignSpec = serde_json::from_str(&text).expect("parses");
+        let msg = check_spec(&spec, &CampaignOptions::default()).unwrap_err();
+        assert_eq!(msg, "platform `m8` has m = 0");
+    }
+
+    #[test]
     fn malformed_generators_fail_expansion_instead_of_panicking() {
         let expand = |text: &str| {
             let spec: CampaignSpec = serde_json::from_str(text).expect("parses");
-            CampaignPlan::expand(&spec, &CampaignOptions::default())
+            check_spec(&spec, &CampaignOptions::default())
         };
         // The unmutated templates are valid, so each row fails for its own
         // reason only.
@@ -1133,6 +1147,12 @@ mod tests {
             (
                 open_campaign(r#"{"Uniform": [8, 2]}"#, r#"{"Exp": 60.0}"#),
                 ["stream", "width"],
+            ),
+            // Mean width 1, but half the draws clamp up to one processor
+            // and half down to m: the stream would offer about m/2 times rho.
+            (
+                open_campaign(r#"{"Uniform": [-1e6, 1000002]}"#, r#"{"Exp": 60.0}"#),
+                ["stream", "`width` can draw"],
             ),
             // Sizes past their bounds fail validation before anything is
             // allocated for them.
@@ -1206,15 +1226,12 @@ mod tests {
         ];
         for (text, needles) in rows {
             match expand(&text) {
-                Err(CampaignError::Spec(SpecError(msg))) => {
+                Err(msg) => {
                     for needle in needles {
                         assert!(msg.contains(needle), "`{needle}` missing from: {msg}");
                     }
                 }
-                other => panic!(
-                    "expected a spec error for {needles:?}, got {:?}",
-                    other.err()
-                ),
+                Ok(()) => panic!("expected a spec error for {needles:?}"),
             }
         }
     }

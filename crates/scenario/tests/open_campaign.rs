@@ -171,9 +171,13 @@ fn an_open_horizon_that_admits_nothing_is_a_spec_error() {
     ] {
         match err {
             Some(CampaignError::Spec(e)) => {
+                // The horizon is the spec's only problem: one message,
+                // no `; ` joining a second.
                 let msg = e.to_string();
                 assert!(
-                    msg.contains("horizon_s") && msg.contains("rho-0.70"),
+                    msg.contains("`horizon_s` 0.001 admits no arrival")
+                        && msg.contains("rho-0.70")
+                        && !msg.contains("; "),
                     "{msg}"
                 );
             }

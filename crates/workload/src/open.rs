@@ -110,11 +110,26 @@ impl OpenStreamSpec {
                     errs.push(format!("class `{}`: `{field}`: {e}", c.name));
                 }
             }
+            // Width draws are clamped up to one processor, so a class that
+            // can draw below one offers more load than `rho` says: about
+            // m/2 times it for widths spread evenly around 1.
+            let lowest = match c.width {
+                DistSpec::Exp(_) => 0.0,
+                DistSpec::Fixed(lo)
+                | DistSpec::Uniform(lo, _)
+                | DistSpec::LogUniform(lo, _)
+                | DistSpec::BoundedPareto(_, lo, _) => lo,
+            };
             if !(c.width.mean() >= 1.0 && c.width.mean().is_finite()) {
                 errs.push(format!(
                     "class `{}`: mean width {} below one processor",
                     c.name,
                     c.width.mean()
+                ));
+            } else if lowest < 1.0 {
+                errs.push(format!(
+                    "class `{}`: `width` can draw {lowest}, below one processor",
+                    c.name
                 ));
             }
             if !(c.service_s.mean() > 0.0 && c.service_s.mean().is_finite()) {
