@@ -189,22 +189,37 @@ impl Schedule {
                 return Err(ValidationError::Missing(j.id));
             }
         }
-        // Overlap check: sweep by start time with an active set.
-        let mut order: Vec<&Assignment> = self.assignments.iter().collect();
+        match self.first_overlap() {
+            Some((earlier, later)) => Err(ValidationError::Overlap(earlier, later)),
+            None => Ok(()),
+        }
+    }
+
+    /// The first assignment in `(start, end, job)` order that shares a
+    /// processor with an earlier one still running, paired with that
+    /// earlier one. One sweep keeps each processor's last end and job: the
+    /// assignments swept before the first clash are pairwise disjoint, so
+    /// the last one on a processor ends latest there and any clash shows
+    /// against it — O(n log n + Σ widths). Zero-length assignments occupy
+    /// nothing. Processors must lie within the machine.
+    fn first_overlap(&self) -> Option<(JobId, JobId)> {
+        let mut order: Vec<&Assignment> = self
+            .assignments
+            .iter()
+            .filter(|a| a.end > a.start)
+            .collect();
         order.sort_by_key(|a| (a.start, a.end, a.job));
-        let mut active: Vec<&Assignment> = Vec::new();
+        let mut last: Vec<(Time, JobId)> = vec![(Time::ZERO, JobId(0)); self.m];
         for a in order {
-            active.retain(|b| b.end > a.start);
-            for b in &active {
-                if !b.procs.is_disjoint(&a.procs) && a.start < b.end && a.end > a.start {
-                    return Err(ValidationError::Overlap(b.job, a.job));
+            for p in a.procs.iter() {
+                let (end, job) = last[p.index()];
+                if end > a.start {
+                    return Some((job, a.job));
                 }
-            }
-            if a.end > a.start {
-                active.push(a);
+                last[p.index()] = (a.end, a.job);
             }
         }
-        Ok(())
+        None
     }
 
     /// Extract the per-job outcome records for metrics.
@@ -429,5 +444,97 @@ mod tests {
         let g = s.gantt_ascii(20);
         assert_eq!(g.lines().count(), 3);
         assert!(g.contains('1') && g.contains('2'));
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use lsps_platform::{BookingKind, Timeline};
+    use proptest::prelude::*;
+
+    impl Schedule {
+        /// The pairwise overlap check [`Schedule::first_overlap`] replaced:
+        /// each assignment is tested against every one still running.
+        fn first_overlap_pairwise(&self) -> Option<(JobId, JobId)> {
+            let mut order: Vec<&Assignment> = self.assignments.iter().collect();
+            order.sort_by_key(|a| (a.start, a.end, a.job));
+            let mut active: Vec<&Assignment> = Vec::new();
+            for a in order {
+                active.retain(|b| b.end > a.start);
+                for b in &active {
+                    if !b.procs.is_disjoint(&a.procs) && a.start < b.end && a.end > a.start {
+                        return Some((b.job, a.job));
+                    }
+                }
+                if a.end > a.start {
+                    active.push(a);
+                }
+            }
+            None
+        }
+    }
+
+    fn t(x: u64) -> Time {
+        Time::from_ticks(x)
+    }
+
+    proptest! {
+        /// The sweep agrees with the pairwise oracle on valid schedules and
+        /// on the same schedules with one injected overlapping assignment:
+        /// same verdict, same later job, and the named pair really shares a
+        /// processor while both run.
+        #[test]
+        fn linear_overlap_check_matches_the_pairwise_oracle(
+            wide in any::<bool>(),
+            jobs in prop::collection::vec((0u64..200, 0u64..50, 1usize..9), 1..40),
+            inject in any::<bool>(),
+            victim in 0usize..40,
+            offset in 0u64..50,
+            len in 1u64..30,
+            shift in 0usize..9,
+        ) {
+            let m = if wide { 1024 } else { 8 };
+            let unit = m / 8;
+            // A valid schedule: every job placed at its earliest slot.
+            let mut tl = Timeline::with_procs(m);
+            let mut s = Schedule::new(m);
+            for (i, &(release, dur, w)) in jobs.iter().enumerate() {
+                // Off unit multiples, so wide sets end inside words.
+                let width = (w * unit).saturating_sub(i % unit).max(1);
+                let dur = Dur::from_ticks(dur);
+                let (start, procs) = tl.earliest_slot(t(release), dur, width).expect("width fits");
+                tl.book(start, start + dur, procs.clone(), BookingKind::Job);
+                s.push(Assignment { job: JobId(i as u64), start, end: start + dur, procs });
+            }
+            prop_assert_eq!(s.first_overlap(), None);
+            prop_assert_eq!(s.first_overlap_pairwise(), None);
+            if inject {
+                // A new assignment starting inside a victim's interval (or
+                // at its start, if the victim is zero-length), on processors
+                // shifted off the victim's so they overlap in part.
+                let v = &s.assignments[victim % s.assignments.len()];
+                let span = (v.end - v.start).ticks();
+                let start = v.start + Dur::from_ticks(offset % span.max(1));
+                let lo = v.procs.first().expect("placed sets are non-empty");
+                let lo = lo.saturating_sub(shift * unit / 2);
+                let procs = ProcSet::range(lo, (lo + v.procs.len()).min(m));
+                s.push(Assignment {
+                    job: JobId(jobs.len() as u64),
+                    start,
+                    end: start + Dur::from_ticks(len),
+                    procs,
+                });
+            }
+            let (fast, slow) = (s.first_overlap(), s.first_overlap_pairwise());
+            prop_assert_eq!(fast.is_some(), slow.is_some(), "verdicts differ: {:?} vs {:?}", fast, slow);
+            if let (Some((earlier, later)), Some((_, oracle_later))) = (fast, slow) {
+                prop_assert_eq!(later, oracle_later, "later job differs");
+                let find = |id: JobId| s.assignments.iter().find(|a| a.job == id).expect("named job exists");
+                let (a, b) = (find(earlier), find(later));
+                prop_assert!(a.start.max(b.start) < a.end.min(b.end), "named pair is disjoint in time");
+                prop_assert!(!a.procs.is_disjoint(&b.procs), "named pair shares no processor");
+            }
+        }
     }
 }

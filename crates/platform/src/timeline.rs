@@ -22,14 +22,21 @@
 //! availability profile** — the structure production batch schedulers
 //! (Slurm, OAR, EASY \[Lifka 95\]) keep to make placement sublinear. The
 //! profile is a piecewise-constant map from time to the *busy* processor
-//! set, stored as a sorted array of `(segment start, busy set)` pairs:
+//! set, stored as a sorted array of `(segment start, segment)` pairs, where
+//! a segment holds its busy set, that set's cached popcount and a `frees`
+//! flag:
 //!
-//! * an entry `(t, busy)` means exactly `busy` is occupied on
+//! * an entry `(t, seg)` means exactly `seg.busy` is occupied on
 //!   `[t, next key)`; the last segment extends to [`Time::MAX`];
 //! * the array always contains a segment starting at [`Time::ZERO`];
 //! * adjacent segments hold *distinct* busy sets (boundaries are
 //!   coalesced away as bookings come and go), so every boundary is a real
-//!   change point and the segment count is bounded by 2 × live bookings.
+//!   change point and the segment count is bounded by 2 × live bookings;
+//! * `seg.frees` says the boundary at `t` frees a processor: the previous
+//!   segment's busy set is not a subset of this one. A booking's processors
+//!   are free throughout its interval, so adding or removing them leaves
+//!   every interior boundary's flag as it was; a mutation recomputes the
+//!   flag only at the two edges it touches.
 //!
 //! The sorted-array layout (rather than an ordered tree) is a deliberate
 //! hot-path choice: the bound above keeps the whole profile a few cache
@@ -45,9 +52,13 @@
 //! * [`Timeline::free_at`] is one binary search,
 //! * [`Timeline::free_during`] unions the busy sets of the covered
 //!   segments,
-//! * [`Timeline::earliest_slot`] walks forward over the boundaries where
-//!   processors are *freed* (the only instants the sliding-window free set
-//!   can grow), testing feasibility with an allocation-free popcount.
+//! * [`Timeline::earliest_slot`] is one forward walk that does constant
+//!   work per boundary: it reads the `frees` flag (the free set of a
+//!   sliding window can only grow where processors are freed) and keeps a
+//!   forward index to the next segment too busy by count, which rules out
+//!   every candidate window covering it. Each remaining candidate window
+//!   is walked once, unioning its busy sets until the popcount shows it
+//!   infeasible; a window that fits yields its free set from that union.
 //!
 //! The naive full-scan implementation is retained under `#[cfg(test)]`
 //! (`naive::NaiveTimeline`) as the reference oracle for the differential
@@ -142,15 +153,20 @@ impl fmt::Display for BookError {
 
 impl std::error::Error for BookError {}
 
-/// One profile segment: the busy set on `[key, next key)` plus its cached
-/// popcount. Every placement probe needs "how many processors are free
-/// here" before it needs the exact set, so the count is maintained on
-/// mutation instead of being recomputed per query — the count prefilter is
-/// what lets [`Timeline::earliest_slot`] skip candidate windows in O(1).
+/// One profile segment: the busy set on `[key, next key)`, its cached
+/// popcount, and whether its boundary frees a processor. Every placement
+/// probe needs "how many processors are free here" before it needs the
+/// exact set, so the count is maintained on mutation instead of being
+/// recomputed per query — it is what lets [`Timeline::earliest_slot`] rule
+/// windows out without touching a set.
 #[derive(Clone, Debug, PartialEq)]
 struct Seg {
     busy: ProcSet,
     count: u32,
+    /// The predecessor segment's busy set is not a subset of this one: some
+    /// processor is freed at this boundary. Always `false` for the segment
+    /// at [`Time::ZERO`], which has no predecessor.
+    frees: bool,
 }
 
 impl Seg {
@@ -158,17 +174,19 @@ impl Seg {
         Seg {
             busy: ProcSet::new(),
             count: 0,
+            frees: false,
         }
     }
 }
 
 /// The piecewise-constant busy profile (see the module docs), stored as a
-/// **sorted array** of `(segment start, busy set)` pairs rather than an
+/// **sorted array** of `(segment start, segment)` pairs rather than an
 /// ordered tree: the segment count is bounded by 2 × live bookings, so the
 /// whole profile stays a few cache lines wide, point lookups are one
 /// branchless binary search, range walks are contiguous slice scans, and
-/// boundary insertion/removal is a short `memmove` — no node allocation on
-/// the book/remove hot path.
+/// boundary insertion/removal is a short `memmove`. A new boundary
+/// allocates only to copy a busy set too wide to store inline (more than
+/// 256 processors).
 #[derive(Clone, Debug)]
 struct Profile {
     /// Sorted by segment start; never empty, `segs[0].0 == Time::ZERO`.
@@ -205,13 +223,6 @@ impl Profile {
         &self.segs[lo..hi.max(lo)]
     }
 
-    /// Segments whose start lies in the half-open interval `(after, upto]`.
-    fn between_inclusive(&self, after: Time, upto: Time) -> &[(Time, Seg)] {
-        let lo = self.segs.partition_point(|&(k, _)| k <= after);
-        let hi = self.segs.partition_point(|&(k, _)| k <= upto);
-        &self.segs[lo..hi.max(lo)]
-    }
-
     /// Ensure a boundary exists at `t`, splitting the covering segment.
     /// Returns the index of the segment starting at `t`.
     fn split_at(&mut self, t: Time) -> usize {
@@ -219,12 +230,16 @@ impl Profile {
         if self.segs[i].0 == t {
             return i;
         }
-        let copy = self.segs[i].1.clone();
+        // The copy repeats its predecessor, so its boundary frees nothing;
+        // the successor's predecessor set is unchanged, and so is its flag.
+        let mut copy = self.segs[i].1.clone();
+        copy.frees = false;
         self.segs.insert(i + 1, (t, copy));
         i + 1
     }
 
-    /// Drop the boundary at `t` if it no longer changes the busy set.
+    /// Drop the boundary at `t` if it no longer changes the busy set. The
+    /// successor keeps its flag: its predecessor's busy set is unchanged.
     fn coalesce_at(&mut self, t: Time) {
         if t == Time::ZERO {
             return;
@@ -233,14 +248,24 @@ impl Profile {
             return;
         };
         // `i >= 1`: the anchor at `Time::ZERO` precedes every other key.
-        if self.segs[i - 1].1 == self.segs[i].1 {
+        if self.segs[i - 1].1.busy == self.segs[i].1.busy {
             self.segs.remove(i);
+        }
+    }
+
+    /// Recompute the `frees` flag of the boundary starting segment `i`.
+    fn refresh_frees(&mut self, i: usize) {
+        if i > 0 {
+            let frees = !self.segs[i - 1].1.busy.is_subset(&self.segs[i].1.busy);
+            self.segs[i].1.frees = frees;
         }
     }
 
     /// Mark `procs` busy on `[start, end)`. Caller guarantees they are
     /// currently free throughout the interval (the booking invariant), so
-    /// interior boundaries stay distinct and only the edges can coalesce.
+    /// interior boundaries keep their busy-set change — and hence their
+    /// `frees` flag, as `procs` is disjoint from both sides — and only the
+    /// two edges are recomputed or coalesced.
     fn add(&mut self, start: Time, end: Time, procs: &ProcSet) {
         if start >= end || procs.is_empty() {
             return;
@@ -256,13 +281,16 @@ impl Profile {
             // exactly |procs|.
             seg.count += delta;
         }
+        self.refresh_frees(lo);
+        self.refresh_frees(hi);
         self.coalesce_at(end);
         self.coalesce_at(start);
     }
 
     /// Mark `procs` free on `[start, end)`. Caller guarantees they are
     /// busy throughout the interval (they belong to one booking covering
-    /// it), mirroring [`add`](Profile::add).
+    /// it), mirroring [`add`](Profile::add): `procs` is a subset of both
+    /// sides of every interior boundary, so only the edges change.
     fn sub(&mut self, start: Time, end: Time, procs: &ProcSet) {
         if start >= end || procs.is_empty() {
             return;
@@ -274,6 +302,8 @@ impl Profile {
             seg.busy.subtract(procs);
             seg.count -= delta;
         }
+        self.refresh_frees(lo);
+        self.refresh_frees(hi);
         self.coalesce_at(end);
         self.coalesce_at(start);
     }
@@ -570,19 +600,19 @@ impl Timeline {
         cap - max_busy.min(cap)
     }
 
-    /// At least `width` of capacity free throughout `[start, end)`? The
-    /// allocation-free feasibility probe of the sweep: busy sets are only
-    /// counted against capacity, never materialized, and the walk stops as
-    /// soon as the window is known infeasible.
-    fn window_fits(&self, start: Time, end: Time, width: usize, busy: &mut ProcSet) -> bool {
-        busy.clone_from(self.profile.busy_at(start));
+    /// At least `width` of capacity free throughout the window that starts
+    /// inside segment `first` and ends at `end`? The one walk a candidate
+    /// window gets: `busy` accumulates the union of the covered busy sets,
+    /// counted against capacity after each segment so the walk stops as
+    /// soon as the window is known infeasible. On success `busy` holds the
+    /// window's whole busy union, so the free set is `capacity \ busy`.
+    fn window_fits(&self, first: usize, end: Time, width: usize, busy: &mut ProcSet) -> bool {
+        let segs = &self.profile.segs;
+        busy.clone_from(&segs[first].1.busy);
         if self.capacity.difference_len(busy) < width {
             return false;
         }
-        if end <= start {
-            return true;
-        }
-        for (_, seg) in self.profile.between(start, end) {
+        for (_, seg) in segs[first + 1..].iter().take_while(|&&(k, _)| k < end) {
             busy.union_with(&seg.busy);
             if self.capacity.difference_len(busy) < width {
                 return false;
@@ -629,82 +659,66 @@ impl Timeline {
         // are monotone in the start, so once `earliest + dur` overflows, so
         // does every later candidate — the whole search is infeasible.
         let first_end = earliest.checked_add(dur)?;
+        let segs = &self.profile.segs;
+        // One scratch union for every candidate window.
         let mut busy = ProcSet::new();
-        let mut free = ProcSet::new();
-        // Scratch-threaded probe: `busy` backs the feasibility walk and
-        // `free` the materialized window, so repeated candidates reuse the
-        // same two buffers instead of building a set per probe.
-        let mut check = |tl: &Timeline, t: Time, end: Time, busy: &mut ProcSet| {
-            if tl.window_fits(t, end, width, busy) {
-                tl.free_during_into(t, end, &mut free);
-                Some((t, free.take_first(width)))
-            } else {
-                None
-            }
+        let mut check = |first: usize, t: Time, end: Time| {
+            self.window_fits(first, end, width, &mut busy)
+                .then(|| (t, self.capacity.difference(&busy).take_first(width)))
         };
         // `earliest` itself is always a candidate — even past
         // `latest_start`, matching the historical candidate set.
-        if let Some(hit) = check(self, earliest, first_end, &mut busy) {
+        let at = self.profile.idx_at(earliest);
+        if let Some(hit) = check(at, earliest, first_end) {
             return Some(hit);
         }
         if latest_start <= earliest {
             return None;
         }
-        // Walk the boundaries where the busy set *shrinks* — the only
-        // instants the sliding window's free set can grow. Two prunes keep
-        // the walk near-O(segments):
-        //
-        // * **count prefilter** — a window is only union-feasible if every
-        //   segment it covers has `width` processors free by count alone;
-        //   cached segment popcounts make this O(1) per segment, so the
-        //   expensive union walk runs only on count-feasible candidates;
-        // * **skip-ahead** — if the count check fails at a segment starting
-        //   at `b`, every candidate `t' <= b` is infeasible too (its window
-        //   would still cover the over-busy segment, since window ends only
-        //   move forward), so the scan jumps straight past `b`.
+        // Walk the boundaries in `(earliest, latest_start]` whose `frees`
+        // flag is set — the only instants the sliding window's free set can
+        // grow. A count prefilter keeps the walk O(segments): `blocked` is
+        // a forward index to the next segment holding more than
+        // `cap_len - width` busy processors. A candidate whose window
+        // covers it is infeasible by count alone, and so is every
+        // candidate up to and including it (window ends only move forward),
+        // so the walk resumes just past it. Both indices only move forward.
         //
         // Only the count check may skip: a window that passes counts but
         // fails the union test (fragmented free sets) rules out nothing
         // beyond itself.
-        let start_seg = self.profile.seg_at(earliest);
-        let mut prev_busy = &start_seg.busy;
-        let mut prev_count = start_seg.count;
-        let mut skip_until: Option<Time> = None;
-        for &(t, ref seg) in self.profile.between_inclusive(earliest, latest_start) {
-            let shrinks = seg.count < prev_count || prev_busy.difference_len(&seg.busy) > 0;
-            prev_busy = &seg.busy;
-            prev_count = seg.count;
-            if !shrinks || skip_until.is_some_and(|s| t <= s) {
+        let max_busy = cap_len - width;
+        let stop = segs.partition_point(|&(k, _)| k <= latest_start);
+        let mut blocked = at + 1;
+        let mut i = at + 1;
+        while i < stop {
+            let (t, ref seg) = segs[i];
+            if !seg.frees {
+                i += 1;
                 continue;
             }
             // Monotone overflow: the first candidate whose window end falls
             // off the tick axis ends the search — every later one does too.
             let end = t.checked_add(dur)?;
-            let mut blocked_at = None;
-            if cap_len - (seg.count as usize) < width {
-                blocked_at = Some(t);
-            } else if end > t {
-                for &(u, ref s2) in self.profile.between(t, end) {
-                    if cap_len - (s2.count as usize) < width {
-                        blocked_at = Some(u);
-                        break;
-                    }
-                }
+            blocked = blocked.max(i);
+            while blocked < segs.len() && segs[blocked].1.count as usize <= max_busy {
+                blocked += 1;
             }
-            match blocked_at {
-                Some(b) => skip_until = Some(b),
-                None => {
-                    if let Some(hit) = check(self, t, end, &mut busy) {
-                        return Some(hit);
-                    }
-                }
+            if blocked < segs.len() && (blocked == i || segs[blocked].0 < end) {
+                i = blocked + 1;
+                continue;
             }
+            if let Some(hit) = check(i, t, end) {
+                return Some(hit);
+            }
+            i += 1;
         }
         None
     }
 
     /// Structural invariants of the profile (test support): coalesced,
-    /// anchored at zero, and equal to a from-scratch recomputation over the
+    /// anchored at zero, cached counts and `frees` flags equal to their
+    /// definitions, and equal to a from-scratch recomputation over the
     /// booking table.
     #[cfg(test)]
     fn assert_profile_consistent(&self) {
@@ -713,12 +727,14 @@ impl Timeline {
             self.profile.segs.windows(2).all(|w| w[0].0 < w[1].0),
             "segment starts must be strictly sorted"
         );
-        let mut prev: Option<&Seg> = None;
-        for (_, seg) in &self.profile.segs {
+        let mut prev: Option<&ProcSet> = None;
+        for (t, seg) in &self.profile.segs {
             assert!(seg.busy.is_subset(&self.capacity));
             assert_eq!(seg.busy.len(), seg.count as usize, "cached count drifted");
-            assert_ne!(prev, Some(seg), "adjacent segments must differ");
-            prev = Some(seg);
+            assert_ne!(prev, Some(&seg.busy), "adjacent segments must differ");
+            let frees = prev.is_some_and(|p| p.difference_len(&seg.busy) > 0);
+            assert_eq!(seg.frees, frees, "`frees` flag drifted at {t:?}");
+            prev = Some(&seg.busy);
         }
         let mut fresh = Profile::new();
         for (_, b) in self.bookings.iter_unordered() {
@@ -1140,27 +1156,52 @@ mod proptests {
         Time::from_ticks(x)
     }
 
+    /// Machine sizes every property runs at: one inline word (6), five heap
+    /// words (300) and sixteen heap words (1024).
+    const MACHINES: [usize; 3] = [6, 300, 1024];
+
+    /// Map a processor range drawn for a 6-processor machine onto `m`
+    /// processors: each of the six units becomes `m / 6` processors, and
+    /// `jit` shifts the start so wide ranges begin and end inside words and
+    /// cross word boundaries. The identity at `m = 6`.
+    fn scaled_range(m: usize, p0: usize, w: usize, jit: usize) -> ProcSet {
+        let unit = m / 6;
+        let lo = (p0 * unit + jit % unit).min(m);
+        ProcSet::range(lo, (lo + w * unit).min(m))
+    }
+
+    /// Map a request width drawn for a 6-processor machine onto `m`
+    /// processors, `jit` trimming it off a unit multiple. The identity at
+    /// `m = 6`; zero stays zero.
+    fn scaled_width(m: usize, width: usize, jit: usize) -> usize {
+        let unit = m / 6;
+        (width * unit).saturating_sub(jit % unit)
+    }
+
     proptest! {
         /// Whatever earliest_slot returns can actually be booked, and no
         /// earlier candidate with the same parameters is feasible at the
         /// booking-end granularity.
         #[test]
         fn slot_results_are_bookable(
-            intervals in prop::collection::vec((0u64..200, 1u64..60, 0usize..6, 1usize..4), 0..12),
+            machine in 0usize..MACHINES.len(),
+            intervals in prop::collection::vec((0u64..200, 1u64..60, 0usize..6, 1usize..4, 0usize..1024), 0..12),
             earliest in 0u64..100,
             dur in 1u64..50,
             width in 1usize..6,
+            wjit in 0usize..1024,
         ) {
-            let m = 6;
+            let m = MACHINES[machine];
+            let width = scaled_width(m, width, wjit);
             let mut tl = Timeline::with_procs(m);
-            for (s, len, p0, w) in intervals {
-                let hi = (p0 + w).min(m);
-                if p0 >= hi { continue; }
-                let procs = ProcSet::range(p0, hi);
+            for (s, len, p0, w, jit) in intervals {
+                let procs = scaled_range(m, p0, w, jit);
+                if procs.is_empty() { continue; }
                 // Only keep bookings that do not conflict (building a valid
                 // schedule incrementally).
                 let _ = tl.try_book(t(s), t(s + len), procs, BookingKind::Job);
             }
+            tl.assert_profile_consistent();
             if let Some((start, procs)) = tl.earliest_slot(t(earliest), Dur::from_ticks(dur), width) {
                 prop_assert!(start >= t(earliest));
                 prop_assert_eq!(procs.len(), width);
@@ -1186,6 +1227,7 @@ mod proptests {
             len: u64,
             p0: usize,
             w: usize,
+            jit: usize,
         },
         Remove {
             pick: usize,
@@ -1204,12 +1246,18 @@ mod proptests {
         // len 0 and width 0 exercise the degenerate paths.
         (
             0usize..7,
-            (0u64..120, 0u64..40, 0usize..6, 0usize..4),
+            (0u64..120, 0u64..40, 0usize..6, 0usize..4, 0usize..1024),
             0usize..32,
             0u64..160,
         )
-            .prop_map(|(sel, (start, len, p0, w), pick, at)| match sel {
-                0..=3 => Op::Book { start, len, p0, w },
+            .prop_map(|(sel, (start, len, p0, w, jit), pick, at)| match sel {
+                0..=3 => Op::Book {
+                    start,
+                    len,
+                    p0,
+                    w,
+                    jit,
+                },
                 4 => Op::Remove { pick },
                 5 => Op::Truncate { pick, at },
                 _ => Op::Gc { at },
@@ -1224,11 +1272,12 @@ mod proptests {
         /// with inverted or empty windows.
         #[test]
         fn differential_vs_naive_oracle(
+            machine in 0usize..MACHINES.len(),
             ops in prop::collection::vec(op_strategy(), 1..40),
             probes in prop::collection::vec((0u64..200, 0u64..60), 8),
-            slots in prop::collection::vec((0u64..150, 0u64..200, 0u64..50, 0usize..8), 8),
+            slots in prop::collection::vec((0u64..150, 0u64..200, 0u64..50, 0usize..8, 0usize..1024), 8),
         ) {
-            let m = 6;
+            let m = MACHINES[machine];
             let mut fast = Timeline::with_procs(m);
             let mut slow = NaiveTimeline::with_procs(m);
             // Arena ids pack (seq, slot) while the oracle mints bare
@@ -1238,8 +1287,8 @@ mod proptests {
             let mut issued: Vec<(BookingId, BookingId)> = Vec::new();
             for op in ops {
                 match op {
-                    Op::Book { start, len, p0, w } => {
-                        let procs = ProcSet::range(p0, (p0 + w).min(m));
+                    Op::Book { start, len, p0, w, jit } => {
+                        let procs = scaled_range(m, p0, w, jit);
                         let a = fast.try_book(t(start), t(start + len), procs.clone(), BookingKind::Job);
                         let b = slow.try_book(t(start), t(start + len), procs, BookingKind::Job);
                         match (a, b) {
@@ -1287,7 +1336,8 @@ mod proptests {
                     "inverted free_during"
                 );
             }
-            for &(earliest, latest, dur, width) in &slots {
+            for &(earliest, latest, dur, width, wjit) in &slots {
+                let width = scaled_width(m, width, wjit);
                 let a = fast.earliest_slot_within(t(earliest), t(latest), Dur::from_ticks(dur), width);
                 let b = slow.earliest_slot_within(t(earliest), t(latest), Dur::from_ticks(dur), width);
                 prop_assert_eq!(

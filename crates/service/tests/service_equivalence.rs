@@ -137,7 +137,11 @@ fn http_api_end_to_end() {
         .expect("status body carries the id")
         .to_string();
 
-    // Progress polling over HTTP; aggregate is 409 until complete.
+    // Progress polling over HTTP; aggregate is 409 until complete. The
+    // campaign may finish between the status read and the aggregate fetch,
+    // so an early 200 is accepted only if a status read right after it
+    // reports complete; completion is monotone, so that status cannot
+    // precede the completion the 200 claims.
     let start = Instant::now();
     loop {
         let (status, body) = get(&addr, &format!("/campaigns/{id}")).expect("status");
@@ -146,6 +150,15 @@ fn http_api_end_to_end() {
             break;
         }
         let (code, _) = get(&addr, &format!("/campaigns/{id}/aggregate")).expect("early fetch");
+        if code == 200 {
+            let (status, body) = get(&addr, &format!("/campaigns/{id}")).expect("status");
+            assert_eq!(status, 200, "{body}");
+            assert!(
+                body.contains("\"complete\":true"),
+                "aggregate served while running: {body}"
+            );
+            break;
+        }
         assert_eq!(code, 409, "aggregate must refuse while running");
         assert!(
             start.elapsed() < Duration::from_secs(300),
