@@ -18,7 +18,8 @@
 //! *certified lower bounds*, so they upper-bound the true ratio vs OPT.
 //! The MRT two-shelf invariant (`Cmax ≤ 3λ*/2`) needs the accepted guess
 //! λ*, which only `mrt_schedule_with_lambda` exposes — that single row is
-//! measured directly.
+//! measured directly. The binary exits 1 when a checkable row reads
+//! `VIOLATED`, after writing its CSV.
 
 use lsps_bench::write_csv;
 use lsps_core::mrt::{mrt_schedule_with_lambda, MrtParams};
@@ -128,6 +129,16 @@ fn main() {
     }
 
     let mut table = Table::new(&["algorithm", "criterion", "proven", "mean", "max", "ok"]);
+    // A failed claim still gets its row and the CSV; the exit code reports it.
+    let mut violations = 0;
+    let mut judge = |ok: bool| {
+        if ok {
+            "yes"
+        } else {
+            violations += 1;
+            "VIOLATED"
+        }
+    };
     // MRT two-shelf invariant first: the only row needing λ*.
     let mut mrt_lambda = Summary::new();
     for seed in 0..SEEDS {
@@ -145,12 +156,7 @@ fn main() {
         "1.50".into(),
         format!("{:.3}", mrt_lambda.mean()),
         format!("{:.3}", mrt_lambda.max()),
-        if mrt_lambda.max() <= 1.5 + 1e-9 {
-            "yes"
-        } else {
-            "VIOLATED"
-        }
-        .into(),
+        judge(mrt_lambda.max() <= 1.5 + 1e-9).into(),
     ]);
 
     for (idx, summary) in &measured {
@@ -158,12 +164,10 @@ fn main() {
         // The MRT 3/2 bound is vs OPT; against the area/tallest *lower
         // bound* only the invariant row above is checkable.
         let checkable = claim.policy != "mrt";
-        let verdict = if !checkable {
-            "info*".to_string()
-        } else if summary.max() <= claim.proven + 1e-9 {
-            "yes".to_string()
+        let verdict = if checkable {
+            judge(summary.max() <= claim.proven + 1e-9)
         } else {
-            "VIOLATED".to_string()
+            "info*"
         };
         table.row(vec![
             claim.policy.into(),
@@ -171,7 +175,7 @@ fn main() {
             format!("{:.2}", claim.proven),
             format!("{:.3}", summary.mean()),
             format!("{:.3}", summary.max()),
-            verdict,
+            verdict.into(),
         ]);
     }
     table.print();
@@ -197,4 +201,8 @@ fn main() {
         "*    the 3/2 bound of MRT is vs OPT; vs the area/tallest LB the checkable \
          statement is the two-shelf invariant row above it (LB gap included here)."
     );
+    if violations > 0 {
+        eprintln!("guarantees: {violations} proven claim(s) VIOLATED");
+        std::process::exit(1);
+    }
 }

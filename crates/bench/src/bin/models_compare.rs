@@ -30,8 +30,8 @@ fn main() {
 
     // Every (mode × executor) through one campaign per mode: the executor
     // column quantifies what moving from a batch rectangle evaluation
-    // (direct / des-replay, which must agree) to honest event-driven online
-    // execution (des-online) costs each policy.
+    // (direct) to honest event-driven online execution (des-online) costs
+    // each policy.
     let mut all_cells: Vec<(String, Cell)> = Vec::new();
     for mode in [ReleaseMode::Offline, ReleaseMode::Online] {
         let mode_name = match mode {

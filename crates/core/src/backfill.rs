@@ -26,7 +26,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use lsps_des::Time;
-use lsps_platform::{BookingKind, ProcSet, Timeline};
+use lsps_platform::{BookingKind, Timeline};
 use lsps_workload::{Job, JobKind};
 
 use crate::schedule::Schedule;
@@ -421,23 +421,26 @@ pub(crate) fn easy_pass(
     }
 }
 
-/// Convenience: does `sched` keep every reservation interval untouched?
-/// (Schedule validation cannot know about reservations, so tests use this.)
-pub fn respects_reservations(sched: &Schedule, m: usize, reservations: &[Reservation]) -> bool {
-    // Rebuild reservation procsets exactly as `backfill_schedule` placed
-    // them (deterministic first-fit from an empty timeline).
+/// Does `sched` keep every reservation interval untouched? Schedule
+/// validation cannot know about reservations, so tests check them here,
+/// on the processors [`book_reservations`] places them on.
+#[cfg(test)]
+pub(crate) fn respects_reservations(
+    sched: &Schedule,
+    m: usize,
+    reservations: &[Reservation],
+) -> bool {
     let mut tl = Timeline::with_procs(m);
-    let mut resv_books: Vec<(Time, Time, ProcSet)> = Vec::new();
-    for r in reservations {
-        let free = tl.free_during(r.start, r.end);
-        let procs = free.take_first(r.procs);
-        tl.book(r.start, r.end, procs.clone(), BookingKind::Reservation);
-        resv_books.push((r.start, r.end, procs));
-    }
+    book_reservations(&mut tl, reservations);
+    let blocked: Vec<_> = tl
+        .bookings()
+        .map(|(_, b)| b)
+        .filter(|b| b.kind == BookingKind::Reservation)
+        .collect();
     sched.assignments().iter().all(|a| {
-        resv_books.iter().all(|(s, e, procs)| {
-            let time_overlap = a.start < *e && *s < a.end;
-            !time_overlap || a.procs.is_disjoint(procs)
+        blocked.iter().all(|b| {
+            let time_overlap = a.start < b.end && b.start < a.end;
+            !time_overlap || a.procs.is_disjoint(&b.procs)
         })
     })
 }

@@ -18,8 +18,8 @@
 //!   uniform-machine), so experiments keep failing loudly instead of
 //!   reporting flattering garbage.
 //!
-//! [`OutcomeKind`] is the *capability* side of the same coin: executors
-//! that can only drive rectangles (`des-replay`, `des-online`) check a
+//! [`OutcomeKind`] is the *capability* side of the same coin: the
+//! executor that can only drive rectangles (`des-online`) checks a
 //! policy's kind before running it, and campaign validation rejects
 //! incompatible (policy, executor) pairs before any cell runs.
 
@@ -37,7 +37,7 @@ use crate::uniform::{UniformError, UniformSchedule};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OutcomeKind {
     /// Rectangles on identical processors ([`Outcome::Rect`]). The only
-    /// kind the event-driven executors can replay or drive.
+    /// kind the event-driven executor can drive.
     Rect,
     /// Rectangles plus non-clairvoyant trial counters ([`Outcome::Trial`]).
     Trial,

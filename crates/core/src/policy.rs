@@ -207,10 +207,10 @@ pub trait Policy: Send + Sync {
     }
 
     /// The [`OutcomeKind`] this policy's [`run_outcome`](Policy::run_outcome)
-    /// produces — its capability tag. Executors that can only replay or
-    /// drive rectangles (`des-replay`, `des-online`) check this before
-    /// running the policy, and campaign validation rejects incompatible
-    /// (policy, executor) pairs up front.
+    /// produces — its capability tag. The executor that can only drive
+    /// rectangles (`des-online`) checks this before running the policy,
+    /// and campaign validation rejects incompatible (policy, executor)
+    /// pairs up front.
     fn outcome_kind(&self) -> OutcomeKind {
         OutcomeKind::Rect
     }

@@ -42,7 +42,7 @@ use crate::cache::{CellCache, CACHE_VERSION};
 use crate::families::{builtin_family, FamilyGen};
 use crate::pool::pool_map;
 use crate::runner::{
-    des_online_open, des_replay, finite_online, open_arrivals, to_csv, Cell, Executor, FailurePlan,
+    des_online_open, finite_online, open_arrivals, to_csv, Cell, Executor, FailurePlan,
 };
 use crate::spec::{
     fnv64, splitmix64, CampaignSpec, FailureEntry, OpenEntry, SpecError, WorkloadEntry,
@@ -515,15 +515,15 @@ impl CampaignPlan {
                 continue;
             };
             // Capability compatibility, checked before any cell runs: the
-            // DES executors replay/drive rectangles only, a speeded
-            // platform needs a uniform-capable policy, and a volatile axis
-            // a hole-filling one (it plans around outage windows).
+            // DES executor drives rectangles only, a speeded platform needs
+            // a uniform-capable policy, and a volatile axis a hole-filling
+            // one (it plans around outage windows).
             let kind = policy.outcome_kind();
             for &e in &spec.executors {
                 if !e.supports(kind) {
                     problems.push(format!(
                         "policy `{p}` produces `{kind}` outcomes, which executor \
-                         `{e}` cannot replay or drive (use `direct`)"
+                         `{e}` cannot drive (use `direct`)"
                     ));
                 }
             }
@@ -819,10 +819,10 @@ impl CampaignPlan {
     /// runs its stream through [`des_online_open`]; `des-online` drives
     /// `jobs` through the finite online driver behind
     /// [`des_online`](crate::runner::des_online), on the failure entry's
-    /// outages (none for a reliable entry); `direct` and `des-replay`
-    /// batch-schedule once. Every finite schedule is validated — on a
-    /// failing platform, its final attempts — so a policy bug fails loudly
-    /// instead of producing flattering numbers.
+    /// outages (none for a reliable entry); `direct` batch-schedules once
+    /// and reads the records off the outcome. Every finite schedule is
+    /// validated — on a failing platform, its final attempts — so a policy
+    /// bug fails loudly instead of producing flattering numbers.
     fn execute(&self, c: &PlannedCell, jobs: &[Job]) -> Cell {
         let policy = self.policies[c.policy].as_ref();
         let workload = &self.spec.workloads[c.entry].name;
@@ -851,7 +851,7 @@ impl CampaignPlan {
             )
         };
         // Every finite drive yields the as-scheduled jobs (for the bounds)
-        // and the completion records; the batch executors also yield their
+        // and the completion records; the batch executor also yields its
         // outcome, whose machine model and trial counters feed the columns
         // below, and a volatile platform its failure accounting.
         let mut failures = None;
@@ -904,22 +904,15 @@ impl CampaignPlan {
                 failures = trace.is_some().then_some(online.failures);
                 (online.jobs, online.records, None)
             }
-            _ => {
+            (_, Executor::Direct, _) => {
                 // Batch-schedule once, and validate before extracting: a
-                // policy bug must fail with cell context, not deep inside
-                // the replay. `direct` reads every outcome kind (rectangle,
-                // trial-annotated, uniform-machine) through the one
-                // `Outcome::completed` interface; `des-replay` replays the
-                // rectangles through the event engine instead.
+                // policy bug must fail with cell context. Every outcome
+                // kind (rectangle, trial-annotated, uniform-machine) is read
+                // through the one `Outcome::completed` interface.
                 let orun = policy.run_outcome(jobs, m, &ctx);
                 orun.validate()
                     .unwrap_or_else(|e| panic!("{}: invalid schedule: {e}", cell_id()));
-                let records = match orun.outcome.as_rect() {
-                    Some(schedule) if c.executor == Executor::DesReplay => {
-                        des_replay(schedule, &orun.jobs)
-                    }
-                    _ => orun.outcome.completed(&orun.jobs),
-                };
+                let records = orun.outcome.completed(&orun.jobs);
                 (orun.jobs, records, Some(orun.outcome))
             }
         };
@@ -1412,29 +1405,7 @@ pub(crate) mod tests {
         let Err(CampaignError::Spec(e)) = run_campaign(&spec, &CampaignOptions::default()) else {
             panic!("a trial policy under des-online must be a spec error");
         };
-        assert!(e.0.contains("cannot replay or drive"), "{e}");
-    }
-
-    #[test]
-    fn des_replay_matches_direct_extraction() {
-        let mut spec = fig2_spec(vec![Executor::Direct, Executor::DesReplay]);
-        spec.workloads.truncate(1);
-        let cells = run(&spec, 0);
-        let (direct, replayed) = cells.split_at(cells.len() / 2);
-        assert_eq!(direct.len(), replayed.len());
-        for (a, b) in direct.iter().zip(replayed) {
-            assert_eq!(
-                (a.executor.as_str(), b.executor.as_str()),
-                ("direct", "des-replay")
-            );
-            assert_eq!(a.policy, b.policy);
-            assert!((a.criteria.cmax - b.criteria.cmax).abs() < 1e-12);
-            assert!((a.criteria.mean_flow - b.criteria.mean_flow).abs() < 1e-12);
-            assert!(
-                (a.criteria.weighted_sum_completion - b.criteria.weighted_sum_completion).abs()
-                    < 1e-9
-            );
-        }
+        assert!(e.0.contains("cannot drive"), "{e}");
     }
 
     #[test]

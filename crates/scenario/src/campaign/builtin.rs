@@ -167,8 +167,8 @@ mod tests {
     #[test]
     fn models_compare_grid_shape() {
         let spec = models_compare_spec(ReleaseMode::Online);
-        // 5 policies × 3 executors × 3 workloads × 1 platform.
-        assert_eq!(spec.cell_count(), 45);
+        // 5 policies × 2 executors × 3 workloads × 1 platform.
+        assert_eq!(spec.cell_count(), 30);
         assert_eq!(spec.executors, Executor::ALL.to_vec());
     }
 }

@@ -3,10 +3,9 @@
 //!
 //! The crate has two layers:
 //!
-//! * [`runner`] — the execution primitives: the three [`runner::Executor`]s,
+//! * [`runner`] — the execution primitives: the two [`runner::Executor`]s,
 //!   the result [`runner::Cell`] and its one CSV schema, and the DES drivers
-//!   ([`runner::des_online`], [`runner::des_online_open`],
-//!   [`runner::des_replay`]).
+//!   ([`runner::des_online`], [`runner::des_online_open`]).
 //! * [`spec`] / [`campaign`] — the declarative layer on top: a serde-backed
 //!   [`spec::CampaignSpec`] names policy sets (resolved through
 //!   `lsps_core::policy::by_name`), platform families, workload families

@@ -6,12 +6,9 @@
 //! entry) with one workload replication on one platform, and pushes it
 //! through `Policy::run` → validation → `lsps_metrics`;
 //! [`crate::CampaignPlan`] picks the drive per cell. Completion records
-//! come from one of three executors sharing the schema:
+//! come from one of two executors sharing the schema:
 //!
-//! * [`Executor::Direct`] — read straight off the rectangle schedule;
-//! * [`Executor::DesReplay`] — replay the finished schedule through the
-//!   `lsps-des` event engine, cross-checking static against event-driven
-//!   accounting;
+//! * [`Executor::Direct`] — read straight off the batch outcome;
 //! * [`Executor::DesOnline`] — *drive* the policy event-by-event: arrivals
 //!   enqueue into a pending set and every arrival/completion instant asks
 //!   the policy's [`IncrementalPlanner`] to place it around the live
@@ -60,10 +57,6 @@ pub enum Executor {
     /// Batch-schedule once, read records straight off the assignments.
     #[default]
     Direct,
-    /// Batch-schedule once, then replay the finished schedule through the
-    /// `lsps-des` engine: completions are collected at simulated event
-    /// times, cross-checking the static view against the event-driven one.
-    DesReplay,
     /// Drive the policy online: jobs arrive at their release dates and
     /// every arrival/completion instant re-plans the pending set through
     /// the policy's [`IncrementalPlanner`]. The only executor in which
@@ -73,13 +66,12 @@ pub enum Executor {
 
 impl Executor {
     /// Every executor, in comparison-sweep order.
-    pub const ALL: [Executor; 3] = [Executor::Direct, Executor::DesReplay, Executor::DesOnline];
+    pub const ALL: [Executor; 2] = [Executor::Direct, Executor::DesOnline];
 
     /// Stable identifier (CSV column value).
     pub fn name(self) -> &'static str {
         match self {
             Executor::Direct => "direct",
-            Executor::DesReplay => "des-replay",
             Executor::DesOnline => "des-online",
         }
     }
@@ -88,10 +80,10 @@ impl Executor {
     ///
     /// `direct` consumes every outcome through the uniform
     /// [`Outcome::completed`](lsps_core::outcome::Outcome::completed)
-    /// interface; the DES executors replay or drive *rectangles* — a trial
-    /// outcome's burnt machine time and a uniform outcome's speed-scaled
-    /// spans have no event representation there, so campaign expansion
-    /// rejects those pairs before any cell exists.
+    /// interface; `des-online` drives *rectangles* — a trial outcome's
+    /// burnt machine time and a uniform outcome's speed-scaled spans have
+    /// no event representation there, so campaign expansion rejects those
+    /// pairs before any cell exists.
     pub fn supports(self, kind: OutcomeKind) -> bool {
         matches!(self, Executor::Direct) || kind == OutcomeKind::Rect
     }
@@ -109,9 +101,10 @@ pub struct UnknownExecutor(pub String);
 
 impl fmt::Display for UnknownExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names = Executor::ALL.map(Executor::name).join(", ");
         write!(
             f,
-            "unknown executor `{}` (expected one of: direct, des-replay, des-online)",
+            "unknown executor `{}` (expected one of: {names})",
             self.0
         )
     }
@@ -280,52 +273,6 @@ pub fn summarize_by<K: Eq + std::hash::Hash + Clone>(
             (k, s)
         })
         .collect()
-}
-
-/// Commits every assignment of a finished schedule exactly as scheduled,
-/// the instant it arrives (at its start). Jobs are assignment indices.
-struct Replay<'a>(&'a [Assignment]);
-
-impl Dispatcher for Replay<'_> {
-    type Job = usize;
-    type Placement = ();
-
-    fn decide(&mut self, _now: Time, pending: &mut Vec<usize>, out: &mut Vec<Commitment<usize>>) {
-        out.extend(pending.drain(..).map(|i| Commitment {
-            job: i,
-            start: self.0[i].start,
-            end: self.0[i].end,
-            placed: (),
-        }));
-    }
-}
-
-/// Replay a schedule through the DES engine: each assignment arrives at
-/// its start, is committed as scheduled, and its record is collected at
-/// its simulated completion event. The outcome is identical to
-/// [`Schedule::completed`] up to record order — asserting that equivalence
-/// is exactly the point.
-pub fn des_replay(schedule: &Schedule, jobs: &[Job]) -> Vec<CompletedJob> {
-    let by_id: HashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
-    let assignments = schedule.assignments();
-    let mut order: Vec<usize> = (0..assignments.len()).collect();
-    order.sort_by_key(|&i| assignments[i].start);
-    let mut records = Vec::with_capacity(assignments.len());
-    let mut sim = OnlineMachine::start(
-        Replay(assignments),
-        order.into_iter().map(|i| (assignments[i].start, i)),
-        |c: Commitment<usize>| {
-            let a = &assignments[c.job];
-            let job = by_id.get(&a.job).expect("replayed job exists");
-            records.push(CompletedJob::from_job(job, c.start, c.end, a.procs.len()));
-        },
-    );
-    // Finite for the reason given at `Stop::Drain`; the replay commits
-    // every arrival at once, so nothing can stay pending.
-    sim.run_to_completion(u64::MAX);
-    drop(sim);
-    records.sort_by_key(|r| r.id);
-    records
 }
 
 /// Where a [`PolicyDispatch`] commitment runs: its processors, and the

@@ -783,11 +783,19 @@ mod tests {
             let e = serde_json::from_str::<CampaignSpec>(bad).unwrap_err();
             assert!(e.to_string().contains("unknown field"), "{e}");
         }
-        assert!(serde_json::from_str::<CampaignSpec>(
-            r#"{"name":"x","policies":["list-fcfs"],"platforms":[],"workloads":[],
-                "executors":["warp-drive"]}"#
-        )
-        .is_err());
+        for executor in ["warp-drive", "des-replay"] {
+            let e = serde_json::from_str::<CampaignSpec>(&format!(
+                r#"{{"name":"x","policies":["list-fcfs"],"platforms":[],"workloads":[],
+                    "executors":["{executor}"]}}"#
+            ))
+            .unwrap_err()
+            .to_string();
+            assert!(
+                e.contains(&format!("unknown executor `{executor}`"))
+                    && e.contains("(expected one of: direct, des-online)"),
+                "{e}"
+            );
+        }
     }
 
     #[test]

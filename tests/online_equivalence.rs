@@ -9,14 +9,22 @@
 //!   decision at time zero, which *is* the batch schedule;
 //! * with staggered releases the executions differ (that is the point),
 //!   but the online run must never start a job before its release, and its
-//!   completed set must match the DES-replay event accounting: the same
+//!   completed set must match the replay's event accounting: the same
 //!   jobs, one completion event each.
+//!
+//! The replay is a test-only differential oracle on the public
+//! `lsps::des` online machine: it pushes a finished batch schedule through
+//! the event engine and reads each record off the engine's clock. For all
+//! 16 registry policies, under both release modes, the replayed records
+//! equal `Schedule::completed` bit for bit.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
-use lsps::core::policy::{registry, Policy, PolicyCtx};
+use lsps::core::policy::{registry, Policy, PolicyCtx, ReleaseMode};
+use lsps::des::{Commitment, Dispatcher, OnlineMachine};
 use lsps::prelude::*;
-use lsps::scenario::runner::{des_online, des_replay, to_csv, Executor};
+use lsps::scenario::runner::{des_online, to_csv, Executor};
 use lsps::scenario::spec::{PlatformSpec, WorkloadEntry, WorkloadSource};
 use lsps::scenario::{run_campaign, CampaignOptions, CampaignSpec};
 use lsps::workload::swf::to_jsonl;
@@ -56,6 +64,105 @@ fn workload(seed: u64, n: usize, m: usize, stagger: bool) -> Vec<Job> {
                 .with_weight(rng.range(0.5, 4.0))
         })
         .collect()
+}
+
+/// Commits every arriving assignment (an index into the schedule) at the
+/// instant it arrives, for its scheduled length.
+struct Replay<'a>(&'a [Assignment]);
+
+impl Dispatcher for Replay<'_> {
+    type Job = usize;
+    type Placement = ();
+
+    fn decide(&mut self, now: Time, pending: &mut Vec<usize>, out: &mut Vec<Commitment<usize>>) {
+        out.extend(pending.drain(..).map(|i| Commitment {
+            job: i,
+            start: now,
+            end: now + (self.0[i].end - self.0[i].start),
+            placed: (),
+        }));
+    }
+}
+
+/// Replay a finished schedule through the DES engine: each assignment
+/// arrives at its start, and its record takes its start from the decision
+/// instant and its completion from the engine's clock at its completion
+/// event. One record per completion event, sorted by job id.
+fn replay(schedule: &Schedule, jobs: &[Job]) -> Vec<CompletedJob> {
+    let by_id: HashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
+    let assignments = schedule.assignments();
+    let mut order: Vec<usize> = (0..assignments.len()).collect();
+    order.sort_by_key(|&i| assignments[i].start);
+    let finished = RefCell::new(Vec::new());
+    let mut sim = OnlineMachine::start(
+        Replay(assignments),
+        order.into_iter().map(|i| (assignments[i].start, i)),
+        |c: Commitment<usize>| finished.borrow_mut().push(c),
+    );
+    let mut records = Vec::with_capacity(assignments.len());
+    while sim.step() {
+        for c in finished.borrow_mut().drain(..) {
+            let a = &assignments[c.job];
+            records.push(CompletedJob::from_job(
+                by_id[&a.job],
+                c.start,
+                sim.now(),
+                a.procs.len(),
+            ));
+        }
+    }
+    records.sort_by_key(|r| r.id);
+    records
+}
+
+/// Narrow wide rigid jobs to one processor for uniform-machine policies
+/// (their domain is sequential work); every other policy takes the
+/// workload as-is.
+fn domain_workload(policy: &dyn Policy, jobs: &[Job]) -> Vec<Job> {
+    if policy.outcome_kind() != OutcomeKind::Uniform {
+        return jobs.to_vec();
+    }
+    jobs.iter()
+        .map(|j| match j.kind {
+            JobKind::Rigid { len, .. } => Job {
+                kind: JobKind::Rigid { procs: 1, len },
+                ..j.clone()
+            },
+            _ => j.clone(),
+        })
+        .collect()
+}
+
+#[test]
+fn every_registry_schedule_replays_bit_for_bit_through_the_engine() {
+    let m = 24;
+    let policies = registry();
+    assert_eq!(policies.len(), 16);
+    for stagger in [false, true] {
+        let all_jobs = workload(11, 35, m, stagger);
+        for policy in &policies {
+            let jobs = domain_workload(policy.as_ref(), &all_jobs);
+            for release_mode in [ReleaseMode::Online, ReleaseMode::Offline] {
+                let ctx = PolicyCtx {
+                    release_mode,
+                    ..PolicyCtx::default()
+                };
+                let case = format!("{} ({release_mode:?}, stagger {stagger})", policy.name());
+                let run = policy.run(&jobs, m, &ctx);
+                run.validate().unwrap_or_else(|e| panic!("{case}: {e}"));
+                let mut direct = run.schedule.completed(&run.jobs);
+                direct.sort_by_key(|r| r.id);
+                let replayed = replay(&run.schedule, &run.jobs);
+                // Exactly one completion event per job...
+                let mut ids: Vec<JobId> = run.jobs.iter().map(|j| j.id).collect();
+                ids.sort_unstable();
+                let replayed_ids: Vec<JobId> = replayed.iter().map(|r| r.id).collect();
+                assert_eq!(replayed_ids, ids, "{case}");
+                // ...and each record equal to the static one in every bit.
+                assert_eq!(replayed, direct, "{case}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -155,12 +262,14 @@ fn staggered_releases_never_start_early_and_match_replay_accounting() {
                 release_of[&a.job]
             );
         }
-        // Completed-set equivalence with the replay executor's event
-        // accounting: same jobs, exactly one completion event per job.
+        // Completed-set equivalence with the replay's event accounting:
+        // same jobs, exactly one completion event per job.
         let batch = policy.run(&jobs, m, &ctx);
-        let replay = des_replay(&batch.schedule, &batch.jobs);
         let online_ids: Vec<JobId> = online.records.iter().map(|r| r.id).collect();
-        let replay_ids: Vec<JobId> = replay.iter().map(|r| r.id).collect();
+        let replay_ids: Vec<JobId> = replay(&batch.schedule, &batch.jobs)
+            .iter()
+            .map(|r| r.id)
+            .collect();
         assert_eq!(online_ids, replay_ids, "{}", policy.name());
         // Event budget: n arrivals + n completions + at most one decision
         // per arrival/completion instant, nothing else.

@@ -2,6 +2,7 @@
 //! validation → criteria, across the crate boundaries.
 
 use lsps::core::allot::{two_phase_moldable, AllotRule};
+use lsps::core::backfill::book_reservations;
 use lsps::core::mixed::{mixed_schedule, MixedStrategy};
 use lsps::prelude::*;
 
@@ -156,9 +157,13 @@ fn reservations_flow_through_the_whole_stack() {
     for policy in [BackfillPolicy::Conservative, BackfillPolicy::Easy] {
         let s = backfill_schedule(&jobs, M, &resv, policy);
         assert_eq!(s.validate(&jobs), Ok(()));
-        assert!(
-            lsps::core::backfill::respects_reservations(&s, M, &resv),
-            "{policy:?} violated a reservation"
-        );
+        // Every job books around the reservations, on the processors the
+        // backfiller's own first-fit rule placed them.
+        let mut tl = Timeline::with_procs(M);
+        book_reservations(&mut tl, &resv);
+        for a in s.assignments() {
+            let booked = tl.try_book(a.start, a.end, a.procs.clone(), BookingKind::Job);
+            assert!(booked.is_ok(), "{policy:?} violated a reservation");
+        }
     }
 }
