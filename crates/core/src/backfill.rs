@@ -26,7 +26,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use lsps_des::Time;
-use lsps_platform::{BookingKind, Timeline};
+use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
 use crate::schedule::Schedule;
@@ -167,9 +167,10 @@ pub(crate) fn estimate(len: lsps_des::Dur, factor: f64) -> lsps_des::Dur {
     len.scale_ceil(factor).max(len)
 }
 
-pub(crate) fn fcfs_order(jobs: &[Job]) -> Vec<&Job> {
+/// `jobs` in FCFS order by `(release, id)`, releases raised to `floor`.
+pub(crate) fn fcfs_order(jobs: &[Job], floor: Time) -> Vec<&Job> {
     let mut order: Vec<&Job> = jobs.iter().collect();
-    order.sort_by_key(|j| (j.release, j.id));
+    order.sort_by_key(|j| (j.release.max(floor), j.id));
     order
 }
 
@@ -237,17 +238,17 @@ impl Frontier {
     }
 }
 
-/// One conservative packing pass over `order` (already FCFS-sorted) on an
-/// existing timeline. Every booking made is appended to `created` together
-/// with the job's *true* completion — the incremental planner uses that to
-/// pin batches at their real lengths afterwards; the batch entry point
-/// discards it.
+/// One conservative packing pass over `order` (FCFS-sorted by
+/// [`fcfs_order`] with the same `floor`) on an existing timeline. No job
+/// starts before its release raised to `floor`. Each placement is booked
+/// at its estimate and handed to `place` with its start, processors and
+/// booking.
 pub(crate) fn conservative_pass(
     order: &[&Job],
+    floor: Time,
     tl: &mut Timeline,
     factor: f64,
-    sched: &mut Schedule,
-    created: &mut Vec<(lsps_platform::BookingId, Time)>,
+    mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
 ) {
     // Conservative semantics with estimates: every queued job is booked at
     // its *estimated* length (no compression on early completion — later
@@ -258,7 +259,7 @@ pub(crate) fn conservative_pass(
         let q = job.min_procs();
         let dur = job.time_on(q);
         let est = estimate(dur, factor);
-        let from = frontier.advance(job.release, q, est);
+        let from = frontier.advance(job.release.max(floor), q, est);
         let (start, procs) = tl
             .earliest_slot(from, est, q)
             .expect("q <= m, so a slot always exists");
@@ -269,47 +270,48 @@ pub(crate) fn conservative_pass(
             hi: start,
         });
         let bk = tl.book(start, start + est, procs.clone(), BookingKind::Job);
-        created.push((bk, start + dur));
-        sched.place(job, start, procs);
+        place(job, start, procs, bk);
     }
 }
 
 fn conservative(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
     let mut sched = Schedule::new(m);
+    let order = fcfs_order(jobs, Time::ZERO);
     conservative_pass(
-        &fcfs_order(jobs),
+        &order,
+        Time::ZERO,
         &mut tl,
         factor,
-        &mut sched,
-        &mut Vec::new(),
+        |job, start, procs, _| sched.place(job, start, procs),
     );
     sched
 }
 
 fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
     let mut sched = Schedule::new(m);
+    let order = fcfs_order(jobs, Time::ZERO);
     easy_pass(
-        &fcfs_order(jobs),
+        &order,
+        Time::ZERO,
         &mut tl,
         factor,
-        &mut sched,
-        &mut Vec::new(),
+        |job, start, procs, _| sched.place(job, start, procs),
     );
     sched
 }
 
-/// One EASY replay pass over `order` (already FCFS-sorted) on an existing
-/// timeline — the event-driven engine behind [`easy`], factored out so the
-/// incremental planner can run the identical machinery batch-by-batch on a
-/// persistent timeline. Bookings created (with true completions) land in
-/// `created`, like [`conservative_pass`].
+/// One EASY replay pass over `order` on an existing timeline — the
+/// event-driven engine behind [`easy`], factored out so the incremental
+/// planner can run the identical machinery batch-by-batch on a persistent
+/// timeline. `floor` and `place` work as in [`conservative_pass`].
 pub(crate) fn easy_pass(
     order: &[&Job],
+    floor: Time,
     tl: &mut Timeline,
     factor: f64,
-    sched: &mut Schedule,
-    created: &mut Vec<(lsps_platform::BookingId, Time)>,
+    mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
 ) {
+    let release = |i: usize| order[i].release.max(floor);
     // Event-driven replay: next_release pointer + completion/shadow events.
     let mut events: BinaryHeap<Reverse<Time>> = BinaryHeap::new();
     let mut next = 0usize; // first not-yet-released job in `order`
@@ -317,9 +319,9 @@ pub(crate) fn easy_pass(
 
     // Running bookings with their TRUE completion; the estimate tail is
     // released when the job actually finishes.
-    let mut running: Vec<(lsps_platform::BookingId, Time)> = Vec::new();
-    if let Some(j) = order.first() {
-        events.push(Reverse(j.release));
+    let mut running: Vec<(BookingId, Time)> = Vec::new();
+    if !order.is_empty() {
+        events.push(Reverse(release(0)));
     }
 
     while next < order.len() || !queue.is_empty() {
@@ -341,12 +343,12 @@ pub(crate) fn easy_pass(
                 true
             }
         });
-        while next < order.len() && order[next].release <= now {
+        while next < order.len() && release(next) <= now {
             queue.push(next);
             next += 1;
         }
         if next < order.len() {
-            events.push(Reverse(order[next].release));
+            events.push(Reverse(release(next)));
         }
 
         // Start the head while it fits (per its estimate).
@@ -363,8 +365,7 @@ pub(crate) fn easy_pass(
                 let procs = free.take_first(q);
                 let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
                 running.push((bk, now + dur));
-                created.push((bk, now + dur));
-                sched.place(job, now, procs);
+                place(job, now, procs, bk);
                 events.push(Reverse(now + dur));
                 queue.remove(0);
             } else {
@@ -410,8 +411,7 @@ pub(crate) fn easy_pass(
                 let procs = candidate.take_first(q);
                 let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
                 running.push((bk, now + dur));
-                created.push((bk, now + dur));
-                sched.place(job, now, procs);
+                place(job, now, procs, bk);
                 events.push(Reverse(now + dur));
                 queue.remove(i);
             } else {

@@ -27,9 +27,11 @@
 //! # Online decisions
 //!
 //! Event-driven callers decide through a persistent
-//! [`Policy::incremental_planner`]. There are two: the backfill family
-//! keeps one timeline alive and places each arrival in a hole around the
-//! running work ([`BackfillPlanner`]); every other policy holds arrivals
+//! [`Policy::incremental_planner`]: each decision is one `plan` call over
+//! the pending set, which commits the jobs it places and leaves the rest
+//! pending. There are two planners: the backfill family keeps one
+//! timeline alive and places each arrival in a hole around the running
+//! work ([`BackfillPlanner`]); every other policy leaves arrivals pending
 //! until the machine drains and schedules them as one batch
 //! ([`BatchPlanner`], the §4.2 online batch transformation). The
 //! invariants live in [`crate::replan`].

@@ -1,15 +1,18 @@
 //! Online planners: persistent scheduler state for event-driven
 //! execution.
 //!
-//! Every online decision goes through one [`IncrementalPlanner`], and
-//! there are two of them — the paper's two kinds of online scheduler:
+//! Every online decision is one [`IncrementalPlanner::plan`] call, with
+//! the contract of [`lsps_des::Dispatcher::decide`]: it moves the pending
+//! jobs it places out as commitments and leaves the rest pending. There
+//! are two planners — the paper's two kinds of online scheduler:
 //!
 //! * [`BatchPlanner`], the default, is the §4.2 online batch
-//!   transformation: arrivals wait while any work is running, and the
-//!   accumulated batch is scheduled by [`Policy::schedule`] once the
+//!   transformation: arrivals stay pending while any work is running, and
+//!   the accumulated batch is scheduled by [`Policy::schedule`] once the
 //!   machine drains;
 //! * [`BackfillPlanner`] serves the backfill family (§5.1/§5.2): each
-//!   arrival is placed in a hole around the running work.
+//!   arrival is placed in a hole around the running work, so every
+//!   decision places the whole pending set.
 //!
 //! # The dirty-window invariant
 //!
@@ -28,15 +31,19 @@
 //! pending set:
 //!
 //! * **Arrivals** are packed by the identical conservative/EASY pass the
-//!   batch path uses ([`crate::backfill`]), on the persistent timeline.
-//!   Every placement is booked at its *estimated* length during the pass
-//!   (exactly what the batch pass sees) and truncated to its **true**
-//!   length once the batch is placed — which is precisely the committed
-//!   interval the full replan would have re-booked at the next event.
-//! * **Completions** cost one heap pop: bookings expire off a
-//!   `(true_end, id)` min-heap and are removed from the profile, replacing
-//!   the full-path `Timeline::gc` scan. Removal only edits segments in
-//!   `[start, true_end) ⊆ [0, now)`, so the invariant is untouched.
+//!   batch path uses ([`crate::backfill`]), on the persistent timeline,
+//!   with each release raised to `now`. The pass hands every placement
+//!   straight to the commitment list. Every placement is booked at its
+//!   *estimated* length during the pass (exactly what the batch pass
+//!   sees) and truncated to its **true** length, read back from the
+//!   commitments, once the batch is placed — which is precisely the
+//!   committed interval the full replan would have re-booked at the next
+//!   event.
+//! * **Completions** cost one heap pop at the start of the next `plan`:
+//!   bookings expire off a `(true_end, id)` min-heap and are removed from
+//!   the profile, replacing the full-path `Timeline::gc` scan. Removal
+//!   only edits segments in `[start, true_end) ⊆ [0, now)`, so the
+//!   invariant is untouched.
 //! * **Reservations** are booked once at construction. The first-fit
 //!   processor choice for a reservation is stable across decisions (later
 //!   commitments are always placed *around* the booked reservation, so
@@ -55,7 +62,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
-use lsps_des::Time;
+use lsps_des::{Commitment, Time};
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
@@ -63,44 +70,45 @@ use crate::backfill::{
     assert_estimate_factor, conservative_pass, easy_pass, fcfs_order, BackfillPolicy,
 };
 use crate::policy::{Policy, PolicyCtx};
-use crate::schedule::Schedule;
 
-/// Persistent scheduler state behind [`Policy::incremental_planner`].
-///
-/// The caller invokes [`advance`](IncrementalPlanner::advance) then
-/// [`plan`](IncrementalPlanner::plan) at every decision instant with
-/// non-decreasing `now`, handing over every job still pending (already
-/// [`prepare`](Policy::prepare)d); the assignments of a placed batch are
-/// committed by the caller verbatim.
+/// Where a planned job runs: its processors, and the planner booking
+/// behind it, which a node failure names to
+/// [`invalidate`](IncrementalPlanner::invalidate).
+#[derive(Debug)]
+pub struct Placement {
+    /// The processors the job runs on.
+    pub procs: ProcSet,
+    /// The planner's booking of the job.
+    pub booking: BookingId,
+}
+
+/// Persistent scheduler state behind [`Policy::incremental_planner`], with
+/// the contract of [`lsps_des::Dispatcher::decide`]: one
+/// [`plan`](IncrementalPlanner::plan) call per decision instant commits
+/// what it places.
 pub trait IncrementalPlanner {
-    /// Release everything that completed at or before `now`. Must be
-    /// called with non-decreasing `now`.
-    fn advance(&mut self, now: Time);
-
-    /// Place `pending` (all arrived: every release `<= now`) around all
-    /// previously planned work, no earlier than `now`, and absorb the
-    /// placements into the planner state at their true lengths. The result
-    /// lands in `out`, which the caller hands back cleared each decision —
-    /// planners run once per event, so the schedule buffer is recycled
-    /// rather than reallocated.
+    /// Decide at `now` (non-decreasing across calls) over `pending`: every
+    /// job still waiting, all arrived (release `<= now`) and already
+    /// [`prepare`](Policy::prepare)d.
     ///
-    /// Returns `false` when the planner *defers*: it placed nothing, and
-    /// the jobs stay pending until a later decision. Otherwise every
-    /// pending job is placed.
-    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool;
+    /// The planner first releases the work that completed by `now`. It
+    /// then places jobs around all previously planned work, no earlier
+    /// than `now`, and absorbs them into its state at their true lengths.
+    /// Each placed job moves out of `pending` onto `out` as a commitment,
+    /// in placement order; the jobs left in `pending` wait for the next
+    /// decision.
+    fn plan(
+        &mut self,
+        now: Time,
+        pending: &mut Vec<Job>,
+        out: &mut Vec<Commitment<Job, Placement>>,
+    );
 
     /// Jobs examined across all [`plan`](IncrementalPlanner::plan) calls —
     /// the instrumentation the O(dirty) regression tests read. A full
     /// replan counts O(live + batch) per event; the planners here count
     /// O(batch).
     fn touched(&self) -> u64;
-
-    /// `(booking, true_end)` pairs created by the **last**
-    /// [`plan`](IncrementalPlanner::plan) call, aligned 1:1 with the
-    /// placements it wrote into `out` (insertion order). Failure-aware
-    /// executors read this to associate each commitment with its planner
-    /// booking, so a later kill can name the booking to evict.
-    fn last_created(&self) -> &[(BookingId, Time)];
 
     /// Evict a still-live booking: the commitment behind it was killed by
     /// a node failure. This is the explicit relaxation of the
@@ -127,12 +135,10 @@ pub struct BatchPlanner<'a, P: Policy + ?Sized> {
     policy: &'a P,
     m: usize,
     ctx: &'a PolicyCtx,
-    /// Live commitments and outage windows; `advance` garbage-collects
+    /// Live commitments and outage windows; each `plan` garbage-collects
     /// completed work, so a multi-day trace never accumulates dead
     /// bookings.
     committed: Timeline,
-    /// `(booking, end)` of every placement of the last `plan` call.
-    created: Vec<(BookingId, Time)>,
     touched: u64,
 }
 
@@ -144,24 +150,24 @@ impl<'a, P: Policy + ?Sized> BatchPlanner<'a, P> {
             m,
             ctx,
             committed: Timeline::with_procs(m),
-            created: Vec::new(),
             touched: 0,
         }
     }
 }
 
 impl<P: Policy + ?Sized> IncrementalPlanner for BatchPlanner<'_, P> {
-    fn advance(&mut self, now: Time) {
+    fn plan(
+        &mut self,
+        now: Time,
+        pending: &mut Vec<Job>,
+        out: &mut Vec<Commitment<Job, Placement>>,
+    ) {
         // Completed commitments no longer constrain placement.
         self.committed.gc(now);
-    }
-
-    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool {
-        self.created.clear();
         if self.committed.n_bookings() > 0 {
             // Work still running: keep accumulating. The final completion
             // of the running batch re-invokes us on an empty machine.
-            return false;
+            return;
         }
         self.touched += pending.len() as u64;
         let batch: Vec<Job> = pending
@@ -184,29 +190,46 @@ impl<P: Policy + ?Sized> IncrementalPlanner for BatchPlanner<'_, P> {
             r.start = to_frame(r.start);
             r.end = to_frame(r.end);
         }
-        *out = self.policy.schedule(&batch, self.m, &ctx).shifted(shift);
-        for a in out.assignments() {
-            let bk = self
+        let name = self.policy.name();
+        for a in self
+            .policy
+            .schedule(&batch, self.m, &ctx)
+            .shifted(shift)
+            .assignments()
+        {
+            let booking = self
                 .committed
                 .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
                 .unwrap_or_else(|e| {
                     panic!(
-                        "{}: commitment for job {} collides with a booking: {e}",
-                        self.policy.name(),
+                        "{name}: commitment for job {} collides with a booking: {e}",
                         a.job
                     )
                 });
-            self.created.push((bk, a.end));
+            // Move the job out of `pending`: a linear scan, since a batch
+            // is whatever arrived while the previous one ran.
+            let Some(at) = pending.iter().position(|j| j.id == a.job) else {
+                panic!("{name}: scheduled unknown job {}", a.job)
+            };
+            out.push(Commitment {
+                job: pending.swap_remove(at),
+                start: a.start,
+                end: a.end,
+                placed: Placement {
+                    procs: a.procs.clone(),
+                    booking,
+                },
+            });
         }
-        true
+        assert!(
+            pending.is_empty(),
+            "{name}: left {} pending jobs unscheduled",
+            pending.len()
+        );
     }
 
     fn touched(&self) -> u64 {
         self.touched
-    }
-
-    fn last_created(&self) -> &[(BookingId, Time)] {
-        &self.created
     }
 
     fn invalidate(&mut self, id: BookingId) {
@@ -239,15 +262,8 @@ pub struct BackfillPlanner {
     /// replacement for the full path's per-event `gc` scan.
     expiry: BinaryHeap<Reverse<(Time, BookingId)>>,
     touched: u64,
-    /// Scratch: release-bumped copies of the batch, reused across `plan`
-    /// calls so the per-decision cost is the job copies, not a `Vec`
-    /// allocation (rigid jobs are plain data — the copy itself is flat).
-    bumped: Vec<Job>,
-    /// Scratch: `(booking, true_end)` pairs the passes emit, reused
-    /// alongside `bumped`.
-    created: Vec<(BookingId, Time)>,
     /// Bookings evicted by [`IncrementalPlanner::invalidate`] whose expiry
-    /// entry is still in the heap — `advance` skips these instead of
+    /// entry is still in the heap — `plan` skips these instead of
     /// demanding they be present, keeping the missing-booking panic for
     /// genuine bugs.
     invalidated: HashSet<BookingId>,
@@ -270,15 +286,18 @@ impl BackfillPlanner {
             tl: ctx.reserved_timeline(m),
             expiry: BinaryHeap::new(),
             touched: 0,
-            bumped: Vec::new(),
-            created: Vec::new(),
             invalidated: HashSet::new(),
         }
     }
 }
 
 impl IncrementalPlanner for BackfillPlanner {
-    fn advance(&mut self, now: Time) {
+    fn plan(
+        &mut self,
+        now: Time,
+        pending: &mut Vec<Job>,
+        out: &mut Vec<Commitment<Job, Placement>>,
+    ) {
         while let Some(&Reverse((end, id))) = self.expiry.peek() {
             if end > now {
                 break;
@@ -289,60 +308,57 @@ impl IncrementalPlanner for BackfillPlanner {
             }
             self.tl.remove(id).expect("expired booking still present");
         }
-    }
-
-    fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool {
-        debug_assert!(
-            out.is_empty(),
-            "caller hands the scratch schedule back cleared"
-        );
-        // Clear even on the empty-batch path: `last_created` must describe
-        // *this* call, never a stale predecessor.
-        self.created.clear();
         if pending.is_empty() {
-            return true;
+            return;
         }
         self.touched += pending.len() as u64;
-        self.bumped.clear();
-        self.bumped.extend(pending.iter().map(|j| {
+        for j in pending.iter() {
             assert!(
                 matches!(j.kind, JobKind::Rigid { .. }) && j.min_procs() <= self.m,
                 "planner expects prepared rigid jobs fitting the machine; job {} is not",
                 j.id
             );
-            let mut j = j.clone();
-            j.release = j.release.max(now);
-            j
-        }));
-        let order = fcfs_order(&self.bumped);
+        }
+        let first = out.len();
+        // Every pending job has arrived, so the pass sees each release
+        // raised to `now`; the commitment keeps the job as it was queued.
+        let order = fcfs_order(pending, now);
+        let place = |job: &Job, start: Time, procs: ProcSet, booking: BookingId| {
+            out.push(Commitment {
+                job: job.clone(),
+                start,
+                end: start + job.time_on(procs.len()),
+                placed: Placement { procs, booking },
+            })
+        };
         match self.flavour {
             BackfillPolicy::Conservative => {
-                conservative_pass(&order, &mut self.tl, self.factor, out, &mut self.created)
+                conservative_pass(&order, now, &mut self.tl, self.factor, place)
             }
-            BackfillPolicy::Easy => {
-                easy_pass(&order, &mut self.tl, self.factor, out, &mut self.created)
-            }
+            BackfillPolicy::Easy => easy_pass(&order, now, &mut self.tl, self.factor, place),
         }
+        assert_eq!(
+            out.len() - first,
+            pending.len(),
+            "the backfill passes place every pending job"
+        );
+        pending.clear();
         // Pin the batch at true lengths: the next decision must see exactly
         // the committed (true) intervals, not the estimate tails — that is
         // what a full replan re-books from its commitment table.
-        for &(bk, true_end) in &self.created {
-            self.tl.truncate(bk, true_end);
+        for c in &out[first..] {
+            let bk = c.placed.booking;
+            self.tl.truncate(bk, c.end);
             // Zero-length work vanishes on truncation (and the EASY replay
             // may already have dropped it mid-pass) — nothing to expire.
             if self.tl.booking(bk).is_some() {
-                self.expiry.push(Reverse((true_end, bk)));
+                self.expiry.push(Reverse((c.end, bk)));
             }
         }
-        true
     }
 
     fn touched(&self) -> u64 {
         self.touched
-    }
-
-    fn last_created(&self) -> &[(BookingId, Time)] {
-        &self.created
     }
 
     fn invalidate(&mut self, id: BookingId) {
@@ -376,6 +392,7 @@ mod tests {
     use crate::list::JobOrder;
     use crate::policy::tests::domain_jobs;
     use crate::policy::{registry, BatchedMrt, ListScheduling};
+    use crate::schedule::Assignment;
     use lsps_des::Dur;
 
     fn d(ticks: u64) -> Dur {
@@ -388,19 +405,30 @@ mod tests {
 
     const FLAVOURS: [BackfillPolicy; 2] = [BackfillPolicy::Conservative, BackfillPolicy::Easy];
 
+    /// One decision over `pending` at `now`: the jobs left pending and the
+    /// commitments made.
+    fn decide(
+        planner: &mut impl IncrementalPlanner,
+        now: Time,
+        pending: &[Job],
+    ) -> (Vec<Job>, Vec<Commitment<Job, Placement>>) {
+        let mut left = pending.to_vec();
+        let mut out = Vec::new();
+        planner.plan(now, &mut left, &mut out);
+        (left, out)
+    }
+
     /// `list-fcfs` cannot fill holes: while the first batch runs, later
-    /// arrivals wait — `plan` defers, places nothing and examines nothing.
-    /// The first decision after `advance` passes the last end places the
+    /// arrivals wait — `plan` defers, leaves them pending and examines
+    /// nothing. The first decision after the last end places the
     /// accumulated batch from `now` on.
     #[test]
     fn batch_planner_defers_until_the_machine_drains() {
         let policy = ListScheduling::new(JobOrder::Fcfs);
         let ctx = PolicyCtx::default();
-        let m = 2;
-        let mut planner = BatchPlanner::new(&policy, m, &ctx);
-        let mut out = Schedule::new(m);
-        planner.advance(t(0));
-        assert!(planner.plan(&[Job::rigid(1, 1, d(100))], t(0), &mut out));
+        let mut planner = BatchPlanner::new(&policy, 2, &ctx);
+        let (left, out) = decide(&mut planner, t(0), &[Job::rigid(1, 1, d(100))]);
+        assert!(left.is_empty());
         assert_eq!(out.len(), 1);
         assert_eq!(planner.touched(), 1, "one pending job, nothing live");
         // Processor 1 idles, but the batch waits for the drain.
@@ -409,22 +437,17 @@ mod tests {
             Job::rigid(3, 2, d(5)).released_at(t(20)),
         ];
         for now in [10, 20, 99] {
-            planner.advance(t(now));
-            out.clear();
-            assert!(!planner.plan(&later, t(now), &mut out), "placed at {now}");
-            assert!(out.is_empty() && planner.last_created().is_empty());
+            let (left, out) = decide(&mut planner, t(now), &later);
+            assert_eq!(left, later, "placed at {now}");
+            assert!(out.is_empty());
             assert_eq!(planner.touched(), 1, "a deferred decision examines nothing");
         }
-        planner.advance(t(100));
-        out.clear();
-        assert!(planner.plan(&later, t(100), &mut out));
-        let starts: Vec<(u64, Time)> = out
-            .assignments()
-            .iter()
-            .map(|a| (a.job.0, a.start))
-            .collect();
+        let (left, out) = decide(&mut planner, t(100), &later);
+        assert!(left.is_empty());
+        let starts: Vec<(u64, Time)> = out.iter().map(|c| (c.job.id.0, c.start)).collect();
         assert_eq!(starts, [(2, t(100)), (3, t(110))]);
-        assert_eq!(planner.last_created().len(), 2);
+        // Each commitment carries its job as queued, release included.
+        assert_eq!(out[0].job, later[0]);
         assert_eq!(planner.touched(), 1 + 2);
     }
 
@@ -443,24 +466,18 @@ mod tests {
             }],
             ..PolicyCtx::default()
         };
-        let m = 2;
-        let mut planner = BatchPlanner::new(&BatchedMrt, m, &ctx);
-        let mut out = Schedule::new(m);
-        planner.advance(t(0));
-        assert!(planner.plan(&[Job::rigid(1, 2, d(50))], t(0), &mut out));
-        assert_eq!(out.assignments()[0].end, t(50));
+        let mut planner = BatchPlanner::new(&BatchedMrt, 2, &ctx);
+        let (_, out) = decide(&mut planner, t(0), &[Job::rigid(1, 2, d(50))]);
+        assert_eq!(out[0].end, t(50));
         let pending = [Job::sequential(2, d(60)).released_at(t(10))];
-        planner.advance(t(10));
-        out.clear();
-        assert!(!planner.plan(&pending, t(10), &mut out), "work is live");
-        planner.advance(t(50));
-        out.clear();
-        assert!(planner.plan(&pending, t(50), &mut out));
-        let a = &out.assignments()[0];
-        assert!(a.start >= t(50), "{a:?} inside the horizon");
+        let (left, _) = decide(&mut planner, t(10), &pending);
+        assert_eq!(left.len(), 1, "work is live");
+        let (_, out) = decide(&mut planner, t(50), &pending);
+        let c = &out[0];
+        assert!(c.start >= t(50), "{c:?} inside the horizon");
         assert!(
-            a.end <= t(100) || a.start >= t(200),
-            "{a:?} crosses the absolute reservation window"
+            c.end <= t(100) || c.start >= t(200),
+            "{c:?} crosses the absolute reservation window"
         );
     }
 
@@ -478,10 +495,19 @@ mod tests {
                 .map(|j| j.released_at(Time::ZERO))
                 .collect();
             let mut planner = BatchPlanner::new(policy.as_ref(), 8, &ctx);
-            let mut out = Schedule::new(8);
-            planner.advance(Time::ZERO);
-            assert!(planner.plan(&jobs, Time::ZERO, &mut out));
-            assert_eq!(out, policy.schedule(&jobs, 8, &ctx), "{}", policy.name());
+            let (left, out) = decide(&mut planner, Time::ZERO, &jobs);
+            assert!(left.is_empty(), "{}", policy.name());
+            let placed: Vec<Assignment> = out
+                .into_iter()
+                .map(|c| Assignment {
+                    job: c.job.id,
+                    start: c.start,
+                    end: c.end,
+                    procs: c.placed.procs,
+                })
+                .collect();
+            let batch = policy.schedule(&jobs, 8, &ctx);
+            assert_eq!(placed, batch.assignments(), "{}", policy.name());
         }
     }
 
@@ -491,22 +517,37 @@ mod tests {
     #[test]
     fn backfill_planner_fills_the_hole_beside_a_live_commitment() {
         for flavour in FLAVOURS {
-            let m = 2;
-            let mut planner = BackfillPlanner::new(flavour, m, &PolicyCtx::default());
-            let mut out = Schedule::new(m);
-            planner.advance(t(0));
-            assert!(planner.plan(&[Job::rigid(1, 1, d(100))], t(0), &mut out));
-            assert_eq!(out.assignments()[0].procs, ProcSet::from_indices([0]));
-            planner.advance(t(10));
-            out.clear();
+            let mut planner = BackfillPlanner::new(flavour, 2, &PolicyCtx::default());
+            let (_, out) = decide(&mut planner, t(0), &[Job::rigid(1, 1, d(100))]);
+            assert_eq!(out[0].placed.procs, ProcSet::from_indices([0]));
             let hole = [Job::rigid(2, 1, d(10)).released_at(t(10))];
-            assert!(planner.plan(&hole, t(10), &mut out), "{flavour:?}");
-            let a = &out.assignments()[0];
-            assert_eq!(a.start, t(10), "{flavour:?}");
-            assert_eq!(a.procs, ProcSet::from_indices([1]), "{flavour:?}");
-            assert_eq!(planner.last_created().len(), 1);
-            assert_eq!(planner.last_created()[0].1, t(20));
+            let (left, out) = decide(&mut planner, t(10), &hole);
+            assert!(left.is_empty(), "{flavour:?}");
+            assert_eq!(out.len(), 1);
+            let c = &out[0];
+            assert_eq!((c.start, c.end), (t(10), t(20)), "{flavour:?}");
+            assert_eq!(c.placed.procs, ProcSet::from_indices([1]), "{flavour:?}");
+            assert_eq!(c.job, hole[0], "the commitment carries the queued job");
             assert_eq!(planner.touched(), 1 + 1, "{flavour:?}: pending only");
+        }
+    }
+
+    /// Commitments leave in placement order (FCFS here), each carrying its
+    /// job as queued: a job that waited keeps its own release, although
+    /// the pass places it from `now`.
+    #[test]
+    fn backfill_commitments_leave_in_placement_order_with_the_queued_jobs() {
+        for flavour in FLAVOURS {
+            let mut planner = BackfillPlanner::new(flavour, 2, &PolicyCtx::default());
+            let pending = [
+                Job::rigid(3, 1, d(5)).released_at(t(4)),
+                Job::rigid(1, 2, d(5)).released_at(t(2)),
+                Job::rigid(2, 1, d(5)).released_at(t(2)),
+            ];
+            let (_, out) = decide(&mut planner, t(10), &pending);
+            let ids: Vec<u64> = out.iter().map(|c| c.job.id.0).collect();
+            assert_eq!(ids, [1, 2, 3], "{flavour:?}");
+            assert_eq!(out[2].job, pending[0], "{flavour:?}");
         }
     }
 
@@ -515,16 +556,11 @@ mod tests {
     #[test]
     fn a_commitment_ending_at_now_does_not_block_a_full_width_job() {
         for flavour in FLAVOURS {
-            let m = 2;
-            let mut planner = BackfillPlanner::new(flavour, m, &PolicyCtx::default());
-            let mut out = Schedule::new(m);
-            planner.advance(t(0));
-            assert!(planner.plan(&[Job::rigid(1, 2, d(5))], t(0), &mut out));
-            planner.advance(t(5));
-            out.clear();
+            let mut planner = BackfillPlanner::new(flavour, 2, &PolicyCtx::default());
+            decide(&mut planner, t(0), &[Job::rigid(1, 2, d(5))]);
             let wide = [Job::rigid(2, 2, d(10)).released_at(t(5))];
-            assert!(planner.plan(&wide, t(5), &mut out));
-            assert_eq!(out.assignments()[0].start, t(5), "{flavour:?}");
+            let (_, out) = decide(&mut planner, t(5), &wide);
+            assert_eq!(out[0].start, t(5), "{flavour:?}");
         }
     }
 }

@@ -95,13 +95,6 @@ impl Schedule {
         self.assignments.push(a);
     }
 
-    /// Drop every assignment, keeping the machine size and the buffer —
-    /// the incremental planner refills one schedule per decision instead
-    /// of allocating a fresh one.
-    pub fn clear(&mut self) {
-        self.assignments.clear();
-    }
-
     /// Convenience: schedule `job` on `procs` starting at `start`, deriving
     /// the end from the job's profile.
     pub fn place(&mut self, job: &Job, start: Time, procs: ProcSet) {

@@ -430,9 +430,10 @@ impl Timeline {
         self.bookings.live
     }
 
-    /// Number of segments of the availability profile (diagnostics: stays
-    /// within `2 × n_bookings + 1` by the coalescing invariant).
-    pub fn n_segments(&self) -> usize {
+    /// Number of segments of the availability profile (stays within
+    /// `2 × n_bookings + 1` by the coalescing invariant).
+    #[cfg(test)]
+    fn n_segments(&self) -> usize {
         self.profile.segs.len()
     }
 
@@ -564,23 +565,13 @@ impl Timeline {
     /// Processors free during the whole window `[start, end)`. For an empty
     /// window this degenerates to [`free_at`](Self::free_at)`(start)`.
     pub fn free_during(&self, start: Time, end: Time) -> ProcSet {
-        let mut free = ProcSet::new();
-        self.free_during_into(start, end, &mut free);
+        let mut free = self.free_at(start);
+        if end > start {
+            for (_, seg) in self.profile.between(start, end) {
+                free.subtract(&seg.busy);
+            }
+        }
         free
-    }
-
-    /// [`free_during`](Self::free_during) writing into a caller-provided
-    /// scratch set — the allocation-free form the scheduler loops use (one
-    /// scratch buffer per loop instead of a fresh `Vec` per probe).
-    pub fn free_during_into(&self, start: Time, end: Time, free: &mut ProcSet) {
-        free.clone_from(&self.capacity);
-        free.subtract(self.profile.busy_at(start));
-        if end <= start {
-            return;
-        }
-        for (_, seg) in self.profile.between(start, end) {
-            free.subtract(&seg.busy);
-        }
     }
 
     /// Upper bound on `free_during(start, end).len()`: capacity minus the

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 
 use lsps_core::outcome::OutcomeKind;
 use lsps_core::policy::{Policy, PolicyCtx, PolicyRun, ReleaseMode};
-use lsps_core::replan::IncrementalPlanner;
+use lsps_core::replan::{IncrementalPlanner, Placement};
 use lsps_core::schedule::{Assignment, Schedule};
 use lsps_des::{
     ArrivalSource, Commitment, Dispatcher, Dur, OnlineCounters, OnlineEvent, OnlineMachine,
@@ -45,7 +45,6 @@ use lsps_des::{
 use lsps_metrics::{
     ClassResponse, CompletedJob, Criteria, CriteriaAcc, FailureStats, SteadyState, Summary,
 };
-use lsps_platform::{BookingId, ProcSet};
 use lsps_workload::{FailurePolicy, Job, JobId, JobKind, Outage};
 
 use crate::spec::OpenEntry;
@@ -275,30 +274,20 @@ pub fn summarize_by<K: Eq + std::hash::Hash + Clone>(
         .collect()
 }
 
-/// Where a [`PolicyDispatch`] commitment runs: its processors, and the
-/// planner booking behind it, which a node failure names to evict.
-struct Placement {
-    procs: ProcSet,
-    booking: BookingId,
-}
-
 /// The [`lsps_des::Dispatcher`] that turns a [`Policy`] into an online
-/// decision procedure: at every decision instant its
-/// [`IncrementalPlanner`] advances to `now` and plans the pending set, and
-/// a placed batch is committed in full, each commitment carrying its
-/// [`Placement`]. A planner that defers (the
-/// [`BatchPlanner`](lsps_core::replan::BatchPlanner) while work is
-/// running) leaves the set pending for a later instant. On a node failure
-/// it kills the commitments holding the node and resubmits their jobs per
-/// the recovery policy.
+/// decision procedure: every decision is one
+/// [`IncrementalPlanner::plan`] call, which moves the jobs it places out
+/// of the pending set as commitments, each carrying its [`Placement`].
+/// The jobs it leaves (all of them, when the
+/// [`BatchPlanner`](lsps_core::replan::BatchPlanner) defers while work is
+/// running) stay pending for a later instant. On a node failure it kills
+/// the commitments holding the node and resubmits their jobs per the
+/// recovery policy.
 struct PolicyDispatch<'a> {
     policy: &'a dyn Policy,
-    /// The policy's planner ([`Policy::incremental_planner`]), or the
-    /// full-replan oracle of the differential tests.
+    /// The policy's planner ([`Policy::incremental_planner`]), or a test
+    /// planner such as the full-replan oracle.
     planner: Box<dyn IncrementalPlanner + 'a>,
-    /// Scratch schedule the planner fills each decision — cleared and
-    /// reused so the per-event path performs no allocation.
-    plan_scratch: Schedule,
     /// Checkpoint interval of the recovery policy; [`Dur::MAX`] under
     /// resubmit-from-scratch, whose killed work never reaches a checkpoint.
     checkpoint: Dur,
@@ -322,43 +311,7 @@ impl Dispatcher for PolicyDispatch<'_> {
         pending: &mut Vec<Job>,
         out: &mut Vec<Commitment<Job, Placement>>,
     ) {
-        self.planner.advance(now);
-        self.plan_scratch.clear();
-        if !self.planner.plan(pending, now, &mut self.plan_scratch) {
-            // Deferred: the jobs stay pending for a later decision.
-            return;
-        }
-        let placed = self.plan_scratch.assignments();
-        // The booking behind each placement, so a kill can name it.
-        let bookings = self.planner.last_created();
-        assert_eq!(
-            bookings.len(),
-            placed.len(),
-            "bookings must align 1:1 with placements"
-        );
-        for (a, &(booking, _)) in placed.iter().zip(bookings) {
-            // Drain the job by linear scan — decision batches are dirty
-            // windows of a handful of jobs, so a scan beats building a
-            // `HashMap` per decision, on every event of an open stream.
-            let Some(at) = pending.iter().position(|j| j.id == a.job) else {
-                panic!("{}: scheduled unknown job {}", self.policy.name(), a.job)
-            };
-            out.push(Commitment {
-                job: pending.swap_remove(at),
-                start: a.start,
-                end: a.end,
-                placed: Placement {
-                    procs: a.procs.clone(),
-                    booking,
-                },
-            });
-        }
-        assert!(
-            pending.is_empty(),
-            "{}: left {} pending jobs unscheduled",
-            self.policy.name(),
-            pending.len()
-        );
+        self.planner.plan(now, pending, out);
     }
 
     fn node_down(
@@ -422,18 +375,16 @@ impl Dispatcher for PolicyDispatch<'_> {
 }
 
 impl<'a> PolicyDispatch<'a> {
-    /// A dispatcher for `policy` on `m` processors, deciding through
-    /// `planner` and recovering killed work per `recovery`.
+    /// A dispatcher for `policy`, deciding through `planner` and
+    /// recovering killed work per `recovery`.
     fn new(
         policy: &'a dyn Policy,
-        m: usize,
         planner: Box<dyn IncrementalPlanner + 'a>,
         recovery: FailurePolicy,
     ) -> Self {
         PolicyDispatch {
             policy,
             planner,
-            plan_scratch: Schedule::new(m),
             checkpoint: recovery.checkpoint_period().unwrap_or(Dur::MAX),
             originals: HashMap::new(),
             wasted_ticks: 0,
@@ -636,7 +587,7 @@ pub(crate) fn finite_online<'a>(
     arrivals.sort_by_key(|&(at, _)| at);
     let mut completed = Vec::with_capacity(prepared.len());
     let run = drive(
-        PolicyDispatch::new(policy, m, planner, plan.policy),
+        PolicyDispatch::new(policy, planner, plan.policy),
         arrivals.into_iter(),
         &plan.outages,
         Stop::Drain,
@@ -777,7 +728,7 @@ pub fn des_online_open(
     let planner = policy.incremental_planner(m, ctx);
     let run = drive(
         // No outages reach an open drive.
-        PolicyDispatch::new(policy, m, planner, RELIABLE.policy),
+        PolicyDispatch::new(policy, planner, RELIABLE.policy),
         open_arrivals(open, m, seed),
         &[],
         Stop::Completions(open.stop_completions),
@@ -879,7 +830,7 @@ mod replan_tests {
     };
     use lsps_core::policy::Backfilling;
     use lsps_des::{Dur, SimRng};
-    use lsps_platform::{BookingKind, Timeline};
+    use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
     use lsps_workload::FailureTraceSpec;
     use proptest::prelude::*;
 
@@ -918,7 +869,6 @@ mod replan_tests {
         reservations: Vec<Reservation>,
         /// Live commitments and outage windows at true lengths.
         committed: Timeline,
-        created: Vec<(BookingId, Time)>,
         touched: u64,
     }
 
@@ -929,19 +879,19 @@ mod replan_tests {
                 factor: ctx.estimate_factor,
                 reservations: ctx.reservations.clone(),
                 committed: Timeline::with_procs(m),
-                created: Vec::new(),
                 touched: 0,
             }
         }
     }
 
     impl IncrementalPlanner for FullReplanOracle {
-        fn advance(&mut self, now: Time) {
+        fn plan(
+            &mut self,
+            now: Time,
+            pending: &mut Vec<Job>,
+            out: &mut Vec<Commitment<Job, Placement>>,
+        ) {
             self.committed.gc(now);
-        }
-
-        fn plan(&mut self, pending: &[Job], now: Time, out: &mut Schedule) -> bool {
-            self.created.clear();
             let m = self.committed.capacity().len();
             let mut tl = Timeline::with_procs(m);
             for (_, b) in self.committed.bookings().filter(|(_, b)| b.end > now) {
@@ -958,23 +908,27 @@ mod replan_tests {
                 })
                 .collect();
             self.touched += (pending.len() + self.committed.n_bookings()) as u64;
-            *out = backfill_on_timeline(&bumped, m, tl, self.flavour, self.factor);
-            for a in out.assignments() {
-                let bk = self
+            let placed = backfill_on_timeline(&bumped, m, tl, self.flavour, self.factor);
+            for a in placed.assignments() {
+                let booking = self
                     .committed
                     .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
                     .expect("placements avoid live work");
-                self.created.push((bk, a.end));
+                let at = pending.iter().position(|j| j.id == a.job).unwrap();
+                out.push(Commitment {
+                    job: pending.swap_remove(at),
+                    start: a.start,
+                    end: a.end,
+                    placed: Placement {
+                        procs: a.procs.clone(),
+                        booking,
+                    },
+                });
             }
-            true
         }
 
         fn touched(&self) -> u64 {
             self.touched
-        }
-
-        fn last_created(&self) -> &[(BookingId, Time)] {
-            &self.created
         }
 
         fn invalidate(&mut self, id: BookingId) {
@@ -1334,7 +1288,6 @@ mod replan_tests {
             drive(
                 PolicyDispatch::new(
                     policy,
-                    m,
                     policy.incremental_planner(m, &ctx),
                     FailurePolicy::Resubmit,
                 ),
@@ -1391,18 +1344,16 @@ mod replan_tests {
     struct Stalled;
 
     impl IncrementalPlanner for Stalled {
-        fn advance(&mut self, _now: Time) {}
-
-        fn plan(&mut self, _pending: &[Job], _now: Time, _out: &mut Schedule) -> bool {
-            false
+        fn plan(
+            &mut self,
+            _now: Time,
+            _pending: &mut Vec<Job>,
+            _out: &mut Vec<Commitment<Job, Placement>>,
+        ) {
         }
 
         fn touched(&self) -> u64 {
             0
-        }
-
-        fn last_created(&self) -> &[(BookingId, Time)] {
-            &[]
         }
 
         fn invalidate(&mut self, _id: BookingId) {
@@ -1431,5 +1382,71 @@ mod replan_tests {
             &RELIABLE,
             Box::new(Stalled),
         );
+    }
+
+    /// Hands the policy's own planner only the lowest-id pending job, so
+    /// each decision places some of the pending set and leaves the rest.
+    struct LowestIdFirst<'a>(Box<dyn IncrementalPlanner + 'a>);
+
+    impl IncrementalPlanner for LowestIdFirst<'_> {
+        fn plan(
+            &mut self,
+            now: Time,
+            pending: &mut Vec<Job>,
+            out: &mut Vec<Commitment<Job, Placement>>,
+        ) {
+            let mut one = Vec::new();
+            if let Some(at) = (0..pending.len()).min_by_key(|&i| pending[i].id) {
+                one.push(pending.remove(at));
+            }
+            self.0.plan(now, &mut one, out);
+            // A job the inner planner deferred waits with the rest.
+            pending.append(&mut one);
+        }
+
+        fn touched(&self) -> u64 {
+            self.0.touched()
+        }
+
+        fn invalidate(&mut self, id: BookingId) {
+            self.0.invalidate(id)
+        }
+
+        fn add_outage(&mut self, node: u32, start: Time, end: Time) {
+            self.0.add_outage(node, start, end)
+        }
+    }
+
+    /// A decision may place some pending jobs and leave the rest: three
+    /// 1-processor jobs arrive together on 4 idle processors, but a
+    /// planner that places one job per decision runs them back to back,
+    /// each starting when its predecessor completes (the completion is
+    /// the next decision instant).
+    #[test]
+    fn a_planner_that_places_some_jobs_leaves_the_rest_pending() {
+        let jobs = vec![
+            Job::rigid(0, 1, Dur::from_secs(10)),
+            Job::rigid(1, 1, Dur::from_secs(5)),
+            Job::rigid(2, 1, Dur::from_secs(7)),
+        ];
+        let ctx = online_ctx(1.0);
+        for name in ["backfill-easy", "backfill-conservative", "list-fcfs"] {
+            let policy = lsps_core::policy::by_name(name).unwrap();
+            let policy = policy.as_ref();
+            let planner = Box::new(LowestIdFirst(policy.incremental_planner(4, &ctx)));
+            let out = finite_online(policy, &jobs, 4, &ctx, &RELIABLE, planner);
+            let spans: Vec<(u64, Time, Time)> = out
+                .records
+                .iter()
+                .map(|r| (r.id.0, r.start, r.completion))
+                .collect();
+            let s = Time::from_secs;
+            assert_eq!(
+                spans,
+                [(0, s(0), s(10)), (1, s(10), s(15)), (2, s(15), s(22))],
+                "{name}"
+            );
+            assert_eq!(out.run.validate(), Ok(()), "{name}");
+        }
     }
 }

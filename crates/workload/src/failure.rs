@@ -63,6 +63,20 @@ pub struct ScriptedOutage {
     pub up_s: f64,
 }
 
+impl ScriptedOutage {
+    /// The outage on the tick axis, as the executor runs it: the start
+    /// rounds to the nearest tick and a sub-tick outage widens to one tick.
+    fn to_ticks(self) -> Outage {
+        let start = Time::from_secs_f64(self.down_s);
+        let dur = Dur::from_secs_f64(self.up_s - self.down_s).max(Dur::from_ticks(1));
+        Outage {
+            node: self.node,
+            start,
+            end: start.saturating_add(dur),
+        }
+    }
+}
+
 /// Declarative failure trace: uptime regime, repair-time law, and the
 /// horizon after which no *new* failures are injected (outages already in
 /// progress still run to their repair).
@@ -161,6 +175,7 @@ impl FailureTraceSpec {
                 }
             }
             FailureRegime::Scripted { outages } => {
+                let mut ticked = Vec::with_capacity(outages.len());
                 for (i, o) in outages.iter().enumerate() {
                     if !(o.down_s >= 0.0 && o.down_s.is_finite() && o.up_s.is_finite()) {
                         errs.push(format!(
@@ -171,17 +186,28 @@ impl FailureTraceSpec {
                             "scripted outage {i}: up {} must follow down {}",
                             o.up_s, o.down_s
                         ));
+                    } else {
+                        ticked.push((o.to_ticks(), o));
                     }
                 }
-                // Per-node non-overlap: a node cannot fail while down.
-                let mut by_node: Vec<&ScriptedOutage> = outages.iter().collect();
-                by_node
-                    .sort_by(|a, b| (a.node, a.down_s).partial_cmp(&(b.node, b.down_s)).unwrap());
-                for w in by_node.windows(2) {
-                    if w[0].node == w[1].node && w[1].down_s < w[0].up_s {
+                // Per-node non-overlap on the tick intervals `generate`
+                // emits: a node cannot fail while down.
+                ticked.sort_by_key(|(t, _)| (t.node, t.start, t.end));
+                for w in ticked.windows(2) {
+                    let ((a, sa), (b, sb)) = (w[0], w[1]);
+                    if a.node == b.node && b.start < a.end {
                         errs.push(format!(
-                            "node {}: scripted outages overlap ([{}, {}) and [{}, {}))",
-                            w[0].node, w[0].down_s, w[0].up_s, w[1].down_s, w[1].up_s
+                            "node {}: scripted outages overlap ([{}, {}) and [{}, {}) s, \
+                             [{:?}, {:?}) and [{:?}, {:?}) in ticks)",
+                            a.node,
+                            sa.down_s,
+                            sa.up_s,
+                            sb.down_s,
+                            sb.up_s,
+                            a.start,
+                            a.end,
+                            b.start,
+                            b.end
                         ));
                     }
                 }
@@ -217,15 +243,7 @@ impl FailureTraceSpec {
         let horizon = Time::from_secs_f64(self.horizon_s);
         match &self.regime {
             FailureRegime::Scripted { outages } => {
-                for o in outages {
-                    let start = Time::from_secs_f64(o.down_s);
-                    let dur = Dur::from_secs_f64(o.up_s - o.down_s).max(Dur::from_ticks(1));
-                    out.push(Outage {
-                        node: o.node,
-                        start,
-                        end: start + dur,
-                    });
-                }
+                out.extend(outages.iter().map(|o| o.to_ticks()));
             }
             regime => {
                 for node in 0..m as u32 {
@@ -395,6 +413,45 @@ mod tests {
             errs.iter().any(|e| e.contains("overlap")),
             "expected overlap error, got {errs:?}"
         );
+    }
+
+    /// Overlap is judged on the tick intervals the executor runs, not on
+    /// the seconds: touching outages can collide once the start rounds to
+    /// a tick, and a sub-tick outage widens to one tick.
+    #[test]
+    fn scripted_overlap_is_checked_at_tick_resolution() {
+        let scripted = |pairs: [(f64, f64); 2]| FailureTraceSpec {
+            regime: FailureRegime::Scripted {
+                outages: pairs
+                    .iter()
+                    .map(|&(down_s, up_s)| ScriptedOutage {
+                        node: 0,
+                        down_s,
+                        up_s,
+                    })
+                    .collect(),
+            },
+            repair_s: DistSpec::Fixed(1.0),
+            horizon_s: 100.0,
+        };
+        // Touching in seconds: both start at tick 0, and the first
+        // widens from [T0, T0) to [T0, T1).
+        let touching = scripted([(0.0, 0.0004), (0.0004, 5.0)]);
+        // Apart in seconds: the first rounds to the empty [T1, T1), which
+        // only the widening to [T1, T2) makes cover the second's start T1.
+        let widened = scripted([(0.0006, 0.0009), (0.0012, 1.0)]);
+        // Touching in seconds, no widening: the start rounds up to T2 and
+        // the length to 2 ticks, so the first ends at T4, past T3.
+        let rounded = scripted([(0.0015, 0.003), (0.003, 1.0)]);
+        for spec in [touching, widened, rounded] {
+            let errs = spec.validate();
+            assert!(
+                errs.len() == 1 && errs[0].contains("node 0: scripted outages overlap"),
+                "{errs:?}"
+            );
+        }
+        // Exactly touching on tick boundaries is fine.
+        assert!(scripted([(0.0, 1.0), (1.0, 2.0)]).validate().is_empty());
     }
 
     #[test]
