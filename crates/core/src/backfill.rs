@@ -167,11 +167,11 @@ pub(crate) fn estimate(len: lsps_des::Dur, factor: f64) -> lsps_des::Dur {
     len.scale_ceil(factor).max(len)
 }
 
-/// `jobs` in FCFS order by `(release, id)`, releases raised to `floor`.
-pub(crate) fn fcfs_order(jobs: &[Job], floor: Time) -> Vec<&Job> {
-    let mut order: Vec<&Job> = jobs.iter().collect();
-    order.sort_by_key(|j| (j.release.max(floor), j.id));
-    order
+/// Sort `jobs` in place into FCFS order by `(release, id)`, releases
+/// raised to `floor`. Ids are unique, so the order is total and an
+/// unstable sort (which allocates nothing) gives the stable one's answer.
+pub(crate) fn fcfs_sort(jobs: &mut [Job], floor: Time) {
+    jobs.sort_unstable_by_key(|j| (j.release.max(floor), j.id));
 }
 
 /// A proven-infeasible scan range: while packing, a job of width `w` and
@@ -193,16 +193,13 @@ struct InfeasibleRange {
 /// forward — the saturated prefix of a backlogged schedule is skipped in
 /// O(frontier) instead of walked boundary-by-boundary per job. Purely an
 /// accelerator: it never changes which slot `earliest_slot` returns.
+#[derive(Default)]
 struct Frontier {
     ranges: Vec<InfeasibleRange>,
 }
 
 impl Frontier {
     const CAP: usize = 48;
-
-    fn new() -> Self {
-        Frontier { ranges: Vec::new() }
-    }
 
     /// Furthest scan start reachable from `from` for a `(w, d)` request.
     fn advance(&self, mut from: Time, w: usize, d: lsps_des::Dur) -> Time {
@@ -238,24 +235,40 @@ impl Frontier {
     }
 }
 
-/// One conservative packing pass over `order` (FCFS-sorted by
-/// [`fcfs_order`] with the same `floor`) on an existing timeline. No job
-/// starts before its release raised to `floor`. Each placement is booked
-/// at its estimate and handed to `place` with its start, processors and
-/// booking.
+/// The working buffers of one backfill pass, kept between passes so that
+/// an online planner's decisions allocate nothing once they have grown to
+/// the queue's size. Each pass clears what it uses on entry.
+#[derive(Default)]
+pub(crate) struct PassScratch {
+    /// EASY's replay agenda: release, completion and shadow instants.
+    events: BinaryHeap<Reverse<Time>>,
+    /// EASY's queue, indices into the pass order, FCFS.
+    queue: Vec<usize>,
+    /// EASY's running bookings with their true completions.
+    running: Vec<(BookingId, Time)>,
+    /// Conservative's infeasibility certificates.
+    frontier: Frontier,
+}
+
+/// One conservative packing pass over `order` (sorted by [`fcfs_sort`]
+/// with the same `floor`) on an existing timeline. No job starts before
+/// its release raised to `floor`. Each placement is booked at its estimate
+/// and handed to `place` with its start, processors and booking.
 pub(crate) fn conservative_pass(
-    order: &[&Job],
+    order: &[Job],
     floor: Time,
     tl: &mut Timeline,
     factor: f64,
+    scratch: &mut PassScratch,
     mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
 ) {
     // Conservative semantics with estimates: every queued job is booked at
     // its *estimated* length (no compression on early completion — later
     // bookings keep their guaranteed starts); the actual execution is the
     // true length inside that booking.
-    let mut frontier = Frontier::new();
-    for &job in order {
+    let frontier = &mut scratch.frontier;
+    frontier.ranges.clear();
+    for job in order {
         let q = job.min_procs();
         let dur = job.time_on(q);
         let est = estimate(dur, factor);
@@ -276,12 +289,14 @@ pub(crate) fn conservative_pass(
 
 fn conservative(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
     let mut sched = Schedule::new(m);
-    let order = fcfs_order(jobs, Time::ZERO);
+    let mut order = jobs.to_vec();
+    fcfs_sort(&mut order, Time::ZERO);
     conservative_pass(
         &order,
         Time::ZERO,
         &mut tl,
         factor,
+        &mut PassScratch::default(),
         |job, start, procs, _| sched.place(job, start, procs),
     );
     sched
@@ -289,12 +304,14 @@ fn conservative(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedu
 
 fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
     let mut sched = Schedule::new(m);
-    let order = fcfs_order(jobs, Time::ZERO);
+    let mut order = jobs.to_vec();
+    fcfs_sort(&mut order, Time::ZERO);
     easy_pass(
         &order,
         Time::ZERO,
         &mut tl,
         factor,
+        &mut PassScratch::default(),
         |job, start, procs, _| sched.place(job, start, procs),
     );
     sched
@@ -303,23 +320,31 @@ fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
 /// One EASY replay pass over `order` on an existing timeline — the
 /// event-driven engine behind [`easy`], factored out so the incremental
 /// planner can run the identical machinery batch-by-batch on a persistent
-/// timeline. `floor` and `place` work as in [`conservative_pass`].
+/// timeline. `floor`, `scratch` and `place` work as in
+/// [`conservative_pass`].
 pub(crate) fn easy_pass(
-    order: &[&Job],
+    order: &[Job],
     floor: Time,
     tl: &mut Timeline,
     factor: f64,
+    scratch: &mut PassScratch,
     mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
 ) {
     let release = |i: usize| order[i].release.max(floor);
-    // Event-driven replay: next_release pointer + completion/shadow events.
-    let mut events: BinaryHeap<Reverse<Time>> = BinaryHeap::new();
-    let mut next = 0usize; // first not-yet-released job in `order`
-    let mut queue: Vec<usize> = Vec::new(); // indices into `order`, FCFS
-
+    // Event-driven replay: next_release pointer + completion/shadow events,
+    // and the FCFS queue of released jobs (indices into `order`).
+    let PassScratch {
+        events,
+        queue,
+        running,
+        ..
+    } = scratch;
+    events.clear();
+    queue.clear();
     // Running bookings with their TRUE completion; the estimate tail is
     // released when the job actually finishes.
-    let mut running: Vec<(BookingId, Time)> = Vec::new();
+    running.clear();
+    let mut next = 0usize; // first not-yet-released job in `order`
     if !order.is_empty() {
         events.push(Reverse(release(0)));
     }
@@ -353,7 +378,7 @@ pub(crate) fn easy_pass(
 
         // Start the head while it fits (per its estimate).
         while let Some(&h) = queue.first() {
-            let job = order[h];
+            let job = &order[h];
             let q = job.min_procs();
             let dur = job.time_on(q);
             let est = estimate(dur, factor);
@@ -377,7 +402,7 @@ pub(crate) fn easy_pass(
         }
 
         // Head blocked: compute its shadow reservation (estimate-sized).
-        let head = order[queue[0]];
+        let head = &order[queue[0]];
         let hq = head.min_procs();
         let hest = estimate(head.time_on(hq), factor);
         let (shadow_t, shadow_procs) = tl
@@ -388,7 +413,7 @@ pub(crate) fn easy_pass(
         // Backfill the rest of the queue without delaying the shadow.
         let mut i = 1;
         while i < queue.len() {
-            let job = order[queue[i]];
+            let job = &order[queue[i]];
             let q = job.min_procs();
             let dur = job.time_on(q);
             let est = estimate(dur, factor);

@@ -39,11 +39,14 @@
 //!   commitments, once the batch is placed — which is precisely the
 //!   committed interval the full replan would have re-booked at the next
 //!   event.
-//! * **Completions** cost one heap pop at the start of the next `plan`:
-//!   bookings expire off a `(true_end, id)` min-heap and are removed from
-//!   the profile, replacing the full-path `Timeline::gc` scan. Removal
-//!   only edits segments in `[start, true_end) ⊆ [0, now)`, so the
-//!   invariant is untouched.
+//! * **Completions** cost one heap pop and one arena free at the start of
+//!   the next `plan`, and no profile edit. The planner first forgets the
+//!   timeline before `now` ([`Timeline::forget_before`]): the invariant
+//!   only constrains `[now, ∞)`, so the profile drops every segment
+//!   before it. Bookings then expire off a `(true_end, id)` min-heap,
+//!   replacing the full-path `Timeline::gc` scan; a booking with
+//!   `true_end <= now` lies wholly before the horizon, so removing it
+//!   edits no segment.
 //! * **Reservations** are booked once at construction. The first-fit
 //!   processor choice for a reservation is stable across decisions (later
 //!   commitments are always placed *around* the booked reservation, so
@@ -53,11 +56,12 @@
 //!
 //! Pointwise equality on `[now, ∞)` is all the passes can observe: every
 //! query they issue (`earliest_slot`, `free_during`, the shadow walk)
-//! starts at or after `now`, and two coalesced step functions that agree
-//! pointwise from `now` on expose identical boundary sets there. Hence
-//! the planner's placements are **bit-identical** to the full replan's —
-//! the property the differential tests in `lsps_scenario` pin down against
-//! a re-book-everything oracle kept in test code.
+//! starts at or after `now` (the timeline's horizon panics on any that
+//! does not), and two coalesced step functions that agree pointwise from
+//! `now` on expose identical boundary sets there. Hence the planner's
+//! placements are **bit-identical** to the full replan's — the property
+//! the differential tests in `lsps_scenario` pin down against a
+//! re-book-everything oracle kept in test code.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -67,7 +71,7 @@ use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
 use crate::backfill::{
-    assert_estimate_factor, conservative_pass, easy_pass, fcfs_order, BackfillPolicy,
+    assert_estimate_factor, conservative_pass, easy_pass, fcfs_sort, BackfillPolicy, PassScratch,
 };
 use crate::policy::{Policy, PolicyCtx};
 
@@ -265,8 +269,10 @@ pub struct BackfillPlanner {
     /// Bookings evicted by [`IncrementalPlanner::invalidate`] whose expiry
     /// entry is still in the heap — `plan` skips these instead of
     /// demanding they be present, keeping the missing-booking panic for
-    /// genuine bugs.
+    /// genuine bugs. Consulted only when an expiring booking is missing.
     invalidated: HashSet<BookingId>,
+    /// The passes' buffers, reused across decisions.
+    scratch: PassScratch,
 }
 
 impl BackfillPlanner {
@@ -287,6 +293,7 @@ impl BackfillPlanner {
             expiry: BinaryHeap::new(),
             touched: 0,
             invalidated: HashSet::new(),
+            scratch: PassScratch::default(),
         }
     }
 }
@@ -298,15 +305,20 @@ impl IncrementalPlanner for BackfillPlanner {
         pending: &mut Vec<Job>,
         out: &mut Vec<Commitment<Job, Placement>>,
     ) {
+        // Nothing before `now` is queried again, so expiring work below
+        // edits no profile segment: it frees only its arena slot.
+        self.tl.forget_before(now);
         while let Some(&Reverse((end, id))) = self.expiry.peek() {
             if end > now {
                 break;
             }
             self.expiry.pop();
-            if self.invalidated.remove(&id) {
-                continue;
+            if self.tl.remove(id).is_none() {
+                assert!(
+                    self.invalidated.remove(&id),
+                    "expired booking still present"
+                );
             }
-            self.tl.remove(id).expect("expired booking still present");
         }
         if pending.is_empty() {
             return;
@@ -322,7 +334,7 @@ impl IncrementalPlanner for BackfillPlanner {
         let first = out.len();
         // Every pending job has arrived, so the pass sees each release
         // raised to `now`; the commitment keeps the job as it was queued.
-        let order = fcfs_order(pending, now);
+        fcfs_sort(pending, now);
         let place = |job: &Job, start: Time, procs: ProcSet, booking: BookingId| {
             out.push(Commitment {
                 job: job.clone(),
@@ -332,10 +344,22 @@ impl IncrementalPlanner for BackfillPlanner {
             })
         };
         match self.flavour {
-            BackfillPolicy::Conservative => {
-                conservative_pass(&order, now, &mut self.tl, self.factor, place)
-            }
-            BackfillPolicy::Easy => easy_pass(&order, now, &mut self.tl, self.factor, place),
+            BackfillPolicy::Conservative => conservative_pass(
+                pending,
+                now,
+                &mut self.tl,
+                self.factor,
+                &mut self.scratch,
+                place,
+            ),
+            BackfillPolicy::Easy => easy_pass(
+                pending,
+                now,
+                &mut self.tl,
+                self.factor,
+                &mut self.scratch,
+                place,
+            ),
         }
         assert_eq!(
             out.len() - first,

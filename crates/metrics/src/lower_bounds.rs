@@ -16,7 +16,7 @@
 //!   below, hence so does the combination.
 
 use lsps_des::Dur;
-use lsps_workload::Job;
+use lsps_workload::{Job, JobId};
 
 /// Lower bound on the optimal makespan of `jobs` on `m` identical
 /// processors (moldable jobs contribute their minimal work and minimal
@@ -48,41 +48,52 @@ pub fn cmax_lower_bound(jobs: &[Job], m: usize) -> Dur {
 /// specific relaxed order, which is not simultaneously achievable — that
 /// combination exceeds the optimum on some on-line instances.
 pub fn wsum_lower_bound(jobs: &[Job], m: usize) -> f64 {
-    assert!(m >= 1);
-    // Order by Smith ratio work/weight (ascending) — the WSPT-optimal order
-    // on the squashed machine. Zero-weight jobs go last (ratio ∞).
-    let mut order: Vec<&Job> = jobs.iter().collect();
-    order.sort_by(|a, b| {
-        let ra = a.min_work().ticks() as f64 / a.weight.max(f64::MIN_POSITIVE);
-        let rb = b.min_work().ticks() as f64 / b.weight.max(f64::MIN_POSITIVE);
-        ra.partial_cmp(&rb)
-            .expect("finite ratios")
-            .then(a.id.cmp(&b.id))
-    });
-    let mut acc_work: u128 = 0;
-    let mut squashed_total = 0.0;
-    let mut individual_total = 0.0;
-    for j in order {
-        acc_work += j.min_work().ticks() as u128;
-        // Squashed completion on the speed-m resource, in ticks.
-        squashed_total += j.weight * (acc_work as f64 / m as f64);
-        individual_total += j.weight * (j.release + j.min_time()).since_epoch().ticks() as f64;
-    }
-    squashed_total.max(individual_total) / lsps_des::TICKS_PER_SEC as f64
+    identical_bound(jobs, m, |j| j.weight)
 }
 
 /// Lower bound on the optimal *sum of completion times* (unweighted):
 /// [`wsum_lower_bound`] with all weights forced to one.
 pub fn csum_lower_bound(jobs: &[Job], m: usize) -> f64 {
-    let unweighted: Vec<Job> = jobs
+    identical_bound(jobs, m, |_| 1.0)
+}
+
+/// `jobs` in Smith order under `weight`: ascending ratio work/weight — the
+/// WSPT-optimal order on the squashed machine — ties broken by id, then by
+/// input position (the order a stable sort keeps). Zero-weight jobs go
+/// last (ratio ∞). Each ratio is computed once, not per comparison.
+fn smith_order(jobs: &[Job], weight: &impl Fn(&Job) -> f64) -> Vec<usize> {
+    let mut keys: Vec<(f64, JobId, usize)> = jobs
         .iter()
-        .map(|j| {
-            let mut j = j.clone();
-            j.weight = 1.0;
-            j
+        .enumerate()
+        .map(|(i, j)| {
+            let ratio = j.min_work().ticks() as f64 / weight(j).max(f64::MIN_POSITIVE);
+            (ratio, j.id, i)
         })
         .collect();
-    wsum_lower_bound(&unweighted, m)
+    keys.sort_unstable_by(|a, b| {
+        a.0.partial_cmp(&b.0)
+            .expect("finite ratios")
+            .then(a.1.cmp(&b.1))
+            .then(a.2.cmp(&b.2))
+    });
+    keys.into_iter().map(|(_, _, i)| i).collect()
+}
+
+/// [`wsum_lower_bound`] under `weight` (see there).
+fn identical_bound(jobs: &[Job], m: usize, weight: impl Fn(&Job) -> f64) -> f64 {
+    assert!(m >= 1);
+    let mut acc_work: u128 = 0;
+    let mut squashed_total = 0.0;
+    let mut individual_total = 0.0;
+    for i in smith_order(jobs, &weight) {
+        let j = &jobs[i];
+        let w = weight(j);
+        acc_work += j.min_work().ticks() as u128;
+        // Squashed completion on the speed-m resource, in ticks.
+        squashed_total += w * (acc_work as f64 / m as f64);
+        individual_total += w * (j.release + j.min_time()).since_epoch().ticks() as f64;
+    }
+    squashed_total.max(individual_total) / lsps_des::TICKS_PER_SEC as f64
 }
 
 /// Assert a uniform-machine speed vector is usable for bounding.
@@ -119,40 +130,31 @@ pub fn uniform_cmax_lower_bound(jobs: &[Job], speeds: &[f64]) -> f64 {
 /// squashed resource running at the aggregate speed `Σ s` and the
 /// individual bound `Cj ≥ rj + pj / s_max`.
 pub fn uniform_wsum_lower_bound(jobs: &[Job], speeds: &[f64]) -> f64 {
-    let (total_speed, max_speed) = check_speeds(speeds);
-    let ticks = lsps_des::TICKS_PER_SEC as f64;
-    let mut order: Vec<&Job> = jobs.iter().collect();
-    order.sort_by(|a, b| {
-        let ra = a.min_work().ticks() as f64 / a.weight.max(f64::MIN_POSITIVE);
-        let rb = b.min_work().ticks() as f64 / b.weight.max(f64::MIN_POSITIVE);
-        ra.partial_cmp(&rb)
-            .expect("finite ratios")
-            .then(a.id.cmp(&b.id))
-    });
-    let mut acc_work = 0.0;
-    let mut squashed_total = 0.0;
-    let mut individual_total = 0.0;
-    for j in order {
-        acc_work += j.min_work().ticks() as f64;
-        squashed_total += j.weight * (acc_work / total_speed);
-        individual_total += j.weight
-            * (j.release.since_epoch().ticks() as f64 + j.min_time().ticks() as f64 / max_speed);
-    }
-    squashed_total.max(individual_total) / ticks
+    uniform_bound(jobs, speeds, |j| j.weight)
 }
 
 /// Lower bound on the optimal sum of completion times on uniform machines:
 /// [`uniform_wsum_lower_bound`] with all weights forced to one.
 pub fn uniform_csum_lower_bound(jobs: &[Job], speeds: &[f64]) -> f64 {
-    let unweighted: Vec<Job> = jobs
-        .iter()
-        .map(|j| {
-            let mut j = j.clone();
-            j.weight = 1.0;
-            j
-        })
-        .collect();
-    uniform_wsum_lower_bound(&unweighted, speeds)
+    uniform_bound(jobs, speeds, |_| 1.0)
+}
+
+/// [`uniform_wsum_lower_bound`] under `weight` (see there).
+fn uniform_bound(jobs: &[Job], speeds: &[f64], weight: impl Fn(&Job) -> f64) -> f64 {
+    let (total_speed, max_speed) = check_speeds(speeds);
+    let ticks = lsps_des::TICKS_PER_SEC as f64;
+    let mut acc_work = 0.0;
+    let mut squashed_total = 0.0;
+    let mut individual_total = 0.0;
+    for i in smith_order(jobs, &weight) {
+        let j = &jobs[i];
+        let w = weight(j);
+        acc_work += j.min_work().ticks() as f64;
+        squashed_total += w * (acc_work / total_speed);
+        individual_total +=
+            w * (j.release.since_epoch().ticks() as f64 + j.min_time().ticks() as f64 / max_speed);
+    }
+    squashed_total.max(individual_total) / ticks
 }
 
 #[cfg(test)]
@@ -316,6 +318,34 @@ mod proptests {
                 sum += end as f64 / lsps_des::TICKS_PER_SEC as f64;
             }
             prop_assert!(lb <= sum + 1e-6, "lb {lb} > feasible {sum}");
+        }
+
+        /// Each ΣC bound is its ΣωC twin over unit-weight clones, bit for
+        /// bit, on identical and on uniform machines — ratio ties (equal
+        /// lengths), zero and fractional weights, and releases included.
+        #[test]
+        fn csum_is_unweighted_wsum_bit_for_bit(
+            specs in prop::collection::vec((1u64..50, 0usize..4, 0u64..500), 0..40),
+            m in 1usize..16,
+            speeds in prop::collection::vec(0.25f64..4.0, 1..6),
+        ) {
+            const WEIGHTS: [f64; 4] = [0.0, 0.5, 1.0, 7.25];
+            let jobs: Vec<Job> = specs.iter().enumerate()
+                .map(|(i, &(len, w, rel))| {
+                    Job::sequential(i as u64, Dur::from_ticks(len * 1_000))
+                        .with_weight(WEIGHTS[w])
+                        .released_at(lsps_des::Time::from_ticks(rel))
+                })
+                .collect();
+            let unit: Vec<Job> = jobs.iter().cloned().map(|j| j.with_weight(1.0)).collect();
+            prop_assert_eq!(
+                csum_lower_bound(&jobs, m).to_bits(),
+                wsum_lower_bound(&unit, m).to_bits()
+            );
+            prop_assert_eq!(
+                uniform_csum_lower_bound(&jobs, &speeds).to_bits(),
+                uniform_wsum_lower_bound(&unit, &speeds).to_bits()
+            );
         }
 
         /// Cmax lower bound is below a greedy feasible schedule too.

@@ -28,7 +28,13 @@
 //!
 //! * an entry `(t, seg)` means exactly `seg.busy` is occupied on
 //!   `[t, next key)`; the last segment extends to [`Time::MAX`];
-//! * the array always contains a segment starting at [`Time::ZERO`];
+//! * the array always contains a segment starting at the timeline's
+//!   **horizon** — [`Time::ZERO`] until [`Timeline::forget_before`] moves
+//!   it forward. The profile describes `[horizon, ∞)` only: mutations clip
+//!   their edits to it, and booking or querying before it panics. A
+//!   planner that never looks back (every query at or after its decision
+//!   instant) forgets the past so that finished work costs no profile
+//!   edit and the array holds only live boundaries;
 //! * adjacent segments hold *distinct* busy sets (boundaries are
 //!   coalesced away as bookings come and go), so every boundary is a real
 //!   change point and the segment count is bounded by 2 × live bookings;
@@ -164,8 +170,8 @@ struct Seg {
     busy: ProcSet,
     count: u32,
     /// The predecessor segment's busy set is not a subset of this one: some
-    /// processor is freed at this boundary. Always `false` for the segment
-    /// at [`Time::ZERO`], which has no predecessor.
+    /// processor is freed at this boundary. Always `false` for the first
+    /// segment, which has no predecessor.
     frees: bool,
 }
 
@@ -189,15 +195,27 @@ impl Seg {
 /// 256 processors).
 #[derive(Clone, Debug)]
 struct Profile {
-    /// Sorted by segment start; never empty, `segs[0].0 == Time::ZERO`.
+    /// Sorted by segment start; never empty, `segs[0].0` is the horizon.
     segs: Vec<(Time, Seg)>,
 }
 
 impl Profile {
-    fn new() -> Profile {
+    /// An empty profile covering `[horizon, ∞)`.
+    fn new(horizon: Time) -> Profile {
         Profile {
-            segs: vec![(Time::ZERO, Seg::empty())],
+            segs: vec![(horizon, Seg::empty())],
         }
+    }
+
+    /// Drop every segment lying wholly before `t` (at or past the horizon)
+    /// and relabel the one covering `t` to start there. Its busy set is
+    /// untouched, so every later boundary keeps its `frees` flag.
+    fn forget_before(&mut self, t: Time) {
+        let i = self.idx_at(t);
+        self.segs.drain(..i);
+        let first = &mut self.segs[0];
+        first.0 = t;
+        first.1.frees = false;
     }
 
     /// Index of the segment covering instant `t` (the last start `<= t`).
@@ -240,15 +258,12 @@ impl Profile {
 
     /// Drop the boundary at `t` if it no longer changes the busy set. The
     /// successor keeps its flag: its predecessor's busy set is unchanged.
+    /// The first segment, at the horizon, always stays.
     fn coalesce_at(&mut self, t: Time) {
-        if t == Time::ZERO {
-            return;
-        }
         let Ok(i) = self.segs.binary_search_by_key(&t, |&(k, _)| k) else {
             return;
         };
-        // `i >= 1`: the anchor at `Time::ZERO` precedes every other key.
-        if self.segs[i - 1].1.busy == self.segs[i].1.busy {
+        if i > 0 && self.segs[i - 1].1.busy == self.segs[i].1.busy {
             self.segs.remove(i);
         }
     }
@@ -261,12 +276,13 @@ impl Profile {
         }
     }
 
-    /// Mark `procs` busy on `[start, end)`. Caller guarantees they are
-    /// currently free throughout the interval (the booking invariant), so
-    /// interior boundaries keep their busy-set change — and hence their
-    /// `frees` flag, as `procs` is disjoint from both sides — and only the
-    /// two edges are recomputed or coalesced.
+    /// Mark `procs` busy on `[start, end)`, clipped to the horizon. Caller
+    /// guarantees they are currently free throughout the interval (the
+    /// booking invariant), so interior boundaries keep their busy-set
+    /// change — and hence their `frees` flag, as `procs` is disjoint from
+    /// both sides — and only the two edges are recomputed or coalesced.
     fn add(&mut self, start: Time, end: Time, procs: &ProcSet) {
+        let start = start.max(self.segs[0].0);
         if start >= end || procs.is_empty() {
             return;
         }
@@ -287,11 +303,13 @@ impl Profile {
         self.coalesce_at(start);
     }
 
-    /// Mark `procs` free on `[start, end)`. Caller guarantees they are
-    /// busy throughout the interval (they belong to one booking covering
-    /// it), mirroring [`add`](Profile::add): `procs` is a subset of both
-    /// sides of every interior boundary, so only the edges change.
+    /// Mark `procs` free on `[start, end)`, clipped to the horizon. Caller
+    /// guarantees they are busy throughout the interval (they belong to
+    /// one booking covering it), mirroring [`add`](Profile::add): `procs`
+    /// is a subset of both sides of every interior boundary, so only the
+    /// edges change. Work that ended by the horizon edits nothing.
     fn sub(&mut self, start: Time, end: Time, procs: &ProcSet) {
+        let start = start.max(self.segs[0].0);
         if start >= end || procs.is_empty() {
             return;
         }
@@ -402,6 +420,10 @@ impl BookingStore {
 pub struct Timeline {
     capacity: ProcSet,
     bookings: BookingStore,
+    /// The earliest instant the timeline still describes: [`Time::ZERO`]
+    /// until [`forget_before`](Self::forget_before) moves it.
+    horizon: Time,
+    /// Availability on `[horizon, ∞)`, anchored at the horizon.
     profile: Profile,
 }
 
@@ -411,7 +433,8 @@ impl Timeline {
         Timeline {
             capacity,
             bookings: BookingStore::default(),
-            profile: Profile::new(),
+            horizon: Time::ZERO,
+            profile: Profile::new(Time::ZERO),
         }
     }
 
@@ -435,6 +458,29 @@ impl Timeline {
     #[cfg(test)]
     fn n_segments(&self) -> usize {
         self.profile.segs.len()
+    }
+
+    /// Panic unless `t` lies at or after the horizon: the profile says
+    /// nothing about the forgotten past.
+    fn assert_not_forgotten(&self, what: &str, t: Time) {
+        assert!(
+            t >= self.horizon,
+            "{what} at {t:?} lies before the timeline horizon {:?}",
+            self.horizon
+        );
+    }
+
+    /// Forget availability before `now`: move the horizon there (it never
+    /// moves back) and drop the profile segments that lie wholly before
+    /// it. Bookings stay in the table, but edits to them — removal,
+    /// truncation, gc — only touch the profile at or after the horizon,
+    /// so freeing a booking that ended by then costs only its arena slot.
+    /// Booking or querying before the horizon panics from then on.
+    pub fn forget_before(&mut self, now: Time) {
+        if now > self.horizon {
+            self.horizon = now;
+            self.profile.forget_before(now);
+        }
     }
 
     /// Look up a booking.
@@ -476,6 +522,9 @@ impl Timeline {
     /// Book `procs` during `[start, end)`, validating capacity and
     /// conflict-freedom. Zero-length intervals are accepted and occupy
     /// nothing.
+    ///
+    /// # Panics
+    /// If `start` lies before the horizon.
     pub fn try_book(
         &mut self,
         start: Time,
@@ -483,6 +532,7 @@ impl Timeline {
         procs: ProcSet,
         kind: BookingKind,
     ) -> Result<BookingId, BookError> {
+        self.assert_not_forgotten("booking", start);
         if end < start {
             return Err(BookError::NegativeInterval);
         }
@@ -555,8 +605,10 @@ impl Timeline {
         }
     }
 
-    /// Processors free at instant `t`.
+    /// Processors free at instant `t`, which must not lie before the
+    /// horizon (as for every query below).
     pub fn free_at(&self, t: Time) -> ProcSet {
+        self.assert_not_forgotten("query", t);
         let mut free = self.capacity.clone();
         free.subtract(self.profile.busy_at(t));
         free
@@ -581,6 +633,7 @@ impl Timeline {
     /// union walk. (`free_during` unions busy sets, so its popcount is
     /// never above this bound.)
     pub fn free_during_upper_bound(&self, start: Time, end: Time) -> usize {
+        self.assert_not_forgotten("query", start);
         let cap = self.capacity.len();
         let mut max_busy = self.profile.seg_at(start).count as usize;
         if end > start {
@@ -636,6 +689,7 @@ impl Timeline {
         dur: Dur,
         width: usize,
     ) -> Option<(Time, ProcSet)> {
+        self.assert_not_forgotten("query", earliest);
         let cap_len = self.capacity.len();
         if width > cap_len {
             return None;
@@ -708,12 +762,16 @@ impl Timeline {
     }
 
     /// Structural invariants of the profile (test support): coalesced,
-    /// anchored at zero, cached counts and `frees` flags equal to their
-    /// definitions, and equal to a from-scratch recomputation over the
-    /// booking table.
+    /// anchored at the horizon, cached counts and `frees` flags equal to
+    /// their definitions, and equal to a from-scratch recomputation over
+    /// the booking table clipped to the horizon.
     #[cfg(test)]
     fn assert_profile_consistent(&self) {
-        assert_eq!(self.profile.segs[0].0, Time::ZERO);
+        let horizon = self.horizon;
+        assert_eq!(
+            self.profile.segs[0].0, horizon,
+            "profile not anchored at the horizon"
+        );
         assert!(
             self.profile.segs.windows(2).all(|w| w[0].0 < w[1].0),
             "segment starts must be strictly sorted"
@@ -727,9 +785,9 @@ impl Timeline {
             assert_eq!(seg.frees, frees, "`frees` flag drifted at {t:?}");
             prev = Some(&seg.busy);
         }
-        let mut fresh = Profile::new();
+        let mut fresh = Profile::new(horizon);
         for (_, b) in self.bookings.iter_unordered() {
-            fresh.add(b.start, b.end, &b.procs);
+            fresh.add(b.start.max(horizon), b.end, &b.procs);
         }
         assert_eq!(
             fresh.segs, self.profile.segs,
@@ -1135,6 +1193,84 @@ mod tests {
         tl.assert_profile_consistent();
         assert!(tl.n_segments() <= 2 * tl.n_bookings() + 1);
     }
+
+    #[test]
+    #[should_panic(expected = "booking at T9 lies before the timeline horizon T10")]
+    fn booking_before_the_horizon_panics() {
+        let mut tl = Timeline::with_procs(2);
+        tl.forget_before(t(10));
+        // Even a booking reaching past the horizon: its start is unknown
+        // territory.
+        tl.book(t(9), t(20), ProcSet::full(2), BookingKind::Job);
+    }
+
+    #[test]
+    fn querying_before_the_horizon_panics() {
+        let mut tl = Timeline::with_procs(2);
+        tl.book(t(0), t(30), ProcSet::from_indices([0]), BookingKind::Job);
+        tl.forget_before(t(10));
+        // At the horizon every query answers as before forgetting.
+        assert_eq!(tl.free_at(t(10)), ProcSet::from_indices([1]));
+        assert_eq!(tl.free_during(t(10), t(40)), ProcSet::from_indices([1]));
+        assert_eq!(tl.free_during_upper_bound(t(10), t(40)), 1);
+        assert_eq!(tl.earliest_slot(t(10), d(5), 2).map(|s| s.0), Some(t(30)));
+        let refused = |name: &str, query: &dyn Fn()| {
+            let err =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).expect_err(name);
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("before the timeline horizon"), "{name}: {msg}");
+        };
+        refused("free_at", &|| {
+            tl.free_at(t(9));
+        });
+        refused("free_during", &|| {
+            tl.free_during(t(9), t(20));
+        });
+        refused("free_during_upper_bound", &|| {
+            tl.free_during_upper_bound(t(9), t(20));
+        });
+        refused("earliest_slot", &|| {
+            tl.earliest_slot(t(9), d(5), 1);
+        });
+    }
+
+    #[test]
+    fn forgetting_keeps_the_profile_equal_to_the_clipped_rebuild() {
+        let mut tl = Timeline::with_procs(4);
+        let done = tl.book(t(0), t(10), ProcSet::range(0, 2), BookingKind::Job);
+        let straddle = tl.book(t(5), t(40), ProcSet::range(2, 4), BookingKind::Job);
+        let cut = tl.book(t(10), t(50), ProcSet::range(0, 1), BookingKind::Job);
+        let later = tl.book(t(60), t(70), ProcSet::full(4), BookingKind::Job);
+        let segments = tl.n_segments();
+        tl.forget_before(t(20));
+        tl.assert_profile_consistent();
+        assert!(tl.n_segments() < segments, "the past was dropped");
+        // Forgetting is monotone: an earlier instant changes nothing.
+        tl.forget_before(t(15));
+        tl.assert_profile_consistent();
+        assert!(tl
+            .free_at(t(20))
+            .is_disjoint(&ProcSet::from_indices([0, 2, 3])));
+        // Work that ended by the horizon frees only its arena slot.
+        assert!(tl.remove(done).is_some());
+        tl.assert_profile_consistent();
+        // A booking straddling the horizon leaves its remaining part.
+        assert!(tl.remove(straddle).is_some());
+        tl.assert_profile_consistent();
+        assert_eq!(tl.free_at(t(20)), ProcSet::range(1, 4));
+        // Truncating to an instant before the horizon clips the edit too.
+        assert_eq!(tl.truncate(cut, t(15)), Some(t(15)));
+        tl.assert_profile_consistent();
+        assert_eq!(tl.free_during(t(20), t(60)), ProcSet::full(4));
+        // A boundary exactly at the new horizon becomes the anchor.
+        tl.forget_before(t(60));
+        tl.assert_profile_consistent();
+        assert_eq!(tl.free_at(t(60)), ProcSet::new());
+        tl.gc(t(70));
+        tl.assert_profile_consistent();
+        assert!(tl.booking(later).is_none());
+        assert_eq!(tl.n_segments(), 1);
+    }
 }
 
 #[cfg(test)]
@@ -1230,13 +1366,18 @@ mod proptests {
         Gc {
             at: u64,
         },
+        /// Forget before `at`, raised to the current horizon so the
+        /// applied horizons are non-decreasing.
+        Forget {
+            at: u64,
+        },
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         // Books dominate (selectors 0–3) so timelines actually fill up;
         // len 0 and width 0 exercise the degenerate paths.
         (
-            0usize..7,
+            0usize..8,
             (0u64..120, 0u64..40, 0usize..6, 0usize..4, 0usize..1024),
             0usize..32,
             0u64..160,
@@ -1251,16 +1392,19 @@ mod proptests {
                 },
                 4 => Op::Remove { pick },
                 5 => Op::Truncate { pick, at },
-                _ => Op::Gc { at },
+                6 => Op::Gc { at },
+                _ => Op::Forget { at },
             })
     }
 
     proptest! {
         /// The profile-based timeline agrees with the naive full-scan
         /// oracle on **every** query API under random interleavings of
-        /// book / remove / truncate / gc — including degenerate bookings,
-        /// rejected bookings (same error, same conflict id) and queries
-        /// with inverted or empty windows.
+        /// book / remove / truncate / gc / forget — including degenerate
+        /// bookings, rejected bookings (same error, same conflict id) and
+        /// queries with inverted or empty windows. The oracle never
+        /// forgets, so bookings and queries are raised to the horizon:
+        /// the two must agree at and after it.
         #[test]
         fn differential_vs_naive_oracle(
             machine in 0usize..MACHINES.len(),
@@ -1276,9 +1420,11 @@ mod proptests {
             // successful book, so ids correspond through the seq half.
             let same_id = |f: BookingId, s: BookingId| f.seq() as u64 == s.0;
             let mut issued: Vec<(BookingId, BookingId)> = Vec::new();
+            let mut horizon = 0;
             for op in ops {
                 match op {
                     Op::Book { start, len, p0, w, jit } => {
+                        let start = start.max(horizon);
                         let procs = scaled_range(m, p0, w, jit);
                         let a = fast.try_book(t(start), t(start + len), procs.clone(), BookingKind::Job);
                         let b = slow.try_book(t(start), t(start + len), procs, BookingKind::Job);
@@ -1308,12 +1454,18 @@ mod proptests {
                         fast.gc(t(at));
                         slow.gc(t(at));
                     }
+                    Op::Forget { at } => {
+                        horizon = horizon.max(at);
+                        fast.forget_before(t(horizon));
+                    }
                 }
                 prop_assert_eq!(fast.n_bookings(), slow.n_bookings());
+                fast.assert_profile_consistent();
             }
-            fast.assert_profile_consistent();
-            // Query battery over the final state: every query API.
+            // Query battery over the final state: every query API, at or
+            // after the horizon.
             for &(p, len) in &probes {
+                let p = p.max(horizon);
                 prop_assert_eq!(fast.free_at(t(p)), slow.free_at(t(p)), "free_at({p})");
                 prop_assert_eq!(
                     fast.free_during(t(p), t(p + len)),
@@ -1328,6 +1480,7 @@ mod proptests {
                 );
             }
             for &(earliest, latest, dur, width, wjit) in &slots {
+                let earliest = earliest.max(horizon);
                 let width = scaled_width(m, width, wjit);
                 let a = fast.earliest_slot_within(t(earliest), t(latest), Dur::from_ticks(dur), width);
                 let b = slow.earliest_slot_within(t(earliest), t(latest), Dur::from_ticks(dur), width);
