@@ -27,6 +27,8 @@
 //! percent-level drift. Absolute numbers are machine-specific — the
 //! trajectory tracks *relative* movement per op and size.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -43,7 +45,7 @@ use lsps_dlt::{
     multi_round, self_schedule, star_single_round, star_steady_state, MultiRoundParams, Worker,
     WorkerOrder,
 };
-use lsps_platform::{BookingKind, ProcSet, Timeline};
+use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_scenario::families::{large_scale_instance, trace_instance};
 use lsps_scenario::runner::{des_online, des_online_open};
 use lsps_scenario::spec::OpenEntry;
@@ -78,6 +80,20 @@ fn loaded_timeline(m: usize, bookings: usize, rng: &mut SimRng) -> Timeline {
         tl.book(start, start + len, procs, BookingKind::Job);
     }
     tl
+}
+
+/// Expiry order of a rolling timeline's bookings, earliest end first.
+type Expiry = BinaryHeap<Reverse<(Time, BookingId)>>;
+
+/// Place one random job (up to `m / 4` processors, 10–500 ticks) at its
+/// earliest slot from `now`, book it and queue its end.
+fn place_rolling(tl: &mut Timeline, expiry: &mut Expiry, now: Time, rng: &mut SimRng) {
+    let m = tl.capacity().len() as u64;
+    let q = rng.int_range(1, (m / 4).max(1)) as usize;
+    let len = Dur::from_ticks(rng.int_range(10, 500));
+    let (start, procs) = tl.earliest_slot(now, len, q).expect("fits");
+    let id = tl.book(start, start + len, procs, BookingKind::Job);
+    expiry.push(Reverse((start + len, id)));
 }
 
 /// Machine width of the policy-construction and registry-dispatch ops.
@@ -241,6 +257,36 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         );
     }
 
+    // The backfill planner's rolling-horizon cycle, one step per call: the
+    // clock moves to the next booking end, the timeline forgets the
+    // profile before it, the expired bookings are removed and as many new
+    // jobs are placed by `earliest_slot` and booked, so `live` bookings
+    // stay live. The one op that edits a forgetting timeline.
+    let live = 1_000;
+    let mut rng = SimRng::seed_from(5);
+    let mut rolling = Timeline::with_procs(m);
+    let mut expiry = Expiry::new();
+    for _ in 0..live {
+        place_rolling(&mut rolling, &mut expiry, Time::ZERO, &mut rng);
+    }
+    push(
+        &mut micro,
+        "rolling_horizon_cycle",
+        live,
+        median_ns(samples, 64, || {
+            let Reverse((now, _)) = *expiry.peek().expect("live bookings");
+            rolling.forget_before(now);
+            while let Some(&Reverse((end, id))) = expiry.peek() {
+                if end > now {
+                    break;
+                }
+                expiry.pop();
+                rolling.remove(id).expect("live");
+                place_rolling(&mut rolling, &mut expiry, now, &mut rng);
+            }
+        }),
+    );
+
     // A ProcSet datapoint so the bitset layer has a trajectory too.
     let a = ProcSet::from_indices((0..m).filter(|i| i % 3 != 0));
     let b = ProcSet::from_indices((0..m).filter(|i| i % 2 == 0));
@@ -253,10 +299,12 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         }),
     );
 
-    // The clone_from + in-place-op churn every hot timeline caller runs:
-    // refresh a scratch set from a wide (heap-repr) source, mask it, then
-    // do the same over a 64-proc inline source — the DES bench machine
-    // width. Tracks that the pooling path stays allocation-free.
+    // The clone_from + in-place-op churn of a scratch set refreshed in a
+    // loop: refresh it from a wide (heap-repr) source, mask it, then do
+    // the same over a 64-proc inline source — the DES bench machine
+    // width. Tracks that the pooling path stays allocation-free. (The
+    // timeline no longer runs this pattern: its profile keeps busy sets as
+    // raw arena rows.)
     let small_a = ProcSet::from_indices((0..64).filter(|i| i % 3 != 0));
     let small_b = ProcSet::from_indices((0..64).filter(|i| i % 2 == 0));
     let mut scratch = ProcSet::new();

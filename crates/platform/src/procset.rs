@@ -6,8 +6,9 @@
 //!
 //! Storage is small-size optimized: sets spanning up to
 //! `INLINE_WORDS * 64 = 256` processors live inline in the struct (no heap
-//! allocation — cloning a busy mask inside the availability-profile sweep
-//! is a 4-word copy), and only wider sets spill to a `Vec<u64>`. The two
+//! allocation — cloning an allocation on a machine of up to 256
+//! processors is a 4-word copy), and only wider sets spill to a
+//! `Vec<u64>`. The two
 //! representations are observationally identical: equality, hashing and the
 //! serialized form (`{"words": [...]}`) depend only on the logical word
 //! content, never on where it is stored.
@@ -15,6 +16,11 @@
 //! The representation keeps a trailing-zero-word invariant (`normalize`),
 //! so equality and emptiness checks are structural; the inline repr
 //! additionally keeps its unused words zeroed.
+//!
+//! The set-algebra kernels also run over raw word slices (`or_words` and
+//! friends, crate-private): the timeline's availability profile stores its
+//! busy sets as fixed-width rows of one word arena, not as `ProcSet`s, and
+//! converts only the answers it returns.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -50,8 +56,90 @@ const LANES: usize = 4;
 
 /// Words stored inline before spilling to the heap — 256 processors, which
 /// covers every rectangle-policy machine in the paper sweeps and the whole
-/// open-arrival bench family.
+/// open-arrival bench family, so their allocations and bookings never
+/// touch the heap.
 const INLINE_WORDS: usize = 4;
+
+/// `dst[..src.len()] |= src`, `LANES` words at a time. `dst` must be at
+/// least as long as `src`.
+#[inline]
+pub(crate) fn or_words(dst: &mut [u64], src: &[u64]) {
+    let dst = &mut dst[..src.len()];
+    let (a_chunks, a_tail) = dst.as_chunks_mut::<LANES>();
+    let (b_chunks, b_tail) = src.as_chunks::<LANES>();
+    for (a, b) in a_chunks.iter_mut().zip(b_chunks) {
+        for i in 0..LANES {
+            a[i] |= b[i];
+        }
+    }
+    for (a, &b) in a_tail.iter_mut().zip(b_tail) {
+        *a |= b;
+    }
+}
+
+/// `dst &= !src` over the two slices' common length.
+#[inline]
+pub(crate) fn and_not_words(dst: &mut [u64], src: &[u64]) {
+    let n = dst.len().min(src.len());
+    let (a_chunks, a_tail) = dst[..n].as_chunks_mut::<LANES>();
+    let (b_chunks, b_tail) = src[..n].as_chunks::<LANES>();
+    for (a, b) in a_chunks.iter_mut().zip(b_chunks) {
+        for i in 0..LANES {
+            a[i] &= !b[i];
+        }
+    }
+    for (a, &b) in a_tail.iter_mut().zip(b_tail) {
+        *a &= !b;
+    }
+}
+
+/// True iff the two word slices share no set bit.
+#[inline]
+pub(crate) fn disjoint_words(a: &[u64], b: &[u64]) -> bool {
+    let n = a.len().min(b.len());
+    let (a_chunks, a_tail) = a[..n].as_chunks::<LANES>();
+    let (b_chunks, b_tail) = b[..n].as_chunks::<LANES>();
+    for (a, b) in a_chunks.iter().zip(b_chunks) {
+        let mut acc = 0u64;
+        for i in 0..LANES {
+            acc |= a[i] & b[i];
+        }
+        if acc != 0 {
+            return false;
+        }
+    }
+    a_tail.iter().zip(b_tail).all(|(&a, &b)| a & b == 0)
+}
+
+/// True iff every bit set in `a` is set in `b`; words of `a` past `b`'s
+/// length must be zero.
+#[inline]
+pub(crate) fn subset_words(a: &[u64], b: &[u64]) -> bool {
+    let n = a.len().min(b.len());
+    let (a_chunks, a_tail) = a[..n].as_chunks::<LANES>();
+    let (b_chunks, b_tail) = b[..n].as_chunks::<LANES>();
+    for (a, b) in a_chunks.iter().zip(b_chunks) {
+        let mut acc = 0u64;
+        for i in 0..LANES {
+            acc |= a[i] & !b[i];
+        }
+        if acc != 0 {
+            return false;
+        }
+    }
+    a_tail.iter().zip(b_tail).all(|(&a, &b)| a & !b == 0) && a[n..].iter().all(|&a| a == 0)
+}
+
+/// Number of set bits.
+#[inline]
+pub(crate) fn count_words(words: &[u64]) -> usize {
+    let (chunks, tail) = words.as_chunks::<LANES>();
+    let mut n = 0usize;
+    for c in chunks {
+        n += c.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+    }
+    n + tail.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+}
 
 /// The two storage forms. `Inline` keeps `words[len..]` zeroed so kernels
 /// can hand out `&words[..len]` without masking.
@@ -85,10 +173,10 @@ impl Clone for ProcSet {
         }
     }
 
-    /// Reuses the existing storage — the profile-maintenance hot loops
-    /// clone into scratch sets every query, so this avoids an allocation
-    /// per query. A heap destination keeps its buffer even for small
-    /// sources (that buffer is exactly what the scratch exists to retain).
+    /// Reuses the existing storage, so a scratch set refreshed in a loop
+    /// allocates nothing once it has grown. A heap destination keeps its
+    /// buffer even for small sources (that buffer is exactly what the
+    /// scratch exists to retain).
     fn clone_from(&mut self, source: &ProcSet) {
         let src = source.words();
         if let Repr::Heap(v) = &mut self.repr {
@@ -173,7 +261,7 @@ impl ProcSet {
     /// The logical word content — normalized (no trailing zero words),
     /// independent of where it is stored.
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         match &self.repr {
             Repr::Inline { len, words } => &words[..*len as usize],
             Repr::Heap(v) => v,
@@ -310,12 +398,7 @@ impl ProcSet {
 
     /// Number of processors in the set.
     pub fn len(&self) -> usize {
-        let (chunks, tail) = self.words().as_chunks::<LANES>();
-        let mut n = 0usize;
-        for c in chunks {
-            n += c.iter().map(|w| w.count_ones() as usize).sum::<usize>();
-        }
-        n + tail.iter().map(|w| w.count_ones() as usize).sum::<usize>()
+        count_words(self.words())
     }
 
     /// True iff the set is empty.
@@ -345,20 +428,8 @@ impl ProcSet {
 
     /// In-place union.
     pub fn union_with(&mut self, other: &ProcSet) {
-        let n = other.word_len();
-        self.ensure_word(n.saturating_sub(1));
-        let words = self.words_mut();
-        let (a_chunks, _) = words[..n].as_chunks_mut::<LANES>();
-        let (b_chunks, _) = other.words().as_chunks::<LANES>();
-        for (a, b) in a_chunks.iter_mut().zip(b_chunks) {
-            for i in 0..LANES {
-                a[i] |= b[i];
-            }
-        }
-        let tail = (n / LANES) * LANES;
-        for (a, b) in words[tail..n].iter_mut().zip(&other.words()[tail..n]) {
-            *a |= *b;
-        }
+        self.ensure_word(other.word_len().saturating_sub(1));
+        or_words(self.words_mut(), other.words());
         self.normalize();
     }
 
@@ -383,19 +454,13 @@ impl ProcSet {
 
     /// In-place difference (`self \ other`).
     pub fn subtract(&mut self, other: &ProcSet) {
-        let n = self.word_len().min(other.word_len());
-        let words = self.words_mut();
-        let (a_chunks, a_tail) = words[..n].as_chunks_mut::<LANES>();
-        let (b_chunks, _) = other.words().as_chunks::<LANES>();
-        for (a, b) in a_chunks.iter_mut().zip(b_chunks) {
-            for i in 0..LANES {
-                a[i] &= !b[i];
-            }
-        }
-        let off = (n / LANES) * LANES;
-        for (a, &b) in a_tail.iter_mut().zip(&other.words()[off..n]) {
-            *a &= !b;
-        }
+        self.subtract_words(other.words());
+    }
+
+    /// In-place difference with a raw word slice (`self \ other`); words
+    /// of `other` past `self`'s length are ignored.
+    pub(crate) fn subtract_words(&mut self, other: &[u64]) {
+        and_not_words(self.words_mut(), other);
         self.normalize();
     }
 
@@ -422,58 +487,17 @@ impl ProcSet {
 
     /// True iff the two sets share no processor.
     pub fn is_disjoint(&self, other: &ProcSet) -> bool {
-        let (sw, ow) = (self.words(), other.words());
-        let n = sw.len().min(ow.len());
-        let (a_chunks, _) = sw[..n].as_chunks::<LANES>();
-        let (b_chunks, _) = ow[..n].as_chunks::<LANES>();
-        for (a, b) in a_chunks.iter().zip(b_chunks) {
-            let mut acc = 0u64;
-            for i in 0..LANES {
-                acc |= a[i] & b[i];
-            }
-            if acc != 0 {
-                return false;
-            }
-        }
-        let off = (n / LANES) * LANES;
-        sw[off..n]
-            .iter()
-            .zip(&ow[off..n])
-            .all(|(&a, &b)| a & b == 0)
+        disjoint_words(self.words(), other.words())
     }
 
     /// True iff every processor of `self` is in `other`.
     pub fn is_subset(&self, other: &ProcSet) -> bool {
-        let (sw, ow) = (self.words(), other.words());
-        let n = sw.len().min(ow.len());
-        let (a_chunks, _) = sw[..n].as_chunks::<LANES>();
-        let (b_chunks, _) = ow[..n].as_chunks::<LANES>();
-        for (a, b) in a_chunks.iter().zip(b_chunks) {
-            let mut acc = 0u64;
-            for i in 0..LANES {
-                acc |= a[i] & !b[i];
-            }
-            if acc != 0 {
-                return false;
-            }
-        }
-        let off = (n / LANES) * LANES;
-        if !sw[off..n]
-            .iter()
-            .zip(&ow[off..n])
-            .all(|(&a, &b)| a & !b == 0)
-        {
-            return false;
-        }
-        // The normalize invariant allows non-zero words only up to len();
-        // anything of `self` beyond `other`'s words is outside `other`.
-        sw[n..].iter().all(|&a| a == 0)
+        subset_words(self.words(), other.words())
     }
 
-    /// `|self \ other|` without materializing the difference — the
-    /// feasibility test of the availability-profile sweep ("are at least
-    /// `width` of the capacity procs outside this busy union?") runs this
-    /// per candidate start, so it must not allocate.
+    /// `|self \ other|` without materializing the difference, so a
+    /// feasibility test ("are at least `width` of these procs outside that
+    /// busy set?") allocates nothing.
     pub fn difference_len(&self, other: &ProcSet) -> usize {
         let (sw, ow) = (self.words(), other.words());
         let n = sw.len().min(ow.len());
@@ -503,6 +527,13 @@ impl ProcSet {
     /// taken at once and the scan stops at the word containing the `k`-th
     /// member. Panics if fewer than `k` processors are available.
     pub fn take_first(&self, k: usize) -> ProcSet {
+        ProcSet::take_first_of(self.words(), k)
+    }
+
+    /// [`take_first`](Self::take_first) over a raw word slice, which may
+    /// carry trailing zero words. Panics if it holds fewer than `k`
+    /// processors.
+    pub(crate) fn take_first_of(words: &[u64], k: usize) -> ProcSet {
         let mut out = ProcSet::new();
         if k == 0 {
             return out;
@@ -512,7 +543,7 @@ impl ProcSet {
         // popcount fits in `remaining` are copied wholesale; the scan
         // drops to word granularity only inside the block holding the
         // k-th member.
-        let (chunks, _) = self.words().as_chunks::<LANES>();
+        let (chunks, _) = words.as_chunks::<LANES>();
         let mut wi0 = 0usize;
         for c in chunks {
             let here: usize = c.iter().map(|w| w.count_ones() as usize).sum();
@@ -527,8 +558,7 @@ impl ProcSet {
             }
             wi0 += LANES;
         }
-        for wi in wi0..self.word_len() {
-            let w = self.words()[wi];
+        for (wi, &w) in words.iter().enumerate().skip(wi0) {
             let here = w.count_ones() as usize;
             if here == 0 {
                 continue;
@@ -555,7 +585,7 @@ impl ProcSet {
                 return out;
             }
         }
-        panic!("take_first({k}) from a set of {} procs", self.len());
+        panic!("take_first({k}) from a set of {} procs", count_words(words));
     }
 
     /// Iterate over members in increasing index order.

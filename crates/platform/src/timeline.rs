@@ -22,12 +22,13 @@
 //! availability profile** — the structure production batch schedulers
 //! (Slurm, OAR, EASY \[Lifka 95\]) keep to make placement sublinear. The
 //! profile is a piecewise-constant map from time to the *busy* processor
-//! set, stored as a sorted array of `(segment start, segment)` pairs, where
-//! a segment holds its busy set, that set's cached popcount and a `frees`
-//! flag:
+//! set, stored as a sorted array of segment starts, a parallel array of
+//! per-segment metadata (the segment's busy row, that row's cached popcount
+//! and a `frees` flag) and one arena of busy rows:
 //!
-//! * an entry `(t, seg)` means exactly `seg.busy` is occupied on
-//!   `[t, next key)`; the last segment extends to [`Time::MAX`];
+//! * a start `t` whose segment owns row `r` means exactly the processors of
+//!   row `r` are occupied on `[t, next start)`; the last segment extends to
+//!   [`Time::MAX`];
 //! * the array always contains a segment starting at the timeline's
 //!   **horizon** — [`Time::ZERO`] until [`Timeline::forget_before`] moves
 //!   it forward. The profile describes `[horizon, ∞)` only: mutations clip
@@ -38,45 +39,52 @@
 //! * adjacent segments hold *distinct* busy sets (boundaries are
 //!   coalesced away as bookings come and go), so every boundary is a real
 //!   change point and the segment count is bounded by 2 × live bookings;
-//! * `seg.frees` says the boundary at `t` frees a processor: the previous
-//!   segment's busy set is not a subset of this one. A booking's processors
-//!   are free throughout its interval, so adding or removing them leaves
-//!   every interior boundary's flag as it was; a mutation recomputes the
-//!   flag only at the two edges it touches.
+//! * a segment's `frees` flag says its boundary frees a processor: the
+//!   previous segment's busy set is not a subset of this one. A booking's
+//!   processors are free throughout its interval, so adding or removing
+//!   them leaves every interior boundary's flag as it was; a mutation
+//!   recomputes the flag only at the two edges it touches.
 //!
-//! The sorted-array layout (rather than an ordered tree) is a deliberate
-//! hot-path choice: the bound above keeps the whole profile a few cache
-//! lines wide, so binary search beats pointer-chasing, range walks are
-//! contiguous slice scans, and boundary insertion is a short `memmove`
-//! with no per-node allocation.
+//! The layout is a deliberate hot-path choice. Sorted arrays rather than
+//! an ordered tree: the bound above keeps the profile a few cache lines
+//! wide, so binary search beats pointer-chasing and range walks are
+//! contiguous scans. Busy sets as rows of one arena, each as wide as the
+//! capacity in words, rather than a `ProcSet` per segment: a boundary
+//! split copies its row into a slot recycled through a free list, and
+//! coalescing or forgetting returns rows to it, so no boundary edit
+//! allocates once the arena has grown, and an insert or removal shifts only
+//! starts and metadata, never busy words.
 //!
 //! Every mutation ([`Timeline::try_book`], [`Timeline::remove`],
-//! [`Timeline::truncate`], [`Timeline::gc`]) updates the touched segments
-//! in O(log S + touched); every query reads the profile instead of
-//! scanning the booking table:
+//! [`Timeline::truncate`], [`Timeline::gc`]) locates its start boundary
+//! once and walks forward to its end, updating the touched segments in
+//! O(log S + touched); every query reads the profile instead of scanning
+//! the booking table:
 //!
 //! * [`Timeline::free_at`] is one binary search,
-//! * [`Timeline::free_during`] unions the busy sets of the covered
+//! * [`Timeline::free_during`] unions the busy rows of the covered
 //!   segments,
 //! * [`Timeline::earliest_slot`] is one forward walk that does constant
 //!   work per boundary: it reads the `frees` flag (the free set of a
 //!   sliding window can only grow where processors are freed) and keeps a
 //!   forward index to the next segment too busy by count, which rules out
 //!   every candidate window covering it. Each remaining candidate window
-//!   is walked once, unioning its busy sets until the popcount shows it
-//!   infeasible; a window that fits yields its free set from that union.
+//!   is walked once, unioning its busy rows into a stack buffer until the
+//!   popcount shows it infeasible; a window that fits yields its free set
+//!   from that union. Only that answer becomes a [`ProcSet`].
 //!
 //! The naive full-scan implementation is retained under `#[cfg(test)]`
 //! (`naive::NaiveTimeline`) as the reference oracle for the differential
 //! property tests at the bottom of this module.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use lsps_des::{Dur, Time};
 
-use crate::procset::ProcSet;
+use crate::procset::{and_not_words, count_words, disjoint_words, or_words, subset_words, ProcSet};
 
 /// Why an interval is booked — used by policies to decide what may be
 /// displaced (best-effort bookings are killable, the others are not).
@@ -159,15 +167,20 @@ impl fmt::Display for BookError {
 
 impl std::error::Error for BookError {}
 
-/// One profile segment: the busy set on `[key, next key)`, its cached
-/// popcount, and whether its boundary frees a processor. Every placement
-/// probe needs "how many processors are free here" before it needs the
-/// exact set, so the count is maintained on mutation instead of being
-/// recomputed per query — it is what lets [`Timeline::earliest_slot`] rule
-/// windows out without touching a set.
-#[derive(Clone, Debug, PartialEq)]
-struct Seg {
-    busy: ProcSet,
+/// Words of the candidate-window union [`Timeline::earliest_slot`] keeps on
+/// the stack — 1024 processors; only wider machines put it on the heap.
+const STACK_WORDS: usize = 16;
+
+/// Per-segment metadata, parallel to the segment starts: the arena row
+/// holding the segment's busy set, that set's popcount, and whether the
+/// segment's boundary frees a processor. Every placement probe needs "how
+/// many processors are free here" before it needs the exact set, so the
+/// count is maintained on mutation instead of being recomputed per query —
+/// it is what lets [`Timeline::earliest_slot`] rule windows out without
+/// touching a row.
+#[derive(Clone, Copy, Debug)]
+struct Meta {
+    row: u32,
     count: u32,
     /// The predecessor segment's busy set is not a subset of this one: some
     /// processor is freed at this boundary. Always `false` for the first
@@ -175,104 +188,145 @@ struct Seg {
     frees: bool,
 }
 
-impl Seg {
-    fn empty() -> Seg {
-        Seg {
-            busy: ProcSet::new(),
-            count: 0,
-            frees: false,
-        }
-    }
-}
-
-/// The piecewise-constant busy profile (see the module docs), stored as a
-/// **sorted array** of `(segment start, segment)` pairs rather than an
-/// ordered tree: the segment count is bounded by 2 × live bookings, so the
-/// whole profile stays a few cache lines wide, point lookups are one
-/// branchless binary search, range walks are contiguous slice scans, and
-/// boundary insertion/removal is a short `memmove`. A new boundary
-/// allocates only to copy a busy set too wide to store inline (more than
-/// 256 processors).
+/// The piecewise-constant busy profile (see the module docs) in three
+/// parts: the sorted segment starts, their [`Meta`], and one arena of
+/// busy rows, `stride` words each (the capacity's word length), with a
+/// free list of vacated rows. Boundary edits move only the 8-byte start
+/// and the 12-byte metadata: a split copies its busy row into a recycled
+/// slot, and coalescing or forgetting returns rows to the free list, so
+/// once the arena has grown to the working size no edit allocates or moves
+/// busy words, at any machine width.
 #[derive(Clone, Debug)]
 struct Profile {
-    /// Sorted by segment start; never empty, `segs[0].0` is the horizon.
-    segs: Vec<(Time, Seg)>,
+    /// Strictly increasing; never empty, `starts[0]` is the horizon.
+    starts: Vec<Time>,
+    /// Parallel to `starts`; every entry owns a distinct row.
+    meta: Vec<Meta>,
+    /// Row `r` is `rows[r * stride..(r + 1) * stride]`.
+    rows: Vec<u64>,
+    /// Rows no segment owns.
+    free_rows: Vec<u32>,
+    stride: usize,
 }
 
 impl Profile {
-    /// An empty profile covering `[horizon, ∞)`.
-    fn new(horizon: Time) -> Profile {
+    /// An empty profile covering `[horizon, ∞)` with `words`-word rows.
+    fn new(horizon: Time, words: usize) -> Profile {
+        // A capacity of no processors still gets one-word rows, so arena
+        // slots stay countable.
+        let stride = words.max(1);
         Profile {
-            segs: vec![(horizon, Seg::empty())],
+            starts: vec![horizon],
+            meta: vec![Meta {
+                row: 0,
+                count: 0,
+                frees: false,
+            }],
+            rows: vec![0; stride],
+            free_rows: Vec::new(),
+            stride,
         }
     }
 
-    /// Drop every segment lying wholly before `t` (at or past the horizon)
-    /// and relabel the one covering `t` to start there. Its busy set is
-    /// untouched, so every later boundary keeps its `frees` flag.
+    /// Arena row `r`.
+    fn row(&self, r: u32) -> &[u64] {
+        let at = r as usize * self.stride;
+        &self.rows[at..at + self.stride]
+    }
+
+    /// The busy row of segment `i`.
+    fn busy(&self, i: usize) -> &[u64] {
+        self.row(self.meta[i].row)
+    }
+
+    /// A row holding a copy of row `src`: a recycled one if any is free,
+    /// else one appended to the arena.
+    fn copy_row(&mut self, src: u32) -> u32 {
+        let from = src as usize * self.stride;
+        match self.free_rows.pop() {
+            Some(r) => {
+                self.rows
+                    .copy_within(from..from + self.stride, r as usize * self.stride);
+                r
+            }
+            None => {
+                let r = u32::try_from(self.rows.len() / self.stride).expect("profile arena full");
+                self.rows.extend_from_within(from..from + self.stride);
+                r
+            }
+        }
+    }
+
+    /// Drop every segment lying wholly before `t` (at or past the horizon),
+    /// returning their rows, and relabel the one covering `t` to start
+    /// there. Its busy set is untouched, so every later boundary keeps its
+    /// `frees` flag.
     fn forget_before(&mut self, t: Time) {
         let i = self.idx_at(t);
-        self.segs.drain(..i);
-        let first = &mut self.segs[0];
-        first.0 = t;
-        first.1.frees = false;
+        self.free_rows.extend(self.meta[..i].iter().map(|m| m.row));
+        self.starts.drain(..i);
+        self.meta.drain(..i);
+        self.starts[0] = t;
+        self.meta[0].frees = false;
     }
 
     /// Index of the segment covering instant `t` (the last start `<= t`).
     fn idx_at(&self, t: Time) -> usize {
-        self.segs.partition_point(|&(k, _)| k <= t) - 1
+        self.starts.partition_point(|&k| k <= t) - 1
     }
 
-    /// The segment covering instant `t`.
-    fn seg_at(&self, t: Time) -> &Seg {
-        &self.segs[self.idx_at(t)].1
+    /// Indices of the segments meeting `[start, end)`: one locate, then a
+    /// walk forward. An empty window yields just the segment covering
+    /// `start`.
+    fn covering(&self, start: Time, end: Time) -> Range<usize> {
+        let lo = self.idx_at(start);
+        let hi = lo
+            + 1
+            + self.starts[lo + 1..]
+                .iter()
+                .take_while(|&&k| k < end)
+                .count();
+        lo..hi
     }
 
-    /// The busy set at instant `t`.
-    fn busy_at(&self, t: Time) -> &ProcSet {
-        &self.seg_at(t).busy
-    }
-
-    /// Segments whose start lies in the open interval `(after, before)` —
-    /// the range read every windowed query walks.
-    fn between(&self, after: Time, before: Time) -> &[(Time, Seg)] {
-        let lo = self.segs.partition_point(|&(k, _)| k <= after);
-        let hi = self.segs.partition_point(|&(k, _)| k < before);
-        &self.segs[lo..hi.max(lo)]
-    }
-
-    /// Ensure a boundary exists at `t`, splitting the covering segment.
-    /// Returns the index of the segment starting at `t`.
-    fn split_at(&mut self, t: Time) -> usize {
-        let i = self.idx_at(t);
-        if self.segs[i].0 == t {
+    /// Ensure a boundary at `t`, given the index `i` of the segment covering
+    /// it. Returns the index of the segment starting at `t`.
+    fn split(&mut self, i: usize, t: Time) -> usize {
+        if self.starts[i] == t {
             return i;
         }
         // The copy repeats its predecessor, so its boundary frees nothing;
         // the successor's predecessor set is unchanged, and so is its flag.
-        let mut copy = self.segs[i].1.clone();
-        copy.frees = false;
-        self.segs.insert(i + 1, (t, copy));
+        let row = self.copy_row(self.meta[i].row);
+        self.starts.insert(i + 1, t);
+        self.meta.insert(
+            i + 1,
+            Meta {
+                row,
+                count: self.meta[i].count,
+                frees: false,
+            },
+        );
         i + 1
     }
 
-    /// Drop the boundary at `t` if it no longer changes the busy set. The
-    /// successor keeps its flag: its predecessor's busy set is unchanged.
-    /// The first segment, at the horizon, always stays.
-    fn coalesce_at(&mut self, t: Time) {
-        let Ok(i) = self.segs.binary_search_by_key(&t, |&(k, _)| k) else {
-            return;
-        };
-        if i > 0 && self.segs[i - 1].1.busy == self.segs[i].1.busy {
-            self.segs.remove(i);
+    /// Drop the boundary starting segment `i` if it no longer changes the
+    /// busy set, returning its row to the free list. The successor keeps
+    /// its flag: its predecessor's busy set is unchanged. The first
+    /// segment, at the horizon, always stays.
+    fn coalesce(&mut self, i: usize) {
+        if i > 0 && self.meta[i - 1].count == self.meta[i].count && self.busy(i - 1) == self.busy(i)
+        {
+            self.free_rows.push(self.meta[i].row);
+            self.starts.remove(i);
+            self.meta.remove(i);
         }
     }
 
     /// Recompute the `frees` flag of the boundary starting segment `i`.
     fn refresh_frees(&mut self, i: usize) {
         if i > 0 {
-            let frees = !self.segs[i - 1].1.busy.is_subset(&self.segs[i].1.busy);
-            self.segs[i].1.frees = frees;
+            self.meta[i].frees = !subset_words(self.busy(i - 1), self.busy(i));
         }
     }
 
@@ -282,25 +336,7 @@ impl Profile {
     /// change — and hence their `frees` flag, as `procs` is disjoint from
     /// both sides — and only the two edges are recomputed or coalesced.
     fn add(&mut self, start: Time, end: Time, procs: &ProcSet) {
-        let start = start.max(self.segs[0].0);
-        if start >= end || procs.is_empty() {
-            return;
-        }
-        let delta = procs.len() as u32;
-        let lo = self.split_at(start);
-        // `end > start`, so this insert cannot shift indices at or below
-        // `lo`: the segments covering `[start, end)` are exactly `lo..hi`.
-        let hi = self.split_at(end);
-        for (_, seg) in &mut self.segs[lo..hi] {
-            seg.busy.union_with(procs);
-            // Disjointness is the booking invariant, so the union grows by
-            // exactly |procs|.
-            seg.count += delta;
-        }
-        self.refresh_frees(lo);
-        self.refresh_frees(hi);
-        self.coalesce_at(end);
-        self.coalesce_at(start);
+        self.edit(start, end, procs, true);
     }
 
     /// Mark `procs` free on `[start, end)`, clipped to the horizon. Caller
@@ -309,21 +345,47 @@ impl Profile {
     /// is a subset of both sides of every interior boundary, so only the
     /// edges change. Work that ended by the horizon edits nothing.
     fn sub(&mut self, start: Time, end: Time, procs: &ProcSet) {
-        let start = start.max(self.segs[0].0);
+        self.edit(start, end, procs, false);
+    }
+
+    /// [`add`](Profile::add) (`busy`) or [`sub`](Profile::sub) (`!busy`):
+    /// one locate of `start`, then a walk forward to `end`. The edge
+    /// indices it finds serve the splits, the flag refreshes and the
+    /// coalescing, which need no second search.
+    fn edit(&mut self, start: Time, end: Time, procs: &ProcSet, busy: bool) {
+        let start = start.max(self.starts[0]);
         if start >= end || procs.is_empty() {
             return;
         }
+        let lo = self.split(self.idx_at(start), start);
+        // The segment covering `end`: the last start `<= end`, at or after
+        // `lo` because `end > start`.
+        let last = lo
+            + self.starts[lo + 1..]
+                .iter()
+                .take_while(|&&k| k <= end)
+                .count();
+        let hi = self.split(last, end);
+        let words = procs.words();
+        // Disjointness (or containment, for `sub`) is the booking
+        // invariant, so each count moves by exactly |procs|.
         let delta = procs.len() as u32;
-        let lo = self.split_at(start);
-        let hi = self.split_at(end);
-        for (_, seg) in &mut self.segs[lo..hi] {
-            seg.busy.subtract(procs);
-            seg.count -= delta;
+        for i in lo..hi {
+            let Meta { row, count, .. } = &mut self.meta[i];
+            let at = *row as usize * self.stride;
+            let row = &mut self.rows[at..at + self.stride];
+            if busy {
+                or_words(row, words);
+                *count += delta;
+            } else {
+                and_not_words(row, words);
+                *count -= delta;
+            }
         }
         self.refresh_frees(lo);
         self.refresh_frees(hi);
-        self.coalesce_at(end);
-        self.coalesce_at(start);
+        self.coalesce(hi);
+        self.coalesce(lo);
     }
 }
 
@@ -431,10 +493,10 @@ impl Timeline {
     /// A timeline over the given capacity, initially all free.
     pub fn new(capacity: ProcSet) -> Self {
         Timeline {
-            capacity,
             bookings: BookingStore::default(),
             horizon: Time::ZERO,
-            profile: Profile::new(Time::ZERO),
+            profile: Profile::new(Time::ZERO, capacity.words().len()),
+            capacity,
         }
     }
 
@@ -457,7 +519,7 @@ impl Timeline {
     /// `2 × n_bookings + 1` by the coalescing invariant).
     #[cfg(test)]
     fn n_segments(&self) -> usize {
-        self.profile.segs.len()
+        self.profile.starts.len()
     }
 
     /// Panic unless `t` lies at or after the horizon: the profile says
@@ -501,12 +563,10 @@ impl Timeline {
     /// order, if any. The fast path is a profile probe; the booking table
     /// is scanned only to *name* the conflict in the error.
     fn conflict(&self, start: Time, end: Time, procs: &ProcSet) -> Option<BookingId> {
-        let clash = !self.profile.busy_at(start).is_disjoint(procs)
-            || self
-                .profile
-                .between(start, end)
-                .iter()
-                .any(|(_, seg)| !seg.busy.is_disjoint(procs));
+        let clash = self
+            .profile
+            .covering(start, end)
+            .any(|i| !disjoint_words(self.profile.busy(i), procs.words()));
         if !clash {
             return None;
         }
@@ -610,18 +670,17 @@ impl Timeline {
     pub fn free_at(&self, t: Time) -> ProcSet {
         self.assert_not_forgotten("query", t);
         let mut free = self.capacity.clone();
-        free.subtract(self.profile.busy_at(t));
+        free.subtract_words(self.profile.busy(self.profile.idx_at(t)));
         free
     }
 
     /// Processors free during the whole window `[start, end)`. For an empty
     /// window this degenerates to [`free_at`](Self::free_at)`(start)`.
     pub fn free_during(&self, start: Time, end: Time) -> ProcSet {
-        let mut free = self.free_at(start);
-        if end > start {
-            for (_, seg) in self.profile.between(start, end) {
-                free.subtract(&seg.busy);
-            }
+        self.assert_not_forgotten("query", start);
+        let mut free = self.capacity.clone();
+        for i in self.profile.covering(start, end) {
+            free.subtract_words(self.profile.busy(i));
         }
         free
     }
@@ -635,30 +694,34 @@ impl Timeline {
     pub fn free_during_upper_bound(&self, start: Time, end: Time) -> usize {
         self.assert_not_forgotten("query", start);
         let cap = self.capacity.len();
-        let mut max_busy = self.profile.seg_at(start).count as usize;
-        if end > start {
-            for (_, seg) in self.profile.between(start, end) {
-                max_busy = max_busy.max(seg.count as usize);
-            }
-        }
+        let max_busy = self
+            .profile
+            .covering(start, end)
+            .map(|i| self.profile.meta[i].count as usize)
+            .max()
+            .expect("a window meets at least one segment");
         cap - max_busy.min(cap)
     }
 
-    /// At least `width` of capacity free throughout the window that starts
+    /// At most `max_busy` processors busy throughout the window that starts
     /// inside segment `first` and ends at `end`? The one walk a candidate
-    /// window gets: `busy` accumulates the union of the covered busy sets,
-    /// counted against capacity after each segment so the walk stops as
-    /// soon as the window is known infeasible. On success `busy` holds the
-    /// window's whole busy union, so the free set is `capacity \ busy`.
-    fn window_fits(&self, first: usize, end: Time, width: usize, busy: &mut ProcSet) -> bool {
-        let segs = &self.profile.segs;
-        busy.clone_from(&segs[first].1.busy);
-        if self.capacity.difference_len(busy) < width {
+    /// window gets: `busy` accumulates the union of the covered busy rows,
+    /// counted after each segment so the walk stops as soon as the window
+    /// is known infeasible. Rows are subsets of capacity, so the window's
+    /// free count is `|capacity| − |busy|`. On success `busy` holds the
+    /// window's whole busy union.
+    fn window_fits(&self, first: usize, end: Time, max_busy: usize, busy: &mut [u64]) -> bool {
+        let p = &self.profile;
+        busy.copy_from_slice(p.busy(first));
+        if p.meta[first].count as usize > max_busy {
             return false;
         }
-        for (_, seg) in segs[first + 1..].iter().take_while(|&&(k, _)| k < end) {
-            busy.union_with(&seg.busy);
-            if self.capacity.difference_len(busy) < width {
+        for i in first + 1..p.starts.len() {
+            if p.starts[i] >= end {
+                break;
+            }
+            or_words(busy, p.busy(i));
+            if count_words(busy) > max_busy {
                 return false;
             }
         }
@@ -704,16 +767,31 @@ impl Timeline {
         // are monotone in the start, so once `earliest + dur` overflows, so
         // does every later candidate — the whole search is infeasible.
         let first_end = earliest.checked_add(dur)?;
-        let segs = &self.profile.segs;
-        // One scratch union for every candidate window.
-        let mut busy = ProcSet::new();
+        let p = &self.profile;
+        let max_busy = cap_len - width;
+        // One scratch union for every candidate window, on the stack up to
+        // `STACK_WORDS` words.
+        let mut stack = [0u64; STACK_WORDS];
+        let mut heap = Vec::new();
+        let busy: &mut [u64] = if p.stride <= STACK_WORDS {
+            &mut stack[..p.stride]
+        } else {
+            heap.resize(p.stride, 0);
+            &mut heap
+        };
+        let cap = self.capacity.words();
         let mut check = |first: usize, t: Time, end: Time| {
-            self.window_fits(first, end, width, &mut busy)
-                .then(|| (t, self.capacity.difference(&busy).take_first(width)))
+            if !self.window_fits(first, end, max_busy, busy) {
+                return None;
+            }
+            for (b, &c) in busy.iter_mut().zip(cap) {
+                *b = c & !*b;
+            }
+            Some((t, ProcSet::take_first_of(&busy[..cap.len()], width)))
         };
         // `earliest` itself is always a candidate — even past
         // `latest_start`, matching the historical candidate set.
-        let at = self.profile.idx_at(earliest);
+        let at = p.idx_at(earliest);
         if let Some(hit) = check(at, earliest, first_end) {
             return Some(hit);
         }
@@ -732,13 +810,13 @@ impl Timeline {
         // Only the count check may skip: a window that passes counts but
         // fails the union test (fragmented free sets) rules out nothing
         // beyond itself.
-        let max_busy = cap_len - width;
-        let stop = segs.partition_point(|&(k, _)| k <= latest_start);
+        let (starts, meta) = (&p.starts, &p.meta);
+        let stop = starts.partition_point(|&k| k <= latest_start);
         let mut blocked = at + 1;
         let mut i = at + 1;
         while i < stop {
-            let (t, ref seg) = segs[i];
-            if !seg.frees {
+            let t = starts[i];
+            if !meta[i].frees {
                 i += 1;
                 continue;
             }
@@ -746,10 +824,10 @@ impl Timeline {
             // off the tick axis ends the search — every later one does too.
             let end = t.checked_add(dur)?;
             blocked = blocked.max(i);
-            while blocked < segs.len() && segs[blocked].1.count as usize <= max_busy {
+            while blocked < meta.len() && meta[blocked].count as usize <= max_busy {
                 blocked += 1;
             }
-            if blocked < segs.len() && (blocked == i || segs[blocked].0 < end) {
+            if blocked < meta.len() && (blocked == i || starts[blocked] < end) {
                 i = blocked + 1;
                 continue;
             }
@@ -763,36 +841,63 @@ impl Timeline {
 
     /// Structural invariants of the profile (test support): coalesced,
     /// anchored at the horizon, cached counts and `frees` flags equal to
-    /// their definitions, and equal to a from-scratch recomputation over
-    /// the booking table clipped to the horizon.
+    /// their definitions, every arena row owned by exactly one segment or
+    /// the free list, and equal by value to a from-scratch recomputation
+    /// over the booking table clipped to the horizon.
     #[cfg(test)]
     fn assert_profile_consistent(&self) {
-        let horizon = self.horizon;
-        assert_eq!(
-            self.profile.segs[0].0, horizon,
-            "profile not anchored at the horizon"
-        );
+        let (horizon, p) = (self.horizon, &self.profile);
+        assert_eq!(p.starts[0], horizon, "profile not anchored at the horizon");
+        assert_eq!(p.starts.len(), p.meta.len());
         assert!(
-            self.profile.segs.windows(2).all(|w| w[0].0 < w[1].0),
+            p.starts.windows(2).all(|w| w[0] < w[1]),
             "segment starts must be strictly sorted"
         );
-        let mut prev: Option<&ProcSet> = None;
-        for (t, seg) in &self.profile.segs {
-            assert!(seg.busy.is_subset(&self.capacity));
-            assert_eq!(seg.busy.len(), seg.count as usize, "cached count drifted");
-            assert_ne!(prev, Some(&seg.busy), "adjacent segments must differ");
-            let frees = prev.is_some_and(|p| p.difference_len(&seg.busy) > 0);
-            assert_eq!(seg.frees, frees, "`frees` flag drifted at {t:?}");
-            prev = Some(&seg.busy);
+        assert_eq!(p.rows.len() % p.stride, 0, "arena holds whole rows");
+        let mut owned = vec![false; p.rows.len() / p.stride];
+        for r in p
+            .meta
+            .iter()
+            .map(|m| m.row)
+            .chain(p.free_rows.iter().copied())
+        {
+            let slot = owned.get_mut(r as usize).expect("row inside the arena");
+            assert!(!*slot, "arena row {r} owned twice");
+            *slot = true;
         }
-        let mut fresh = Profile::new(horizon);
+        assert!(owned.iter().all(|&o| o), "arena rows leaked");
+        let mut prev: Option<&[u64]> = None;
+        for (t, m) in p.starts.iter().zip(&p.meta) {
+            let busy = p.row(m.row);
+            assert!(subset_words(busy, self.capacity.words()));
+            assert_eq!(count_words(busy), m.count as usize, "cached count drifted");
+            assert_ne!(prev, Some(busy), "adjacent segments must differ");
+            let frees = prev.is_some_and(|q| !subset_words(q, busy));
+            assert_eq!(m.frees, frees, "`frees` flag drifted at {t:?}");
+            prev = Some(busy);
+        }
+        let mut fresh = Profile::new(horizon, p.stride);
         for (_, b) in self.bookings.iter_unordered() {
             fresh.add(b.start.max(horizon), b.end, &b.procs);
         }
         assert_eq!(
-            fresh.segs, self.profile.segs,
+            fresh.by_value(),
+            p.by_value(),
             "profile must equal a from-scratch rebuild"
         );
+    }
+}
+
+#[cfg(test)]
+impl Profile {
+    /// Each segment as `(start, count, frees, busy row)`, independent of
+    /// which arena slot holds the row.
+    fn by_value(&self) -> Vec<(Time, u32, bool, &[u64])> {
+        self.starts
+            .iter()
+            .zip(&self.meta)
+            .map(|(&t, m)| (t, m.count, m.frees, self.row(m.row)))
+            .collect()
     }
 }
 

@@ -1,0 +1,137 @@
+//! Profile edits allocate nothing once the timeline has grown.
+//!
+//! A rolling planner timeline on 1024 processors forgets its past, frees
+//! expired bookings, books their processor sets again further out and
+//! trims a tail each round. Every busy set there spans more than 256
+//! processors, too wide to live inline in a `ProcSet`, so a profile that
+//! copied a busy set on every boundary split would allocate on nearly
+//! every edit. A counting global allocator checks that, after warm-up,
+//! the rounds make no allocation at all.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use lsps_des::{Dur, Time};
+use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
+
+/// Counts every allocation and reallocation, then defers to [`System`].
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const M: usize = 1024;
+/// Processors `256..1024` in 24 lanes of 32; each lane books back to back.
+const LANES: usize = 24;
+const LANE_WIDTH: usize = 32;
+/// Bookings per lane, so about a thousand live bookings in all.
+const PER_LANE: usize = 40;
+const WARMUP_ROUNDS: u64 = 2_000;
+const ROUNDS: u64 = 2_000;
+
+/// One lane: its live bookings in time order and the end of the last.
+struct Lane {
+    live: VecDeque<BookingId>,
+    tail: Time,
+}
+
+/// A deterministic xorshift stream for lengths and gaps.
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state << 13;
+    *state ^= *state >> 7;
+    *state ^= *state << 17;
+    *state
+}
+
+/// Book `procs` after the lane's tail, behind a gap of 0–9 ticks, for
+/// 20–119 ticks.
+fn book_after(tl: &mut Timeline, lane: &mut Lane, procs: ProcSet, rng: &mut u64) {
+    let start = lane.tail + Dur::from_ticks(next(rng) % 10);
+    let end = start + Dur::from_ticks(20 + next(rng) % 100);
+    lane.live
+        .push_back(tl.book(start, end, procs, BookingKind::Job));
+    lane.tail = end;
+}
+
+/// One planner round at `now`: forget the past, free every expired
+/// booking and book its processors again after its lane's tail, then trim
+/// the last booking of one lane by a tick while it is longer than that.
+fn round(tl: &mut Timeline, lanes: &mut [Lane], now: Time, k: u64, rng: &mut u64) {
+    tl.forget_before(now);
+    for lane in lanes.iter_mut() {
+        while let Some(&id) = lane.live.front() {
+            if tl.booking(id).expect("live").end > now {
+                break;
+            }
+            lane.live.pop_front();
+            let done = tl.remove(id).expect("live");
+            book_after(tl, lane, done.procs, rng);
+        }
+    }
+    let lane = &mut lanes[k as usize % LANES];
+    let last = *lane.live.back().expect("lanes are never empty");
+    let b = tl.booking(last).expect("live");
+    if b.end - b.start > Dur::from_ticks(1) {
+        let at = b.end - Dur::from_ticks(1);
+        lane.tail = tl.truncate(last, at).expect("live");
+    }
+}
+
+#[test]
+fn rolling_profile_edits_allocate_nothing_after_warmup() {
+    let mut tl = Timeline::with_procs(M);
+    let mut rng = 0x9e37_79b9_7f4a_7c15;
+    let mut lanes: Vec<Lane> = (0..LANES)
+        .map(|_| Lane {
+            live: VecDeque::with_capacity(PER_LANE + 1),
+            tail: Time::ZERO,
+        })
+        .collect();
+    for (j, lane) in lanes.iter_mut().enumerate() {
+        let lo = 256 + j * LANE_WIDTH;
+        for _ in 0..PER_LANE {
+            book_after(&mut tl, lane, ProcSet::range(lo, lo + LANE_WIDTH), &mut rng);
+        }
+    }
+    let step = Dur::from_ticks(5);
+    let mut now = Time::ZERO;
+    for k in 0..WARMUP_ROUNDS {
+        now += step;
+        round(&mut tl, &mut lanes, now, k, &mut rng);
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for k in WARMUP_ROUNDS..WARMUP_ROUNDS + ROUNDS {
+        now += step;
+        round(&mut tl, &mut lanes, now, k, &mut rng);
+    }
+    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(tl.n_bookings(), LANES * PER_LANE);
+    assert_eq!(
+        made, 0,
+        "{ROUNDS} rounds after warm-up allocated {made} times"
+    );
+}
