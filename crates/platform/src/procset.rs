@@ -8,10 +8,9 @@
 //! `INLINE_WORDS * 64 = 256` processors live inline in the struct (no heap
 //! allocation — cloning an allocation on a machine of up to 256
 //! processors is a 4-word copy), and only wider sets spill to a
-//! `Vec<u64>`. The two
-//! representations are observationally identical: equality, hashing and the
-//! serialized form (`{"words": [...]}`) depend only on the logical word
-//! content, never on where it is stored.
+//! `Vec<u64>`. The two representations are observationally identical:
+//! equality, hashing and the serialized form (`{"words": [...]}`) depend
+//! only on the logical word content, never on where it is stored.
 //!
 //! The representation keeps a trailing-zero-word invariant (`normalize`),
 //! so equality and emptiness checks are structural; the inline repr
