@@ -221,23 +221,16 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
                 ));
             }),
         );
-        push(
-            &mut micro,
-            "free_at",
-            bookings,
-            median_ns(samples, 256, || {
-                std::hint::black_box(tl.free_at(Time::from_ticks(25_000)));
-            }),
-        );
-        push(
-            &mut micro,
-            "free_during_1k",
-            bookings,
-            median_ns(samples, 64, || {
-                std::hint::black_box(
-                    tl.free_during(Time::from_ticks(20_000), Time::from_ticks(21_000)),
-                );
-            }),
+        // Book and remove 8 processors at the earliest slot from inside
+        // the loaded span, chosen before timing, so every cycle splits and
+        // coalesces segments among live bookings.
+        let (at, procs) = tl
+            .earliest_slot(Time::from_ticks(25_000), Dur::from_ticks(100), 8)
+            .expect("fits");
+        let last_end = tl.bookings().map(|(_, b)| b.end).max().expect("loaded");
+        assert!(
+            !procs.is_empty() && at < last_end,
+            "book_remove_cycle slot {at:?} lies past the last booking end {last_end:?}"
         );
         let mut churn = tl.clone();
         push(
@@ -245,11 +238,10 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
             "book_remove_cycle",
             bookings,
             median_ns(samples, 64, || {
-                let free = churn.free_during(Time::from_ticks(60_000), Time::from_ticks(60_100));
                 let id = churn.book(
-                    Time::from_ticks(60_000),
-                    Time::from_ticks(60_100),
-                    free.take_first(8.min(free.len())),
+                    at,
+                    at + Dur::from_ticks(100),
+                    procs.clone(),
                     BookingKind::Job,
                 );
                 churn.remove(id).expect("present");

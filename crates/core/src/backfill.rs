@@ -118,19 +118,10 @@ pub fn book_reservations(tl: &mut Timeline, reservations: &[Reservation]) {
             r.end > r.start && r.procs >= 1,
             "degenerate reservation {i}"
         );
-        let free = tl.free_during(r.start, r.end);
-        assert!(
-            free.len() >= r.procs,
-            "reservation {i} does not fit ({} free, {} wanted)",
-            free.len(),
-            r.procs
-        );
-        tl.book(
-            r.start,
-            r.end,
-            free.take_first(r.procs),
-            BookingKind::Reservation,
-        );
+        let (_, procs) = tl
+            .earliest_slot_within(r.start, r.start, r.end - r.start, r.procs)
+            .unwrap_or_else(|| panic!("reservation {i} does not fit ({} wanted)", r.procs));
+        tl.book(r.start, r.end, procs, BookingKind::Reservation);
     }
 }
 
@@ -322,6 +313,15 @@ fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
 /// planner can run the identical machinery batch-by-batch on a persistent
 /// timeline. `floor`, `scratch` and `place` work as in
 /// [`conservative_pass`].
+///
+/// Each decision round is one sweep over the FCFS queue. A job starts now
+/// iff its estimate fits now. The first job that does not is the head,
+/// and its earliest slot is its *shadow*. The shadow is booked as a
+/// reservation the first time a later job's estimate crosses its start,
+/// so every fit test is the same query: a job ending by the shadow start
+/// may use any free processor, one crossing it only those the shadow
+/// leaves. The sweep removes the shadow booking when it ends, and the
+/// jobs that stay queued are compacted in place.
 pub(crate) fn easy_pass(
     order: &[Job],
     floor: Time,
@@ -376,72 +376,36 @@ pub(crate) fn easy_pass(
             events.push(Reverse(release(next)));
         }
 
-        // Start the head while it fits (per its estimate).
-        while let Some(&h) = queue.first() {
-            let job = &order[h];
+        // The head's shadow `(start, end, procs)` until a crossing job
+        // books it, then that booking.
+        let mut shadow: Option<(Time, Time, ProcSet)> = None;
+        let mut booked = None;
+        queue.retain(|&i| {
+            let job = &order[i];
             let q = job.min_procs();
             let dur = job.time_on(q);
             let est = estimate(dur, factor);
-            if tl.free_during_upper_bound(now, now + est) < q {
-                break;
+            if let Some((start, end, procs)) = shadow.take_if(|s| now + est > s.0) {
+                booked = Some(tl.book(start, end, procs, BookingKind::Reservation));
             }
-            let free = tl.free_during(now, now + est);
-            if free.len() >= q {
-                let procs = free.take_first(q);
+            if let Some((_, procs)) = tl.earliest_slot_within(now, now, est, q) {
                 let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
                 running.push((bk, now + dur));
                 place(job, now, procs, bk);
                 events.push(Reverse(now + dur));
-                queue.remove(0);
-            } else {
-                break;
+                return false;
             }
-        }
-        if queue.is_empty() {
-            continue;
-        }
-
-        // Head blocked: compute its shadow reservation (estimate-sized).
-        let head = &order[queue[0]];
-        let hq = head.min_procs();
-        let hest = estimate(head.time_on(hq), factor);
-        let (shadow_t, shadow_procs) = tl
-            .earliest_slot(now, hest, hq)
-            .expect("hq <= m, so a slot always exists");
-        events.push(Reverse(shadow_t));
-
-        // Backfill the rest of the queue without delaying the shadow.
-        let mut i = 1;
-        while i < queue.len() {
-            let job = &order[queue[i]];
-            let q = job.min_procs();
-            let dur = job.time_on(q);
-            let est = estimate(dur, factor);
-            // Count-only reject: the union free set can never exceed the
-            // per-segment count bound, so a failing bound is a guaranteed
-            // miss — skip the set materialization entirely.
-            if tl.free_during_upper_bound(now, now + est) < q {
-                i += 1;
-                continue;
+            if shadow.is_none() && booked.is_none() {
+                let (start, procs) = tl
+                    .earliest_slot(now, est, q)
+                    .expect("q <= m, so a slot always exists");
+                events.push(Reverse(start));
+                shadow = Some((start, start + est, procs));
             }
-            let free = tl.free_during(now, now + est);
-            let candidate = if now + est <= shadow_t {
-                // Its estimate ends before the head starts: any free procs.
-                free
-            } else {
-                // Crosses the shadow: must leave the shadow processors.
-                free.difference(&shadow_procs)
-            };
-            if candidate.len() >= q {
-                let procs = candidate.take_first(q);
-                let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
-                running.push((bk, now + dur));
-                place(job, now, procs, bk);
-                events.push(Reverse(now + dur));
-                queue.remove(i);
-            } else {
-                i += 1;
-            }
+            true
+        });
+        if let Some(bk) = booked {
+            tl.remove(bk);
         }
     }
 }
@@ -695,6 +659,117 @@ mod proptests {
     use lsps_des::Dur;
     use proptest::prelude::*;
 
+    /// The two-loop EASY round that [`easy_pass`]'s sweep replaced, kept
+    /// as its differential oracle. A head loop starts the queue head while
+    /// it fits; a backfill loop then starts a later job if it fits beside
+    /// the head's *unbooked* shadow — on any free processor when its
+    /// estimate ends by the shadow start, off the shadow's processors when
+    /// it crosses it. Free sets come from a scan of the booking table, not
+    /// the profile.
+    fn easy_pass_reference(
+        order: &[Job],
+        floor: Time,
+        tl: &mut Timeline,
+        factor: f64,
+        mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
+    ) {
+        let free_during = |tl: &Timeline, start: Time, end: Time| {
+            let mut free = tl.capacity().clone();
+            for (_, b) in tl.bookings() {
+                if b.start.max(start) < b.end.min(end) {
+                    free.subtract(&b.procs);
+                }
+            }
+            free
+        };
+        let release = |i: usize| order[i].release.max(floor);
+        let mut events = BinaryHeap::new();
+        let mut queue: Vec<usize> = Vec::new();
+        let mut running: Vec<(BookingId, Time)> = Vec::new();
+        let mut next = 0usize;
+        if !order.is_empty() {
+            events.push(Reverse(release(0)));
+        }
+        while next < order.len() || !queue.is_empty() {
+            let Reverse(now) = events
+                .pop()
+                .expect("queue non-empty implies a pending event");
+            while matches!(events.peek(), Some(Reverse(t)) if *t == now) {
+                events.pop();
+            }
+            running.retain(|&(bk, true_end)| {
+                if true_end <= now {
+                    tl.truncate(bk, true_end);
+                    false
+                } else {
+                    true
+                }
+            });
+            while next < order.len() && release(next) <= now {
+                queue.push(next);
+                next += 1;
+            }
+            if next < order.len() {
+                events.push(Reverse(release(next)));
+            }
+
+            // Start the head while it fits (per its estimate).
+            while let Some(&h) = queue.first() {
+                let job = &order[h];
+                let q = job.min_procs();
+                let dur = job.time_on(q);
+                let est = estimate(dur, factor);
+                let free = free_during(tl, now, now + est);
+                if free.len() < q {
+                    break;
+                }
+                let procs = free.take_first(q);
+                let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
+                running.push((bk, now + dur));
+                place(job, now, procs, bk);
+                events.push(Reverse(now + dur));
+                queue.remove(0);
+            }
+            if queue.is_empty() {
+                continue;
+            }
+
+            // Head blocked: compute its shadow reservation (estimate-sized).
+            let head = &order[queue[0]];
+            let hq = head.min_procs();
+            let hest = estimate(head.time_on(hq), factor);
+            let (shadow_t, shadow_procs) = tl
+                .earliest_slot(now, hest, hq)
+                .expect("hq <= m, so a slot always exists");
+            events.push(Reverse(shadow_t));
+
+            // Backfill the rest of the queue without delaying the shadow.
+            let mut i = 1;
+            while i < queue.len() {
+                let job = &order[queue[i]];
+                let q = job.min_procs();
+                let dur = job.time_on(q);
+                let est = estimate(dur, factor);
+                let free = free_during(tl, now, now + est);
+                let candidate = if now + est <= shadow_t {
+                    free
+                } else {
+                    free.difference(&shadow_procs)
+                };
+                if candidate.len() >= q {
+                    let procs = candidate.take_first(q);
+                    let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
+                    running.push((bk, now + dur));
+                    place(job, now, procs, bk);
+                    events.push(Reverse(now + dur));
+                    queue.remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+    }
+
     proptest! {
         /// Both policies always produce valid schedules that respect
         /// reservations, and neither beats the area lower bound.
@@ -724,6 +799,112 @@ mod proptests {
             prop_assert!(respects_reservations(&s, m, &resv));
             let lb = lsps_metrics::cmax_lower_bound(&jobs, m);
             prop_assert!(s.makespan().since_epoch() >= lb.min(s.makespan().since_epoch()));
+        }
+    }
+
+    /// Machine widths of the EASY differential cases.
+    const MACHINES: [usize; 3] = [4, 64, 1024];
+    /// Estimate factors of the EASY differential cases.
+    const FACTORS: [f64; 3] = [1.0, 1.5, 3.0];
+
+    /// `w` quarters of an `m`-processor machine, `jit` trimming it off a
+    /// quarter multiple; at least one processor.
+    fn quarters(m: usize, w: usize, jit: usize) -> usize {
+        let unit = m / 4;
+        (w * unit).saturating_sub(jit % unit).max(1)
+    }
+
+    /// Rigid jobs from `(quarters, jitter, length, release)` draws.
+    fn jobs_on(m: usize, specs: &[(usize, usize, u64, u64)]) -> Vec<Job> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, &(w, jit, len, rel))| {
+                Job::rigid(i as u64, quarters(m, w, jit), Dur::from_ticks(len))
+                    .released_at(Time::from_ticks(rel))
+            })
+            .collect()
+    }
+
+    /// Run the sweep and the two-loop reference over copies of `tl` and
+    /// compare every placement and the booking table each leaves behind.
+    fn sweep_matches_reference(jobs: &[Job], floor: Time, tl: &Timeline, factor: f64) {
+        let mut order = jobs.to_vec();
+        fcfs_sort(&mut order, floor);
+        let run = |reference: bool| {
+            let mut tl = tl.clone();
+            let mut placed = Vec::new();
+            let place = |job: &Job, start: Time, procs: ProcSet, _: BookingId| {
+                placed.push((job.id, start, procs));
+            };
+            if reference {
+                easy_pass_reference(&order, floor, &mut tl, factor, place);
+            } else {
+                easy_pass(
+                    &order,
+                    floor,
+                    &mut tl,
+                    factor,
+                    &mut PassScratch::default(),
+                    place,
+                );
+            }
+            let table: Vec<_> = tl.bookings().map(|(_, b)| b.clone()).collect();
+            (placed, table)
+        };
+        let (sweep, reference) = (run(false), run(true));
+        prop_assert_eq!(sweep.0.len(), jobs.len());
+        prop_assert_eq!(sweep, reference);
+    }
+
+    proptest! {
+        /// The one-sweep EASY round places every job exactly where the
+        /// two-loop round did — same start, same processors — from an
+        /// empty machine around one reservation, with staggered releases.
+        #[test]
+        fn easy_sweep_matches_the_two_loop_reference(
+            machine in 0usize..MACHINES.len(),
+            factor in 0usize..FACTORS.len(),
+            specs in prop::collection::vec((1usize..=4, 0usize..256, 1u64..30, 0u64..60), 1..40),
+            resv in (0u64..40, 1u64..20, 1usize..=4, 0usize..256),
+        ) {
+            let m = MACHINES[machine];
+            let (start, len, w, jit) = resv;
+            let mut tl = Timeline::with_procs(m);
+            book_reservations(&mut tl, &[Reservation {
+                start: Time::from_ticks(start),
+                end: Time::from_ticks(start + len),
+                procs: quarters(m, w, jit),
+            }]);
+            sweep_matches_reference(&jobs_on(m, &specs), Time::ZERO, &tl, FACTORS[factor]);
+        }
+
+        /// The same on the planner's timeline: earlier work already booked,
+        /// the profile forgotten before `floor > 0`, releases raised to it.
+        #[test]
+        fn easy_sweep_matches_the_reference_on_a_booked_timeline(
+            machine in 0usize..MACHINES.len(),
+            factor in 0usize..FACTORS.len(),
+            specs in prop::collection::vec((1usize..=4, 0usize..256, 1u64..30, 0u64..80), 1..30),
+            live in prop::collection::vec((0u64..80, 1u64..60, 0usize..4, 1usize..=4), 0..12),
+            floor in 1u64..60,
+        ) {
+            let m = MACHINES[machine];
+            let unit = m / 4;
+            let mut tl = Timeline::with_procs(m);
+            for (start, len, p0, w) in live {
+                let procs = ProcSet::range(p0 * unit, ((p0 + w) * unit).min(m));
+                // Conflicting draws are dropped: the rest is a valid plan.
+                let _ = tl.try_book(
+                    Time::from_ticks(start),
+                    Time::from_ticks(start + len),
+                    procs,
+                    BookingKind::Job,
+                );
+            }
+            let floor = Time::from_ticks(floor);
+            tl.forget_before(floor);
+            sweep_matches_reference(&jobs_on(m, &specs), floor, &tl, FACTORS[factor]);
         }
     }
 }

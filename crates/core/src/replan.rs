@@ -55,13 +55,15 @@
 //!   replan does — always reproduces the same sets.
 //!
 //! Pointwise equality on `[now, ∞)` is all the passes can observe: every
-//! query they issue (`earliest_slot`, `free_during`, the shadow walk)
-//! starts at or after `now` (the timeline's horizon panics on any that
-//! does not), and two coalesced step functions that agree pointwise from
-//! `now` on expose identical boundary sets there. Hence the planner's
-//! placements are **bit-identical** to the full replan's — the property
-//! the differential tests in `lsps_scenario` pin down against a
-//! re-book-everything oracle kept in test code.
+//! query they issue (`earliest_slot_within`, for the start-now fit tests
+//! and the slot searches alike) starts at or after `now` (the timeline's
+//! horizon panics on any that does not), and so does every booking they
+//! make, EASY's temporary shadow booking included. Two coalesced step
+//! functions that agree pointwise from `now` on expose identical boundary
+//! sets there. Hence the planner's placements are **bit-identical** to
+//! the full replan's — the property the differential tests in
+//! `lsps_scenario` pin down against a re-book-everything oracle kept in
+//! test code.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};

@@ -453,13 +453,7 @@ impl ProcSet {
 
     /// In-place difference (`self \ other`).
     pub fn subtract(&mut self, other: &ProcSet) {
-        self.subtract_words(other.words());
-    }
-
-    /// In-place difference with a raw word slice (`self \ other`); words
-    /// of `other` past `self`'s length are ignored.
-    pub(crate) fn subtract_words(&mut self, other: &[u64]) {
-        and_not_words(self.words_mut(), other);
+        and_not_words(self.words_mut(), other.words());
         self.normalize();
     }
 

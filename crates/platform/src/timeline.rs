@@ -58,20 +58,22 @@
 //! Every mutation ([`Timeline::try_book`], [`Timeline::remove`],
 //! [`Timeline::truncate`], [`Timeline::gc`]) locates its start boundary
 //! once and walks forward to its end, updating the touched segments in
-//! O(log S + touched); every query reads the profile instead of scanning
+//! O(log S + touched). Placement has one query,
+//! [`Timeline::earliest_slot_within`] ([`Timeline::earliest_slot`] is it
+//! without a latest start), and it reads the profile instead of scanning
 //! the booking table:
 //!
-//! * [`Timeline::free_at`] is one binary search,
-//! * [`Timeline::free_during`] unions the busy rows of the covered
-//!   segments,
-//! * [`Timeline::earliest_slot`] is one forward walk that does constant
-//!   work per boundary: it reads the `frees` flag (the free set of a
-//!   sliding window can only grow where processors are freed) and keeps a
-//!   forward index to the next segment too busy by count, which rules out
-//!   every candidate window covering it. Each remaining candidate window
-//!   is walked once, unioning its busy rows into a stack buffer until the
-//!   popcount shows it infeasible; a window that fits yields its free set
-//!   from that union. Only that answer becomes a [`ProcSet`].
+//! * the search is one forward walk that does constant work per boundary:
+//!   it reads the `frees` flag (the free set of a sliding window can only
+//!   grow where processors are freed) and keeps a forward index to the
+//!   next segment too busy by count, which rules out every candidate
+//!   window covering it;
+//! * each remaining candidate window is walked once, unioning its busy
+//!   rows into a stack buffer until the popcount shows it infeasible; a
+//!   window that fits yields its lowest free processors from that union,
+//!   and only that answer becomes a [`ProcSet`];
+//! * a fit test at one instant — "can this job start now?" — is the same
+//!   call with `latest_start == earliest`: it walks that one window only.
 //!
 //! The naive full-scan implementation is retained under `#[cfg(test)]`
 //! (`naive::NaiveTimeline`) as the reference oracle for the differential
@@ -665,44 +667,6 @@ impl Timeline {
         }
     }
 
-    /// Processors free at instant `t`, which must not lie before the
-    /// horizon (as for every query below).
-    pub fn free_at(&self, t: Time) -> ProcSet {
-        self.assert_not_forgotten("query", t);
-        let mut free = self.capacity.clone();
-        free.subtract_words(self.profile.busy(self.profile.idx_at(t)));
-        free
-    }
-
-    /// Processors free during the whole window `[start, end)`. For an empty
-    /// window this degenerates to [`free_at`](Self::free_at)`(start)`.
-    pub fn free_during(&self, start: Time, end: Time) -> ProcSet {
-        self.assert_not_forgotten("query", start);
-        let mut free = self.capacity.clone();
-        for i in self.profile.covering(start, end) {
-            free.subtract_words(self.profile.busy(i));
-        }
-        free
-    }
-
-    /// Upper bound on `free_during(start, end).len()`: capacity minus the
-    /// largest per-segment busy *count* over the window. A count-only read
-    /// off the cached segment popcounts — no set is materialized — so
-    /// scheduler loops can reject hopeless windows before paying for the
-    /// union walk. (`free_during` unions busy sets, so its popcount is
-    /// never above this bound.)
-    pub fn free_during_upper_bound(&self, start: Time, end: Time) -> usize {
-        self.assert_not_forgotten("query", start);
-        let cap = self.capacity.len();
-        let max_busy = self
-            .profile
-            .covering(start, end)
-            .map(|i| self.profile.meta[i].count as usize)
-            .max()
-            .expect("a window meets at least one segment");
-        cap - max_busy.min(cap)
-    }
-
     /// At most `max_busy` processors busy throughout the window that starts
     /// inside segment `first` and ends at `end`? The one walk a candidate
     /// window gets: `busy` accumulates the union of the covered busy rows,
@@ -1052,16 +1016,31 @@ mod tests {
         Dur::from_ticks(x)
     }
 
+    /// The processors free throughout `[start, end)` (at `start` when the
+    /// window is empty), read through the fit query: its answer at the
+    /// widest width that fits there.
+    fn free(tl: &Timeline, start: Time, end: Time) -> ProcSet {
+        (0..=tl.capacity().len())
+            .rev()
+            .find_map(|w| tl.earliest_slot_within(start, start, end - start, w))
+            .expect("width 0 always fits")
+            .1
+    }
+
     #[test]
     fn book_and_free() {
         let mut tl = Timeline::with_procs(4);
         let id = tl.book(t(10), t(20), ProcSet::range(0, 2), BookingKind::Job);
-        assert_eq!(tl.free_at(t(5)), ProcSet::full(4));
-        assert_eq!(tl.free_at(t(10)), ProcSet::range(2, 4));
-        assert_eq!(tl.free_at(t(19)), ProcSet::range(2, 4));
-        assert_eq!(tl.free_at(t(20)), ProcSet::full(4), "end is exclusive");
+        assert_eq!(free(&tl, t(5), t(5)), ProcSet::full(4));
+        assert_eq!(free(&tl, t(10), t(10)), ProcSet::range(2, 4));
+        assert_eq!(free(&tl, t(19), t(19)), ProcSet::range(2, 4));
+        assert_eq!(
+            free(&tl, t(20), t(20)),
+            ProcSet::full(4),
+            "end is exclusive"
+        );
         tl.remove(id);
-        assert_eq!(tl.free_at(t(15)), ProcSet::full(4));
+        assert_eq!(free(&tl, t(15), t(15)), ProcSet::full(4));
         tl.assert_profile_consistent();
     }
 
@@ -1100,16 +1079,16 @@ mod tests {
     }
 
     #[test]
-    fn free_during_window() {
+    fn free_sets_over_windows() {
         let mut tl = Timeline::with_procs(3);
         tl.book(t(10), t(20), ProcSet::range(0, 1), BookingKind::Job);
         tl.book(t(30), t(40), ProcSet::range(1, 2), BookingKind::Job);
-        assert_eq!(tl.free_during(t(0), t(10)), ProcSet::full(3));
-        assert_eq!(tl.free_during(t(5), t(15)), ProcSet::range(1, 3));
-        assert_eq!(tl.free_during(t(15), t(35)), ProcSet::from_indices([2]));
-        assert_eq!(tl.free_during(t(20), t(30)), ProcSet::full(3));
+        assert_eq!(free(&tl, t(0), t(10)), ProcSet::full(3));
+        assert_eq!(free(&tl, t(5), t(15)), ProcSet::range(1, 3));
+        assert_eq!(free(&tl, t(15), t(35)), ProcSet::from_indices([2]));
+        assert_eq!(free(&tl, t(20), t(30)), ProcSet::full(3));
         // Degenerate window = instant.
-        assert_eq!(tl.free_during(t(15), t(15)), ProcSet::range(1, 3));
+        assert_eq!(free(&tl, t(15), t(15)), ProcSet::range(1, 3));
     }
 
     #[test]
@@ -1241,7 +1220,7 @@ mod tests {
         let id = tl.book(t(0), t(100), ProcSet::full(1), BookingKind::BestEffort);
         assert_eq!(tl.truncate(id, t(40)), Some(t(40)));
         assert_eq!(tl.booking(id).unwrap().end, t(40));
-        assert_eq!(tl.free_at(t(50)), ProcSet::full(1));
+        assert_eq!(free(&tl, t(50), t(50)), ProcSet::full(1));
         // Truncating before start removes (and reports the start).
         let id2 = tl.book(t(50), t(60), ProcSet::full(1), BookingKind::BestEffort);
         assert_eq!(tl.truncate(id2, t(50)), Some(t(50)));
@@ -1315,9 +1294,8 @@ mod tests {
         tl.book(t(0), t(30), ProcSet::from_indices([0]), BookingKind::Job);
         tl.forget_before(t(10));
         // At the horizon every query answers as before forgetting.
-        assert_eq!(tl.free_at(t(10)), ProcSet::from_indices([1]));
-        assert_eq!(tl.free_during(t(10), t(40)), ProcSet::from_indices([1]));
-        assert_eq!(tl.free_during_upper_bound(t(10), t(40)), 1);
+        assert_eq!(free(&tl, t(10), t(10)), ProcSet::from_indices([1]));
+        assert_eq!(free(&tl, t(10), t(40)), ProcSet::from_indices([1]));
         assert_eq!(tl.earliest_slot(t(10), d(5), 2).map(|s| s.0), Some(t(30)));
         let refused = |name: &str, query: &dyn Fn()| {
             let err =
@@ -1325,17 +1303,11 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("formatted panic");
             assert!(msg.contains("before the timeline horizon"), "{name}: {msg}");
         };
-        refused("free_at", &|| {
-            tl.free_at(t(9));
-        });
-        refused("free_during", &|| {
-            tl.free_during(t(9), t(20));
-        });
-        refused("free_during_upper_bound", &|| {
-            tl.free_during_upper_bound(t(9), t(20));
-        });
         refused("earliest_slot", &|| {
             tl.earliest_slot(t(9), d(5), 1);
+        });
+        refused("earliest_slot_within", &|| {
+            tl.earliest_slot_within(t(9), t(9), d(5), 1);
         });
     }
 
@@ -1353,24 +1325,22 @@ mod tests {
         // Forgetting is monotone: an earlier instant changes nothing.
         tl.forget_before(t(15));
         tl.assert_profile_consistent();
-        assert!(tl
-            .free_at(t(20))
-            .is_disjoint(&ProcSet::from_indices([0, 2, 3])));
+        assert!(free(&tl, t(20), t(20)).is_disjoint(&ProcSet::from_indices([0, 2, 3])));
         // Work that ended by the horizon frees only its arena slot.
         assert!(tl.remove(done).is_some());
         tl.assert_profile_consistent();
         // A booking straddling the horizon leaves its remaining part.
         assert!(tl.remove(straddle).is_some());
         tl.assert_profile_consistent();
-        assert_eq!(tl.free_at(t(20)), ProcSet::range(1, 4));
+        assert_eq!(free(&tl, t(20), t(20)), ProcSet::range(1, 4));
         // Truncating to an instant before the horizon clips the edit too.
         assert_eq!(tl.truncate(cut, t(15)), Some(t(15)));
         tl.assert_profile_consistent();
-        assert_eq!(tl.free_during(t(20), t(60)), ProcSet::full(4));
+        assert_eq!(free(&tl, t(20), t(60)), ProcSet::full(4));
         // A boundary exactly at the new horizon becomes the anchor.
         tl.forget_before(t(60));
         tl.assert_profile_consistent();
-        assert_eq!(tl.free_at(t(60)), ProcSet::new());
+        assert_eq!(free(&tl, t(60), t(60)), ProcSet::new());
         tl.gc(t(70));
         tl.assert_profile_consistent();
         assert!(tl.booking(later).is_none());
@@ -1442,8 +1412,10 @@ mod proptests {
                 prop_assert!(tl2.try_book(start, start + Dur::from_ticks(dur), procs, BookingKind::Job).is_ok());
                 // Starting at `earliest` itself must fail unless that is the answer.
                 if start > t(earliest) {
-                    let free = tl.free_during(t(earliest), t(earliest) + Dur::from_ticks(dur));
-                    prop_assert!(free.len() < width);
+                    prop_assert_eq!(
+                        tl.earliest_slot_within(t(earliest), t(earliest), Dur::from_ticks(dur), width),
+                        None
+                    );
                 }
             } else {
                 prop_assert!(width > m);
@@ -1507,9 +1479,9 @@ mod proptests {
         /// oracle on **every** query API under random interleavings of
         /// book / remove / truncate / gc / forget — including degenerate
         /// bookings, rejected bookings (same error, same conflict id) and
-        /// queries with inverted or empty windows. The oracle never
-        /// forgets, so bookings and queries are raised to the horizon:
-        /// the two must agree at and after it.
+        /// empty query windows. The oracle never forgets, so bookings and
+        /// queries are raised to the horizon: the two must agree at and
+        /// after it.
         #[test]
         fn differential_vs_naive_oracle(
             machine in 0usize..MACHINES.len(),
@@ -1571,17 +1543,19 @@ mod proptests {
             // after the horizon.
             for &(p, len) in &probes {
                 let p = p.max(horizon);
-                prop_assert_eq!(fast.free_at(t(p)), slow.free_at(t(p)), "free_at({p})");
+                // The free set through the fit query: its widest fit is the
+                // whole set, one processor more does not fit.
+                let free = slow.free_during(t(p), t(p + len));
+                let w = free.len();
                 prop_assert_eq!(
-                    fast.free_during(t(p), t(p + len)),
-                    slow.free_during(t(p), t(p + len)),
-                    "free_during({p}, {})", p + len
+                    fast.earliest_slot_within(t(p), t(p), Dur::from_ticks(len), w),
+                    Some((t(p), free)),
+                    "free set of [{p}, {})", p + len
                 );
-                // Inverted window degenerates to free_at on both.
                 prop_assert_eq!(
-                    fast.free_during(t(p + len), t(p)),
-                    slow.free_during(t(p + len), t(p)),
-                    "inverted free_during"
+                    fast.earliest_slot_within(t(p), t(p), Dur::from_ticks(len), w + 1),
+                    None,
+                    "width {} over [{p}, {})", w + 1, p + len
                 );
             }
             for &(earliest, latest, dur, width, wjit) in &slots {
