@@ -314,14 +314,27 @@ fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
 /// timeline. `floor`, `scratch` and `place` work as in
 /// [`conservative_pass`].
 ///
-/// Each decision round is one sweep over the FCFS queue. A job starts now
-/// iff its estimate fits now. The first job that does not is the head,
-/// and its earliest slot is its *shadow*. The shadow is booked as a
-/// reservation the first time a later job's estimate crosses its start,
-/// so every fit test is the same query: a job ending by the shadow start
-/// may use any free processor, one crossing it only those the shadow
-/// leaves. The sweep removes the shadow booking when it ends, and the
-/// jobs that stay queued are compacted in place.
+/// Each decision round is one sweep over the FCFS queue. Until the sweep
+/// meets the head, each job asks for its earliest slot from `now` once: a
+/// slot at `now` starts it there, on the processors a fit test would
+/// return, and any later slot marks the head and is its *shadow*, found
+/// by the same walk. Every job after the head asks only whether its
+/// estimate fits now. The shadow is booked as a reservation the first
+/// time a later job's estimate crosses its start, so those fit tests are
+/// the same query: a job ending by the shadow start may use any free
+/// processor, one crossing it only those the shadow leaves. The sweep
+/// removes the shadow booking when it ends, and the jobs that stay queued
+/// are compacted in place.
+///
+/// A quiet last head takes its shadow at once. Say the sweep leaves only
+/// the head queued and never booked its shadow, no job is left to
+/// release, the earliest pending event is the shadow start, and every job
+/// started in this pass truly ends after it. Then the next round would
+/// start the head at its shadow, on the shadow's processors: the jobs
+/// started behind the head end by the shadow start, and no truncation
+/// frees a processor first. So the head is booked there and the pass
+/// ends. A sweep that booked the shadow as a reservation leaves the head
+/// to the next round.
 pub(crate) fn easy_pass(
     order: &[Job],
     floor: Time,
@@ -388,24 +401,41 @@ pub(crate) fn easy_pass(
             if let Some((start, end, procs)) = shadow.take_if(|s| now + est > s.0) {
                 booked = Some(tl.book(start, end, procs, BookingKind::Reservation));
             }
-            if let Some((_, procs)) = tl.earliest_slot_within(now, now, est, q) {
-                let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
-                running.push((bk, now + dur));
-                place(job, now, procs, bk);
-                events.push(Reverse(now + dur));
-                return false;
-            }
-            if shadow.is_none() && booked.is_none() {
-                let (start, procs) = tl
-                    .earliest_slot(now, est, q)
-                    .expect("q <= m, so a slot always exists");
+            let (start, procs) = if shadow.is_none() && booked.is_none() {
+                tl.earliest_slot(now, est, q)
+                    .expect("q <= m, so a slot always exists")
+            } else {
+                match tl.earliest_slot_within(now, now, est, q) {
+                    Some(hit) => hit,
+                    None => return true,
+                }
+            };
+            if start > now {
                 events.push(Reverse(start));
                 shadow = Some((start, start + est, procs));
+                return true;
             }
-            true
+            let bk = tl.book(now, now + est, procs.clone(), BookingKind::Job);
+            running.push((bk, now + dur));
+            place(job, now, procs, bk);
+            events.push(Reverse(now + dur));
+            false
         });
         if let Some(bk) = booked {
             tl.remove(bk);
+        }
+        // A quiet last head takes its shadow now (see above).
+        let quiet = |s: &mut (Time, Time, ProcSet)| {
+            queue.len() == 1
+                && next == order.len()
+                && events.peek() == Some(&Reverse(s.0))
+                && running.iter().all(|&(_, end)| end > s.0)
+        };
+        if let Some((start, end, procs)) = shadow.take_if(quiet) {
+            let job = &order[queue[0]];
+            let bk = tl.book(start, end, procs.clone(), BookingKind::Job);
+            place(job, start, procs, bk);
+            queue.clear();
         }
     }
 }
@@ -657,6 +687,7 @@ mod tests {
 mod proptests {
     use super::*;
     use lsps_des::Dur;
+    use lsps_workload::JobId;
     use proptest::prelude::*;
 
     /// The two-loop EASY round that [`easy_pass`]'s sweep replaced, kept
@@ -828,7 +859,13 @@ mod proptests {
 
     /// Run the sweep and the two-loop reference over copies of `tl` and
     /// compare every placement and the booking table each leaves behind.
-    fn sweep_matches_reference(jobs: &[Job], floor: Time, tl: &Timeline, factor: f64) {
+    /// Returns the placements, in placement order.
+    fn sweep_matches_reference(
+        jobs: &[Job],
+        floor: Time,
+        tl: &Timeline,
+        factor: f64,
+    ) -> Vec<(JobId, Time, ProcSet)> {
         let mut order = jobs.to_vec();
         fcfs_sort(&mut order, floor);
         let run = |reference: bool| {
@@ -854,7 +891,86 @@ mod proptests {
         };
         let (sweep, reference) = (run(false), run(true));
         prop_assert_eq!(sweep.0.len(), jobs.len());
-        prop_assert_eq!(sweep, reference);
+        prop_assert_eq!(&sweep, &reference);
+        sweep.0
+    }
+
+    /// Each job's `(id, start, processors)` under the sweep, checked
+    /// against the reference.
+    fn easy_starts(jobs: &[Job], tl: &Timeline, factor: f64) -> Vec<(u64, u64, ProcSet)> {
+        sweep_matches_reference(jobs, Time::ZERO, tl, factor)
+            .into_iter()
+            .map(|(id, start, procs)| (id.0, start.ticks(), procs))
+            .collect()
+    }
+
+    /// Factor 2 on 3 processors, {1, 2} busy over [0, 5). Job 0 (5 ticks,
+    /// booked for 10) starts on processor 0; the head, job 1 (width 2),
+    /// finds its shadow at 5 on {1, 2}. Job 0 truly ends at 5 too, so its
+    /// truncation there frees processor 0 inside the head's window: the
+    /// quiet head must not take its shadow, and the next round starts it
+    /// on {0, 1}.
+    #[test]
+    fn a_completion_at_the_shadow_start_keeps_the_head_queued() {
+        let mut tl = Timeline::with_procs(3);
+        tl.book(
+            Time::ZERO,
+            Time::from_ticks(5),
+            ProcSet::range(1, 3),
+            BookingKind::Job,
+        );
+        let jobs = [
+            Job::rigid(0, 1, Dur::from_ticks(5)),
+            Job::rigid(1, 2, Dur::from_ticks(1)),
+        ];
+        assert_eq!(
+            easy_starts(&jobs, &tl, 2.0),
+            [
+                (0, 0, ProcSet::from_indices([0])),
+                (1, 5, ProcSet::range(0, 2)),
+            ]
+        );
+    }
+
+    /// 4 processors. Job 0 holds {0, 1} over [0, 10); the head, job 1
+    /// (width 3), has its shadow at 10 on {0, 1, 2}. Job 2 crosses the
+    /// shadow start, so the sweep books the shadow and starts job 2 on
+    /// processor 3. The head is then the only queued job, but its shadow
+    /// was booked: the next round starts it.
+    #[test]
+    fn a_booked_shadow_leaves_the_head_to_the_next_round() {
+        let jobs = [
+            Job::rigid(0, 2, Dur::from_ticks(10)),
+            Job::rigid(1, 3, Dur::from_ticks(5)),
+            Job::rigid(2, 1, Dur::from_ticks(20)),
+        ];
+        assert_eq!(
+            easy_starts(&jobs, &Timeline::with_procs(4), 1.0),
+            [
+                (0, 0, ProcSet::range(0, 2)),
+                (2, 0, ProcSet::from_indices([3])),
+                (1, 10, ProcSet::range(0, 3)),
+            ]
+        );
+    }
+
+    /// The planner's timeline: earlier work from `live` draws booked
+    /// (conflicting draws dropped, so the rest is a valid plan), the
+    /// profile forgotten before `floor`.
+    fn booked_timeline(m: usize, live: &[(u64, u64, usize, usize)], floor: Time) -> Timeline {
+        let unit = m / 4;
+        let mut tl = Timeline::with_procs(m);
+        for &(start, len, p0, w) in live {
+            let procs = ProcSet::range(p0 * unit, ((p0 + w) * unit).min(m));
+            let _ = tl.try_book(
+                Time::from_ticks(start),
+                Time::from_ticks(start + len),
+                procs,
+                BookingKind::Job,
+            );
+        }
+        tl.forget_before(floor);
+        tl
     }
 
     proptest! {
@@ -890,21 +1006,26 @@ mod proptests {
             floor in 1u64..60,
         ) {
             let m = MACHINES[machine];
-            let unit = m / 4;
-            let mut tl = Timeline::with_procs(m);
-            for (start, len, p0, w) in live {
-                let procs = ProcSet::range(p0 * unit, ((p0 + w) * unit).min(m));
-                // Conflicting draws are dropped: the rest is a valid plan.
-                let _ = tl.try_book(
-                    Time::from_ticks(start),
-                    Time::from_ticks(start + len),
-                    procs,
-                    BookingKind::Job,
-                );
-            }
             let floor = Time::from_ticks(floor);
-            tl.forget_before(floor);
+            let tl = booked_timeline(m, &live, floor);
             sweep_matches_reference(&jobs_on(m, &specs), floor, &tl, FACTORS[factor]);
+        }
+
+        /// The planner's commonest decision: one arrival at `floor > 0` on
+        /// a booked timeline — the pass whose head takes its shadow at once
+        /// whenever it cannot start now.
+        #[test]
+        fn easy_single_job_passes_match_the_reference_on_a_booked_timeline(
+            machine in 0usize..MACHINES.len(),
+            factor in 0usize..FACTORS.len(),
+            spec in (1usize..=4, 0usize..256, 1u64..30, 0u64..80),
+            live in prop::collection::vec((0u64..80, 1u64..60, 0usize..4, 1usize..=4), 0..12),
+            floor in 1u64..80,
+        ) {
+            let m = MACHINES[machine];
+            let floor = Time::from_ticks(floor);
+            let tl = booked_timeline(m, &live, floor);
+            sweep_matches_reference(&jobs_on(m, &[spec]), floor, &tl, FACTORS[factor]);
         }
     }
 }

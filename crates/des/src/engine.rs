@@ -60,6 +60,13 @@ impl<'a, E> Ctx<'a, E> {
     pub fn cancel(&mut self, key: EventKey) -> bool {
         self.queue.cancel(key)
     }
+
+    /// Instant of the earliest queued live event, if any — an event the
+    /// handler just scheduled included. A handler that sees none at `now`
+    /// handles the last event of its instant.
+    pub fn next_at(&mut self) -> Option<Time> {
+        self.queue.next_at()
+    }
 }
 
 /// Counters reported by [`Simulation::run_to_completion`].

@@ -20,10 +20,14 @@
 //!   and an open stream never materializes;
 //! * whichever event reaches an instant first admits **every** arrival
 //!   released at it, before anything else happens there, so same-instant
-//!   arrivals coalesce into **one** decision (a `Decide` event scheduled at
-//!   `now` fires after every already-queued event of the same timestamp —
-//!   the queue is FIFO on ties) however they interleave with a
-//!   same-instant completion or failure;
+//!   arrivals coalesce into **one** decision however they interleave with
+//!   a same-instant completion or failure;
+//! * a decision is not an event: the machine invokes the dispatcher at the
+//!   end of the last event queued at an instant, once [`Ctx::next_at`]
+//!   shows no other live event there, so the decision follows every event
+//!   of its instant. Only a decision schedules events at its own instant
+//!   (the `Finish` of a zero-length commitment); such a `Finish` fires
+//!   after it and asks for a second decision;
 //! * running slots are recycled through a free list, and each slot keeps
 //!   its queued `Finish` event's key, so memory tracks the concurrency
 //!   high-water mark and a kill cancels its completion in O(1);
@@ -94,7 +98,7 @@ pub trait Dispatcher {
     /// gave it) and push the slots to kill into `kill` and the replacement
     /// jobs to queue into `resubmit`. The machine then cancels each killed
     /// slot's completion event, re-queues the resubmitted jobs, and
-    /// requests a decision at `now`.
+    /// decides at `now` once the last event of the instant is done.
     ///
     /// Only slots holding `Some` commitment may be killed, and a slot at
     /// most once. The default ignores failures entirely — volatility-blind
@@ -135,14 +139,14 @@ impl<J, I: Iterator<Item = (Time, J)>> ArrivalSource for I {
     }
 }
 
-/// Event alphabet of the online machine.
+/// Event alphabet of the online machine: arrival wake-ups, completions
+/// and node failures and repairs. A decision is no event — the machine
+/// makes it inside the last event of its instant.
 #[derive(Debug)]
 pub enum OnlineEvent {
     /// Wake-up at the source's next release instant. The jobs themselves
     /// stay in the machine; this only stops the clock there.
     Arrive,
-    /// Invoke the dispatcher over the current pending set.
-    Decide,
     /// A committed run finishes (index into the machine's running table).
     Finish(usize),
     /// A node fails, repaired at `up` — the repair instant rides along so
@@ -154,8 +158,8 @@ pub enum OnlineEvent {
         /// expected there).
         up: Time,
     },
-    /// A previously failed node comes back. The machine requests a
-    /// decision, so the freed capacity is replanned at once.
+    /// A previously failed node comes back. The machine decides at its
+    /// instant, so the freed capacity is replanned at once.
     NodeUp {
         /// Repaired node index.
         node: u32,
@@ -209,9 +213,6 @@ pub struct OnlineMachine<D: Dispatcher, S, F> {
     /// Recycled scratch handed to [`Dispatcher::node_down`].
     kill_scratch: Vec<usize>,
     resubmit_scratch: Vec<D::Job>,
-    /// Instant a `Decide` is already scheduled for (coalesces same-time
-    /// decision requests into one policy invocation).
-    decide_at: Option<Time>,
     counters: OnlineCounters,
 }
 
@@ -238,7 +239,6 @@ where
             commitments: Vec::new(),
             kill_scratch: Vec::new(),
             resubmit_scratch: Vec::new(),
-            decide_at: None,
             counters: OnlineCounters::default(),
         });
         if let Some(at) = first {
@@ -295,19 +295,7 @@ where
         admitted
     }
 
-    fn request_decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
-        if self.pending.is_empty() || self.decide_at == Some(now) {
-            return;
-        }
-        self.decide_at = Some(now);
-        ctx.schedule_at(now, OnlineEvent::Decide);
-    }
-
     fn decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
-        self.decide_at = None;
-        if self.pending.is_empty() {
-            return;
-        }
         self.counters.decisions += 1;
         let before = self.pending.len();
         let mut commitments = std::mem::take(&mut self.commitments);
@@ -381,7 +369,6 @@ where
         let admitted = self.admit(now, ctx);
         match event {
             OnlineEvent::Arrive => {}
-            OnlineEvent::Decide => return self.decide(now, ctx),
             OnlineEvent::Finish(slot) => {
                 let c = self.running[slot]
                     .take()
@@ -401,8 +388,11 @@ where
             self.counters.max_live = self.counters.max_live.max(live);
         }
         // New information (an arrival, a completion, a failure or repair):
-        // re-invoke the dispatcher if work is waiting.
-        self.request_decide(now, ctx);
+        // re-invoke the dispatcher if work is waiting, once the last event
+        // of this instant is done.
+        if !self.pending.is_empty() && ctx.next_at() != Some(now) {
+            self.decide(now, ctx);
+        }
     }
 }
 
@@ -546,6 +536,77 @@ mod tests {
             assert_eq!(done[done.len() - 3..], [3, 1, 2]);
             assert_eq!(last, t(5 + 3 + 1 + 2));
         }
+    }
+
+    /// Logs every decision, failure and completion, in the order the
+    /// machine makes them. Job 1 runs for zero ticks the moment it is
+    /// decided; job 2 waits until job 1 has left the pending set.
+    struct ZeroFirst {
+        log: std::rc::Rc<std::cell::RefCell<Vec<String>>>,
+    }
+
+    impl Dispatcher for ZeroFirst {
+        type Job = u32;
+        type Placement = ();
+        fn decide(&mut self, now: Time, pending: &mut Vec<u32>, out: &mut Vec<Commitment<u32>>) {
+            let entry = format!("decide {pending:?} @ {}", now.ticks());
+            self.log.borrow_mut().push(entry);
+            let job = if pending.contains(&1) { 1 } else { 2 };
+            pending.retain(|&j| j != job);
+            out.push(Commitment {
+                job,
+                start: now,
+                end: now + Dur::from_ticks(u64::from(job - 1) * 2),
+                placed: (),
+            });
+        }
+        fn node_down(
+            &mut self,
+            now: Time,
+            _node: u32,
+            _up: Time,
+            _running: &[Option<Commitment<u32>>],
+            _kill: &mut Vec<usize>,
+            _resubmit: &mut Vec<u32>,
+        ) {
+            self.log
+                .borrow_mut()
+                .push(format!("down @ {}", now.ticks()));
+        }
+    }
+
+    #[test]
+    fn a_zero_length_commitment_asks_for_a_second_decision_at_its_instant() {
+        // Both jobs and a node failure at t = 5: the first decision waits
+        // for the failure queued behind the arrival wake-up. Job 1's
+        // zero-length run finishes at 5, after that decision, and its
+        // completion asks for a second decision there.
+        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let sink_log = log.clone();
+        let dispatcher = ZeroFirst { log: log.clone() };
+        let arrivals = vec![(t(5), 1u32), (t(5), 2)];
+        let mut sim = OnlineMachine::start(dispatcher, arrivals.into_iter(), |c| {
+            let entry = format!("finish {} @ {}", c.job, c.end.ticks());
+            sink_log.borrow_mut().push(entry);
+        });
+        sim.schedule_at(t(5), OnlineEvent::NodeDown { node: 0, up: t(6) });
+        sim.schedule_at(t(6), OnlineEvent::NodeUp { node: 0 });
+        let stats = sim.run_to_completion(100);
+        assert_eq!(sim.model().counters().decisions, 2);
+        drop(sim);
+        assert_eq!(
+            *log.borrow(),
+            [
+                "down @ 5",
+                "decide [1, 2] @ 5",
+                "finish 1 @ 5",
+                "decide [2] @ 5",
+                "finish 2 @ 7",
+            ]
+        );
+        // Arrive, NodeDown, two Finishes and NodeUp: decisions are no
+        // events.
+        assert_eq!(stats.events_dispatched, 5);
     }
 
     #[test]

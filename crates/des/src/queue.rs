@@ -168,6 +168,24 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Instant of the earliest live event, discarding the tombstones that
+    /// sit above it at the top of the heap.
+    pub fn next_at(&mut self) -> Option<Time> {
+        while let Some(&top) = self.heap.first() {
+            if self.is_live(&top) {
+                return Some(top.at);
+            }
+            self.pop_heap();
+            self.dead -= 1;
+        }
+        None
+    }
+
+    /// Does `entry` still hold its slot's payload (not a tombstone)?
+    fn is_live(&self, entry: &HeapEntry) -> bool {
+        matches!(self.slots[entry.slot as usize].occupant, Some((seq, _)) if seq == entry.seq)
+    }
+
     /// Number of live events (cancelled-but-undiscarded entries excluded).
     pub fn len(&self) -> usize {
         self.heap.len() - self.dead
@@ -190,10 +208,9 @@ impl<E> EventQueue<E> {
     /// entries outnumber live ones, so the amortized cost per cancel is O(1)
     /// sift work plus the O(1) vacate already paid.
     fn compact(&mut self) {
-        let slots = &self.slots;
-        self.heap.retain(|entry| {
-            matches!(slots[entry.slot as usize].occupant, Some((seq, _)) if seq == entry.seq)
-        });
+        let mut heap = std::mem::take(&mut self.heap);
+        heap.retain(|entry| self.is_live(entry));
+        self.heap = heap;
         self.dead = 0;
         for i in (0..self.heap.len() / ARITY + 1).rev() {
             self.sift_down(i);
@@ -367,6 +384,24 @@ mod tests {
         assert_eq!(q.pop().map(|(_, _, e)| e), Some(999));
         assert!(q.is_empty());
         assert_eq!(q.heap_len(), 0);
+    }
+
+    #[test]
+    fn next_at_skips_a_cancelled_top_entry() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
+        q.schedule(t(3), "c");
+        q.schedule(t(4), "d");
+        assert_eq!(q.next_at(), Some(t(1)));
+        q.cancel(a); // 1 dead of 4 — left in the heap as its top entry
+        assert_eq!(q.heap_len(), 4);
+        assert_eq!(q.next_at(), Some(t(2)), "the tombstone is not an event");
+        assert_eq!(q.heap_len(), 3, "and the read discarded it");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop().map(|(at, _, e)| (at, e)), Some((t(2), "b")));
+        let mut empty: EventQueue<()> = EventQueue::new();
+        assert_eq!(empty.next_at(), None);
     }
 
     #[test]

@@ -184,13 +184,14 @@ impl SteadyState {
                     .map(|o| o.slowdown)
                     .fold(0.0, f64::max);
                 let summary = Summary::from_iter(flows.iter().copied());
+                let [p50, p95, p99] = summary.quantiles([0.5, 0.95, 0.99]);
                 ClassResponse {
                     class,
                     n: flows.len(),
                     mean_flow_s: summary.mean(),
-                    p50_flow_s: summary.quantile(0.5),
-                    p95_flow_s: summary.quantile(0.95),
-                    p99_flow_s: summary.quantile(0.99),
+                    p50_flow_s: p50,
+                    p95_flow_s: p95,
+                    p99_flow_s: p99,
                     max_slowdown,
                     ci95_flow_s: batch_means_ci95(&flows, batches),
                 }

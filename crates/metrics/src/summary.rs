@@ -90,12 +90,17 @@ impl Summary {
     /// empty. The lower rank makes the median of an even-size sample the
     /// smaller of the two central values — deterministic and exact.
     pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q));
+        self.quantiles([q])[0]
+    }
+
+    /// [`quantile`](Self::quantile) at each of `qs`, sorting the
+    /// observations once.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [f64; N] {
+        assert!(qs.iter().all(|q| (0.0..=1.0).contains(q)));
         assert!(!self.values.is_empty(), "quantile of empty summary");
         let mut sorted = self.values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-        let rank = ((sorted.len() as f64 - 1.0) * q).floor() as usize;
-        sorted[rank]
+        qs.map(|q| sorted[((sorted.len() as f64 - 1.0) * q).floor() as usize])
     }
 
     /// Median.
@@ -133,6 +138,7 @@ mod tests {
         assert_eq!(s.median(), 4.0);
         assert_eq!(s.quantile(1.0), 9.0);
         assert_eq!(s.quantile(0.0), 2.0);
+        assert_eq!(s.quantiles([0.0, 0.5, 1.0]), [2.0, 4.0, 9.0]);
     }
 
     #[test]

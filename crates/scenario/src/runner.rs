@@ -473,7 +473,8 @@ pub struct OnlineRun {
     /// Kill, waste and goodput accounting (a perfect score without
     /// outages).
     pub failures: FailureStats,
-    /// Engine counters (arrivals + decisions + completions).
+    /// Engine counters (arrival wake-ups, completions and node events;
+    /// decisions are no events).
     pub stats: RunStats,
     /// Jobs the planner examined over the whole run — the
     /// instrumentation the O(dirty) regression tests read.

@@ -271,11 +271,11 @@ fn staggered_releases_never_start_early_and_match_replay_accounting() {
             .map(|r| r.id)
             .collect();
         assert_eq!(online_ids, replay_ids, "{}", policy.name());
-        // Event budget: n arrivals + n completions + at most one decision
-        // per arrival/completion instant, nothing else.
+        // Event budget: at most one arrival wake-up per job plus exactly
+        // n completions, nothing else — decisions are no events.
         let n = jobs.len() as u64;
         assert!(
-            online.stats.events_dispatched > 2 * n && online.stats.events_dispatched <= 4 * n,
+            online.stats.events_dispatched > n && online.stats.events_dispatched <= 2 * n,
             "{}: {} events for n = {n}",
             policy.name(),
             online.stats.events_dispatched
