@@ -973,6 +973,65 @@ mod proptests {
         tl
     }
 
+    /// Lengths aimed at the instants a head's shadow can start at: the
+    /// ends of `tl`'s bookings and the estimated ends (release plus
+    /// estimate) of earlier draws. A draw `(w, jit, len, rel, aim)` runs
+    /// from its release up to the `aim`-th earliest such instant after it,
+    /// or keeps `len` when there are fewer. Under a factor above 1, a job
+    /// started at its release can then truly end where a later head's
+    /// shadow starts while its estimate runs past it — the case in which a
+    /// quiet head must not take its shadow, and which free lengths almost
+    /// never draw.
+    fn aimed(
+        specs: &[(usize, usize, u64, u64, usize)],
+        tl: &Timeline,
+        floor: Time,
+        factor: f64,
+    ) -> Vec<(usize, usize, u64, u64)> {
+        let mut ends: Vec<u64> = tl.bookings().map(|(_, b)| b.end.ticks()).collect();
+        specs
+            .iter()
+            .map(|&(w, jit, len, rel, aim)| {
+                let from = rel.max(floor.ticks());
+                let mut after: Vec<u64> = ends.iter().copied().filter(|&e| e > from).collect();
+                after.sort_unstable();
+                after.dedup();
+                let len = after.get(aim).map_or(len, |&end| end - from);
+                ends.push(from + estimate(Dur::from_ticks(len), factor).ticks());
+                (w, jit, len, rel)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The sweep against the reference on short queues, mostly
+        /// released by `floor`, over a booked timeline, with [`aimed`]
+        /// lengths. Cheap cases, so more of them: about one in eighty
+        /// reaches a quiet head whose shadow start is a started job's true
+        /// end, short of its estimate, where the free draws of the tests
+        /// below reach none.
+        #[test]
+        fn easy_sweep_matches_the_reference_on_aimed_lengths(
+            machine in 0usize..MACHINES.len(),
+            factor in 0usize..FACTORS.len(),
+            specs in prop::collection::vec(
+                (1usize..=4, 0usize..256, 1u64..30, 0u64..10, 0usize..3),
+                2..6,
+            ),
+            live in prop::collection::vec((0u64..40, 1u64..40, 0usize..4, 1usize..=4), 1..6),
+            floor in 1u64..30,
+        ) {
+            let m = MACHINES[machine];
+            let floor = Time::from_ticks(floor);
+            let tl = booked_timeline(m, &live, floor);
+            let factor = FACTORS[factor];
+            let specs = aimed(&specs, &tl, floor, factor);
+            sweep_matches_reference(&jobs_on(m, &specs), floor, &tl, factor);
+        }
+    }
+
     proptest! {
         /// The one-sweep EASY round places every job exactly where the
         /// two-loop round did — same start, same processors — from an

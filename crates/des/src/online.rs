@@ -14,20 +14,23 @@
 //! and this module only owns the event mechanics. One [`OnlineMachine`]
 //! serves finite runs and unbounded streams alike:
 //!
-//! * arrivals are drawn from the source one ahead — the queue holds a
-//!   single payload-free [`OnlineEvent::Arrive`] wake-up for the next
-//!   release instant — so a finite job list is just a source that runs dry
-//!   and an open stream never materializes;
-//! * whichever event reaches an instant first admits **every** arrival
+//! * arrivals are drawn from the source one ahead and never enter the event
+//!   queue: the held arrival's release is the machine's
+//!   [`Model::wake_at`], which the simulation steps beside the queue, so a
+//!   finite job list is just a source that runs dry and an open stream
+//!   never materializes;
+//! * whatever reaches an instant first — a queued event, or the arrival
+//!   wake-up when no event is queued there — admits **every** arrival
 //!   released at it, before anything else happens there, so same-instant
 //!   arrivals coalesce into **one** decision however they interleave with
-//!   a same-instant completion or failure;
+//!   a same-instant completion or failure. A queued event wins a tie with
+//!   the wake-up, which then has nothing left to admit and is not stepped;
 //! * a decision is not an event: the machine invokes the dispatcher at the
-//!   end of the last event queued at an instant, once [`Ctx::next_at`]
-//!   shows no other live event there, so the decision follows every event
-//!   of its instant. Only a decision schedules events at its own instant
-//!   (the `Finish` of a zero-length commitment); such a `Finish` fires
-//!   after it and asks for a second decision;
+//!   end of the last step of an instant, once [`Ctx::next_at`] shows no
+//!   live event queued there, so the decision follows every event of its
+//!   instant. Only a decision schedules events at its own instant (the
+//!   `Finish` of a zero-length commitment); such a `Finish` fires after it
+//!   and asks for a second decision;
 //! * running slots are recycled through a free list, and each slot keeps
 //!   its queued `Finish` event's key, so memory tracks the concurrency
 //!   high-water mark and a kill cancels its completion in O(1);
@@ -139,14 +142,12 @@ impl<J, I: Iterator<Item = (Time, J)>> ArrivalSource for I {
     }
 }
 
-/// Event alphabet of the online machine: arrival wake-ups, completions
-/// and node failures and repairs. A decision is no event — the machine
-/// makes it inside the last event of its instant.
+/// Event alphabet of the online machine: completions and node failures
+/// and repairs. Arrivals are no events — the machine steps them as its own
+/// wake-ups ([`Model::wake_at`]) — and neither are decisions, which the
+/// machine makes inside the last step of their instant.
 #[derive(Debug)]
 pub enum OnlineEvent {
-    /// Wake-up at the source's next release instant. The jobs themselves
-    /// stay in the machine; this only stops the clock there.
-    Arrive,
     /// A committed run finishes (index into the machine's running table).
     Finish(usize),
     /// A node fails, repaired at `up` — the repair instant rides along so
@@ -193,8 +194,8 @@ pub struct OnlineCounters {
 pub struct OnlineMachine<D: Dispatcher, S, F> {
     dispatcher: D,
     source: S,
-    /// The source's next arrival, drawn one ahead. An `Arrive` wake-up is
-    /// queued at its release instant.
+    /// The source's next arrival, drawn one ahead. Its release instant is
+    /// the machine's wake-up ([`Model::wake_at`]).
     next: Option<(Time, D::Job)>,
     sink: F,
     pending: Vec<D::Job>,
@@ -222,12 +223,11 @@ where
     S: ArrivalSource<Job = D::Job>,
     F: FnMut(Commitment<D::Job, D::Placement>),
 {
-    /// A simulation of a machine over `source`, with the first arrival's
-    /// wake-up already seeded. `sink` observes every completion.
+    /// A simulation of a machine over `source`, with the first arrival
+    /// drawn. `sink` observes every completion.
     pub fn start(dispatcher: D, mut source: S, sink: F) -> Simulation<Self> {
         let next = source.next_arrival();
-        let first = next.as_ref().map(|&(at, _)| at);
-        let mut sim = Simulation::new(OnlineMachine {
+        Simulation::new(OnlineMachine {
             dispatcher,
             source,
             next,
@@ -240,11 +240,7 @@ where
             kill_scratch: Vec::new(),
             resubmit_scratch: Vec::new(),
             counters: OnlineCounters::default(),
-        });
-        if let Some(at) = first {
-            sim.schedule_at(at, OnlineEvent::Arrive);
-        }
-        sim
+        })
     }
 
     /// Jobs arrived but not yet committed.
@@ -268,10 +264,9 @@ where
         self.dispatcher
     }
 
-    /// Move every arrival released by `now` into the pending set and queue
-    /// the wake-up for the next release instant. Returns whether any job
-    /// arrived.
-    fn admit(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) -> bool {
+    /// Move every arrival released by `now` into the pending set, drawing
+    /// the next one. Returns whether any job arrived.
+    fn admit(&mut self, now: Time) -> bool {
         let mut admitted = false;
         while let Some((at, _)) = self.next {
             if at > now {
@@ -287,12 +282,27 @@ where
                     next_at >= at,
                     "arrival source must release in nondecreasing order"
                 );
-                if next_at > now {
-                    ctx.schedule_at(next_at, OnlineEvent::Arrive);
-                }
             }
         }
         admitted
+    }
+
+    /// Close a step at `now` that may have admitted arrivals: sample the
+    /// live-job high-water mark, then decide if work is waiting and no
+    /// other event is queued at this instant.
+    fn settle(&mut self, now: Time, admitted: bool, ctx: &mut Ctx<'_, OnlineEvent>) {
+        // Live jobs only grow on arrival; sampled once the step is done,
+        // a same-instant completion has already left.
+        if admitted {
+            let live = self.pending.len() + self.running();
+            self.counters.max_live = self.counters.max_live.max(live);
+        }
+        // New information (an arrival, a completion, a failure or repair):
+        // re-invoke the dispatcher if work is waiting, once the last event
+        // of this instant is done.
+        if !self.pending.is_empty() && ctx.next_at() != Some(now) {
+            self.decide(now, ctx);
+        }
     }
 
     fn decide(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
@@ -363,12 +373,11 @@ where
     type Event = OnlineEvent;
 
     fn handle(&mut self, now: Time, event: OnlineEvent, ctx: &mut Ctx<'_, OnlineEvent>) {
-        // Arrivals are admitted by the first event to reach their instant,
+        // Arrivals are admitted by the first step to reach their instant,
         // so a same-instant failure resubmits behind them and no decision
         // at this instant can miss one.
-        let admitted = self.admit(now, ctx);
+        let admitted = self.admit(now);
         match event {
-            OnlineEvent::Arrive => {}
             OnlineEvent::Finish(slot) => {
                 let c = self.running[slot]
                     .take()
@@ -381,18 +390,20 @@ where
             OnlineEvent::NodeDown { node, up } => self.node_down(now, node, up, ctx),
             OnlineEvent::NodeUp { .. } => {}
         }
-        // Live jobs only grow on arrival; sampled once the event is done,
-        // a same-instant completion has already left.
-        if admitted {
-            let live = self.pending.len() + self.running();
-            self.counters.max_live = self.counters.max_live.max(live);
-        }
-        // New information (an arrival, a completion, a failure or repair):
-        // re-invoke the dispatcher if work is waiting, once the last event
-        // of this instant is done.
-        if !self.pending.is_empty() && ctx.next_at() != Some(now) {
-            self.decide(now, ctx);
-        }
+        self.settle(now, admitted, ctx);
+    }
+
+    /// The held arrival's release: the simulation steps it only when no
+    /// event is queued at or before it.
+    #[inline]
+    fn wake_at(&self) -> Option<Time> {
+        self.next.as_ref().map(|&(at, _)| at)
+    }
+
+    fn wake(&mut self, now: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
+        let admitted = self.admit(now);
+        debug_assert!(admitted, "an arrival wake-up admits its arrival");
+        self.settle(now, admitted, ctx);
     }
 }
 
@@ -506,8 +517,9 @@ mod tests {
     fn simultaneous_arrivals_coalesce_into_one_decision() {
         // The burst [3, 1, 2] at t = 5, alone; behind job 5, whose [0, 5)
         // run finishes at the burst's instant; and additionally with a
-        // node failure seeded at that instant (queued ahead of both the
-        // burst's wake-up and the completion).
+        // node failure seeded at that instant (queued ahead of the
+        // completion; either queued event admits the burst, so the burst
+        // takes no wake-up of its own).
         let burst = [(t(5), 3u32), (t(5), 1), (t(5), 2)];
         for (lead, fail) in [(false, false), (true, false), (true, true)] {
             let mut arrivals = Vec::new();
@@ -577,10 +589,10 @@ mod tests {
 
     #[test]
     fn a_zero_length_commitment_asks_for_a_second_decision_at_its_instant() {
-        // Both jobs and a node failure at t = 5: the first decision waits
-        // for the failure queued behind the arrival wake-up. Job 1's
-        // zero-length run finishes at 5, after that decision, and its
-        // completion asks for a second decision there.
+        // Both jobs and a node failure at t = 5: the failure is queued
+        // there, so it admits the arrivals and the first decision follows
+        // it. Job 1's zero-length run finishes at 5, after that decision,
+        // and its completion asks for a second decision there.
         let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
         let sink_log = log.clone();
         let dispatcher = ZeroFirst { log: log.clone() };
@@ -604,9 +616,9 @@ mod tests {
                 "finish 2 @ 7",
             ]
         );
-        // Arrive, NodeDown, two Finishes and NodeUp: decisions are no
-        // events.
-        assert_eq!(stats.events_dispatched, 5);
+        // NodeDown, two Finishes and NodeUp: decisions are no events, and
+        // the arrivals need no wake-up of their own.
+        assert_eq!(stats.events_dispatched, 4);
     }
 
     #[test]

@@ -60,22 +60,20 @@ pub fn csum_lower_bound(jobs: &[Job], m: usize) -> f64 {
 /// `jobs` in Smith order under `weight`: ascending ratio work/weight — the
 /// WSPT-optimal order on the squashed machine — ties broken by id, then by
 /// input position (the order a stable sort keeps). Zero-weight jobs go
-/// last (ratio ∞). Each ratio is computed once, not per comparison.
+/// last (ratio ∞). Each ratio is computed once, not per comparison, and
+/// sorted as its bit pattern: for non-negative floats (+∞ included) the
+/// bits order exactly as the values do.
 fn smith_order(jobs: &[Job], weight: &impl Fn(&Job) -> f64) -> Vec<usize> {
-    let mut keys: Vec<(f64, JobId, usize)> = jobs
+    let mut keys: Vec<(u64, JobId, usize)> = jobs
         .iter()
         .enumerate()
         .map(|(i, j)| {
             let ratio = j.min_work().ticks() as f64 / weight(j).max(f64::MIN_POSITIVE);
-            (ratio, j.id, i)
+            assert!(ratio >= 0.0, "Smith ratios are non-negative numbers");
+            (ratio.to_bits(), j.id, i)
         })
         .collect();
-    keys.sort_unstable_by(|a, b| {
-        a.0.partial_cmp(&b.0)
-            .expect("finite ratios")
-            .then(a.1.cmp(&b.1))
-            .then(a.2.cmp(&b.2))
-    });
+    keys.sort_unstable();
     keys.into_iter().map(|(_, _, i)| i).collect()
 }
 

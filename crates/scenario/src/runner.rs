@@ -592,7 +592,7 @@ pub(crate) fn finite_online<'a>(
         arrivals.into_iter(),
         &plan.outages,
         Stop::Drain,
-        |c| completed.push(c),
+        |c| completed.push(Some(c)),
     );
     let dispatch = run.dispatch;
     assert_eq!(
@@ -603,10 +603,16 @@ pub(crate) fn finite_online<'a>(
     // One pass over the final attempts, in job-id order: the records, the
     // validated schedule with the shapes its attempts ran, the useful area
     // and the interrupted-job slowdowns (sorted-id order, so identical
-    // across the planner and oracle paths).
-    completed.sort_by_key(|c| c.job.id);
+    // across the planner and oracle paths). Only the `(id, index)` keys are
+    // sorted; each commitment then moves out of its slot once.
+    let mut by_id: Vec<(JobId, usize)> = completed
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.as_ref().expect("filled by the sink").job.id, i))
+        .collect();
+    by_id.sort_unstable();
     debug_assert!(
-        completed.windows(2).all(|w| w[0].job.id < w[1].job.id),
+        by_id.windows(2).all(|w| w[0].0 < w[1].0),
         "duplicate completion records"
     );
     let mut records = Vec::with_capacity(completed.len());
@@ -614,7 +620,8 @@ pub(crate) fn finite_online<'a>(
     let mut attempted = Vec::with_capacity(completed.len());
     let mut useful_area = 0u64;
     let mut slowdowns = Vec::new();
-    for c in completed {
+    for (_, i) in by_id {
+        let c = completed[i].take().expect("each index once");
         let orig = dispatch.originals.get(&c.job.id);
         let shape = orig.unwrap_or(&c.job);
         let q = c.placed.procs.len();
