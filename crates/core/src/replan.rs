@@ -39,14 +39,20 @@
 //!   commitments, once the batch is placed — which is precisely the
 //!   committed interval the full replan would have re-booked at the next
 //!   event.
-//! * **Completions** cost one heap pop and one arena free at the start of
-//!   the next `plan`, and no profile edit. The planner first forgets the
-//!   timeline before `now` ([`Timeline::forget_before`]): the invariant
-//!   only constrains `[now, ∞)`, so the profile drops every segment
-//!   before it. Bookings then expire off a `(true_end, id)` min-heap,
-//!   replacing the full-path `Timeline::gc` scan; a booking with
-//!   `true_end <= now` lies wholly before the horizon, so removing it
-//!   edits no segment.
+//! * **Completions** cost no profile edit and no bookkeeping of their
+//!   own. The planner first forgets the timeline before `now`
+//!   ([`Timeline::forget_before`]): the invariant only constrains
+//!   `[now, ∞)`, so the profile drops every segment before it. Finished
+//!   bookings stay in the table until a sweep ([`Timeline::gc`]) drops
+//!   them, which runs whenever the table has doubled since the previous
+//!   sweep left it (and holds at least 64 bookings): each scan is paid
+//!   for by the bookings made since the last, so it costs O(1) amortized
+//!   per booking, and the table stays within twice the bookings live at
+//!   the last sweep. A swept booking ends by `now`, so it lies wholly
+//!   before the horizon and removing it edits no segment.
+//!   Outage windows and killed bookings need nothing more: the sweep
+//!   drops an outage once it has ended, and a kill removes its booking
+//!   at once.
 //! * **Reservations** are booked once at construction. The first-fit
 //!   processor choice for a reservation is stable across decisions (later
 //!   commitments are always placed *around* the booked reservation, so
@@ -64,9 +70,6 @@
 //! the full replan's — the property the differential tests in
 //! `lsps_scenario` pin down against a re-book-everything oracle kept in
 //! test code.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
 
 use lsps_des::{Commitment, Time};
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
@@ -256,23 +259,24 @@ impl<P: Policy + ?Sized> IncrementalPlanner for BatchPlanner<'_, P> {
     }
 }
 
+/// Fewest bookings a [`BackfillPlanner`]'s table holds before it is swept
+/// of finished work: without a floor, a table the last sweep left (nearly)
+/// empty would be swept again at every decision.
+const SWEEP_FLOOR: usize = 64;
+
 /// [`IncrementalPlanner`] for the backfill family (conservative + EASY).
 pub struct BackfillPlanner {
     flavour: BackfillPolicy,
     m: usize,
     factor: f64,
-    /// The persistent planning timeline: reservations + every commitment
-    /// still alive, at true lengths.
+    /// The persistent planning timeline: reservations, outage windows and
+    /// every commitment at its true length — the live ones, plus those
+    /// finished since the last sweep, which lie wholly before the horizon.
     tl: Timeline,
-    /// True completion of every job booking, a min-heap — the O(log live)
-    /// replacement for the full path's per-event `gc` scan.
-    expiry: BinaryHeap<Reverse<(Time, BookingId)>>,
+    /// Bookings the last sweep left in the table, every one live then. The
+    /// next sweep waits until the table has doubled from it.
+    swept: usize,
     touched: u64,
-    /// Bookings evicted by [`IncrementalPlanner::invalidate`] whose expiry
-    /// entry is still in the heap — `plan` skips these instead of
-    /// demanding they be present, keeping the missing-booking panic for
-    /// genuine bugs. Consulted only when an expiring booking is missing.
-    invalidated: HashSet<BookingId>,
     /// The passes' buffers, reused across decisions.
     scratch: PassScratch,
 }
@@ -292,9 +296,8 @@ impl BackfillPlanner {
             m,
             factor: ctx.estimate_factor,
             tl: ctx.reserved_timeline(m),
-            expiry: BinaryHeap::new(),
+            swept: 0,
             touched: 0,
-            invalidated: HashSet::new(),
             scratch: PassScratch::default(),
         }
     }
@@ -307,20 +310,12 @@ impl IncrementalPlanner for BackfillPlanner {
         pending: &mut Vec<Job>,
         out: &mut Vec<Commitment<Job, Placement>>,
     ) {
-        // Nothing before `now` is queried again, so expiring work below
-        // edits no profile segment: it frees only its arena slot.
+        // Nothing before `now` is queried again, so sweeping finished work
+        // below edits no profile segment: it frees only arena slots.
         self.tl.forget_before(now);
-        while let Some(&Reverse((end, id))) = self.expiry.peek() {
-            if end > now {
-                break;
-            }
-            self.expiry.pop();
-            if self.tl.remove(id).is_none() {
-                assert!(
-                    self.invalidated.remove(&id),
-                    "expired booking still present"
-                );
-            }
+        if self.tl.n_bookings() >= (2 * self.swept).max(SWEEP_FLOOR) {
+            self.tl.gc(now);
+            self.swept = self.tl.n_bookings();
         }
         if pending.is_empty() {
             return;
@@ -372,14 +367,10 @@ impl IncrementalPlanner for BackfillPlanner {
         // Pin the batch at true lengths: the next decision must see exactly
         // the committed (true) intervals, not the estimate tails — that is
         // what a full replan re-books from its commitment table.
+        // Zero-length work vanishes on truncation (and the EASY replay may
+        // already have dropped it mid-pass).
         for c in &out[first..] {
-            let bk = c.placed.booking;
-            self.tl.truncate(bk, c.end);
-            // Zero-length work vanishes on truncation (and the EASY replay
-            // may already have dropped it mid-pass) — nothing to expire.
-            if self.tl.booking(bk).is_some() {
-                self.expiry.push(Reverse((c.end, bk)));
-            }
+            self.tl.truncate(c.placed.booking, c.end);
         }
     }
 
@@ -391,13 +382,11 @@ impl IncrementalPlanner for BackfillPlanner {
         self.tl
             .remove(id)
             .expect("invalidated booking still present");
-        self.invalidated.insert(id);
     }
 
     fn add_outage(&mut self, node: u32, start: Time, end: Time) {
         assert!(end > start, "empty outage [{start:?}, {end:?})");
-        let id = self
-            .tl
+        self.tl
             .try_book(
                 start,
                 end,
@@ -407,7 +396,6 @@ impl IncrementalPlanner for BackfillPlanner {
             .unwrap_or_else(|e| {
                 panic!("outage [{start:?}, {end:?}) on node {node} collides: {e:?}")
             });
-        self.expiry.push(Reverse((end, id)));
     }
 }
 
@@ -574,6 +562,65 @@ mod tests {
             let ids: Vec<u64> = out.iter().map(|c| c.job.id.0).collect();
             assert_eq!(ids, [1, 2, 3], "{flavour:?}");
             assert_eq!(out[2].job, pending[0], "{flavour:?}");
+        }
+    }
+
+    /// Over a few hundred decisions of a steady stream, with node outages
+    /// and the kills they force, the sweep keeps the planner's booking
+    /// table O(live): after every decision it holds fewer than twice the
+    /// live bookings plus the floor, although nothing tracks when each
+    /// booking ends.
+    #[test]
+    fn the_booking_table_stays_within_twice_the_live_bookings() {
+        let m = 128;
+        for flavour in FLAVOURS {
+            let mut planner = BackfillPlanner::new(flavour, m, &PolicyCtx::default());
+            let mut committed: Vec<Commitment<Job, Placement>> = Vec::new();
+            let mut pending = Vec::new();
+            let (mut next_id, mut sweeps, mut peak, mut kills) = (0u64, 0, 0, 0);
+            for k in 0..400u64 {
+                let now = t(10 * k);
+                // Six arrivals per decision, about 0.85 of the machine.
+                for _ in 0..6 {
+                    next_id += 1;
+                    let (width, len) = (1 + (next_id * 7 % 2) as usize, 5 + next_id * 37 % 230);
+                    pending.push(Job::rigid(next_id, width, d(len)).released_at(now));
+                }
+                let before = planner.tl.n_bookings();
+                let mut out = Vec::new();
+                planner.plan(now, &mut pending, &mut out);
+                assert!(pending.is_empty(), "{flavour:?}");
+                committed.retain(|c| c.end > now);
+                committed.extend(out);
+                let table = planner.tl.n_bookings();
+                let live = planner.tl.bookings().filter(|(_, b)| b.end > now).count();
+                assert!(
+                    table < 2 * live + SWEEP_FLOOR,
+                    "{flavour:?} at {now:?}: {table} bookings, {live} live"
+                );
+                sweeps += usize::from(table < before);
+                peak = peak.max(live);
+                if k % 25 == 12 {
+                    // Node `k mod m` fails for 30 ticks: every commitment
+                    // holding it over the window is killed and resubmitted.
+                    let (node, up) = ((k % m as u64) as u32, now + d(30));
+                    committed.retain(|c| {
+                        let hit = c.placed.procs.contains(node as usize) && c.start < up;
+                        if hit {
+                            kills += 1;
+                            planner.invalidate(c.placed.booking);
+                            pending.push(c.job.clone().released_at(now));
+                        }
+                        !hit
+                    });
+                    planner.add_outage(node, now, up);
+                }
+            }
+            // Enough live work that the doubling rule, not the floor, paces
+            // the sweeps.
+            assert!(peak > SWEEP_FLOOR, "{flavour:?}: at most {peak} live");
+            assert!(sweeps >= 20, "{flavour:?}: {sweeps} sweeps");
+            assert!(kills > 0, "{flavour:?}: no outage killed anything");
         }
     }
 

@@ -13,7 +13,6 @@
 //! Experiments *always* validate before reporting numbers: a policy bug
 //! fails loudly instead of producing flattering garbage.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -147,13 +146,15 @@ impl Schedule {
 
     /// Full validation against the job set (see module docs).
     pub fn validate(&self, jobs: &[Job]) -> Result<(), ValidationError> {
-        let by_id: HashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
+        let keys = id_keys(jobs);
         let machine = ProcSet::full(self.m);
-        let mut seen: HashMap<JobId, ()> = HashMap::with_capacity(self.assignments.len());
+        // Indexed like `jobs`; only the job an id resolves to is marked.
+        let mut seen = vec![false; jobs.len()];
 
         for a in &self.assignments {
-            let job = *by_id.get(&a.job).ok_or(ValidationError::Unknown(a.job))?;
-            if seen.insert(a.job, ()).is_some() {
+            let at = resolve(&keys, a.job).ok_or(ValidationError::Unknown(a.job))?;
+            let job = &jobs[at];
+            if std::mem::replace(&mut seen[at], true) {
                 return Err(ValidationError::Duplicate(a.job));
             }
             if !a.procs.is_subset(&machine) || a.procs.is_empty() {
@@ -177,10 +178,15 @@ impl Schedule {
                 return Err(ValidationError::WrongShape(a.job));
             }
         }
-        for j in jobs {
-            if !seen.contains_key(&j.id) {
-                return Err(ValidationError::Missing(j.id));
+        // Repeated ids share the mark of the job they resolve to.
+        for group in keys.chunk_by(|a, b| a.0 == b.0) {
+            let (_, last) = group[group.len() - 1];
+            for &(_, at) in group {
+                seen[at] = seen[last];
             }
+        }
+        if let Some((j, _)) = jobs.iter().zip(&seen).find(|&(_, &s)| !s) {
+            return Err(ValidationError::Missing(j.id));
         }
         match self.first_overlap() {
             Some((earlier, later)) => Err(ValidationError::Overlap(earlier, later)),
@@ -221,14 +227,13 @@ impl Schedule {
     /// If an assignment references a job missing from `jobs` — validate
     /// first.
     pub fn completed(&self, jobs: &[Job]) -> Vec<CompletedJob> {
-        let by_id: HashMap<JobId, &Job> = jobs.iter().map(|j| (j.id, j)).collect();
+        let keys = id_keys(jobs);
         self.assignments
             .iter()
             .map(|a| {
-                let job = by_id
-                    .get(&a.job)
+                let at = resolve(&keys, a.job)
                     .unwrap_or_else(|| panic!("unknown job {} in schedule", a.job));
-                CompletedJob::from_job(job, a.start, a.end, a.procs.len())
+                CompletedJob::from_job(&jobs[at], a.start, a.end, a.procs.len())
             })
             .collect()
     }
@@ -260,6 +265,25 @@ impl Schedule {
         }
         out
     }
+}
+
+/// `(id, index)` of every job, sorted: the id lookup of
+/// [`Schedule::validate`] and [`Schedule::completed`], one sort instead of
+/// a hash map.
+fn id_keys(jobs: &[Job]) -> Vec<(JobId, usize)> {
+    let mut keys: Vec<(JobId, usize)> = jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// Index of the job with id `id` in the keys' job slice. Of repeated ids
+/// the last job wins, as it would in a map collected from the slice.
+fn resolve(keys: &[(JobId, usize)], id: JobId) -> Option<usize> {
+    let end = keys.partition_point(|&(k, _)| k <= id);
+    keys[..end]
+        .last()
+        .filter(|&&(k, _)| k == id)
+        .map(|&(_, at)| at)
 }
 
 #[cfg(test)]

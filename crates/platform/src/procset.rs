@@ -129,6 +129,25 @@ pub(crate) fn subset_words(a: &[u64], b: &[u64]) -> bool {
     a_tail.iter().zip(b_tail).all(|(&a, &b)| a & !b == 0) && a[n..].iter().all(|&a| a == 0)
 }
 
+/// `|a \ b|`: the bits set in `a` and not in `b`; words of `a` past `b`'s
+/// length survive the difference whole.
+#[inline]
+pub(crate) fn difference_count_words(a: &[u64], b: &[u64]) -> usize {
+    let n = a.len().min(b.len());
+    let (a_chunks, a_tail) = a[..n].as_chunks::<LANES>();
+    let (b_chunks, b_tail) = b[..n].as_chunks::<LANES>();
+    let mut count = 0usize;
+    for (a, b) in a_chunks.iter().zip(b_chunks) {
+        for i in 0..LANES {
+            count += (a[i] & !b[i]).count_ones() as usize;
+        }
+    }
+    for (&a, &b) in a_tail.iter().zip(b_tail) {
+        count += (a & !b).count_ones() as usize;
+    }
+    count + count_words(&a[n..])
+}
+
 /// Number of set bits.
 #[inline]
 pub(crate) fn count_words(words: &[u64]) -> usize {
@@ -492,26 +511,7 @@ impl ProcSet {
     /// feasibility test ("are at least `width` of these procs outside that
     /// busy set?") allocates nothing.
     pub fn difference_len(&self, other: &ProcSet) -> usize {
-        let (sw, ow) = (self.words(), other.words());
-        let n = sw.len().min(ow.len());
-        let (a_chunks, _) = sw[..n].as_chunks::<LANES>();
-        let (b_chunks, _) = ow[..n].as_chunks::<LANES>();
-        let mut count = 0usize;
-        for (a, b) in a_chunks.iter().zip(b_chunks) {
-            for i in 0..LANES {
-                count += (a[i] & !b[i]).count_ones() as usize;
-            }
-        }
-        let off = (n / LANES) * LANES;
-        for (&a, &b) in sw[off..n].iter().zip(&ow[off..n]) {
-            count += (a & !b).count_ones() as usize;
-        }
-        // Words of `self` past `other`'s length survive the difference
-        // whole.
-        for &a in &sw[n..] {
-            count += a.count_ones() as usize;
-        }
-        count
+        difference_count_words(self.words(), other.words())
     }
 
     /// The `k` smallest-index processors of the set (a deterministic

@@ -24,7 +24,7 @@
 //! profile is a piecewise-constant map from time to the *busy* processor
 //! set, stored as a sorted array of segment starts, a parallel array of
 //! per-segment metadata (the segment's busy row, that row's cached popcount
-//! and a `frees` flag) and one arena of busy rows:
+//! and an `added` count) and one arena of busy rows:
 //!
 //! * a start `t` whose segment owns row `r` means exactly the processors of
 //!   row `r` are occupied on `[t, next start)`; the last segment extends to
@@ -39,11 +39,13 @@
 //! * adjacent segments hold *distinct* busy sets (boundaries are
 //!   coalesced away as bookings come and go), so every boundary is a real
 //!   change point and the segment count is bounded by 2 × live bookings;
-//! * a segment's `frees` flag says its boundary frees a processor: the
-//!   previous segment's busy set is not a subset of this one. A booking's
+//! * a segment's `added` count is the number of processors busy in it but
+//!   not in the previous segment (zero for the first). A booking's
 //!   processors are free throughout its interval, so adding or removing
-//!   them leaves every interior boundary's flag as it was; a mutation
-//!   recomputes the flag only at the two edges it touches.
+//!   them leaves every interior boundary's count as it was; a mutation
+//!   recomputes it only at the two edges it touches. With the two cached
+//!   popcounts it says whether the boundary frees a processor:
+//!   `count[i] < count[i - 1] + added[i]`.
 //!
 //! The layout is a deliberate hot-path choice. Sorted arrays rather than
 //! an ordered tree: the bound above keeps the profile a few cache lines
@@ -64,12 +66,16 @@
 //! the booking table:
 //!
 //! * the search is one forward walk that does constant work per boundary:
-//!   it reads the `frees` flag (the free set of a sliding window can only
-//!   grow where processors are freed) and keeps a forward index to the
-//!   next segment too busy by count, which rules out every candidate
-//!   window covering it;
+//!   it derives from the counts whether the boundary frees a processor
+//!   (the free set of a sliding window can only grow where processors are
+//!   freed) and keeps a forward index to the next segment too busy by
+//!   count, which rules out every candidate window covering it;
 //! * each remaining candidate window is walked once, unioning its busy
-//!   rows into a stack buffer until the popcount shows it infeasible; a
+//!   rows into a stack buffer. The union only grows by processors outside
+//!   the previous row, so the first segment's count plus each later
+//!   segment's `added` is a certified upper bound on its size; the union
+//!   is popcounted only when that bound says the window might not fit,
+//!   and the walk stops as soon as the exact count shows it does not. A
 //!   window that fits yields its lowest free processors from that union,
 //!   and only that answer becomes a [`ProcSet`];
 //! * a fit test at one instant — "can this job start now?" — is the same
@@ -86,7 +92,9 @@ use serde::{Deserialize, Serialize};
 
 use lsps_des::{Dur, Time};
 
-use crate::procset::{and_not_words, count_words, disjoint_words, or_words, subset_words, ProcSet};
+use crate::procset::{
+    and_not_words, count_words, difference_count_words, disjoint_words, or_words, ProcSet,
+};
 
 /// Why an interval is booked — used by policies to decide what may be
 /// displaced (best-effort bookings are killable, the others are not).
@@ -174,20 +182,22 @@ impl std::error::Error for BookError {}
 const STACK_WORDS: usize = 16;
 
 /// Per-segment metadata, parallel to the segment starts: the arena row
-/// holding the segment's busy set, that set's popcount, and whether the
-/// segment's boundary frees a processor. Every placement probe needs "how
-/// many processors are free here" before it needs the exact set, so the
-/// count is maintained on mutation instead of being recomputed per query —
-/// it is what lets [`Timeline::earliest_slot`] rule windows out without
-/// touching a row.
+/// holding the segment's busy set, that set's popcount, and how many
+/// processors the segment's boundary adds to the busy set. Every placement
+/// probe needs "how many processors are free here" before it needs the
+/// exact set, so both counts are maintained on mutation instead of being
+/// recomputed per query — they are what let [`Timeline::earliest_slot`]
+/// rule windows out, and accept most of them, without counting a row.
 #[derive(Clone, Copy, Debug)]
 struct Meta {
     row: u32,
     count: u32,
-    /// The predecessor segment's busy set is not a subset of this one: some
-    /// processor is freed at this boundary. Always `false` for the first
+    /// Processors busy in this segment but not in its predecessor: a
+    /// window's busy union grows by at most this much when it extends over
+    /// the boundary. The boundary frees a processor iff
+    /// `count < predecessor's count + added`. Always `0` for the first
     /// segment, which has no predecessor.
-    frees: bool,
+    added: u32,
 }
 
 /// The piecewise-constant busy profile (see the module docs) in three
@@ -222,7 +232,7 @@ impl Profile {
             meta: vec![Meta {
                 row: 0,
                 count: 0,
-                frees: false,
+                added: 0,
             }],
             rows: vec![0; stride],
             free_rows: Vec::new(),
@@ -262,14 +272,14 @@ impl Profile {
     /// Drop every segment lying wholly before `t` (at or past the horizon),
     /// returning their rows, and relabel the one covering `t` to start
     /// there. Its busy set is untouched, so every later boundary keeps its
-    /// `frees` flag.
+    /// `added` count.
     fn forget_before(&mut self, t: Time) {
         let i = self.idx_at(t);
         self.free_rows.extend(self.meta[..i].iter().map(|m| m.row));
         self.starts.drain(..i);
         self.meta.drain(..i);
         self.starts[0] = t;
-        self.meta[0].frees = false;
+        self.meta[0].added = 0;
     }
 
     /// Index of the segment covering instant `t` (the last start `<= t`).
@@ -297,8 +307,8 @@ impl Profile {
         if self.starts[i] == t {
             return i;
         }
-        // The copy repeats its predecessor, so its boundary frees nothing;
-        // the successor's predecessor set is unchanged, and so is its flag.
+        // The copy repeats its predecessor, so its boundary adds nothing;
+        // the successor's predecessor set is unchanged, and so is its count.
         let row = self.copy_row(self.meta[i].row);
         self.starts.insert(i + 1, t);
         self.meta.insert(
@@ -306,7 +316,7 @@ impl Profile {
             Meta {
                 row,
                 count: self.meta[i].count,
-                frees: false,
+                added: 0,
             },
         );
         i + 1
@@ -314,7 +324,7 @@ impl Profile {
 
     /// Drop the boundary starting segment `i` if it no longer changes the
     /// busy set, returning its row to the free list. The successor keeps
-    /// its flag: its predecessor's busy set is unchanged. The first
+    /// its `added` count: its predecessor's busy set is unchanged. The first
     /// segment, at the horizon, always stays.
     fn coalesce(&mut self, i: usize) {
         if i > 0 && self.meta[i - 1].count == self.meta[i].count && self.busy(i - 1) == self.busy(i)
@@ -325,17 +335,17 @@ impl Profile {
         }
     }
 
-    /// Recompute the `frees` flag of the boundary starting segment `i`.
-    fn refresh_frees(&mut self, i: usize) {
+    /// Recompute the `added` count of the boundary starting segment `i`.
+    fn refresh_added(&mut self, i: usize) {
         if i > 0 {
-            self.meta[i].frees = !subset_words(self.busy(i - 1), self.busy(i));
+            self.meta[i].added = difference_count_words(self.busy(i), self.busy(i - 1)) as u32;
         }
     }
 
     /// Mark `procs` busy on `[start, end)`, clipped to the horizon. Caller
     /// guarantees they are currently free throughout the interval (the
     /// booking invariant), so interior boundaries keep their busy-set
-    /// change — and hence their `frees` flag, as `procs` is disjoint from
+    /// change — and hence their `added` count, as `procs` is disjoint from
     /// both sides — and only the two edges are recomputed or coalesced.
     fn add(&mut self, start: Time, end: Time, procs: &ProcSet) {
         self.edit(start, end, procs, true);
@@ -352,7 +362,7 @@ impl Profile {
 
     /// [`add`](Profile::add) (`busy`) or [`sub`](Profile::sub) (`!busy`):
     /// one locate of `start`, then a walk forward to `end`. The edge
-    /// indices it finds serve the splits, the flag refreshes and the
+    /// indices it finds serve the splits, the `added` refreshes and the
     /// coalescing, which need no second search.
     fn edit(&mut self, start: Time, end: Time, procs: &ProcSet, busy: bool) {
         let start = start.max(self.starts[0]);
@@ -384,8 +394,8 @@ impl Profile {
                 *count -= delta;
             }
         }
-        self.refresh_frees(lo);
-        self.refresh_frees(hi);
+        self.refresh_added(lo);
+        self.refresh_added(hi);
         self.coalesce(hi);
         self.coalesce(lo);
     }
@@ -670,23 +680,36 @@ impl Timeline {
     /// At most `max_busy` processors busy throughout the window that starts
     /// inside segment `first` and ends at `end`? The one walk a candidate
     /// window gets: `busy` accumulates the union of the covered busy rows,
-    /// counted after each segment so the walk stops as soon as the window
-    /// is known infeasible. Rows are subsets of capacity, so the window's
-    /// free count is `|capacity| − |busy|`. On success `busy` holds the
-    /// window's whole busy union.
+    /// and the walk stops at the first segment that makes the union too
+    /// large. Rows are subsets of capacity, so the window's free count is
+    /// `|capacity| − |busy|`. On success `busy` holds the window's whole
+    /// busy union.
+    ///
+    /// The union is not counted after every row. Extending it over a
+    /// boundary adds at most that boundary's `added` processors, so
+    /// `bound` — the first count plus the later `added`s, reset to the
+    /// exact popcount whenever one is taken — never falls below the
+    /// union's size. Only a bound above `max_busy` is checked by a
+    /// popcount, so the walk ORs the same rows and stops at the same
+    /// segment as one that counts every time.
     fn window_fits(&self, first: usize, end: Time, max_busy: usize, busy: &mut [u64]) -> bool {
         let p = &self.profile;
-        busy.copy_from_slice(p.busy(first));
-        if p.meta[first].count as usize > max_busy {
+        let mut bound = p.meta[first].count as usize;
+        if bound > max_busy {
             return false;
         }
+        busy.copy_from_slice(p.busy(first));
         for i in first + 1..p.starts.len() {
             if p.starts[i] >= end {
                 break;
             }
             or_words(busy, p.busy(i));
-            if count_words(busy) > max_busy {
-                return false;
+            bound += p.meta[i].added as usize;
+            if bound > max_busy {
+                bound = count_words(busy);
+                if bound > max_busy {
+                    return false;
+                }
             }
         }
         true
@@ -762,14 +785,17 @@ impl Timeline {
         if latest_start <= earliest {
             return None;
         }
-        // Walk the boundaries in `(earliest, latest_start]` whose `frees`
-        // flag is set — the only instants the sliding window's free set can
-        // grow. A count prefilter keeps the walk O(segments): `blocked` is
-        // a forward index to the next segment holding more than
-        // `cap_len - width` busy processors. A candidate whose window
-        // covers it is infeasible by count alone, and so is every
-        // candidate up to and including it (window ends only move forward),
-        // so the walk resumes just past it. Both indices only move forward.
+        // Walk the boundaries in `(earliest, latest_start]` that free a
+        // processor — the only instants the sliding window's free set can
+        // grow. The counts alone tell them: a boundary frees a processor
+        // iff its count falls short of its predecessor's plus its `added`,
+        // `count[i] < count[i - 1] + added[i]`. A count prefilter keeps the
+        // walk O(segments): `blocked` is a forward index to the next
+        // segment holding more than `cap_len - width` busy processors. A
+        // candidate whose window covers it is infeasible by count alone,
+        // and so is every candidate up to and including it (window ends
+        // only move forward), so the walk resumes just past it. Both
+        // indices only move forward.
         //
         // Only the count check may skip: a window that passes counts but
         // fails the union test (fragmented free sets) rules out nothing
@@ -780,7 +806,7 @@ impl Timeline {
         let mut i = at + 1;
         while i < stop {
             let t = starts[i];
-            if !meta[i].frees {
+            if meta[i].count >= meta[i - 1].count + meta[i].added {
                 i += 1;
                 continue;
             }
@@ -804,7 +830,7 @@ impl Timeline {
     }
 
     /// Structural invariants of the profile (test support): coalesced,
-    /// anchored at the horizon, cached counts and `frees` flags equal to
+    /// anchored at the horizon, cached `count`s and `added` counts equal to
     /// their definitions, every arena row owned by exactly one segment or
     /// the free list, and equal by value to a from-scratch recomputation
     /// over the booking table clipped to the horizon.
@@ -833,11 +859,11 @@ impl Timeline {
         let mut prev: Option<&[u64]> = None;
         for (t, m) in p.starts.iter().zip(&p.meta) {
             let busy = p.row(m.row);
-            assert!(subset_words(busy, self.capacity.words()));
+            assert_eq!(difference_count_words(busy, self.capacity.words()), 0);
             assert_eq!(count_words(busy), m.count as usize, "cached count drifted");
             assert_ne!(prev, Some(busy), "adjacent segments must differ");
-            let frees = prev.is_some_and(|q| !subset_words(q, busy));
-            assert_eq!(m.frees, frees, "`frees` flag drifted at {t:?}");
+            let added = prev.map_or(0, |q| difference_count_words(busy, q));
+            assert_eq!(m.added as usize, added, "`added` count drifted at {t:?}");
             prev = Some(busy);
         }
         let mut fresh = Profile::new(horizon, p.stride);
@@ -854,13 +880,13 @@ impl Timeline {
 
 #[cfg(test)]
 impl Profile {
-    /// Each segment as `(start, count, frees, busy row)`, independent of
+    /// Each segment as `(start, count, added, busy row)`, independent of
     /// which arena slot holds the row.
-    fn by_value(&self) -> Vec<(Time, u32, bool, &[u64])> {
+    fn by_value(&self) -> Vec<(Time, u32, u32, &[u64])> {
         self.starts
             .iter()
             .zip(&self.meta)
-            .map(|(&t, m)| (t, m.count, m.frees, self.row(m.row)))
+            .map(|(&t, m)| (t, m.count, m.added, self.row(m.row)))
             .collect()
     }
 }
@@ -1121,6 +1147,45 @@ mod tests {
         // An 11-long job does not; it must wait until 30.
         let (start, _) = tl.earliest_slot(t(0), d(11), 1).unwrap();
         assert_eq!(start, t(30));
+    }
+
+    #[test]
+    fn a_reoccupied_processor_sends_the_fit_test_down_the_recount_path() {
+        // Processor 0 is busy in the window's first segment, freed, then
+        // busy again: the certified bound counts it twice (1 + 0 + 1 = 2
+        // busy of 2), so the union must be recounted (1 busy), and the
+        // window still fits one job. Later on, proc 1 joins the union for
+        // real and the recount confirms the overflow.
+        let book = [
+            (0, 10, 0),
+            (20, 30, 0),
+            (40, 50, 0),
+            (35, 45, 1),
+            (60, 70, 0),
+        ];
+        let mut tl = Timeline::with_procs(2);
+        let mut oracle = naive::NaiveTimeline::with_procs(2);
+        for (s, e, p) in book {
+            let procs = ProcSet::from_indices([p]);
+            tl.book(t(s), t(e), procs.clone(), BookingKind::Job);
+            oracle
+                .try_book(t(s), t(e), procs, BookingKind::Job)
+                .unwrap();
+        }
+        tl.assert_profile_consistent();
+        for (earliest, latest, dur) in [(0, 0, 30), (0, 0, 35), (0, 100, 45), (0, 100, 75)] {
+            let expect = oracle.earliest_slot_within(t(earliest), t(latest), d(dur), 1);
+            assert_eq!(
+                tl.earliest_slot_within(t(earliest), t(latest), d(dur), 1),
+                expect,
+                "[{earliest}, {latest}] for {dur}"
+            );
+        }
+        assert_eq!(
+            tl.earliest_slot_within(t(0), t(0), d(30), 1),
+            Some((t(0), ProcSet::from_indices([1])))
+        );
+        assert_eq!(tl.earliest_slot_within(t(0), t(0), d(40), 1), None);
     }
 
     #[test]

@@ -576,12 +576,23 @@ pub(crate) fn finite_online<'a>(
     // policies strip releases from their job view (their documented head
     // start on the clock they are measured against), but information still
     // reaches the scheduler only at the true release date.
-    let releases: HashMap<JobId, Time> = jobs.iter().map(|j| (j.id, j.release)).collect();
+    // Ids resolve through sorted `(id, index)` keys; of repeated ids the
+    // last input job wins.
+    let mut releases: Vec<(JobId, usize)> =
+        jobs.iter().enumerate().map(|(i, j)| (j.id, i)).collect();
+    releases.sort_unstable();
+    let release = |id: JobId| {
+        let end = releases.partition_point(|&(k, _)| k <= id);
+        match releases[..end].last() {
+            Some(&(k, at)) if k == id => jobs[at].release,
+            _ => panic!("prepared job {id} is not in the input"),
+        }
+    };
     let mut arrivals: Vec<(Time, Job)> = prepared
         .iter()
         .map(|j| match ctx.release_mode {
             ReleaseMode::Offline => (Time::ZERO, j.clone()),
-            ReleaseMode::Online => (releases[&j.id], j.clone()),
+            ReleaseMode::Online => (release(j.id), j.clone()),
         })
         .collect();
     // Stable: same-instant arrivals keep the prepared order.
