@@ -5,9 +5,8 @@
 //! DesOnline replay through the incremental planner, a million-completion
 //! open drive, a campaignd submit-to-aggregate — and the single-call
 //! kernels the paper's policy comparison rests on: DES dispatch, the
-//! divisible-load solvers, policy construction and registry dispatch
-//! against the direct call. It writes the medians to
-//! `BENCH_timeline.json`, the committed perf trajectory future PRs
+//! divisible-load solvers and policy construction. It writes the medians
+//! to `BENCH_timeline.json`, the committed perf trajectory future PRs
 //! compare against.
 //!
 //! ```text
@@ -34,11 +33,11 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use lsps_core::backfill::{backfill_schedule, backfill_schedule_estimated, BackfillPolicy};
+use lsps_core::backfill::{backfill_schedule_estimated, BackfillPolicy};
 use lsps_core::bicriteria::{bicriteria_schedule, BiCriteriaParams};
 use lsps_core::list::{list_schedule, JobOrder};
 use lsps_core::mrt::{mrt_schedule, MrtParams};
-use lsps_core::policy::{by_name, Backfilling, PolicyCtx, ReleaseMode};
+use lsps_core::policy::{Backfilling, PolicyCtx, ReleaseMode};
 use lsps_core::smart::smart_schedule;
 use lsps_des::{Ctx, Dur, EventQueue, Model, SimRng, Simulation, Time};
 use lsps_dlt::{
@@ -68,9 +67,10 @@ fn median_ns(samples: usize, batch: u32, mut f: impl FnMut()) -> u64 {
     times[times.len() / 2]
 }
 
-/// Whole drives timed per online op, of which the median is recorded: one
+/// Whole runs timed per scheduler-loop op (the 5k backfills, the event
+/// queue churn, the online drives), of which the median is recorded: one
 /// run of the million-completion drive has read anywhere from 1.4 to 2.5 s
-/// on the same binary.
+/// on the same binary, and one conservative 5k backfill 19.0 to 26.4 ms.
 const DRIVE_RUNS: usize = 5;
 
 /// A randomly loaded timeline with `bookings` live bookings.
@@ -189,8 +189,8 @@ struct Datapoint {
 }
 
 /// Measure everything. `samples` scales the micro-op and single-call
-/// batching; the scheduler loops are one-shot (they are seconds-scale
-/// already). Fails before timing anything when `lsps-worker` is not built
+/// batching; the scheduler loops take the median of `DRIVE_RUNS` runs
+/// whatever `samples` is, and the campaignd runs are one-shot. Fails before timing anything when `lsps-worker` is not built
 /// next to this binary, so the campaignd ops are never silently dropped.
 fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
     let worker = lsps_service::daemon::default_worker_cmd();
@@ -319,9 +319,9 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         }),
     );
 
-    // Scheduler loops, one-shot. Batch placement: conservative + EASY
-    // backfill of a full `large-scale` instance — the workload
-    // `examples/large_scale_campaign.json` sweeps.
+    // Scheduler loops, each the median of `DRIVE_RUNS` runs. Batch
+    // placement: conservative + EASY backfill of a full `large-scale`
+    // instance — the workload `examples/large_scale_campaign.json` sweeps.
     let mut ops: Vec<Datapoint> = Vec::new();
     let n = 5_000;
     let jobs = large_scale_instance(&mut SimRng::seed_from(7), n, m);
@@ -329,10 +329,10 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         ("conservative_backfill_5k", BackfillPolicy::Conservative),
         ("easy_backfill_5k", BackfillPolicy::Easy),
     ] {
-        let t0 = Instant::now();
-        let sched = backfill_schedule_estimated(&jobs, m, &[], policy, 1.2);
-        let ns = t0.elapsed().as_nanos() as u64;
-        assert_eq!(sched.len(), n);
+        let ns = median_ns(DRIVE_RUNS, 1, || {
+            let sched = backfill_schedule_estimated(&jobs, m, &[], policy, 1.2);
+            assert_eq!(sched.len(), n);
+        });
         push(&mut ops, name, n, ns);
     }
 
@@ -341,30 +341,30 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
     // engine hits once per event, with a third of the events cancelled so
     // the tombstone compaction policy is part of what gets timed.
     let n = 1_000_000;
-    let mut q: EventQueue<u64> = EventQueue::new();
-    let mut rng = SimRng::seed_from(11);
-    let mut live_keys = Vec::new();
-    let mut clock: u64 = 0;
-    let mut digest: u64 = 0;
-    let t0 = Instant::now();
-    for i in 0..n as u64 {
-        clock += rng.int_range(0, 3);
-        live_keys.push(q.schedule(Time::from_ticks(clock + rng.int_range(1, 1_000)), i));
-        if i % 3 == 0 {
-            let victim = rng.int_range(0, live_keys.len() as u64 - 1) as usize;
-            q.cancel(live_keys.swap_remove(victim));
-        }
-        if q.len() > 8_192 {
-            if let Some((at, _, ev)) = q.pop() {
-                digest = digest.wrapping_add(at.ticks() ^ ev);
+    let ns = median_ns(DRIVE_RUNS, 1, || {
+        let mut q: EventQueue<u64> = EventQueue::new();
+        let mut rng = SimRng::seed_from(11);
+        let mut live_keys = Vec::new();
+        let mut clock: u64 = 0;
+        let mut digest: u64 = 0;
+        for i in 0..n as u64 {
+            clock += rng.int_range(0, 3);
+            live_keys.push(q.schedule(Time::from_ticks(clock + rng.int_range(1, 1_000)), i));
+            if i % 3 == 0 {
+                let victim = rng.int_range(0, live_keys.len() as u64 - 1) as usize;
+                q.cancel(live_keys.swap_remove(victim));
+            }
+            if q.len() > 8_192 {
+                if let Some((at, _, ev)) = q.pop() {
+                    digest = digest.wrapping_add(at.ticks() ^ ev);
+                }
             }
         }
-    }
-    while let Some((at, _, ev)) = q.pop() {
-        digest = digest.wrapping_add(at.ticks() ^ ev);
-    }
-    let ns = t0.elapsed().as_nanos() as u64;
-    std::hint::black_box(digest);
+        while let Some((at, _, ev)) = q.pop() {
+            digest = digest.wrapping_add(at.ticks() ^ ev);
+        }
+        std::hint::black_box(digest);
+    });
     push(&mut ops, "event_queue_1m_churn", n, ns);
 
     // Event-driven placement: the full 100k-job `trace-100k` replay the
@@ -464,18 +464,12 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
     let _ = std::fs::remove_dir_all(&root);
 
     // Single-call kernels no datapoint above covers: DES engine dispatch,
-    // the divisible-load solvers, policy construction (n = 400) and
-    // registry dispatch next to the direct call (n = 1000; the trait
-    // object's `prepare` borrows its input, so the pair must cost the
-    // same), and the ProcSet ops the m = 1024 datapoints leave out, at
-    // m = 4096. `size` counts events, workers, jobs or processors.
+    // the divisible-load solvers, policy construction (n = 400), and the
+    // ProcSet ops the m = 1024 datapoints leave out, at m = 4096. `size`
+    // counts events, workers, jobs or processors.
     let rigid0 = rigid_jobs(400, false, 1);
     let rigid_online = rigid_jobs(400, true, 2);
     let moldable = moldable_jobs(400, 3);
-    let dispatch = rigid_jobs(1000, true, 5);
-    let default_ctx = PolicyCtx::default();
-    let [list_obj, easy_obj, bicriteria_obj] =
-        ["list-lpt", "backfill-easy", "bicriteria"].map(|name| by_name(name).expect("registered"));
     let workers64 = dlt_workers(64);
     let workers = dlt_workers(1024);
     let rounds = MultiRoundParams {
@@ -511,24 +505,6 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         }),
         row("bicriteria", 400, 1, || {
             bicriteria_schedule(&rigid_online, POLICY_M, BiCriteriaParams::default())
-        }),
-        row("list_lpt_direct", 1000, 1, || {
-            list_schedule(&dispatch, POLICY_M, JobOrder::Lpt)
-        }),
-        row("list_lpt_trait_object", 1000, 1, || {
-            list_obj.schedule(&dispatch, POLICY_M, &default_ctx)
-        }),
-        row("backfill_easy_direct", 1000, 1, || {
-            backfill_schedule(&dispatch, POLICY_M, &[], BackfillPolicy::Easy)
-        }),
-        row("backfill_easy_trait_object", 1000, 1, || {
-            easy_obj.schedule(&dispatch, POLICY_M, &default_ctx)
-        }),
-        row("bicriteria_direct", 1000, 1, || {
-            bicriteria_schedule(&dispatch, POLICY_M, BiCriteriaParams::default())
-        }),
-        row("bicriteria_trait_object", 1000, 1, || {
-            bicriteria_obj.schedule(&dispatch, POLICY_M, &default_ctx)
         }),
         row("procset_union", 4096, 1024, || wide_a.union(&wide_b)),
         row("procset_is_disjoint", 4096, 4096, || {

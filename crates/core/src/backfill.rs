@@ -154,7 +154,9 @@ pub fn backfill_on_timeline(
     }
 }
 
-pub(crate) fn estimate(len: lsps_des::Dur, factor: f64) -> lsps_des::Dur {
+/// The runtime estimate a backfill pass books for a job of true length
+/// `len`: `⌈len × factor⌉`, never below `len`.
+pub fn estimate(len: lsps_des::Dur, factor: f64) -> lsps_des::Dur {
     len.scale_ceil(factor).max(len)
 }
 
@@ -335,6 +337,11 @@ fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
 /// frees a processor first. So the head is booked there and the pass
 /// ends. A sweep that booked the shadow as a reservation leaves the head
 /// to the next round.
+///
+/// EASY keeps no estimate tail: a booking is truncated to its job's true
+/// end once the replay reaches that end, and on exit the pass truncates
+/// the bookings still running, the quiet head's included. So the timeline
+/// it leaves holds every placement at its true length.
 pub(crate) fn easy_pass(
     order: &[Job],
     floor: Time,
@@ -434,9 +441,13 @@ pub(crate) fn easy_pass(
         if let Some((start, end, procs)) = shadow.take_if(quiet) {
             let job = &order[queue[0]];
             let bk = tl.book(start, end, procs.clone(), BookingKind::Job);
+            running.push((bk, start + job.time_on(procs.len())));
             place(job, start, procs, bk);
             queue.clear();
         }
+    }
+    for (bk, true_end) in running.drain(..) {
+        tl.truncate(bk, true_end);
     }
 }
 
@@ -696,7 +707,8 @@ mod proptests {
     /// the head's *unbooked* shadow — on any free processor when its
     /// estimate ends by the shadow start, off the shadow's processors when
     /// it crosses it. Free sets come from a scan of the booking table, not
-    /// the profile.
+    /// the profile. On exit, the jobs still running are truncated to their
+    /// true ends.
     fn easy_pass_reference(
         order: &[Job],
         floor: Time,
@@ -798,6 +810,10 @@ mod proptests {
                     i += 1;
                 }
             }
+        }
+        // EASY keeps no estimate tail past the pass either.
+        for (bk, true_end) in running {
+            tl.truncate(bk, true_end);
         }
     }
 

@@ -29,7 +29,8 @@ pub enum JobOrder {
     WeightDensity,
 }
 
-fn sort_jobs(items: &mut [(&Job, usize)], order: JobOrder) {
+/// Sort `(job, allotment)` pairs into `order`, ties by job id.
+pub(crate) fn sort_jobs(items: &mut [(&Job, usize)], order: JobOrder) {
     match order {
         JobOrder::Fcfs => items.sort_by_key(|(j, _)| (j.release, j.id)),
         JobOrder::Lpt => items.sort_by_key(|(j, k)| (std::cmp::Reverse(j.time_on(*k)), j.id)),

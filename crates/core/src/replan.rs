@@ -33,12 +33,16 @@
 //! * **Arrivals** are packed by the identical conservative/EASY pass the
 //!   batch path uses ([`crate::backfill`]), on the persistent timeline,
 //!   with each release raised to `now`. The pass hands every placement
-//!   straight to the commitment list. Every placement is booked at its
-//!   *estimated* length during the pass (exactly what the batch pass
-//!   sees) and truncated to its **true** length, read back from the
-//!   commitments, once the batch is placed — which is precisely the
-//!   committed interval the full replan would have re-booked at the next
-//!   event.
+//!   straight to the commitment list, and `plan` edits no booking after
+//!   it. A conservative booking keeps its *estimated* length, as in the
+//!   batch pass: a job that finishes early leaves its estimate tail
+//!   booked until a sweep, a kill or an outage removes it, so a later
+//!   arrival never learns a true runtime before the job ends. EASY's pass
+//!   truncates each of its bookings to the job's true end itself, by the
+//!   time it returns. The full replan re-books exactly these intervals.
+//! * **Outages** truncate, at the outage start, a finished conservative
+//!   job's estimate tail on the failed node (on all of its processors):
+//!   after the dispatcher's kills, nothing else can hold the node then.
 //! * **Completions** cost no profile edit and no bookkeeping of their
 //!   own. The planner first forgets the timeline before `now`
 //!   ([`Timeline::forget_before`]): the invariant only constrains
@@ -72,6 +76,7 @@
 //! test code.
 
 use lsps_des::{Commitment, Time};
+use lsps_platform::timeline::BookError;
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_workload::{Job, JobKind};
 
@@ -102,10 +107,9 @@ pub trait IncrementalPlanner {
     ///
     /// The planner first releases the work that completed by `now`. It
     /// then places jobs around all previously planned work, no earlier
-    /// than `now`, and absorbs them into its state at their true lengths.
-    /// Each placed job moves out of `pending` onto `out` as a commitment,
-    /// in placement order; the jobs left in `pending` wait for the next
-    /// decision.
+    /// than `now`, and absorbs them into its state. Each placed job moves
+    /// out of `pending` onto `out` as a commitment, in placement order; the
+    /// jobs left in `pending` wait for the next decision.
     fn plan(
         &mut self,
         now: Time,
@@ -270,8 +274,9 @@ pub struct BackfillPlanner {
     m: usize,
     factor: f64,
     /// The persistent planning timeline: reservations, outage windows and
-    /// every commitment at its true length — the live ones, plus those
-    /// finished since the last sweep, which lie wholly before the horizon.
+    /// every commitment as its pass left it (conservative at its estimate,
+    /// EASY at its true length) — the live ones, plus those ended since
+    /// the last sweep, which lie wholly before the horizon.
     tl: Timeline,
     /// Bookings the last sweep left in the table, every one live then. The
     /// next sweep waits until the table has doubled from it.
@@ -364,14 +369,6 @@ impl IncrementalPlanner for BackfillPlanner {
             "the backfill passes place every pending job"
         );
         pending.clear();
-        // Pin the batch at true lengths: the next decision must see exactly
-        // the committed (true) intervals, not the estimate tails — that is
-        // what a full replan re-books from its commitment table.
-        // Zero-length work vanishes on truncation (and the EASY replay may
-        // already have dropped it mid-pass).
-        for c in &out[first..] {
-            self.tl.truncate(c.placed.booking, c.end);
-        }
     }
 
     fn touched(&self) -> u64 {
@@ -384,18 +381,29 @@ impl IncrementalPlanner for BackfillPlanner {
             .expect("invalidated booking still present");
     }
 
+    /// After the dispatcher's kills, the only booking that can still hold
+    /// `node` at `start` is the estimate tail of a conservative job that
+    /// already finished there: it is truncated at the outage start, on all
+    /// its processors. Any other collision panics.
     fn add_outage(&mut self, node: u32, start: Time, end: Time) {
         assert!(end > start, "empty outage [{start:?}, {end:?})");
-        self.tl
-            .try_book(
-                start,
-                end,
-                ProcSet::from_indices([node as usize]),
-                BookingKind::Reservation,
-            )
-            .unwrap_or_else(|e| {
-                panic!("outage [{start:?}, {end:?}) on node {node} collides: {e:?}")
-            });
+        let node_set = ProcSet::from_indices([node as usize]);
+        loop {
+            let id = match self
+                .tl
+                .try_book(start, end, node_set.clone(), BookingKind::Reservation)
+            {
+                Ok(_) => return,
+                Err(BookError::Conflict(id)) => id,
+                Err(e) => panic!("outage [{start:?}, {end:?}) on node {node}: {e:?}"),
+            };
+            let b = self.tl.booking(id).expect("a conflict names a booking");
+            assert!(
+                b.kind == BookingKind::Job && b.start < start,
+                "outage [{start:?}, {end:?}) on node {node} collides with {b:?}"
+            );
+            self.tl.truncate(id, start);
+        }
     }
 }
 
@@ -634,6 +642,44 @@ mod tests {
             let wide = [Job::rigid(2, 2, d(10)).released_at(t(5))];
             let (_, out) = decide(&mut planner, t(5), &wide);
             assert_eq!(out[0].start, t(5), "{flavour:?}");
+        }
+    }
+
+    /// Factor 2: job 1 truly runs [0, 10) on processor 0 but is booked
+    /// for 20 ticks. Conservative keeps that estimate tail after the job
+    /// ends; node 0 failing at 15, inside the tail, books its outage and
+    /// ends the tail at 15. EASY trimmed the tail when its pass ended.
+    /// Either way a full-width arrival at 15 waits for the repair at 30.
+    #[test]
+    fn an_outage_ends_a_finished_jobs_estimate_tail() {
+        let ctx = PolicyCtx {
+            estimate_factor: 2.0,
+            ..PolicyCtx::default()
+        };
+        for (flavour, booked_until) in FLAVOURS.into_iter().zip([t(15), t(10)]) {
+            let mut planner = BackfillPlanner::new(flavour, 2, &ctx);
+            let (_, out) = decide(&mut planner, t(0), &[Job::rigid(1, 1, d(10))]);
+            let c = &out[0];
+            assert_eq!((c.start, c.end), (t(0), t(10)), "{flavour:?}");
+            assert_eq!(c.placed.procs, ProcSet::from_indices([0]));
+            // The completion decision at 10 places nothing.
+            decide(&mut planner, t(10), &[]);
+            planner.add_outage(0, t(15), t(30));
+            let booked = planner.tl.booking(c.placed.booking).map(|b| b.end);
+            assert_eq!(booked, Some(booked_until), "{flavour:?}");
+            let outage = planner
+                .tl
+                .bookings()
+                .find(|(_, b)| b.kind == BookingKind::Reservation)
+                .map(|(_, b)| (b.start, b.end, b.procs.clone()));
+            assert_eq!(
+                outage,
+                Some((t(15), t(30), ProcSet::from_indices([0]))),
+                "{flavour:?}"
+            );
+            let wide = [Job::rigid(2, 2, d(5)).released_at(t(15))];
+            let (_, out) = decide(&mut planner, t(15), &wide);
+            assert_eq!(out[0].start, t(30), "{flavour:?}");
         }
     }
 }

@@ -24,7 +24,7 @@ use lsps_des::{Dur, Time};
 use lsps_metrics::CompletedJob;
 use lsps_workload::{Job, JobId, JobKind};
 
-use crate::list::JobOrder;
+use crate::list::{sort_jobs, JobOrder};
 
 /// One job placed on one speeded machine.
 #[derive(Clone, Debug, PartialEq)]
@@ -172,17 +172,8 @@ pub fn uniform_list_schedule(jobs: &[Job], speeds: &[f64], order: JobOrder) -> U
         );
     }
     let mut items: Vec<(&Job, usize)> = jobs.iter().map(|j| (j, 1usize)).collect();
-    // Reuse the rigid orderings (allotment 1).
-    match order {
-        JobOrder::Fcfs => items.sort_by_key(|(j, _)| (j.release, j.id)),
-        JobOrder::Lpt => items.sort_by_key(|(j, _)| (std::cmp::Reverse(j.time_on(1)), j.id)),
-        JobOrder::Spt => items.sort_by_key(|(j, _)| (j.time_on(1), j.id)),
-        JobOrder::WeightDensity => items.sort_by(|(a, _), (b, _)| {
-            let da = a.weight / a.time_on(1).ticks().max(1) as f64;
-            let db = b.weight / b.time_on(1).ticks().max(1) as f64;
-            db.partial_cmp(&da).expect("finite").then(a.id.cmp(&b.id))
-        }),
-    }
+    // The rigid orderings at allotment 1.
+    sort_jobs(&mut items, order);
     let mut free = vec![Time::ZERO; speeds.len()];
     let mut sched = UniformSchedule {
         speeds: speeds.to_vec(),

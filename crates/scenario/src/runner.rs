@@ -845,7 +845,7 @@ mod replan_tests {
 
     use super::*;
     use lsps_core::backfill::{
-        backfill_on_timeline, book_reservations, BackfillPolicy, Reservation,
+        backfill_on_timeline, book_reservations, estimate, BackfillPolicy, Reservation,
     };
     use lsps_core::policy::Backfilling;
     use lsps_des::{Dur, SimRng};
@@ -882,11 +882,15 @@ mod replan_tests {
     /// [`backfill_on_timeline`]. O(live) work per event — the rebuild
     /// [`BackfillPlanner`](lsps_core::replan::BackfillPlanner) proves
     /// redundant, and the reference it must match bit for bit.
+    ///
+    /// A conservative commitment holds `[start, start + estimate)` until
+    /// it is swept, killed or cut by an outage on one of its nodes; an
+    /// EASY commitment holds its true interval.
     struct FullReplanOracle {
         flavour: BackfillPolicy,
         factor: f64,
         reservations: Vec<Reservation>,
-        /// Live commitments and outage windows at true lengths.
+        /// Commitments as booked (see above) and outage windows.
         committed: Timeline,
         touched: u64,
     }
@@ -929,9 +933,15 @@ mod replan_tests {
             self.touched += (pending.len() + self.committed.n_bookings()) as u64;
             let placed = backfill_on_timeline(&bumped, m, tl, self.flavour, self.factor);
             for a in placed.assignments() {
+                let end = match self.flavour {
+                    BackfillPolicy::Conservative => {
+                        a.start + estimate(a.end - a.start, self.factor)
+                    }
+                    BackfillPolicy::Easy => a.end,
+                };
                 let booking = self
                     .committed
-                    .try_book(a.start, a.end, a.procs.clone(), BookingKind::Job)
+                    .try_book(a.start, end, a.procs.clone(), BookingKind::Job)
                     .expect("placements avoid live work");
                 let at = pending.iter().position(|j| j.id == a.job).unwrap();
                 out.push(Commitment {
@@ -957,6 +967,21 @@ mod replan_tests {
         }
 
         fn add_outage(&mut self, node: u32, start: Time, end: Time) {
+            // A finished job's estimate tail on the node ends at the outage.
+            let tails: Vec<BookingId> = self
+                .committed
+                .bookings()
+                .filter(|(_, b)| {
+                    b.kind == BookingKind::Job
+                        && b.procs.contains(node as usize)
+                        && b.start < end
+                        && start < b.end
+                })
+                .map(|(id, _)| id)
+                .collect();
+            for id in tails {
+                self.committed.truncate(id, start);
+            }
             self.committed
                 .try_book(
                     start,

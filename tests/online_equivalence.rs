@@ -12,6 +12,11 @@
 //!   completed set must match the replay's event accounting: the same
 //!   jobs, one completion event each.
 //!
+//! * conservative backfilling books every job at its runtime estimate
+//!   and never compresses a booking under either executor, so with
+//!   staggered releases and inexact estimates too, `des-online` and
+//!   `direct` give bit-identical assignments and records.
+//!
 //! The replay is a test-only differential oracle on the public
 //! `lsps::des` online machine: it pushes a finished batch schedule through
 //! the event engine and reads each record off the engine's clock. For all
@@ -21,7 +26,7 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use lsps::core::policy::{registry, Policy, PolicyCtx, ReleaseMode};
+use lsps::core::policy::{registry, Backfilling, Policy, PolicyCtx, ReleaseMode};
 use lsps::des::{Commitment, Dispatcher, OnlineMachine};
 use lsps::prelude::*;
 use lsps::scenario::runner::{des_online, to_csv, Executor};
@@ -281,4 +286,86 @@ fn staggered_releases_never_start_early_and_match_replay_accounting() {
             online.stats.events_dispatched
         );
     }
+}
+
+/// `backfill-conservative`'s assignments (sorted by job id, processor
+/// sets included) and records under `direct` and `des-online`, which
+/// must be equal in every bit. Returns the records.
+fn conservative_records(jobs: &[Job], m: usize, ctx: &PolicyCtx, case: &str) -> Vec<CompletedJob> {
+    let policy = Backfilling::conservative();
+    let direct = policy.run(jobs, m, ctx);
+    direct.validate().unwrap_or_else(|e| panic!("{case}: {e}"));
+    let mut direct_placed = direct.schedule.assignments().to_vec();
+    direct_placed.sort_by_key(|a| a.job);
+    let mut direct_records = direct.schedule.completed(&direct.jobs);
+    direct_records.sort_by_key(|r| r.id);
+    let online = des_online(&policy, jobs, m, ctx);
+    online
+        .run
+        .validate()
+        .unwrap_or_else(|e| panic!("{case} (online): {e}"));
+    let mut online_placed = online.run.schedule.assignments().to_vec();
+    online_placed.sort_by_key(|a| a.job);
+    assert_eq!(direct_placed, online_placed, "{case}: assignments");
+    assert_eq!(direct_records, online.records, "{case}: records");
+    online.records
+}
+
+/// Staggered releases at factors 1, 1.5 and 3, with and without an
+/// advance reservation in the way: a conservative booking keeps its
+/// estimate under `des-online` as it does under `direct`, so a later
+/// arrival never slides into the estimate tail of a job that finished
+/// early.
+#[test]
+fn conservative_backfilling_is_bit_identical_across_executors() {
+    let m = 16;
+    for seed in [3, 17, 29, 41] {
+        let jobs = workload(seed, 60, m, true);
+        for factor in [1.0, 1.5, 3.0] {
+            for reserved in [false, true] {
+                let reservations = if reserved {
+                    vec![Reservation {
+                        start: Time::from_ticks(1_500),
+                        end: Time::from_ticks(4_000),
+                        procs: 6,
+                    }]
+                } else {
+                    Vec::new()
+                };
+                let ctx = PolicyCtx {
+                    release_mode: ReleaseMode::Online,
+                    estimate_factor: factor,
+                    reservations,
+                    ..PolicyCtx::default()
+                };
+                let case = format!("seed {seed}, factor {factor}, reservation {reserved}");
+                conservative_records(&jobs, m, &ctx, &case);
+            }
+        }
+    }
+}
+
+/// Two processors, factor 2. Job A (1 processor, 10 s) arrives at 0 and
+/// is booked until 20 s; job B (2 processors, 5 s) arrives at 1 s. A
+/// truly ends at 10 s, but a conservative booking is never compressed,
+/// so B starts at 20 s under both executors: an online start at 10 s
+/// would use A's true runtime before A finished.
+#[test]
+fn conservative_backfilling_waits_out_an_estimate_tail_under_both_executors() {
+    let jobs = [
+        Job::rigid(0, 1, Dur::from_secs(10)),
+        Job::rigid(1, 2, Dur::from_secs(5)).released_at(Time::from_secs(1)),
+    ];
+    let ctx = PolicyCtx {
+        release_mode: ReleaseMode::Online,
+        estimate_factor: 2.0,
+        ..PolicyCtx::default()
+    };
+    let records = conservative_records(&jobs, 2, &ctx, "two jobs");
+    let b = &records[1];
+    assert_eq!(b.id, JobId(1));
+    assert_eq!(
+        (b.start, b.completion),
+        (Time::from_secs(20), Time::from_secs(25))
+    );
 }

@@ -169,10 +169,9 @@ fn advisor_recommendations_round_trip_through_the_registry() {
     }
 }
 
-/// Registry dispatch adds no behaviour: on the 1000-job online rigid
-/// workload `bench_report` times its `*_direct` / `*_trait_object` pairs on
-/// (m = 100, seed 5), the `Box<dyn Policy>` from `by_name` produces the
-/// same schedule as the direct algorithm call.
+/// Registry dispatch adds no behaviour: on a 1000-job online rigid
+/// workload (m = 100, seed 5), the `Box<dyn Policy>` from `by_name`
+/// produces the same schedule as the direct algorithm call.
 #[test]
 fn registry_dispatch_matches_the_direct_call() {
     use lsps::core::backfill::{backfill_schedule, BackfillPolicy};
