@@ -3,7 +3,8 @@
 //! workhorse), the end-to-end scheduler loops — conservative/EASY
 //! backfill of a `large-scale` instance, a 100k-job `trace-100k`
 //! DesOnline replay through the incremental planner, a million-completion
-//! open drive, a campaignd submit-to-aggregate — and the single-call
+//! open drive, the CIMENT grid scenario, a campaignd submit-to-aggregate
+//! (its status polled every millisecond) — and the single-call
 //! kernels the paper's policy comparison rests on: DES dispatch, the
 //! divisible-load solvers and policy construction. It writes the medians
 //! to `BENCH_timeline.json`, the committed perf trajectory future PRs
@@ -44,6 +45,7 @@ use lsps_dlt::{
     multi_round, self_schedule, star_single_round, star_steady_state, MultiRoundParams, Worker,
     WorkerOrder,
 };
+use lsps_grid::{ciment_scenario, ScenarioParams};
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 use lsps_scenario::families::{large_scale_instance, trace_instance};
 use lsps_scenario::runner::{des_online, des_online_open};
@@ -68,9 +70,10 @@ fn median_ns(samples: usize, batch: u32, mut f: impl FnMut()) -> u64 {
 }
 
 /// Whole runs timed per scheduler-loop op (the 5k backfills, the event
-/// queue churn, the online drives), of which the median is recorded: one
-/// run of the million-completion drive has read anywhere from 1.4 to 2.5 s
-/// on the same binary, and one conservative 5k backfill 19.0 to 26.4 ms.
+/// queue churn, the online drives, the grid scenario), of which the median
+/// is recorded: one run of the million-completion drive has read anywhere
+/// from 1.4 to 2.5 s on the same binary, and one conservative 5k backfill
+/// 19.0 to 26.4 ms.
 const DRIVE_RUNS: usize = 5;
 
 /// A randomly loaded timeline with `bookings` live bookings.
@@ -421,6 +424,23 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
     });
     push(&mut ops, "des_online_open_1m", n, ns);
 
+    // The grid path: the `ciment` binary's FIG3 base scenario — 60 locals
+    // per CIMENT cluster, conservatively backfilled by the cluster
+    // planners, under a 150 000-run campaign of 600 s runs at the CiGri
+    // server — run with and without the best-effort layer.
+    let n = 150_000;
+    let params = ScenarioParams {
+        local_jobs_per_cluster: 60,
+        campaign_runs: n,
+        campaign_run_s: 600.0,
+        ..ScenarioParams::default()
+    };
+    let ns = median_ns(DRIVE_RUNS, 1, || {
+        let out = ciment_scenario(params);
+        assert_eq!(out.with_grid.local_records, out.without_grid.local_records);
+    });
+    push(&mut ops, "ciment_scenario_150k", n, ns);
+
     // Service tier: `examples/small_campaign.json` end to end through the
     // lsps-campaignd machinery — daemon boot, spec submission, sharding
     // over worker processes, final aggregate — cold (every cell computed
@@ -449,7 +469,7 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
             if status.contains("\"complete\":true") {
                 break;
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let (_, agg) = daemon.csvs(&id).expect("aggregate");
         cells = agg.lines().count() - 1;

@@ -3,26 +3,28 @@
 //!
 //! Mechanics (per §5.2 of the paper):
 //!
-//! * every cluster keeps **two timelines**: `local_tl` holds local jobs and
-//!   reservations only; `full_tl` additionally holds best-effort bookings.
-//!   Local placement consults `local_tl`, so grid jobs are *invisible* to
-//!   local users — the paper's no-disturbance guarantee by construction;
-//! * each local job is conservatively backfilled on arrival: it takes the
-//!   earliest slot of `local_tl` that disturbs no earlier booking, so a
-//!   short job may jump ahead into a hole but never delays one already
-//!   placed;
-//! * a local booking that collides with running best-effort work kills it:
-//!   the victim's booking is truncated, its end event cancelled, the run
-//!   requeued at the server, and the spent CPU time counted as *wasted*;
+//! * every cluster conservatively backfills each local job on arrival
+//!   through its own [`BackfillPlanner`], the online executor's: the job
+//!   takes the earliest slot that disturbs no earlier local booking. The
+//!   planner sees local jobs only, so grid jobs are *invisible* to local
+//!   users — the paper's no-disturbance guarantee by construction;
+//! * `full_tl` holds local and best-effort bookings. A local booked there
+//!   kills each running best-effort run it collides with, smallest booking
+//!   id first: the victim's booking is removed, its end event cancelled,
+//!   the run requeued at the server, and the spent CPU time counted as
+//!   *wasted*;
 //! * the server injects queued runs into current holes of `full_tl`
 //!   (the paper: "fill the holes […] using the same idea as conservative
 //!   backfilling"), triggered periodically and on every completion.
 
 use std::collections::{HashMap, VecDeque};
 
+use lsps_core::replan::{BackfillPlanner, IncrementalPlanner};
+use lsps_core::{BackfillPolicy, PolicyCtx};
 use lsps_des::{Ctx, Dur, EventKey, Model, Simulation, Time};
 use lsps_metrics::{CompletedJob, Criteria};
-use lsps_platform::{BookingId, BookingKind, Platform, Timeline};
+use lsps_platform::timeline::BookError;
+use lsps_platform::{BookingId, BookingKind, Platform, ProcSet, Timeline};
 use lsps_workload::{Campaign, Job, JobKind};
 
 /// Events of the CiGri simulation.
@@ -39,8 +41,8 @@ pub enum CigriEvent {
     LocalEnd {
         /// Cluster index.
         cluster: usize,
-        /// Index into the cluster's in-flight local record list.
-        slot: usize,
+        /// The job and its start time (for the completion record).
+        job: Box<(Job, Time)>,
     },
     /// A best-effort run finishes.
     BeEnd {
@@ -64,10 +66,10 @@ struct BeRun {
 
 struct ClusterState {
     speed: f64,
-    local_tl: Timeline,
+    /// Conservative backfilling of the local jobs alone.
+    planner: BackfillPlanner,
+    /// Local and best-effort bookings.
     full_tl: Timeline,
-    /// In-flight local jobs: (job, start, end, local booking, full booking).
-    inflight: Vec<(Job, Time, Time, BookingId, BookingId)>,
     completed: Vec<CompletedJob>,
     be_running: HashMap<BookingId, BeRun>,
     kills: u64,
@@ -79,6 +81,22 @@ struct ClusterState {
     /// the utilization accounting.
     busy_local_ticks: u128,
     busy_total_ticks: u128,
+}
+
+impl ClusterState {
+    /// Start and processors of local `job`, arriving at `now` and rigid at
+    /// its speed-scaled length `len`.
+    fn place_local(&mut self, now: Time, job: &Job, len: Dur) -> (Time, ProcSet) {
+        let mut pending = vec![job.clone()];
+        pending[0].kind = JobKind::Rigid {
+            procs: job.min_procs(),
+            len,
+        };
+        let mut out = Vec::with_capacity(1);
+        self.planner.plan(now, &mut pending, &mut out);
+        let placed = out.pop().expect("the planner places every pending job");
+        (placed.start, placed.placed.procs)
+    }
 }
 
 /// The CiGri grid model (plug into [`Simulation`]).
@@ -105,9 +123,12 @@ impl CigriSim {
                 .iter()
                 .map(|c| ClusterState {
                     speed: c.mean_speed(),
-                    local_tl: Timeline::with_procs(c.total_procs()),
+                    planner: BackfillPlanner::new(
+                        BackfillPolicy::Conservative,
+                        c.total_procs(),
+                        &PolicyCtx::default(),
+                    ),
                     full_tl: Timeline::with_procs(c.total_procs()),
-                    inflight: Vec::new(),
                     completed: Vec::new(),
                     be_running: HashMap::new(),
                     kills: 0,
@@ -135,41 +156,22 @@ impl CigriSim {
     }
 
     fn submit_local(&mut self, now: Time, c: usize, job: Job, ctx: &mut Ctx<'_, CigriEvent>) {
-        let q = match job.kind {
-            JobKind::Rigid { procs, .. } => procs,
-            _ => panic!("CigriSim schedules rigid local jobs; allot moldables upstream"),
+        let JobKind::Rigid { procs: q, .. } = job.kind else {
+            panic!("CigriSim schedules rigid local jobs; allot moldables upstream");
         };
         let len = self.scale(c, job.time_on(q));
-        let m = self.clusters[c].local_tl.capacity().len();
-        assert!(q <= m, "job wider than cluster");
-        // Placement sees only local load — grid jobs are invisible. The
-        // job (speed-scaled, released "now") is conservatively backfilled:
-        // the earliest slot around the cluster's current local bookings.
-        // Bookings that ended at or before `now` cannot affect a query
-        // starting at or after `now`, so the timeline needs no gc first.
-        let (start, procs) = self.clusters[c]
-            .local_tl
-            .earliest_slot(now.max(job.release), len, q)
-            .expect("q <= m, so a slot always exists");
         let cl = &mut self.clusters[c];
+        let (start, procs) = cl.place_local(now, &job, len);
         let end = start + len;
-        let local_bk = cl
-            .local_tl
-            .book(start, end, procs.clone(), BookingKind::Job);
-
-        // Kill every best-effort run colliding with the new local booking.
-        let victims: Vec<BookingId> = cl
+        // Each collision names a best-effort run, smallest booking id
+        // first: kill it and retry until the local's slot is clear.
+        while let Err(e) = cl
             .full_tl
-            .bookings()
-            .filter(|(_, b)| {
-                b.kind == BookingKind::BestEffort
-                    && b.start < end
-                    && start < b.end
-                    && !b.procs.is_disjoint(&procs)
-            })
-            .map(|(id, _)| id)
-            .collect();
-        for id in victims {
+            .try_book(start, end, procs.clone(), BookingKind::Job)
+        {
+            let BookError::Conflict(id) = e else {
+                panic!("local booking [{start:?}, {end:?}) on cluster {c}: {e}")
+            };
             let run = cl.be_running.remove(&id).expect("victim is running");
             ctx.cancel(run.end_event);
             // Kill immediately: the scheduler clears the node as soon as
@@ -184,29 +186,21 @@ impl CigriSim {
             cl.kills += 1;
             self.queue.push_back(run.raw_len);
         }
-
-        let full_bk = cl
-            .full_tl
-            .try_book(start, end, procs, BookingKind::Job)
-            .expect("victims were cleared");
-        let slot = cl.inflight.len();
-        cl.inflight.push((job, start, end, local_bk, full_bk));
-        ctx.schedule_at(end, CigriEvent::LocalEnd { cluster: c, slot });
+        let job = Box::new((job, start));
+        ctx.schedule_at(end, CigriEvent::LocalEnd { cluster: c, job });
         self.wake_server(now, ctx);
     }
 
-    fn finish_local(&mut self, now: Time, c: usize, slot: usize) {
+    fn finish_local(&mut self, now: Time, c: usize, (job, start): (Job, Time)) {
         let cl = &mut self.clusters[c];
-        let (job, start, end, _, _) = cl.inflight[slot].clone();
         let procs = job.min_procs();
-        let ticks = (end - start).ticks() as u128 * procs as u128;
+        let ticks = (now - start).ticks() as u128 * procs as u128;
         cl.busy_local_ticks += ticks;
         cl.busy_total_ticks += ticks;
         cl.completed
-            .push(CompletedJob::from_job(&job, start, end, procs));
-        // Past bookings no longer constrain placement; dropping them keeps
-        // hole queries O(active) instead of O(history).
-        cl.local_tl.gc(now);
+            .push(CompletedJob::from_job(&job, start, now, procs));
+        // Past bookings (this job's, now credited, among them) no longer
+        // constrain placement; dropping them keeps hole queries O(active).
         cl.full_tl.gc(now);
     }
 
@@ -221,13 +215,12 @@ impl CigriSim {
     fn poll(&mut self, now: Time, ctx: &mut Ctx<'_, CigriEvent>) {
         // Garbage-collect past bookings every server cycle: between local
         // completions (the only other gc site) a multi-day trace would
-        // otherwise accumulate dead bookings in the availability profiles.
+        // otherwise accumulate dead bookings in the availability profile.
         // Safe for the utilization accounting because every finished
         // proc-tick is credited to `busy_*_ticks` by the completion/kill
-        // handlers from their own records (`inflight`, `be_running`), never
-        // read back from the timelines.
+        // handlers from their own records (`LocalEnd`, `be_running`), never
+        // read back from the timeline. The planners sweep their own.
         for cl in &mut self.clusters {
-            cl.local_tl.gc(now);
             cl.full_tl.gc(now);
         }
         // Fastest clusters first: they drain the campaign quickest.
@@ -290,8 +283,8 @@ impl Model for CigriSim {
             CigriEvent::LocalSubmit { cluster, job } => {
                 self.submit_local(now, cluster, job, ctx);
             }
-            CigriEvent::LocalEnd { cluster, slot } => {
-                self.finish_local(now, cluster, slot);
+            CigriEvent::LocalEnd { cluster, job } => {
+                self.finish_local(now, cluster, *job);
                 // A hole just opened: wake the server if it was asleep (an
                 // active periodic chain will notice the hole on its own).
                 self.wake_server(now, ctx);
@@ -361,48 +354,35 @@ impl CigriSim {
             Some(Criteria::evaluate(&records))
         };
         // Busy accounting: accumulated finished work plus whatever is still
-        // booked (the timelines are garbage-collected as work completes).
-        let live_ticks = |tl: &Timeline| -> u128 {
-            tl.bookings()
+        // booked (the timeline is garbage-collected as work completes), the
+        // locals' being its `Job` bookings.
+        let busy_share = |c: &ClusterState, busy: u128, local_only: bool| -> f64 {
+            if horizon == Time::ZERO {
+                return 0.0;
+            }
+            let live: u128 = c
+                .full_tl
+                .bookings()
+                .filter(|(_, b)| !local_only || b.kind == BookingKind::Job)
                 .map(|(_, b)| {
-                    let e = b.end.min(horizon);
-                    if e > b.start {
-                        (e - b.start).ticks() as u128 * b.procs.len() as u128
-                    } else {
-                        0
-                    }
+                    let e = b.end.min(horizon).max(b.start);
+                    (e - b.start).ticks() as u128 * b.procs.len() as u128
                 })
-                .sum()
+                .sum();
+            (busy + live) as f64 / (c.full_tl.capacity().len() as f64 * horizon.ticks() as f64)
         };
-        let denom = |c: &ClusterState| -> f64 {
-            c.full_tl.capacity().len() as f64 * horizon.ticks() as f64
-        };
-        let utilization = self
-            .clusters
-            .iter()
-            .map(|c| {
-                if horizon == Time::ZERO {
-                    0.0
-                } else {
-                    (c.busy_total_ticks + live_ticks(&c.full_tl)) as f64 / denom(c)
-                }
-            })
-            .collect();
-        let local_utilization = self
-            .clusters
-            .iter()
-            .map(|c| {
-                if horizon == Time::ZERO {
-                    0.0
-                } else {
-                    (c.busy_local_ticks + live_ticks(&c.local_tl)) as f64 / denom(c)
-                }
-            })
-            .collect();
         CigriReport {
             local,
-            utilization,
-            local_utilization,
+            utilization: self
+                .clusters
+                .iter()
+                .map(|c| busy_share(c, c.busy_total_ticks, false))
+                .collect(),
+            local_utilization: self
+                .clusters
+                .iter()
+                .map(|c| busy_share(c, c.busy_local_ticks, true))
+                .collect(),
             be_completed: self.clusters.iter().map(|c| c.be_done).sum(),
             be_submitted: self.be_total,
             kills: self.clusters.iter().map(|c| c.kills).sum(),
@@ -629,11 +609,11 @@ mod tests {
     #[test]
     fn poll_gc_bounds_dead_bookings_without_losing_utilization() {
         // A long trace with many server cycles between local completions:
-        // the per-poll gc must keep the timelines free of dead bookings
-        // mid-run, and the report's utilization must still balance exactly
-        // (every finished proc-tick accounted before its booking is
-        // collectable). One cluster at speed 1.0 keeps the arithmetic in
-        // raw ticks.
+        // the per-poll gc must keep the full timeline free of dead bookings
+        // mid-run (the local planner sweeps its own), and the report's
+        // utilization must still balance exactly (every finished proc-tick
+        // accounted before its booking is collectable). One cluster at
+        // speed 1.0 keeps the arithmetic in raw ticks.
         use lsps_platform::{Cluster, LinkClass, NetworkModel};
         let p = Platform::new(
             "one",
@@ -657,21 +637,17 @@ mod tests {
         );
         let mut max_bookings = 0usize;
         while sim.step() {
-            let cl = &sim.model().clusters[0];
-            max_bookings = max_bookings
-                .max(cl.local_tl.n_bookings())
-                .max(cl.full_tl.n_bookings());
+            max_bookings = max_bookings.max(sim.model().clusters[0].full_tl.n_bookings());
         }
         let horizon = sim.now();
         let report = sim.model().report(horizon);
-        // Mid-run the timelines never hold more than the work that can be
+        // Mid-run the timeline never holds more than the work that can be
         // live at once (2 procs: 2 local + 2 BE bookings, plus one being
         // placed) — dead bookings are collected by the poll cycles even
         // while no local job completes for hundreds of ticks.
         assert!(max_bookings <= 5, "dead bookings piled up: {max_bookings}");
         let cl = &sim.model().clusters[0];
-        assert_eq!(cl.local_tl.n_bookings(), 0, "everything collected");
-        assert_eq!(cl.full_tl.n_bookings(), 0);
+        assert_eq!(cl.full_tl.n_bookings(), 0, "everything collected");
         // Exact accounting identity: utilization ≈ (local + BE + wasted)
         // proc-ticks over the 2 × horizon rectangle.
         assert_eq!(report.be_completed, n_runs as u64);
@@ -708,7 +684,106 @@ mod tests {
 mod proptests {
     use super::*;
     use lsps_platform::{Cluster, LinkClass, NetworkModel};
+    use lsps_workload::JobId;
     use proptest::prelude::*;
+
+    /// Two clusters, the second at half speed.
+    fn two_clusters(procs_a: usize, procs_b: usize) -> Platform {
+        Platform::new(
+            "prop",
+            vec![
+                Cluster::homogeneous("a", procs_a, 1, 1.0, LinkClass::gige()),
+                Cluster::homogeneous("b", procs_b, 1, 0.5, LinkClass::eth100()),
+            ],
+            NetworkModel::light_grid_default(),
+        )
+    }
+
+    /// Rigid locals `(cluster, width, length, release)`, widths capped to
+    /// the cluster and ids in input order.
+    fn local_jobs(platform: &Platform, locals: &[(usize, usize, u64, u64)]) -> Vec<(usize, Job)> {
+        locals
+            .iter()
+            .enumerate()
+            .map(|(i, &(c, q, len, rel))| {
+                let q = q.min(platform.clusters[c].total_procs());
+                (
+                    c,
+                    Job::rigid(i as u64, q, Dur::from_ticks(len))
+                        .released_at(Time::from_ticks(rel)),
+                )
+            })
+            .collect()
+    }
+
+    /// Local placement as `CigriSim` made it before it shared the
+    /// backfill planner: one local-only timeline per cluster, swept of
+    /// finished work, on which each arrival is booked at its earliest
+    /// slot from now.
+    struct LocalTimelineOracle(Vec<Timeline>);
+
+    impl LocalTimelineOracle {
+        fn new(platform: &Platform) -> Self {
+            LocalTimelineOracle(
+                platform
+                    .clusters
+                    .iter()
+                    .map(|c| Timeline::with_procs(c.total_procs()))
+                    .collect(),
+            )
+        }
+
+        fn place(&mut self, c: usize, now: Time, len: Dur, q: usize) -> (Time, ProcSet) {
+            let tl = &mut self.0[c];
+            tl.gc(now);
+            let (start, procs) = tl
+                .earliest_slot(now, len, q)
+                .expect("q <= m, so a slot always exists");
+            tl.book(start, start + len, procs.clone(), BookingKind::Job);
+            (start, procs)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Every local gets the same start and processors from the
+        /// planner path as from the local-timeline oracle, bit for bit,
+        /// and the simulation, campaign included, runs each local at the
+        /// start the planner path gave it.
+        #[test]
+        fn planner_placement_matches_the_local_timeline_oracle(
+            locals in prop::collection::vec(
+                (0usize..2, 1usize..5, 1u64..400, 0u64..800), 1..48),
+            n_runs in 1usize..30,
+            poll in 1u64..100,
+        ) {
+            let platform = two_clusters(4, 3);
+            let jobs = local_jobs(&platform, &locals);
+            let mut sim = CigriSim::new(&platform, Dur::from_ticks(poll), true);
+            let mut oracle = LocalTimelineOracle::new(&platform);
+            // Arrival order: by release, ties in submission order, as the
+            // event queue delivers them.
+            let mut arrivals: Vec<&(usize, Job)> = jobs.iter().collect();
+            arrivals.sort_by_key(|(_, j)| j.release);
+            let mut placed: HashMap<JobId, (Time, ProcSet)> = HashMap::new();
+            for &(c, ref job) in arrivals {
+                let q = job.min_procs();
+                let len = sim.scale(c, job.time_on(q));
+                let got = sim.clusters[c].place_local(job.release, job, len);
+                let want = oracle.place(c, job.release, len, q);
+                prop_assert_eq!(&got, &want, "job {}", job.id);
+                placed.insert(job.id, got);
+            }
+            let campaigns = vec![Campaign::new(1, n_runs, Dur::from_ticks(50))];
+            let report = run_cigri(&platform, jobs, campaigns, Dur::from_ticks(poll), true);
+            prop_assert_eq!(report.local_records.len(), placed.len());
+            for r in &report.local_records {
+                let (start, procs) = &placed[&r.id];
+                prop_assert_eq!(r.start, *start, "job {}", r.id);
+                prop_assert_eq!(r.procs, procs.len(), "job {}", r.id);
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
@@ -725,21 +800,10 @@ mod proptests {
             run_len in 1u64..300,
             poll in 1u64..100,
         ) {
-            let platform = Platform::new(
-                "prop",
-                vec![
-                    Cluster::homogeneous("a", 3, 1, 1.0, LinkClass::gige()),
-                    Cluster::homogeneous("b", 2, 1, 0.5, LinkClass::eth100()),
-                ],
-                NetworkModel::light_grid_default(),
-            );
-            let jobs: Vec<(usize, Job)> = locals.iter().enumerate()
-                .map(|(i, &(c, q, len, rel))| {
-                    let q = q.min(platform.clusters[c].total_procs());
-                    (c, Job::rigid(i as u64, q, Dur::from_ticks(len))
-                        .released_at(Time::from_ticks(rel)))
-                })
-                .collect();
+            let platform = two_clusters(3, 2);
+            let jobs = local_jobs(&platform, &locals);
+            let cluster_of: HashMap<JobId, usize> =
+                jobs.iter().map(|(c, j)| (j.id, *c)).collect();
             let campaign = Campaign::new(1, n_runs, Dur::from_ticks(run_len));
             let with = run_cigri(
                 &platform, jobs.clone(), vec![campaign], Dur::from_ticks(poll), true);
@@ -754,6 +818,26 @@ mod proptests {
             // Kills can only have happened if locals exist.
             if with.kills > 0 {
                 prop_assert!(!with.local_records.is_empty());
+            }
+            // Capacity, checked from the records alone: sweep each
+            // cluster's local intervals in time order, ends before starts
+            // at the same instant (intervals are half-open).
+            for (c, cluster) in platform.clusters.iter().enumerate() {
+                let mut edges: Vec<(Time, i64)> = with
+                    .local_records
+                    .iter()
+                    .filter(|r| cluster_of[&r.id] == c)
+                    .flat_map(|r| [(r.start, r.procs as i64), (r.completion, -(r.procs as i64))])
+                    .collect();
+                edges.sort_unstable();
+                let mut used = 0i64;
+                for (at, delta) in edges {
+                    used += delta;
+                    prop_assert!(
+                        used <= cluster.total_procs() as i64,
+                        "cluster {} runs {} processors at {:?}", c, used, at
+                    );
+                }
             }
         }
     }

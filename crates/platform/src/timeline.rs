@@ -564,7 +564,9 @@ impl Timeline {
 
     /// Iterate over all bookings (deterministic id order). Materializes a
     /// sorted view of the arena — fine for the walk-everything callers
-    /// (victim scans, diagnostics), not meant for per-placement loops.
+    /// (end-of-run reports, diagnostics), not meant for per-placement
+    /// loops. To find what blocks a booking, use the conflict that
+    /// [`try_book`](Self::try_book) names.
     pub fn bookings(&self) -> impl Iterator<Item = (BookingId, &Booking)> {
         let mut all: Vec<(BookingId, &Booking)> = self.bookings.iter_unordered().collect();
         all.sort_unstable_by_key(|(id, _)| *id);
@@ -1091,6 +1093,33 @@ mod tests {
             .try_book(t(5), t(4), ProcSet::new(), BookingKind::Job)
             .unwrap_err();
         assert_eq!(err, BookError::NegativeInterval);
+        tl.assert_profile_consistent();
+    }
+
+    #[test]
+    fn conflicts_are_named_smallest_id_first() {
+        // Three bookings collide with one request. `try_book` names the
+        // smallest id, and once that booking is removed, the next smallest:
+        // the order in which CiGri kills best-effort runs and the backfill
+        // planner clears an outage's node. The newest booking reuses the
+        // lowest arena slot, so slot order is not id order.
+        let mut tl = Timeline::with_procs(4);
+        let x = tl.book(t(0), t(10), ProcSet::range(0, 1), BookingKind::Job);
+        let a = tl.book(t(0), t(10), ProcSet::range(3, 4), BookingKind::Job);
+        let b = tl.book(t(5), t(20), ProcSet::range(2, 3), BookingKind::BestEffort);
+        tl.remove(x);
+        let c = tl.book(t(8), t(12), ProcSet::range(0, 2), BookingKind::BestEffort);
+        tl.book(t(20), t(30), ProcSet::full(4), BookingKind::Job);
+        assert!(a < b && b < c);
+        for victim in [a, b, c] {
+            let err = tl
+                .try_book(t(6), t(9), ProcSet::full(4), BookingKind::Job)
+                .unwrap_err();
+            assert_eq!(err, BookError::Conflict(victim));
+            tl.remove(victim);
+        }
+        tl.try_book(t(6), t(9), ProcSet::full(4), BookingKind::Job)
+            .expect("every collision removed");
         tl.assert_profile_consistent();
     }
 
