@@ -90,6 +90,19 @@ fn loaded_timeline(m: usize, bookings: usize, rng: &mut SimRng) -> Timeline {
     tl
 }
 
+/// A conservative backlog: `jobs` jobs of up to `m / 2` processors and
+/// 10–500 ticks, all released at 0, each booked at its earliest slot.
+fn backlog_timeline(m: usize, jobs: usize, rng: &mut SimRng) -> Timeline {
+    let mut tl = Timeline::with_procs(m);
+    for _ in 0..jobs {
+        let q = rng.int_range(1, m as u64 / 2) as usize;
+        let len = Dur::from_ticks(rng.int_range(10, 500));
+        let (start, procs) = tl.earliest_slot(Time::ZERO, len, q).expect("fits");
+        tl.book(start, start + len, procs, BookingKind::Job);
+    }
+    tl
+}
+
 /// Expiry order of a rolling timeline's bookings, earliest end first.
 type Expiry = BinaryHeap<Reverse<(Time, BookingId)>>;
 
@@ -256,6 +269,21 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
             }),
         );
     }
+
+    // A narrow, long query from the saturated front of a conservative
+    // backlog: 2 000 jobs released together, each booked at its earliest
+    // slot, pack the profile from the front, so a 4-wide window of 2 000
+    // ticks opens only deep inside it and the walk must skip long runs of
+    // segments too busy by count alone.
+    let backlog = backlog_timeline(m, 2_000, &mut SimRng::seed_from(13));
+    push(
+        &mut micro,
+        "earliest_slot_backlog",
+        backlog.n_bookings(),
+        median_ns(samples, 16, || {
+            std::hint::black_box(backlog.earliest_slot(Time::ZERO, Dur::from_ticks(2_000), 4));
+        }),
+    );
 
     // The backfill planner's rolling-horizon cycle, one step per call: the
     // clock moves to the next booking end, the timeline forgets the

@@ -516,69 +516,60 @@ impl ProcSet {
 
     /// The `k` smallest-index processors of the set (a deterministic
     /// allocation rule: identical machines are interchangeable, so policies
-    /// always take the lowest free indices). Word-parallel: whole words are
-    /// taken at once and the scan stops at the word containing the `k`-th
-    /// member. Panics if fewer than `k` processors are available.
+    /// always take the lowest free indices). One popcount per word locates
+    /// the word holding the `k`-th member; the answer is every word before
+    /// it plus that word's lowest members, built once. Panics if fewer than
+    /// `k` processors are available.
     pub fn take_first(&self, k: usize) -> ProcSet {
         ProcSet::take_first_of(self.words(), k)
     }
 
     /// [`take_first`](Self::take_first) over a raw word slice, which may
-    /// carry trailing zero words. Panics if it holds fewer than `k`
-    /// processors.
+    /// carry trailing zero words. The result is written once: inline when
+    /// the `k`-th member lies in the first `INLINE_WORDS` words, else as a
+    /// single `to_vec` of the prefix, so an answer allocates at most once.
+    /// Panics if the slice holds fewer than `k` processors.
     pub(crate) fn take_first_of(words: &[u64], k: usize) -> ProcSet {
-        let mut out = ProcSet::new();
         if k == 0 {
-            return out;
+            return ProcSet::new();
         }
         let mut remaining = k;
-        // Chunked fast path: whole `LANES`-word blocks whose combined
-        // popcount fits in `remaining` are copied wholesale; the scan
-        // drops to word granularity only inside the block holding the
-        // k-th member.
-        let (chunks, _) = words.as_chunks::<LANES>();
-        let mut wi0 = 0usize;
-        for c in chunks {
-            let here: usize = c.iter().map(|w| w.count_ones() as usize).sum();
+        let mut last = 0;
+        loop {
+            let Some(&w) = words.get(last) else {
+                panic!("take_first({k}) from a set of {} procs", count_words(words));
+            };
+            let here = w.count_ones() as usize;
             if here >= remaining {
                 break;
             }
-            if here > 0 {
-                let block = *c;
-                out.ensure_word(wi0 + LANES - 1);
-                out.words_mut()[wi0..wi0 + LANES].copy_from_slice(&block);
-                remaining -= here;
-            }
-            wi0 += LANES;
+            remaining -= here;
+            last += 1;
         }
-        for (wi, &w) in words.iter().enumerate().skip(wi0) {
-            let here = w.count_ones() as usize;
-            if here == 0 {
-                continue;
-            }
-            if here <= remaining {
-                out.ensure_word(wi);
-                out.words_mut()[wi] = w;
-                remaining -= here;
-            } else {
-                // The k-th member lies in this word: keep its `remaining`
-                // lowest set bits, one isolate-lowest-bit step each.
-                let mut bits = w;
-                let mut kept = 0u64;
-                for _ in 0..remaining {
-                    let lowest = bits & bits.wrapping_neg();
-                    kept |= lowest;
-                    bits ^= lowest;
-                }
-                out.ensure_word(wi);
-                out.words_mut()[wi] = kept;
-                remaining = 0;
-            }
-            if remaining == 0 {
-                return out;
-            }
+        // The k-th member lies in word `last`: keep its `remaining` lowest
+        // set bits, one isolate-lowest-bit step each. The kept word is
+        // non-zero, so the prefix is normalized.
+        let mut bits = words[last];
+        let mut kept = 0u64;
+        for _ in 0..remaining {
+            let lowest = bits & bits.wrapping_neg();
+            kept |= lowest;
+            bits ^= lowest;
         }
-        panic!("take_first({k}) from a set of {} procs", count_words(words));
+        let repr = if last < INLINE_WORDS {
+            let mut inline = [0u64; INLINE_WORDS];
+            inline[..last].copy_from_slice(&words[..last]);
+            inline[last] = kept;
+            Repr::Inline {
+                len: last as u8 + 1,
+                words: inline,
+            }
+        } else {
+            let mut v = words[..=last].to_vec();
+            v[last] = kept;
+            Repr::Heap(v)
+        };
+        ProcSet { repr }
     }
 
     /// Iterate over members in increasing index order.
@@ -834,6 +825,36 @@ mod tests {
         // Gap words (an empty middle word) are skipped.
         let sparse = ProcSet::from_indices([1, 200, 201]);
         assert_eq!(sparse.take_first(2), ProcSet::from_indices([1, 200]));
+    }
+
+    #[test]
+    fn take_first_ends_in_the_word_holding_the_kth_member() {
+        // Every third processor of 1024, so each word holds 21 or 22
+        // members. The k-th member lands in word 0, word 3 (the last inline
+        // word), word 4 (the first heap word) and word 15 (the last), each
+        // at its word's first, middle and last member.
+        let s = ProcSet::from_indices((0..1024).step_by(3));
+        let through = |w: usize| s.iter().filter(|p| p.index() < 64 * w).count();
+        for (word, inline) in [(0, true), (3, true), (4, false), (15, false)] {
+            let (lo, hi) = (through(word), through(word + 1));
+            for k in [lo + 1, (lo + hi).div_ceil(2), hi] {
+                let got = s.take_first(k);
+                let want = ProcSet::from_indices(s.iter().take(k).map(|p| p.index()));
+                assert_eq!(got, want, "k = {k}, word {word}");
+                assert_eq!(got.is_inline(), inline, "k = {k}, word {word}");
+            }
+        }
+        // Leading and trailing zero words of a raw row: the prefix keeps
+        // its zero words, and the tail past the k-th member is dropped.
+        let row = [0, 0, 0, 0, 0b1010, 0, u64::MAX, 0];
+        assert_eq!(
+            ProcSet::take_first_of(&row, 2),
+            ProcSet::from_indices([257, 259])
+        );
+        assert_eq!(
+            ProcSet::take_first_of(&row, 3),
+            ProcSet::from_indices([257, 259, 384])
+        );
     }
 
     #[test]

@@ -60,16 +60,22 @@
 //! Every mutation ([`Timeline::try_book`], [`Timeline::remove`],
 //! [`Timeline::truncate`], [`Timeline::gc`]) locates its start boundary
 //! once and walks forward to its end, updating the touched segments in
-//! O(log S + touched). Placement has one query,
+//! O(log S + touched). `try_book` checks and applies in one walk: each
+//! covered row is tested for disjointness and then marked busy, and a
+//! clash undoes the rows already marked, so a refused booking leaves the
+//! profile exactly as it was. Placement has one query,
 //! [`Timeline::earliest_slot_within`] ([`Timeline::earliest_slot`] is it
 //! without a latest start), and it reads the profile instead of scanning
 //! the booking table:
 //!
-//! * the search is one forward walk that does constant work per boundary:
-//!   it derives from the counts whether the boundary frees a processor
-//!   (the free set of a sliding window can only grow where processors are
-//!   freed) and keeps a forward index to the next segment too busy by
-//!   count, which rules out every candidate window covering it;
+//! * the search is one forward walk over the boundaries: it derives from
+//!   the counts whether a boundary frees a processor (the free set of a
+//!   sliding window can only grow where processors are freed) and keeps
+//!   a forward `reach` index to the current candidate's window end. Each
+//!   candidate count-checks only the segments its window newly covers,
+//!   last first; the last one too busy by count rules out every
+//!   candidate up to and including it, so the walk jumps past it. Each
+//!   segment is count-checked at most once;
 //! * each remaining candidate window is walked once, unioning its busy
 //!   rows into a stack buffer. The union only grows by processors outside
 //!   the previous row, so the first segment's count plus each later
@@ -77,16 +83,16 @@
 //!   is popcounted only when that bound says the window might not fit,
 //!   and the walk stops as soon as the exact count shows it does not. A
 //!   window that fits yields its lowest free processors from that union,
-//!   and only that answer becomes a [`ProcSet`];
+//!   and only that answer becomes a [`ProcSet`], built once;
 //! * a fit test at one instant — "can this job start now?" — is the same
-//!   call with `latest_start == earliest`: it walks that one window only.
+//!   call with `latest_start == earliest`: it walks that one window only,
+//!   and only as far as the window fails.
 //!
 //! The naive full-scan implementation is retained under `#[cfg(test)]`
 //! (`naive::NaiveTimeline`) as the reference oracle for the differential
 //! property tests at the bottom of this module.
 
 use std::fmt;
-use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -287,20 +293,6 @@ impl Profile {
         self.starts.partition_point(|&k| k <= t) - 1
     }
 
-    /// Indices of the segments meeting `[start, end)`: one locate, then a
-    /// walk forward. An empty window yields just the segment covering
-    /// `start`.
-    fn covering(&self, start: Time, end: Time) -> Range<usize> {
-        let lo = self.idx_at(start);
-        let hi = lo
-            + 1
-            + self.starts[lo + 1..]
-                .iter()
-                .take_while(|&&k| k < end)
-                .count();
-        lo..hi
-    }
-
     /// Ensure a boundary at `t`, given the index `i` of the segment covering
     /// it. Returns the index of the segment starting at `t`.
     fn split(&mut self, i: usize, t: Time) -> usize {
@@ -342,32 +334,70 @@ impl Profile {
         }
     }
 
-    /// Mark `procs` busy on `[start, end)`, clipped to the horizon. Caller
-    /// guarantees they are currently free throughout the interval (the
-    /// booking invariant), so interior boundaries keep their busy-set
-    /// change — and hence their `added` count, as `procs` is disjoint from
-    /// both sides — and only the two edges are recomputed or coalesced.
-    fn add(&mut self, start: Time, end: Time, procs: &ProcSet) {
-        self.edit(start, end, procs, true);
+    /// Mark `procs` busy on `[start, end)`, clipped to the horizon, if they
+    /// are free throughout it; otherwise leave the segments as they were
+    /// and return `false`. The check and the edit are one walk: each
+    /// covered row is tested for disjointness and then OR-ed. On a clash
+    /// the rows already edited are un-OR-ed and the two edges coalesced
+    /// again, `hi` before `lo`, so rows the splits took from the free list
+    /// return to it in their old order (rows the arena grew by stay free).
+    /// On success the booking's processors were free on both sides of
+    /// every interior boundary, so those keep their `added` counts and
+    /// only the two edges are recomputed or coalesced.
+    fn try_add(&mut self, start: Time, end: Time, procs: &ProcSet) -> bool {
+        let Some((lo, hi)) = self.edges(start, end, procs) else {
+            return true;
+        };
+        let (words, delta) = (procs.words(), procs.len() as u32);
+        for i in lo..hi {
+            let Meta { row, count, .. } = &mut self.meta[i];
+            let at = *row as usize * self.stride;
+            let row = &mut self.rows[at..at + self.stride];
+            if !disjoint_words(row, words) {
+                self.clear(lo, i, words, delta);
+                self.coalesce(hi);
+                self.coalesce(lo);
+                return false;
+            }
+            or_words(row, words);
+            *count += delta;
+        }
+        self.seal(lo, hi);
+        true
     }
 
     /// Mark `procs` free on `[start, end)`, clipped to the horizon. Caller
     /// guarantees they are busy throughout the interval (they belong to
-    /// one booking covering it), mirroring [`add`](Profile::add): `procs`
-    /// is a subset of both sides of every interior boundary, so only the
-    /// edges change. Work that ended by the horizon edits nothing.
+    /// one booking covering it), mirroring [`try_add`](Profile::try_add):
+    /// `procs` is a subset of both sides of every interior boundary, so
+    /// only the edges change. Work that ended by the horizon edits nothing.
     fn sub(&mut self, start: Time, end: Time, procs: &ProcSet) {
-        self.edit(start, end, procs, false);
+        let Some((lo, hi)) = self.edges(start, end, procs) else {
+            return;
+        };
+        self.clear(lo, hi, procs.words(), procs.len() as u32);
+        self.seal(lo, hi);
     }
 
-    /// [`add`](Profile::add) (`busy`) or [`sub`](Profile::sub) (`!busy`):
-    /// one locate of `start`, then a walk forward to `end`. The edge
-    /// indices it finds serve the splits, the `added` refreshes and the
-    /// coalescing, which need no second search.
-    fn edit(&mut self, start: Time, end: Time, procs: &ProcSet, busy: bool) {
+    /// Mark the `delta` processors of `words` free in the rows of segments
+    /// `lo..hi`, each of which holds them all busy.
+    fn clear(&mut self, lo: usize, hi: usize, words: &[u64], delta: u32) {
+        for m in &mut self.meta[lo..hi] {
+            let at = m.row as usize * self.stride;
+            and_not_words(&mut self.rows[at..at + self.stride], words);
+            m.count -= delta;
+        }
+    }
+
+    /// The segments `lo..hi` an edit of `procs` on `[start, end)` covers,
+    /// with boundaries split at both edges: one locate of `start` (clipped
+    /// to the horizon), then a walk forward to `end`. `None` when the edit
+    /// is empty. The edge indices serve the `added` refreshes and the
+    /// coalescing too, which need no second search.
+    fn edges(&mut self, start: Time, end: Time, procs: &ProcSet) -> Option<(usize, usize)> {
         let start = start.max(self.starts[0]);
         if start >= end || procs.is_empty() {
-            return;
+            return None;
         }
         let lo = self.split(self.idx_at(start), start);
         // The segment covering `end`: the last start `<= end`, at or after
@@ -377,23 +407,14 @@ impl Profile {
                 .iter()
                 .take_while(|&&k| k <= end)
                 .count();
-        let hi = self.split(last, end);
-        let words = procs.words();
-        // Disjointness (or containment, for `sub`) is the booking
-        // invariant, so each count moves by exactly |procs|.
-        let delta = procs.len() as u32;
-        for i in lo..hi {
-            let Meta { row, count, .. } = &mut self.meta[i];
-            let at = *row as usize * self.stride;
-            let row = &mut self.rows[at..at + self.stride];
-            if busy {
-                or_words(row, words);
-                *count += delta;
-            } else {
-                and_not_words(row, words);
-                *count -= delta;
-            }
-        }
+        Some((lo, self.split(last, end)))
+    }
+
+    /// Finish an applied edit of segments `lo..hi`: recompute the two edge
+    /// boundaries' `added` counts and coalesce them, `hi` first so `lo`
+    /// stays a valid index. (Disjointness, or containment for `sub`, is
+    /// the booking invariant, so each count moved by exactly |procs|.)
+    fn seal(&mut self, lo: usize, hi: usize) {
         self.refresh_added(lo);
         self.refresh_added(hi);
         self.coalesce(hi);
@@ -573,29 +594,27 @@ impl Timeline {
         all.into_iter()
     }
 
-    /// The first booking colliding with `procs` on `[start, end)` in id
-    /// order, if any. The fast path is a profile probe; the booking table
-    /// is scanned only to *name* the conflict in the error.
-    fn conflict(&self, start: Time, end: Time, procs: &ProcSet) -> Option<BookingId> {
-        let clash = self
-            .profile
-            .covering(start, end)
-            .any(|i| !disjoint_words(self.profile.busy(i), procs.words()));
-        if !clash {
-            return None;
-        }
-        let id = self
-            .bookings
+    /// The smallest-id booking colliding with `procs` on `[start, end)`,
+    /// for a booking the profile has already refused. Naming it takes a
+    /// scan of every live booking; a booking that fits never gets here.
+    fn conflict(&self, start: Time, end: Time, procs: &ProcSet) -> BookingId {
+        self.bookings
             .iter_unordered()
             .filter(|(_, b)| b.overlaps(start, end) && !b.procs.is_disjoint(procs))
             .map(|(id, _)| id)
-            .min();
-        Some(id.expect("busy profile procs always belong to some booking"))
+            .min()
+            .expect("busy profile procs always belong to some booking")
     }
 
     /// Book `procs` during `[start, end)`, validating capacity and
     /// conflict-freedom. Zero-length intervals are accepted and occupy
     /// nothing.
+    ///
+    /// The check and the edit are one walk over the covered segments:
+    /// each busy row is tested against `procs` and then marked. A clash
+    /// undoes the rows already marked, leaves the profile exactly as it
+    /// was, and only then scans the booking table to name the smallest
+    /// colliding id in [`BookError::Conflict`].
     ///
     /// # Panics
     /// If `start` lies before the horizon.
@@ -613,12 +632,9 @@ impl Timeline {
         if !procs.is_subset(&self.capacity) {
             return Err(BookError::OutsideCapacity);
         }
-        if start < end {
-            if let Some(id) = self.conflict(start, end, &procs) {
-                return Err(BookError::Conflict(id));
-            }
+        if !self.profile.try_add(start, end, &procs) {
+            return Err(BookError::Conflict(self.conflict(start, end, &procs)));
         }
-        self.profile.add(start, end, &procs);
         Ok(self.bookings.insert(Booking {
             start,
             end,
@@ -749,27 +765,19 @@ impl Timeline {
         if width == 0 {
             return Some((earliest, ProcSet::new()));
         }
-        // Invariant: a candidate start `t` is feasible only if the whole
-        // window `[t, t + dur)` exists on the tick axis. Saturating the end
-        // at `Time::MAX` would silently *shorten* windows near the top of
-        // the axis, making an infeasible booking look feasible. Window ends
-        // are monotone in the start, so once `earliest + dur` overflows, so
-        // does every later candidate — the whole search is infeasible.
-        let first_end = earliest.checked_add(dur)?;
-        let p = &self.profile;
         let max_busy = cap_len - width;
         // One scratch union for every candidate window, on the stack up to
         // `STACK_WORDS` words.
         let mut stack = [0u64; STACK_WORDS];
         let mut heap = Vec::new();
-        let busy: &mut [u64] = if p.stride <= STACK_WORDS {
-            &mut stack[..p.stride]
+        let busy: &mut [u64] = if self.profile.stride <= STACK_WORDS {
+            &mut stack[..self.profile.stride]
         } else {
-            heap.resize(p.stride, 0);
+            heap.resize(self.profile.stride, 0);
             &mut heap
         };
         let cap = self.capacity.words();
-        let mut check = |first: usize, t: Time, end: Time| {
+        self.slot_walk(earliest, latest_start, dur, max_busy, |t, first, end| {
             if !self.window_fits(first, end, max_busy, busy) {
                 return None;
             }
@@ -777,58 +785,90 @@ impl Timeline {
                 *b = c & !*b;
             }
             Some((t, ProcSet::take_first_of(&busy[..cap.len()], width)))
-        };
-        // `earliest` itself is always a candidate — even past
-        // `latest_start`, matching the historical candidate set.
-        let at = p.idx_at(earliest);
-        if let Some(hit) = check(at, earliest, first_end) {
+        })
+    }
+
+    /// The candidate walk behind
+    /// [`earliest_slot_within`](Self::earliest_slot_within): offers `fits`
+    /// candidate starts `t` in increasing order, each with the segment its
+    /// window `[t, end)` starts in, and returns the first answer `fits`
+    /// gives.
+    ///
+    /// `earliest` itself is always offered — even past `latest_start`,
+    /// matching the historical candidate set — and `fits` stops at the
+    /// first segment that rules it out, so a fit test at one instant walks
+    /// only as far as its window fails. The other candidates are the
+    /// boundaries in `(earliest, latest_start]` that free a processor, the
+    /// only instants the sliding window's free set can grow. The counts
+    /// alone tell them: a boundary frees a processor iff its count falls
+    /// short of its predecessor's plus its `added`,
+    /// `count[i] < count[i - 1] + added[i]`.
+    ///
+    /// Those are offered only if no segment rules them out by count.
+    /// `reach` is a forward index: the first segment at or past the
+    /// current candidate's window end. Each candidate count-checks only
+    /// the segments its window newly covers, `[max(reach, i), new reach)`,
+    /// last first. A segment `s` holding more than `max_busy` busy
+    /// processors makes every candidate up to and including it infeasible
+    /// — window ends only move forward, so each of their windows covers
+    /// `s` — and the walk resumes at `s + 1`. So each segment is counted at
+    /// most once, and segments a long window covers before such an `s` are
+    /// not counted at all. Only the count check may skip: a window that
+    /// passes counts but fails the union test (fragmented free sets) rules
+    /// out nothing beyond itself.
+    ///
+    /// A candidate is feasible only if its whole window exists on the tick
+    /// axis: saturating the end at `Time::MAX` would silently *shorten*
+    /// windows near the top of the axis. Window ends are monotone in the
+    /// start, so the first candidate whose end overflows ends the search —
+    /// every later one overflows too, and every skipped one is infeasible.
+    fn slot_walk<R>(
+        &self,
+        earliest: Time,
+        latest_start: Time,
+        dur: Dur,
+        max_busy: usize,
+        mut fits: impl FnMut(Time, usize, Time) -> Option<R>,
+    ) -> Option<R> {
+        let (starts, meta) = (&self.profile.starts, &self.profile.meta);
+        let at = self.profile.idx_at(earliest);
+        if let Some(hit) = fits(earliest, at, earliest.checked_add(dur)?) {
             return Some(hit);
         }
         if latest_start <= earliest {
             return None;
         }
-        // Walk the boundaries in `(earliest, latest_start]` that free a
-        // processor — the only instants the sliding window's free set can
-        // grow. The counts alone tell them: a boundary frees a processor
-        // iff its count falls short of its predecessor's plus its `added`,
-        // `count[i] < count[i - 1] + added[i]`. A count prefilter keeps the
-        // walk O(segments): `blocked` is a forward index to the next
-        // segment holding more than `cap_len - width` busy processors. A
-        // candidate whose window covers it is infeasible by count alone,
-        // and so is every candidate up to and including it (window ends
-        // only move forward), so the walk resumes just past it. Both
-        // indices only move forward.
-        //
-        // Only the count check may skip: a window that passes counts but
-        // fails the union test (fragmented free sets) rules out nothing
-        // beyond itself.
-        let (starts, meta) = (&p.starts, &p.meta);
         let stop = starts.partition_point(|&k| k <= latest_start);
-        let mut blocked = at + 1;
         let mut i = at + 1;
-        while i < stop {
-            let t = starts[i];
-            if meta[i].count >= meta[i - 1].count + meta[i].added {
+        let mut reach = i;
+        loop {
+            while i < stop && meta[i].count >= meta[i - 1].count + meta[i].added {
                 i += 1;
-                continue;
             }
-            // Monotone overflow: the first candidate whose window end falls
-            // off the tick axis ends the search — every later one does too.
+            if i >= stop {
+                return None;
+            }
+            let t = starts[i];
             let end = t.checked_add(dur)?;
-            blocked = blocked.max(i);
-            while blocked < meta.len() && meta[blocked].count as usize <= max_busy {
-                blocked += 1;
+            let from = reach.max(i);
+            // A window, even an empty one, covers the segment it starts in.
+            reach = reach.max(i + 1);
+            while reach < starts.len() && starts[reach] < end {
+                reach += 1;
             }
-            if blocked < meta.len() && (blocked == i || starts[blocked] < end) {
-                i = blocked + 1;
-                continue;
+            let saturated = (from..reach)
+                .rev()
+                .find(|&s| meta[s].count as usize > max_busy);
+            match saturated {
+                Some(s) => i = s + 1,
+                None => {
+                    if let Some(hit) = fits(t, i, end) {
+                        return Some(hit);
+                    }
+                    i += 1;
+                }
             }
-            if let Some(hit) = check(i, t, end) {
-                return Some(hit);
-            }
-            i += 1;
         }
-        None
     }
 
     /// Structural invariants of the profile (test support): coalesced,
@@ -870,7 +910,7 @@ impl Timeline {
         }
         let mut fresh = Profile::new(horizon, p.stride);
         for (_, b) in self.bookings.iter_unordered() {
-            fresh.add(b.start.max(horizon), b.end, &b.procs);
+            assert!(fresh.try_add(b.start, b.end, &b.procs), "bookings overlap");
         }
         assert_eq!(
             fresh.by_value(),
@@ -1120,6 +1160,73 @@ mod tests {
         }
         tl.try_book(t(6), t(9), ProcSet::full(4), BookingKind::Job)
             .expect("every collision removed");
+        tl.assert_profile_consistent();
+    }
+
+    /// The profile by value, owned, plus the free list of arena rows.
+    type Snapshot = (Vec<(Time, u32, u32, Vec<u64>)>, Vec<u32>);
+
+    fn snapshot(tl: &Timeline) -> Snapshot {
+        let segments = tl.profile.by_value();
+        let owned = segments
+            .into_iter()
+            .map(|(t, count, added, row)| (t, count, added, row.to_vec()))
+            .collect();
+        (owned, tl.profile.free_rows.clone())
+    }
+
+    #[test]
+    fn a_refused_booking_changes_nothing() {
+        // Segments: [0,10) {3}, [10,20) {0,3}, [20,30) {1,3}, [30,40) {2,3},
+        // [40,50) {3}, [50,∞) {}. Ids run z < y < x < w, so the smallest
+        // colliding id is not always the one the walk meets first.
+        let mut tl = Timeline::with_procs(4);
+        let z = tl.book(t(30), t(40), ProcSet::from_indices([2]), BookingKind::Job);
+        let y = tl.book(t(20), t(30), ProcSet::from_indices([1]), BookingKind::Job);
+        let x = tl.book(t(10), t(20), ProcSet::from_indices([0]), BookingKind::Job);
+        tl.book(t(0), t(50), ProcSet::from_indices([3]), BookingKind::Job);
+        // Two recycled rows, so the splits below take rows from the free
+        // list, and its order is observable.
+        let tmp = tl.book(t(1), t(2), ProcSet::from_indices([0]), BookingKind::Job);
+        tl.remove(tmp);
+        assert_eq!(tl.profile.free_rows.len(), 2);
+        let before = snapshot(&tl);
+        // (procs, window, expected conflict): the clash at the first, an
+        // interior and the last covered segment, with both edges on
+        // existing boundaries, with both edges split, and with the end
+        // split inside the last, unbounded segment.
+        let cases = [
+            ([0], (10, 40), x),
+            ([0], (15, 35), x),
+            ([1], (10, 40), y),
+            ([1], (12, 38), y),
+            ([2], (10, 40), z),
+            ([2], (12, 38), z),
+            ([2], (35, 60), z),
+            ([0], (5, 12), x),
+        ];
+        for (procs, (s, e), victim) in cases {
+            let procs = ProcSet::from_indices(procs);
+            let err = tl
+                .try_book(t(s), t(e), procs.clone(), BookingKind::Job)
+                .unwrap_err();
+            assert_eq!(err, BookError::Conflict(victim), "{procs} on [{s}, {e})");
+            assert_eq!(snapshot(&tl), before, "{procs} on [{s}, {e})");
+            tl.assert_profile_consistent();
+        }
+        // Two collisions: the walk meets x's row first, the smallest id is z.
+        let err = tl
+            .try_book(
+                t(10),
+                t(40),
+                ProcSet::from_indices([0, 2]),
+                BookingKind::Job,
+            )
+            .unwrap_err();
+        assert_eq!(err, BookError::Conflict(z));
+        assert_eq!(snapshot(&tl), before);
+        // A booking that fits after the refusals still lands.
+        tl.book(t(20), t(38), ProcSet::from_indices([0]), BookingKind::Job);
         tl.assert_profile_consistent();
     }
 
@@ -1513,6 +1620,100 @@ mod proptests {
                 }
             } else {
                 prop_assert!(width > m);
+            }
+        }
+    }
+
+    /// The candidates the slot walk must offer its window test when every
+    /// offer is refused, each with the segment its window starts in:
+    /// `earliest`, then every boundary in `(earliest, latest]` that frees
+    /// a processor and whose window covers no segment holding more than
+    /// `max_busy` busy processors, up to the first candidate whose window
+    /// end overflows. Derived segment by segment, without the walk's
+    /// forward indices.
+    fn offers_by_count(
+        tl: &Timeline,
+        earliest: Time,
+        latest: Time,
+        dur: Dur,
+        max_busy: usize,
+    ) -> Vec<(Time, usize)> {
+        let p = &tl.profile;
+        let at = p.idx_at(earliest);
+        let frees = |i: usize| p.meta[i].count < p.meta[i - 1].count + p.meta[i].added;
+        let candidates = (at + 1..p.starts.len())
+            .filter(|&i| p.starts[i] <= latest && frees(i))
+            .map(|i| (p.starts[i], i));
+        let mut offers = Vec::new();
+        for (t, i) in std::iter::once((earliest, at)).chain(candidates) {
+            let Some(end) = t.checked_add(dur) else {
+                break;
+            };
+            let covered = (i + 1..p.starts.len()).take_while(|&j| p.starts[j] < end);
+            let clean = std::iter::once(i)
+                .chain(covered)
+                .all(|s| p.meta[s].count as usize <= max_busy);
+            if i == at || clean {
+                offers.push((t, i));
+            }
+        }
+        offers
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Deep backlogs: 60–200 jobs released together, each placed at its
+        /// earliest slot on both the timeline and the naive oracle, build
+        /// the near-saturated, alternating profiles a conservative backlog
+        /// has and short random interleavings rarely reach. Every placement
+        /// and every later query agrees with the oracle, and the slot walk,
+        /// its window test refusing everything, offers `earliest` and
+        /// exactly the boundary candidates no segment rules out by count.
+        #[test]
+        fn deep_backlog_slot_queries_match_the_oracle(
+            jobs in prop::collection::vec((0u64..30, 1u64..80, 1usize..6, 0usize..1024), 60..200),
+            queries in prop::collection::vec((0u64..40, 0u64..400, 0u64..200, 1usize..7, 0usize..1024), 12),
+        ) {
+            for m in MACHINES {
+                let mut fast = Timeline::with_procs(m);
+                let mut slow = NaiveTimeline::with_procs(m);
+                for &(release, len, width, wjit) in &jobs {
+                    let width = scaled_width(m, width, wjit).max(1);
+                    let dur = Dur::from_ticks(len);
+                    let placed = fast.earliest_slot(t(release), dur, width);
+                    prop_assert_eq!(
+                        &placed,
+                        &slow.earliest_slot_within(t(release), Time::MAX, dur, width),
+                        "placing width {} for {} from {}", width, len, release
+                    );
+                    let (start, procs) = placed.expect("width fits the machine");
+                    fast.book(start, start + dur, procs.clone(), BookingKind::Job);
+                    slow.try_book(start, start + dur, procs, BookingKind::Job).expect("oracle agrees");
+                }
+                fast.assert_profile_consistent();
+                for &(earliest, latest, dur, width, wjit) in &queries {
+                    let width = scaled_width(m, width, wjit).min(m);
+                    let (earliest, latest, dur) = (t(earliest), t(latest), Dur::from_ticks(dur));
+                    prop_assert_eq!(
+                        fast.earliest_slot_within(earliest, latest, dur, width),
+                        slow.earliest_slot_within(earliest, latest, dur, width),
+                        "earliest_slot_within({:?}, {:?}, {:?}, {})", earliest, latest, dur, width
+                    );
+                    if width == 0 {
+                        continue;
+                    }
+                    let max_busy = m - width;
+                    let mut offered = Vec::new();
+                    fast.slot_walk(earliest, latest, dur, max_busy, |t, first, _| {
+                        offered.push((t, first));
+                        None::<()>
+                    });
+                    prop_assert_eq!(
+                        offered,
+                        offers_by_count(&fast, earliest, latest, dur, max_busy),
+                        "offers for ({:?}, {:?}, {:?}, {})", earliest, latest, dur, width
+                    );
+                }
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Profile edits allocate nothing once the timeline has grown.
+//! Profile edits allocate nothing once the timeline has grown, and a slot
+//! query allocates only its answer.
 //!
 //! A rolling planner timeline on 1024 processors forgets its past, frees
 //! expired bookings, books their processor sets again further out and
@@ -6,33 +7,49 @@
 //! processors, too wide to live inline in a `ProcSet`, so a profile that
 //! copied a busy set on every boundary split would allocate on nearly
 //! every edit. A counting global allocator checks that, after warm-up,
-//! the rounds make no allocation at all.
+//! the rounds make no allocation at all, and that an answered
+//! `earliest_slot` allocates once, for the processor set it returns, and
+//! not at all when that set fits inline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use lsps_des::{Dur, Time};
 use lsps_platform::{BookingId, BookingKind, ProcSet, Timeline};
 
-/// Counts every allocation and reallocation, then defers to [`System`].
+/// Counts every allocation and reallocation of the calling thread, then
+/// defers to [`System`]. Per thread, so tests running side by side do not
+/// count each other's allocations.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread's last deallocations may outlive its slot.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -123,15 +140,51 @@ fn rolling_profile_edits_allocate_nothing_after_warmup() {
         now += step;
         round(&mut tl, &mut lanes, now, k, &mut rng);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for k in WARMUP_ROUNDS..WARMUP_ROUNDS + ROUNDS {
         now += step;
         round(&mut tl, &mut lanes, now, k, &mut rng);
     }
-    let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let made = allocations() - before;
     assert_eq!(tl.n_bookings(), LANES * PER_LANE);
     assert_eq!(
         made, 0,
         "{ROUNDS} rounds after warm-up allocated {made} times"
+    );
+}
+
+#[test]
+fn an_answered_slot_query_allocates_once() {
+    // Processors 0..512 busy on [0, 100) and 512..1024 on [50, 150). A
+    // 300-wide job fits at 0 on processors 512..812, words 8 to 12 of the
+    // answer, so the answer lives on the heap. From 100 on, processors
+    // 0..16 are free and a 16-wide answer stays inline.
+    let mut tl = Timeline::with_procs(M);
+    tl.book(
+        Time::ZERO,
+        Time::from_ticks(100),
+        ProcSet::range(0, 512),
+        BookingKind::Job,
+    );
+    tl.book(
+        Time::from_ticks(50),
+        Time::from_ticks(150),
+        ProcSet::range(512, M),
+        BookingKind::Job,
+    );
+    let query = |dur: u64, width: usize| {
+        let before = allocations();
+        let answer = tl.earliest_slot(Time::ZERO, Dur::from_ticks(dur), width);
+        (answer, allocations() - before)
+    };
+    assert_eq!(
+        query(50, 300),
+        (Some((Time::ZERO, ProcSet::range(512, 812))), 1),
+        "a heap answer allocates once"
+    );
+    assert_eq!(
+        query(60, 16),
+        (Some((Time::from_ticks(100), ProcSet::range(0, 16))), 0),
+        "an inline answer allocates nothing"
     );
 }
