@@ -21,6 +21,12 @@
 //! [`crate::allot`]). The builder replays the on-line process from release
 //! dates, so the result is exactly what the on-line policy would have done
 //! with clairvoyant (exact) runtimes.
+//!
+//! A conservative pass is one [`Timeline::earliest_slot`] query and one
+//! booking per job, in FCFS order: the timeline's slot walk jumps the
+//! saturated prefix of a deep backlog itself. An EASY pass replays
+//! releases, completions and shadow instants, and keeps its buffers in a
+//! `PassScratch` that the online planner reuses across decisions.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -134,7 +140,7 @@ pub fn book_reservations(tl: &mut Timeline, reservations: &[Reservation]) {
 pub fn backfill_on_timeline(
     jobs: &[Job],
     m: usize,
-    tl: Timeline,
+    mut tl: Timeline,
     policy: BackfillPolicy,
     estimate_factor: f64,
 ) -> Schedule {
@@ -148,10 +154,24 @@ pub fn backfill_on_timeline(
         );
         assert!(j.min_procs() <= m, "job {} wider than machine", j.id);
     }
+    let mut sched = Schedule::new(m);
+    let mut order = jobs.to_vec();
+    fcfs_sort(&mut order, Time::ZERO);
+    let place = |job: &Job, start, procs, _| sched.place(job, start, procs);
     match policy {
-        BackfillPolicy::Conservative => conservative(jobs, m, tl, estimate_factor),
-        BackfillPolicy::Easy => easy(jobs, m, tl, estimate_factor),
+        BackfillPolicy::Conservative => {
+            conservative_pass(&order, Time::ZERO, &mut tl, estimate_factor, place)
+        }
+        BackfillPolicy::Easy => easy_pass(
+            &order,
+            Time::ZERO,
+            &mut tl,
+            estimate_factor,
+            &mut PassScratch::default(),
+            place,
+        ),
     }
+    sched
 }
 
 /// The runtime estimate a backfill pass books for a job of true length
@@ -167,70 +187,10 @@ pub(crate) fn fcfs_sort(jobs: &mut [Job], floor: Time) {
     jobs.sort_unstable_by_key(|j| (j.release.max(floor), j.id));
 }
 
-/// A proven-infeasible scan range: while packing, a job of width `w` and
-/// duration `d` that placed at `hi` after scanning from `lo` certifies
-/// that **no** start in `[lo, hi)` admits a window of `d` ticks with `w`
-/// processors free. The conservative loop only ever *adds* bookings, so
-/// the certificate never expires, and it transfers to any wider/longer
-/// request (its window covers the failed one, its free set is a subset).
-#[derive(Clone, Copy)]
-struct InfeasibleRange {
-    w: usize,
-    d: lsps_des::Dur,
-    lo: Time,
-    hi: Time,
-}
-
-/// Monotone infeasibility frontier: the certificates accumulated so far.
-/// `advance` chains every applicable range to push a query's scan start
-/// forward — the saturated prefix of a backlogged schedule is skipped in
-/// O(frontier) instead of walked boundary-by-boundary per job. Purely an
-/// accelerator: it never changes which slot `earliest_slot` returns.
-#[derive(Default)]
-struct Frontier {
-    ranges: Vec<InfeasibleRange>,
-}
-
-impl Frontier {
-    const CAP: usize = 48;
-
-    /// Furthest scan start reachable from `from` for a `(w, d)` request.
-    fn advance(&self, mut from: Time, w: usize, d: lsps_des::Dur) -> Time {
-        loop {
-            let mut moved = false;
-            for r in &self.ranges {
-                if r.w <= w && r.d <= d && r.lo <= from && from < r.hi {
-                    from = r.hi;
-                    moved = true;
-                }
-            }
-            if !moved {
-                return from;
-            }
-        }
-    }
-
-    fn record(&mut self, r: InfeasibleRange) {
-        if r.hi <= r.lo {
-            return;
-        }
-        // Keep the set small: drop certificates the new one subsumes, and
-        // under pressure evict the one ending earliest (only performance
-        // is at stake, never correctness).
-        self.ranges
-            .retain(|e| !(r.w <= e.w && r.d <= e.d && r.lo <= e.lo && r.hi >= e.hi));
-        if self.ranges.len() == Self::CAP {
-            if let Some((i, _)) = self.ranges.iter().enumerate().min_by_key(|(_, e)| e.hi) {
-                self.ranges.swap_remove(i);
-            }
-        }
-        self.ranges.push(r);
-    }
-}
-
-/// The working buffers of one backfill pass, kept between passes so that
-/// an online planner's decisions allocate nothing once they have grown to
-/// the queue's size. Each pass clears what it uses on entry.
+/// The working buffers of EASY's pass, kept between passes so that an
+/// online planner's decisions allocate nothing once they have grown to the
+/// queue's size. The pass clears them on entry. Conservative's pass needs
+/// none: each job is one slot query.
 #[derive(Default)]
 pub(crate) struct PassScratch {
     /// EASY's replay agenda: release, completion and shadow instants.
@@ -239,8 +199,6 @@ pub(crate) struct PassScratch {
     queue: Vec<usize>,
     /// EASY's running bookings with their true completions.
     running: Vec<(BookingId, Time)>,
-    /// Conservative's infeasibility certificates.
-    frontier: Frontier,
 }
 
 /// One conservative packing pass over `order` (sorted by [`fcfs_sort`]
@@ -252,69 +210,28 @@ pub(crate) fn conservative_pass(
     floor: Time,
     tl: &mut Timeline,
     factor: f64,
-    scratch: &mut PassScratch,
     mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
 ) {
     // Conservative semantics with estimates: every queued job is booked at
     // its *estimated* length (no compression on early completion — later
     // bookings keep their guaranteed starts); the actual execution is the
     // true length inside that booking.
-    let frontier = &mut scratch.frontier;
-    frontier.ranges.clear();
     for job in order {
         let q = job.min_procs();
-        let dur = job.time_on(q);
-        let est = estimate(dur, factor);
-        let from = frontier.advance(job.release.max(floor), q, est);
+        let est = estimate(job.time_on(q), factor);
         let (start, procs) = tl
-            .earliest_slot(from, est, q)
+            .earliest_slot(job.release.max(floor), est, q)
             .expect("q <= m, so a slot always exists");
-        frontier.record(InfeasibleRange {
-            w: q,
-            d: est,
-            lo: from,
-            hi: start,
-        });
         let bk = tl.book(start, start + est, procs.clone(), BookingKind::Job);
         place(job, start, procs, bk);
     }
 }
 
-fn conservative(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
-    let mut sched = Schedule::new(m);
-    let mut order = jobs.to_vec();
-    fcfs_sort(&mut order, Time::ZERO);
-    conservative_pass(
-        &order,
-        Time::ZERO,
-        &mut tl,
-        factor,
-        &mut PassScratch::default(),
-        |job, start, procs, _| sched.place(job, start, procs),
-    );
-    sched
-}
-
-fn easy(jobs: &[Job], m: usize, mut tl: Timeline, factor: f64) -> Schedule {
-    let mut sched = Schedule::new(m);
-    let mut order = jobs.to_vec();
-    fcfs_sort(&mut order, Time::ZERO);
-    easy_pass(
-        &order,
-        Time::ZERO,
-        &mut tl,
-        factor,
-        &mut PassScratch::default(),
-        |job, start, procs, _| sched.place(job, start, procs),
-    );
-    sched
-}
-
 /// One EASY replay pass over `order` on an existing timeline — the
-/// event-driven engine behind [`easy`], factored out so the incremental
-/// planner can run the identical machinery batch-by-batch on a persistent
-/// timeline. `floor`, `scratch` and `place` work as in
-/// [`conservative_pass`].
+/// event-driven engine behind [`backfill_on_timeline`], factored out so the
+/// incremental planner can run the identical machinery batch-by-batch on a
+/// persistent timeline. `floor` and `place` work as in
+/// [`conservative_pass`]; `scratch` holds the pass's buffers.
 ///
 /// Each decision round is one sweep over the FCFS queue. Until the sweep
 /// meets the head, each job asks for its earliest slot from `now` once: a
@@ -357,7 +274,6 @@ pub(crate) fn easy_pass(
         events,
         queue,
         running,
-        ..
     } = scratch;
     events.clear();
     queue.clear();
@@ -701,6 +617,53 @@ mod proptests {
     use lsps_workload::JobId;
     use proptest::prelude::*;
 
+    /// The processors no booking of `tl` holds anywhere in `[start, end)`,
+    /// from a scan of the booking table rather than the profile.
+    fn free_during(tl: &Timeline, start: Time, end: Time) -> ProcSet {
+        let mut free = tl.capacity().clone();
+        for (_, b) in tl.bookings() {
+            if b.start.max(start) < b.end.min(end) {
+                free.subtract(&b.procs);
+            }
+        }
+        free
+    }
+
+    /// The conservative pass as a table scan, the differential oracle of
+    /// [`conservative_pass`]'s slot walk. Each job, in FCFS order, tries
+    /// its release raised to `floor`, then every later booking end — the
+    /// only instants at which processors come free — and takes the first
+    /// whose window of its estimate has `q` processors free, on the first
+    /// `q` of them.
+    fn conservative_pass_reference(
+        order: &[Job],
+        floor: Time,
+        tl: &mut Timeline,
+        factor: f64,
+        mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
+    ) {
+        for job in order {
+            let q = job.min_procs();
+            let est = estimate(job.time_on(q), factor);
+            let from = job.release.max(floor);
+            let mut candidates: Vec<Time> = tl
+                .bookings()
+                .map(|(_, b)| b.end)
+                .filter(|&end| end > from)
+                .collect();
+            candidates.push(from);
+            candidates.sort_unstable();
+            let (start, free) = candidates
+                .into_iter()
+                .map(|t| (t, free_during(tl, t, t + est)))
+                .find(|(_, free)| free.len() >= q)
+                .expect("after the last booking end every processor is free");
+            let procs = free.take_first(q);
+            let bk = tl.book(start, start + est, procs.clone(), BookingKind::Job);
+            place(job, start, procs, bk);
+        }
+    }
+
     /// The two-loop EASY round that [`easy_pass`]'s sweep replaced, kept
     /// as its differential oracle. A head loop starts the queue head while
     /// it fits; a backfill loop then starts a later job if it fits beside
@@ -716,15 +679,6 @@ mod proptests {
         factor: f64,
         mut place: impl FnMut(&Job, Time, ProcSet, BookingId),
     ) {
-        let free_during = |tl: &Timeline, start: Time, end: Time| {
-            let mut free = tl.capacity().clone();
-            for (_, b) in tl.bookings() {
-                if b.start.max(start) < b.end.min(end) {
-                    free.subtract(&b.procs);
-                }
-            }
-            free
-        };
         let release = |i: usize| order[i].release.max(floor);
         let mut events = BinaryHeap::new();
         let mut queue: Vec<usize> = Vec::new();
@@ -849,9 +803,9 @@ mod proptests {
         }
     }
 
-    /// Machine widths of the EASY differential cases.
+    /// Machine widths of the differential cases.
     const MACHINES: [usize; 3] = [4, 64, 1024];
-    /// Estimate factors of the EASY differential cases.
+    /// Estimate factors of the differential cases.
     const FACTORS: [f64; 3] = [1.0, 1.5, 3.0];
 
     /// `w` quarters of an `m`-processor machine, `jit` trimming it off a
@@ -873,10 +827,11 @@ mod proptests {
             .collect()
     }
 
-    /// Run the sweep and the two-loop reference over copies of `tl` and
+    /// Run `policy`'s pass and its reference over copies of `tl` and
     /// compare every placement and the booking table each leaves behind.
     /// Returns the placements, in placement order.
-    fn sweep_matches_reference(
+    fn pass_matches_reference(
+        policy: BackfillPolicy,
         jobs: &[Job],
         floor: Time,
         tl: &Timeline,
@@ -890,31 +845,38 @@ mod proptests {
             let place = |job: &Job, start: Time, procs: ProcSet, _: BookingId| {
                 placed.push((job.id, start, procs));
             };
-            if reference {
-                easy_pass_reference(&order, floor, &mut tl, factor, place);
-            } else {
-                easy_pass(
+            match (policy, reference) {
+                (BackfillPolicy::Conservative, false) => {
+                    conservative_pass(&order, floor, &mut tl, factor, place)
+                }
+                (BackfillPolicy::Conservative, true) => {
+                    conservative_pass_reference(&order, floor, &mut tl, factor, place)
+                }
+                (BackfillPolicy::Easy, false) => easy_pass(
                     &order,
                     floor,
                     &mut tl,
                     factor,
                     &mut PassScratch::default(),
                     place,
-                );
+                ),
+                (BackfillPolicy::Easy, true) => {
+                    easy_pass_reference(&order, floor, &mut tl, factor, place)
+                }
             }
             let table: Vec<_> = tl.bookings().map(|(_, b)| b.clone()).collect();
             (placed, table)
         };
-        let (sweep, reference) = (run(false), run(true));
-        prop_assert_eq!(sweep.0.len(), jobs.len());
-        prop_assert_eq!(&sweep, &reference);
-        sweep.0
+        let (pass, reference) = (run(false), run(true));
+        prop_assert_eq!(pass.0.len(), jobs.len());
+        prop_assert_eq!(&pass, &reference);
+        pass.0
     }
 
     /// Each job's `(id, start, processors)` under the sweep, checked
     /// against the reference.
     fn easy_starts(jobs: &[Job], tl: &Timeline, factor: f64) -> Vec<(u64, u64, ProcSet)> {
-        sweep_matches_reference(jobs, Time::ZERO, tl, factor)
+        pass_matches_reference(BackfillPolicy::Easy, jobs, Time::ZERO, tl, factor)
             .into_iter()
             .map(|(id, start, procs)| (id.0, start.ticks(), procs))
             .collect()
@@ -1044,7 +1006,13 @@ mod proptests {
             let tl = booked_timeline(m, &live, floor);
             let factor = FACTORS[factor];
             let specs = aimed(&specs, &tl, floor, factor);
-            sweep_matches_reference(&jobs_on(m, &specs), floor, &tl, factor);
+            pass_matches_reference(
+                BackfillPolicy::Easy,
+                &jobs_on(m, &specs),
+                floor,
+                &tl,
+                factor,
+            );
         }
     }
 
@@ -1067,7 +1035,13 @@ mod proptests {
                 end: Time::from_ticks(start + len),
                 procs: quarters(m, w, jit),
             }]);
-            sweep_matches_reference(&jobs_on(m, &specs), Time::ZERO, &tl, FACTORS[factor]);
+            pass_matches_reference(
+                BackfillPolicy::Easy,
+                &jobs_on(m, &specs),
+                Time::ZERO,
+                &tl,
+                FACTORS[factor],
+            );
         }
 
         /// The same on the planner's timeline: earlier work already booked,
@@ -1083,7 +1057,13 @@ mod proptests {
             let m = MACHINES[machine];
             let floor = Time::from_ticks(floor);
             let tl = booked_timeline(m, &live, floor);
-            sweep_matches_reference(&jobs_on(m, &specs), floor, &tl, FACTORS[factor]);
+            pass_matches_reference(
+                BackfillPolicy::Easy,
+                &jobs_on(m, &specs),
+                floor,
+                &tl,
+                FACTORS[factor],
+            );
         }
 
         /// The planner's commonest decision: one arrival at `floor > 0` on
@@ -1100,7 +1080,67 @@ mod proptests {
             let m = MACHINES[machine];
             let floor = Time::from_ticks(floor);
             let tl = booked_timeline(m, &live, floor);
-            sweep_matches_reference(&jobs_on(m, &[spec]), floor, &tl, FACTORS[factor]);
+            pass_matches_reference(
+                BackfillPolicy::Easy,
+                &jobs_on(m, &[spec]),
+                floor,
+                &tl,
+                FACTORS[factor],
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The conservative pass against the table scan on a deep backlog:
+        /// 40 to 120 jobs all released at `floor`, on a booked timeline.
+        /// Most jobs queue behind the earlier ones, so the slot walk jumps
+        /// long saturated runs before each placement.
+        #[test]
+        fn conservative_pass_matches_the_reference_on_a_deep_backlog(
+            machine in 0usize..MACHINES.len(),
+            factor in 0usize..FACTORS.len(),
+            specs in prop::collection::vec((1usize..=4, 0usize..256, 1u64..30), 40..120),
+            live in prop::collection::vec((0u64..40, 1u64..40, 0usize..4, 1usize..=4), 0..8),
+            floor in 1u64..30,
+        ) {
+            let m = MACHINES[machine];
+            let specs: Vec<_> = specs.iter().map(|&(w, jit, len)| (w, jit, len, floor)).collect();
+            let floor = Time::from_ticks(floor);
+            let tl = booked_timeline(m, &live, floor);
+            pass_matches_reference(
+                BackfillPolicy::Conservative,
+                &jobs_on(m, &specs),
+                floor,
+                &tl,
+                FACTORS[factor],
+            );
+        }
+    }
+
+    proptest! {
+        /// The conservative pass against the table scan on the planner's
+        /// timeline, with staggered releases, some of them raised to
+        /// `floor`.
+        #[test]
+        fn conservative_pass_matches_the_reference_on_a_booked_timeline(
+            machine in 0usize..MACHINES.len(),
+            factor in 0usize..FACTORS.len(),
+            specs in prop::collection::vec((1usize..=4, 0usize..256, 1u64..30, 0u64..80), 1..30),
+            live in prop::collection::vec((0u64..80, 1u64..60, 0usize..4, 1usize..=4), 0..12),
+            floor in 1u64..60,
+        ) {
+            let m = MACHINES[machine];
+            let floor = Time::from_ticks(floor);
+            let tl = booked_timeline(m, &live, floor);
+            pass_matches_reference(
+                BackfillPolicy::Conservative,
+                &jobs_on(m, &specs),
+                floor,
+                &tl,
+                FACTORS[factor],
+            );
         }
     }
 }

@@ -148,9 +148,8 @@ pub struct BatchPlanner<'a, P: Policy + ?Sized> {
     policy: &'a P,
     m: usize,
     ctx: &'a PolicyCtx,
-    /// Live commitments and outage windows; each `plan` garbage-collects
-    /// completed work, so a multi-day trace never accumulates dead
-    /// bookings.
+    /// Live commitments; each `plan` garbage-collects completed work, so
+    /// a multi-day trace never accumulates dead bookings.
     committed: Timeline,
     touched: u64,
 }
@@ -245,21 +244,16 @@ impl<P: Policy + ?Sized> IncrementalPlanner for BatchPlanner<'_, P> {
         self.touched
     }
 
-    fn invalidate(&mut self, id: BookingId) {
-        self.committed
-            .remove(id)
-            .expect("killed booking still present");
+    /// Unreachable: kills come only from outages, and only volatile runs
+    /// have outages, which need a hole-filling policy
+    /// ([`Policy::supports_pinned`]) and so a [`BackfillPlanner`].
+    fn invalidate(&mut self, _id: BookingId) {
+        panic!("the batch planner has no kills: volatile runs need a hole-filling policy");
     }
 
-    fn add_outage(&mut self, node: u32, start: Time, end: Time) {
-        self.committed
-            .try_book(
-                start,
-                end,
-                ProcSet::from_indices([node as usize]),
-                BookingKind::Reservation,
-            )
-            .unwrap_or_else(|e| panic!("outage on node {node} collides: {e:?}"));
+    /// Unreachable, for the reason [`invalidate`](Self::invalidate) is.
+    fn add_outage(&mut self, _node: u32, _start: Time, _end: Time) {
+        panic!("the batch planner has no outages: volatile runs need a hole-filling policy");
     }
 }
 
@@ -282,7 +276,7 @@ pub struct BackfillPlanner {
     /// next sweep waits until the table has doubled from it.
     swept: usize,
     touched: u64,
-    /// The passes' buffers, reused across decisions.
+    /// EASY's pass buffers, reused across decisions.
     scratch: PassScratch,
 }
 
@@ -346,14 +340,9 @@ impl IncrementalPlanner for BackfillPlanner {
             })
         };
         match self.flavour {
-            BackfillPolicy::Conservative => conservative_pass(
-                pending,
-                now,
-                &mut self.tl,
-                self.factor,
-                &mut self.scratch,
-                place,
-            ),
+            BackfillPolicy::Conservative => {
+                conservative_pass(pending, now, &mut self.tl, self.factor, place)
+            }
             BackfillPolicy::Easy => easy_pass(
                 pending,
                 now,
