@@ -367,31 +367,25 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         push(&mut ops, name, n, ns);
     }
 
-    // Raw event-queue throughput: a million schedule/cancel/pop rounds
-    // against a rolling live set — the slab + 4-ary-heap hot path the DES
-    // engine hits once per event, with a third of the events cancelled so
-    // the tombstone compaction policy is part of what gets timed.
+    // Raw event-queue throughput: a million pop/schedule rounds against a
+    // rolling live set of 8 192 events — the engine's pattern, one queued
+    // completion per running job, each popped completion making room for
+    // the next job's.
     let n = 1_000_000;
     let ns = median_ns(DRIVE_RUNS, 1, || {
+        let live = 8_192u64;
         let mut q: EventQueue<u64> = EventQueue::new();
         let mut rng = SimRng::seed_from(11);
-        let mut live_keys = Vec::new();
-        let mut clock: u64 = 0;
-        let mut digest: u64 = 0;
-        for i in 0..n as u64 {
-            clock += rng.int_range(0, 3);
-            live_keys.push(q.schedule(Time::from_ticks(clock + rng.int_range(1, 1_000)), i));
-            if i % 3 == 0 {
-                let victim = rng.int_range(0, live_keys.len() as u64 - 1) as usize;
-                q.cancel(live_keys.swap_remove(victim));
-            }
-            if q.len() > 8_192 {
-                if let Some((at, _, ev)) = q.pop() {
-                    digest = digest.wrapping_add(at.ticks() ^ ev);
-                }
-            }
+        for i in 0..live {
+            q.schedule(Time::from_ticks(rng.int_range(1, 1_000)), i);
         }
-        while let Some((at, _, ev)) = q.pop() {
+        let mut digest: u64 = 0;
+        for i in live..live + n as u64 {
+            let (at, ev) = q.pop().expect("the live set never empties");
+            digest = digest.wrapping_add(at.ticks() ^ ev);
+            q.schedule(at + Dur::from_ticks(rng.int_range(1, 1_000)), i);
+        }
+        while let Some((at, ev)) = q.pop() {
             digest = digest.wrapping_add(at.ticks() ^ ev);
         }
         std::hint::black_box(digest);

@@ -6,8 +6,13 @@
 //! (compare [`crate::backfill`]).
 //!
 //! For sequential jobs this is Graham's list scheduling with its
-//! `2 − 1/m` guarantee; for rigid parallel tasks the greedy stays a
-//! constant-factor heuristic and is the baseline used in the experiments.
+//! `2 − 1/m` guarantee. For rigid parallel tasks the greedy has no
+//! constant-factor guarantee: take `m` pairs of a width-1 job of length
+//! `L` followed by a width-`m` job of length 1. In FCFS order each wide
+//! job waits for the narrow one before it, so the makespan is `m·(L + 1)`,
+//! while running the narrow jobs side by side first takes `L + m`, the
+//! area bound. The ratio tends to `m` as `L` grows. The greedy is still
+//! the baseline used in the experiments.
 
 use lsps_des::Time;
 use lsps_platform::ProcSet;
@@ -174,6 +179,32 @@ mod tests {
             let lb = cmax_lower_bound(&jobs, m).ticks() as f64;
             let ratio = s.makespan().ticks() as f64 / lb;
             assert!(ratio <= 2.0 - 1.0 / m as f64 + 1e-9, "m={m}: ratio {ratio}");
+        }
+    }
+
+    #[test]
+    fn rigid_list_scheduling_is_no_constant_factor_heuristic() {
+        // m pairs, ids interleaved: a width-1 job of 100 ticks, then a
+        // width-m job of 1 tick, all released at 0.
+        for (m, fcfs_cmax) in [(4usize, 404u64), (8, 808), (16, 1616)] {
+            let jobs: Vec<Job> = (0..m as u64)
+                .flat_map(|i| {
+                    [
+                        Job::sequential(2 * i, d(100)),
+                        Job::rigid(2 * i + 1, m, d(1)),
+                    ]
+                })
+                .collect();
+            let fcfs = list_schedule(&jobs, m, JobOrder::Fcfs);
+            assert!(fcfs.validate(&jobs).is_ok());
+            assert_eq!(fcfs.makespan(), Time::from_ticks(fcfs_cmax), "m={m}");
+            assert_eq!(fcfs_cmax, 101 * m as u64);
+            let lb = cmax_lower_bound(&jobs, m);
+            assert_eq!(lb, d(m as u64 + 100), "m={m}");
+            // The bound is the optimum: narrow jobs side by side, then
+            // the wide ones — the order LPT picks.
+            let lpt = list_schedule(&jobs, m, JobOrder::Lpt);
+            assert_eq!(lpt.makespan().since_epoch(), lb, "m={m}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! event strictly in the past (it may schedule at `now`, which re-enters the
 //! dispatch loop after currently pending same-time events — FIFO order).
 
-use crate::queue::{EventKey, EventQueue};
+use crate::queue::EventQueue;
 use crate::time::Time;
 
 /// Domain logic plugged into a [`Simulation`].
@@ -61,7 +61,7 @@ impl<'a, E> Ctx<'a, E> {
     /// # Panics
     /// If `at` is strictly in the past (causality violation — always a bug in
     /// the model).
-    pub fn schedule_at(&mut self, at: Time, event: E) -> EventKey {
+    pub fn schedule_at(&mut self, at: Time, event: E) {
         assert!(
             at >= self.now,
             "causality violation: scheduling at {:?} while now is {:?}",
@@ -72,20 +72,15 @@ impl<'a, E> Ctx<'a, E> {
     }
 
     /// Schedule `event` after a delay of `d`.
-    pub fn schedule_in(&mut self, d: crate::time::Dur, event: E) -> EventKey {
+    pub fn schedule_in(&mut self, d: crate::time::Dur, event: E) {
         let at = self.now + d;
         self.queue.schedule(at, event)
     }
 
-    /// Cancel a pending event. Returns `true` if it was still live.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key)
-    }
-
-    /// Instant of the earliest queued live event, if any — an event the
-    /// handler just scheduled included. A handler that sees none at `now`
-    /// handles the last event of its instant.
-    pub fn next_at(&mut self) -> Option<Time> {
+    /// Instant of the earliest queued event, if any — an event the handler
+    /// just scheduled included. A handler that sees none at `now` handles
+    /// the last event of its instant.
+    pub fn next_at(&self) -> Option<Time> {
         self.queue.next_at()
     }
 }
@@ -98,13 +93,9 @@ pub struct RunStats {
     pub events_dispatched: u64,
     /// Simulated time of the last step.
     pub last_event_time: Time,
-    /// High-water mark of *live* queued events over the simulation's
-    /// lifetime — the agenda depth the model actually required.
-    pub peak_queue_live: usize,
-    /// High-water mark of the queue's heap footprint (live + tombstoned
-    /// entries). Compaction keeps this within 2× the live count; a gap
-    /// between the two peaks measures how cancel-heavy the run was.
-    pub peak_queue_heap: usize,
+    /// High-water mark of queued events over the simulation's lifetime,
+    /// stale ones (events a model will ignore when they fire) included.
+    pub peak_queue: usize,
 }
 
 /// Event-driven simulation: clock + queue + model.
@@ -113,8 +104,7 @@ pub struct Simulation<M: Model> {
     queue: EventQueue<M::Event>,
     model: M,
     dispatched: u64,
-    peak_live: usize,
-    peak_heap: usize,
+    peak_queue: usize,
 }
 
 impl<M: Model> Simulation<M> {
@@ -125,8 +115,7 @@ impl<M: Model> Simulation<M> {
             queue: EventQueue::new(),
             model,
             dispatched: 0,
-            peak_live: 0,
-            peak_heap: 0,
+            peak_queue: 0,
         }
     }
 
@@ -141,40 +130,26 @@ impl<M: Model> Simulation<M> {
     }
 
     /// Seed the agenda before running.
-    pub fn schedule_at(&mut self, at: Time, event: M::Event) -> EventKey {
+    pub fn schedule_at(&mut self, at: Time, event: M::Event) {
         assert!(at >= self.now, "cannot seed event in the past");
-        let key = self.queue.schedule(at, event);
-        self.note_queue_health();
-        key
+        self.queue.schedule(at, event);
+        self.note_queue_peak();
     }
 
-    /// Number of pending events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Total steps — events dispatched and wake-ups — over the
-    /// simulation's whole lifetime (the per-run counts are in the
-    /// [`RunStats`] each run variant returns).
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Record the queue's current live/heap depths into the lifetime
-    /// high-water marks reported through [`RunStats`]. Sampled once per
-    /// dispatch (after the previous handler's schedules landed), so the
-    /// cost is two comparisons per event.
+    /// Record the queue's current depth into the lifetime high-water mark
+    /// reported through [`RunStats`]. Sampled once per dispatch (after the
+    /// previous handler's schedules landed), so the cost is one comparison
+    /// per event.
     #[inline]
-    fn note_queue_health(&mut self) {
-        self.peak_live = self.peak_live.max(self.queue.len());
-        self.peak_heap = self.peak_heap.max(self.queue.heap_len());
+    fn note_queue_peak(&mut self) {
+        self.peak_queue = self.peak_queue.max(self.queue.len());
     }
 
     /// Take one step: the model's wake-up when it comes strictly before
     /// the earliest queued event, else that event. Returns `false` when
     /// neither is left.
     pub fn step(&mut self) -> bool {
-        self.note_queue_health();
+        self.note_queue_peak();
         let wake = self
             .model
             .wake_at()
@@ -182,7 +157,7 @@ impl<M: Model> Simulation<M> {
         let (at, event) = match wake {
             Some(at) => (at, None),
             None => match self.queue.pop() {
-                Some((at, _key, event)) => (at, Some(event)),
+                Some((at, event)) => (at, Some(event)),
                 None => return false,
             },
         };
@@ -224,8 +199,7 @@ impl<M: Model> Simulation<M> {
         RunStats {
             events_dispatched: self.dispatched - start,
             last_event_time: self.now,
-            peak_queue_live: self.peak_live,
-            peak_queue_heap: self.peak_heap,
+            peak_queue: self.peak_queue,
         }
     }
 
@@ -290,14 +264,13 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_report_queue_peaks() {
+    fn run_stats_report_the_queue_peak() {
         let mut sim = Simulation::new(Counter { fired: vec![] });
         for i in 0..5 {
             sim.schedule_at(Time::from_ticks(i), Ev::Tick(i));
         }
         let stats = sim.run_to_completion(100);
-        assert_eq!(stats.peak_queue_live, 5);
-        assert!(stats.peak_queue_heap >= stats.peak_queue_live);
+        assert_eq!(stats.peak_queue, 5);
     }
 
     /// Queued events plus wake-ups of its own at sorted instants, logged in
@@ -350,7 +323,7 @@ mod tests {
         assert_eq!(stats.events_dispatched, 5);
         assert_eq!(stats.last_event_time, Time::from_ticks(9));
         // Wake-ups never enter the queue.
-        assert_eq!(stats.peak_queue_live, 2);
+        assert_eq!(stats.peak_queue, 2);
     }
 
     #[test]

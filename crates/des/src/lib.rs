@@ -1,8 +1,8 @@
 //! # lsps-des — discrete-event simulation substrate
 //!
 //! Everything in the LSPS workspace that "runs" a platform does so on top of
-//! this crate: an integer simulated clock ([`Time`], [`Dur`]), a stable and
-//! cancellable [`EventQueue`], a small event-driven [`engine`], and a
+//! this crate: an integer simulated clock ([`Time`], [`Dur`]), a stable
+//! [`EventQueue`], a small event-driven [`engine`], and a
 //! deterministic random-number layer ([`SimRng`]) so that every experiment in
 //! the paper reproduction is replayable bit-for-bit from a single `u64` seed.
 //!
@@ -20,21 +20,18 @@
 //! * Events with equal timestamps pop in insertion (FIFO) order: the queue is
 //!   keyed by `(Time, sequence)`. Determinism of the whole stack depends on
 //!   this.
-//! * The queue is a 4-ary implicit heap of plain `(Time, seq, slot)` words
-//!   over a generation-stamped slot slab holding the payloads — schedule,
-//!   pop and cancel never hash, and sift operations move 24-byte entries,
-//!   never an event. At 1M-job streams the per-event queue cost is the
-//!   dominant simulation term, so the hot path allocates nothing in steady
-//!   state (slots and heap capacity are recycled).
-//! * Cancellation is O(1): [`EventQueue::cancel`] vacates the slot at once
-//!   (the payload drops immediately) and leaves only a 24-byte heap
-//!   tombstone behind. Tombstones are bounded, not ignored: whenever dead
-//!   entries exceed half the heap, the queue compacts in place (retain live
-//!   entries, rebuild bottom-up, O(n)), so the heap is always ≥ 50% live
-//!   and memory stays proportional to live events even under cancel-heavy
-//!   models. [`EventQueue::len`] counts live events only,
-//!   [`EventQueue::heap_len`] tombstones too, and [`RunStats`] reports both
-//!   high-water marks as queue-health counters.
+//! * The queue is std's binary heap of `(Time, seq, event)` entries. The
+//!   engine queues little: arrivals are a model's own wake-ups and
+//!   decisions are made inside the last step of their instant, so an
+//!   online drive queues one event per job, its completion.
+//! * Events are never cancelled. A model whose event has gone stale — a
+//!   run killed by a node failure or by a local job — leaves it queued and
+//!   recognises it as a no-op when it fires (a slot generation, a booking
+//!   no longer running). That costs one heap entry and one dispatch per
+//!   kill, and kills are rare; a cancellable queue costs a key per event,
+//!   a payload slab and tombstone bookkeeping on every event, kill or not.
+//!   [`RunStats`] reports the queue's high-water mark, stale entries
+//!   included.
 
 pub mod engine;
 pub mod online;
@@ -46,14 +43,14 @@ pub use engine::{Ctx, Model, RunStats, Simulation};
 pub use online::{
     ArrivalSource, Commitment, Dispatcher, OnlineCounters, OnlineEvent, OnlineMachine,
 };
-pub use queue::{EventKey, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{Dur, Time, TICKS_PER_SEC};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::engine::{Ctx, Model, Simulation};
-    pub use crate::queue::{EventKey, EventQueue};
+    pub use crate::queue::EventQueue;
     pub use crate::rng::SimRng;
     pub use crate::time::{Dur, Time, TICKS_PER_SEC};
 }

@@ -27,13 +27,16 @@
 //!   the wake-up, which then has nothing left to admit and is not stepped;
 //! * a decision is not an event: the machine invokes the dispatcher at the
 //!   end of the last step of an instant, once [`Ctx::next_at`] shows no
-//!   live event queued there, so the decision follows every event of its
+//!   event queued there, so the decision follows every event of its
 //!   instant. Only a decision schedules events at its own instant (the
 //!   `Finish` of a zero-length commitment); such a `Finish` fires after it
 //!   and asks for a second decision;
-//! * running slots are recycled through a free list, and each slot keeps
-//!   its queued `Finish` event's key, so memory tracks the concurrency
-//!   high-water mark and a kill cancels its completion in O(1);
+//! * running slots are recycled through a free list, so memory tracks the
+//!   concurrency high-water mark. Each slot has a generation that a kill
+//!   bumps, and a `Finish` carries the generation it was scheduled under:
+//!   a killed run's completion stays queued and fires as a stale no-op,
+//!   which completes nothing and brings no news of its own. It still
+//!   makes the decision an earlier event of its instant left to it;
 //! * each [`Commitment`] carries the dispatcher's placement (`placed`:
 //!   processors, a planner booking — whatever the dispatcher needs to act
 //!   on the commitment later). The machine only stores it and hands it
@@ -51,7 +54,6 @@
 //!   sequences.
 
 use crate::engine::{Ctx, Model, Simulation};
-use crate::queue::EventKey;
 use crate::time::Time;
 
 /// A decision the dispatcher made for one job: run it over `[start, end)`
@@ -99,9 +101,10 @@ pub trait Dispatcher {
     /// running table (slot-indexed; `None` entries are free slots; each
     /// commitment carries the placement [`decide`](Dispatcher::decide)
     /// gave it) and push the slots to kill into `kill` and the replacement
-    /// jobs to queue into `resubmit`. The machine then cancels each killed
-    /// slot's completion event, re-queues the resubmitted jobs, and
-    /// decides at `now` once the last event of the instant is done.
+    /// jobs to queue into `resubmit`. The machine then frees each killed
+    /// slot, so its queued completion fires as a stale no-op, re-queues
+    /// the resubmitted jobs, and decides at `now` once the last event of
+    /// the instant is done.
     ///
     /// Only slots holding `Some` commitment may be killed, and a slot at
     /// most once. The default ignores failures entirely — volatility-blind
@@ -148,8 +151,14 @@ impl<J, I: Iterator<Item = (Time, J)>> ArrivalSource for I {
 /// machine makes inside the last step of their instant.
 #[derive(Debug)]
 pub enum OnlineEvent {
-    /// A committed run finishes (index into the machine's running table).
-    Finish(usize),
+    /// A committed run finishes.
+    Finish {
+        /// Index into the machine's running table.
+        slot: usize,
+        /// The slot's generation when the run was committed; a kill since
+        /// then makes this completion stale.
+        generation: u32,
+    },
     /// A node fails, repaired at `up` — the repair instant rides along so
     /// failure-aware dispatchers can plan around the outage window.
     NodeDown {
@@ -200,10 +209,10 @@ pub struct OnlineMachine<D: Dispatcher, S, F> {
     sink: F,
     pending: Vec<D::Job>,
     running: Vec<Option<Commitment<D::Job, D::Placement>>>,
-    /// Queued `Finish` event of each slot, parallel to `running` — the
-    /// handle that lets a node failure cancel a doomed completion in O(1)
-    /// instead of leaving a stale event to fire on a recycled slot.
-    finish_keys: Vec<EventKey>,
+    /// Generation of each slot, parallel to `running`. A kill bumps it, so
+    /// the killed run's queued `Finish` no longer matches and cannot
+    /// complete the slot's next occupant.
+    generations: Vec<u32>,
     /// Vacated `running` slots: the table grows to the concurrency
     /// high-water mark, never the total job count.
     free_slots: Vec<usize>,
@@ -214,6 +223,9 @@ pub struct OnlineMachine<D: Dispatcher, S, F> {
     /// Recycled scratch handed to [`Dispatcher::node_down`].
     kill_scratch: Vec<usize>,
     resubmit_scratch: Vec<D::Job>,
+    /// An event of the current instant left its decision to a later event
+    /// there, which may be a stale `Finish`.
+    deferred: bool,
     counters: OnlineCounters,
 }
 
@@ -234,11 +246,12 @@ where
             sink,
             pending: Vec::new(),
             running: Vec::new(),
-            finish_keys: Vec::new(),
+            generations: Vec::new(),
             free_slots: Vec::new(),
             commitments: Vec::new(),
             kill_scratch: Vec::new(),
             resubmit_scratch: Vec::new(),
+            deferred: false,
             counters: OnlineCounters::default(),
         })
     }
@@ -300,8 +313,11 @@ where
         // New information (an arrival, a completion, a failure or repair):
         // re-invoke the dispatcher if work is waiting, once the last event
         // of this instant is done.
-        if !self.pending.is_empty() && ctx.next_at() != Some(now) {
-            self.decide(now, ctx);
+        if !self.pending.is_empty() {
+            self.deferred = ctx.next_at() == Some(now);
+            if !self.deferred {
+                self.decide(now, ctx);
+            }
         }
     }
 
@@ -326,19 +342,18 @@ where
                 now
             );
             let slot = self.free_slots.pop().unwrap_or(self.running.len());
-            let key = ctx.schedule_at(c.end, OnlineEvent::Finish(slot));
             if slot == self.running.len() {
-                self.running.push(Some(c));
-                self.finish_keys.push(key);
-            } else {
-                self.running[slot] = Some(c);
-                self.finish_keys[slot] = key;
+                self.running.push(None);
+                self.generations.push(0);
             }
+            let generation = self.generations[slot];
+            ctx.schedule_at(c.end, OnlineEvent::Finish { slot, generation });
+            self.running[slot] = Some(c);
         }
         self.commitments = commitments;
     }
 
-    fn node_down(&mut self, now: Time, node: u32, up: Time, ctx: &mut Ctx<'_, OnlineEvent>) {
+    fn node_down(&mut self, now: Time, node: u32, up: Time) {
         let mut kill = std::mem::take(&mut self.kill_scratch);
         let mut resubmit = std::mem::take(&mut self.resubmit_scratch);
         kill.clear();
@@ -350,10 +365,7 @@ where
                 .take()
                 .expect("dispatcher killed an empty or already-killed slot");
             debug_assert!(c.end > now, "killed a commitment that already completed");
-            assert!(
-                ctx.cancel(self.finish_keys[slot]),
-                "killed commitment's finish already fired"
-            );
+            self.generations[slot] = self.generations[slot].wrapping_add(1);
             self.free_slots.push(slot);
             self.counters.kills += 1;
         }
@@ -378,7 +390,15 @@ where
         // at this instant can miss one.
         let admitted = self.admit(now);
         match event {
-            OnlineEvent::Finish(slot) => {
+            OnlineEvent::Finish { slot, generation } if generation != self.generations[slot] => {
+                // A killed run's completion: nothing finishes. Unless it
+                // admitted arrivals, the step brings no news, and decides
+                // only in place of an earlier event of this instant.
+                if !admitted && !self.deferred {
+                    return;
+                }
+            }
+            OnlineEvent::Finish { slot, .. } => {
                 let c = self.running[slot]
                     .take()
                     .expect("finish fires once per slot");
@@ -387,7 +407,7 @@ where
                 self.counters.completions += 1;
                 (self.sink)(c);
             }
-            OnlineEvent::NodeDown { node, up } => self.node_down(now, node, up, ctx),
+            OnlineEvent::NodeDown { node, up } => self.node_down(now, node, up),
             OnlineEvent::NodeUp { .. } => {}
         }
         self.settle(now, admitted, ctx);
@@ -724,12 +744,15 @@ mod tests {
     /// length, and the machine is treated as busy until the repair.
     struct VolatileFcfs {
         fcfs: Fcfs,
+        /// The instant of every decision.
+        decided: Vec<u64>,
     }
 
     impl Dispatcher for VolatileFcfs {
         type Job = u32;
         type Placement = ();
         fn decide(&mut self, now: Time, pending: &mut Vec<u32>, out: &mut Vec<Commitment<u32>>) {
+            self.decided.push(now.ticks());
             self.fcfs.decide(now, pending, out);
         }
         fn node_down(
@@ -760,6 +783,7 @@ mod tests {
     fn volatile_run(down: u64, up: u64) -> (Vec<Commitment<u32>>, OnlineCounters, usize) {
         let volatile = VolatileFcfs {
             fcfs: fcfs(vec![(1u32, Dur::from_ticks(10))]),
+            decided: Vec::new(),
         };
         let mut done = Vec::new();
         let mut sim = OnlineMachine::start(volatile, std::iter::once((t(0), 1)), |c| done.push(c));
@@ -781,8 +805,8 @@ mod tests {
         assert_eq!(counters.resubmits, 1);
         // The original [0, 10) run died at 4; the resubmitted copy starts
         // at the repair (the NodeUp decision) and runs its full length in
-        // the recycled slot — the dead run's Finish at 10 was cancelled, so
-        // it cannot complete the new occupant early.
+        // the recycled slot — the dead run's Finish at 10 is stale, so it
+        // cannot complete the new occupant early.
         assert_eq!(slots, 1);
         assert_eq!(
             done,
@@ -813,6 +837,42 @@ mod tests {
                 placed: ()
             }]
         );
+    }
+
+    #[test]
+    fn a_stale_completion_decides_only_in_place_of_a_deferred_decision() {
+        // Job 1's [0, 10) run dies at 4 with its node, so its stale Finish
+        // stays queued at 10. Two outages and arrivals of job 2:
+        // * repaired at 10, job 2 arriving at 10: the seeded NodeUp pops
+        //   first there and admits job 2, but sees the stale Finish still
+        //   queued, so it leaves the decision to it;
+        // * repaired at 7, job 2 arriving at 8 and waiting behind job 1's
+        //   rerun: the stale Finish is alone at 10, brings no news and
+        //   decides nothing.
+        let cases = [
+            (10, 10, vec![0, 4, 10, 20], [(1, 10, 20), (2, 20, 25)], 6),
+            (7, 8, vec![0, 4, 7, 8, 17], [(1, 7, 17), (2, 17, 22)], 7),
+        ];
+        for (up, arrive, decisions, completions, steps) in cases {
+            let volatile = VolatileFcfs {
+                fcfs: fcfs(vec![(1, Dur::from_ticks(10)), (2, Dur::from_ticks(5))]),
+                decided: Vec::new(),
+            };
+            let arrivals = vec![(t(0), 1u32), (t(arrive), 2)];
+            let mut done = Vec::new();
+            let mut sim = OnlineMachine::start(volatile, arrivals.into_iter(), |c| {
+                done.push((c.job, c.start.ticks(), c.end.ticks()))
+            });
+            sim.schedule_at(t(4), OnlineEvent::NodeDown { node: 0, up: t(up) });
+            sim.schedule_at(t(up), OnlineEvent::NodeUp { node: 0 });
+            let stats = sim.run_to_completion(100);
+            let machine = sim.into_model();
+            assert_eq!(machine.counters().kills, 1);
+            assert_eq!(machine.into_dispatcher().decided, decisions, "up {up}");
+            assert_eq!(done, completions, "up {up}");
+            // The stale Finish is a step of its own.
+            assert_eq!(stats.events_dispatched, steps, "up {up}");
+        }
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //!   users — the paper's no-disturbance guarantee by construction;
 //! * `full_tl` holds local and best-effort bookings. A local booked there
 //!   kills each running best-effort run it collides with, smallest booking
-//!   id first: the victim's booking is removed, its end event cancelled,
-//!   the run requeued at the server, and the spent CPU time counted as
-//!   *wasted*;
+//!   id first: the victim's booking is removed, the run requeued at the
+//!   server, and the spent CPU time counted as *wasted*. Its end event
+//!   stays queued and fires as a no-op, since the booking it names is no
+//!   longer running;
 //! * the server injects queued runs into current holes of `full_tl`
 //!   (the paper: "fill the holes […] using the same idea as conservative
 //!   backfilling"), triggered periodically and on every completion.
@@ -21,7 +22,7 @@ use std::collections::{HashMap, VecDeque};
 
 use lsps_core::replan::{BackfillPlanner, IncrementalPlanner};
 use lsps_core::{BackfillPolicy, PolicyCtx};
-use lsps_des::{Ctx, Dur, EventKey, Model, Simulation, Time};
+use lsps_des::{Ctx, Dur, Model, Simulation, Time};
 use lsps_metrics::{CompletedJob, Criteria};
 use lsps_platform::timeline::BookError;
 use lsps_platform::{BookingId, BookingKind, Platform, ProcSet, Timeline};
@@ -61,7 +62,6 @@ struct BeRun {
     len: Dur, // scaled for the host cluster
     raw_len: Dur,
     started: Time,
-    end_event: EventKey,
 }
 
 struct ClusterState {
@@ -109,6 +109,9 @@ pub struct CigriSim {
     best_effort_enabled: bool,
     campaign_done_at: Time,
     be_total: u64,
+    /// Instant of the last event that was not a killed run's stale end —
+    /// the utilization horizon.
+    last_event: Time,
 }
 
 impl CigriSim {
@@ -145,6 +148,7 @@ impl CigriSim {
             best_effort_enabled,
             campaign_done_at: Time::ZERO,
             be_total: 0,
+            last_event: Time::ZERO,
         }
     }
 
@@ -173,7 +177,6 @@ impl CigriSim {
                 panic!("local booking [{start:?}, {end:?}) on cluster {c}: {e}")
             };
             let run = cl.be_running.remove(&id).expect("victim is running");
-            ctx.cancel(run.end_event);
             // Kill immediately: the scheduler clears the node as soon as
             // the local job is booked (even if its start is in the future),
             // and the run restarts from scratch elsewhere — everything it
@@ -248,7 +251,7 @@ impl CigriSim {
                 let end = now + len;
                 let cl = &mut self.clusters[c];
                 let bk = cl.full_tl.book(now, end, procs, BookingKind::BestEffort);
-                let key = ctx.schedule_at(
+                ctx.schedule_at(
                     end,
                     CigriEvent::BeEnd {
                         cluster: c,
@@ -261,7 +264,6 @@ impl CigriSim {
                         len,
                         raw_len,
                         started: now,
-                        end_event: key,
                     },
                 );
             }
@@ -291,15 +293,18 @@ impl Model for CigriSim {
             }
             CigriEvent::BeEnd { cluster, booking } => {
                 let cl = &mut self.clusters[cluster];
-                if let Some(run) = cl.be_running.remove(&booking) {
-                    cl.be_done += 1;
-                    cl.be_busy += run.len;
-                    cl.busy_total_ticks += run.len.ticks() as u128;
-                    cl.full_tl.remove(booking);
-                    let all_idle = self.clusters.iter().all(|c| c.be_running.is_empty());
-                    if self.queue.is_empty() && all_idle {
-                        self.campaign_done_at = self.campaign_done_at.max(now);
-                    }
+                // A killed run's end: its booking left `be_running` at the
+                // kill, and nothing happens now.
+                let Some(run) = cl.be_running.remove(&booking) else {
+                    return;
+                };
+                cl.be_done += 1;
+                cl.be_busy += run.len;
+                cl.busy_total_ticks += run.len.ticks() as u128;
+                cl.full_tl.remove(booking);
+                let all_idle = self.clusters.iter().all(|c| c.be_running.is_empty());
+                if self.queue.is_empty() && all_idle {
+                    self.campaign_done_at = self.campaign_done_at.max(now);
                 }
                 self.wake_server(now, ctx);
             }
@@ -315,6 +320,7 @@ impl Model for CigriSim {
                 self.poll(now, ctx);
             }
         }
+        self.last_event = now;
     }
 }
 
@@ -394,8 +400,8 @@ impl CigriSim {
 }
 
 /// Run a full CiGri simulation: local jobs per cluster + campaigns, with or
-/// without the best-effort server. Returns the report and the horizon used
-/// for utilization (the last event time).
+/// without the best-effort server. Utilization is measured up to the last
+/// event that was not a killed run's stale end.
 ///
 /// ```
 /// use lsps_des::Dur;
@@ -426,9 +432,9 @@ pub fn run_cigri(
         let at = c.release;
         sim.schedule_at(at, CigriEvent::CampaignSubmit(c));
     }
-    let stats = sim.run_to_completion(20_000_000);
-    let horizon = stats.last_event_time;
-    sim.model().report(horizon)
+    sim.run_to_completion(20_000_000);
+    let model = sim.model();
+    model.report(model.last_event)
 }
 
 #[cfg(test)]
@@ -663,6 +669,38 @@ mod tests {
             "utilization {} vs accounted {expected}",
             report.utilization[0]
         );
+    }
+
+    #[test]
+    fn a_killed_runs_stale_end_does_not_move_the_utilization_horizon() {
+        // Two 1-processor clusters, `a` at full speed and `b` at half. A
+        // local holds `a` over [0, 40), so the single campaign run (100
+        // ticks) starts on `b` over [0, 200). A local on `b` at 50 kills
+        // it after 50 ticks; the requeued run takes the now idle `a` over
+        // [50, 150). The killed run's end still fires at 200, but the last
+        // live event is the rerun's end at 150.
+        use lsps_platform::{Cluster, LinkClass, NetworkModel};
+        let p = Platform::new(
+            "pair",
+            vec![
+                Cluster::homogeneous("a", 1, 1, 1.0, LinkClass::gige()),
+                Cluster::homogeneous("b", 1, 1, 0.5, LinkClass::eth100()),
+            ],
+            NetworkModel::light_grid_default(),
+        );
+        let locals = vec![
+            (0, Job::sequential(1, d(40))),
+            (1, Job::sequential(2, d(10)).released_at(t(50))),
+        ];
+        let c = Campaign::new(1, 1, d(100));
+        let report = run_cigri(&p, locals, vec![c], d(10), true);
+        assert_eq!(report.kills, 1);
+        assert_eq!(report.be_completed, 1);
+        assert_eq!(report.campaign_done_at, t(150));
+        // `a`: local 40 + rerun 100; `b`: killed run 50 + local 20 (10
+        // ticks at half speed), all over the horizon 150.
+        assert_eq!(report.utilization, [140.0 / 150.0, 70.0 / 150.0]);
+        assert_eq!(report.local_utilization, [40.0 / 150.0, 20.0 / 150.0]);
     }
 
     #[test]

@@ -1,161 +1,108 @@
-//! Property coverage of the DES substrate the online executor now leans
-//! on: under *any* interleaving of `schedule`/`cancel`, the event queue
-//! pops in nondecreasing time order with FIFO tie-breaking, cancellation
-//! reports liveness exactly once, and the engine dispatches every live
-//! event in that same order. The whole workspace's determinism rests on
-//! these two invariants.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+//! Property coverage of the DES substrate the online executor leans on:
+//! under *any* interleaving of `schedule`/`pop`, the event queue pops in
+//! nondecreasing time order with FIFO tie-breaking, and the engine
+//! dispatches every event in that same order. The whole workspace's
+//! determinism rests on these two invariants.
 
 use lsps::des::{Ctx, EventQueue, Model, Simulation, Time};
 use proptest::prelude::*;
 
-/// The retired event-queue representation, kept as the differential
-/// oracle: a lazy-cancellation binary heap ordered by `(Time, seq)` with
-/// a by-key live table — semantically the queue the engine ran on before
-/// the slab + 4-ary-heap rewrite. Any observable divergence between this
-/// and [`EventQueue`] under a random op interleaving is a bug in the
-/// rewrite, not a modelling choice.
-struct OracleQueue<E> {
-    heap: BinaryHeap<Reverse<(Time, u64)>>,
-    live: HashMap<u64, E>,
-    next_seq: u64,
+/// The queue's contract spelled out with no heap at all: events in
+/// insertion order, stably sorted by time before each pop, so the head is
+/// the earliest event and, among a tie, the earliest scheduled.
+struct SortOracle<E> {
+    pending: Vec<(Time, E)>,
 }
 
-impl<E> OracleQueue<E> {
-    fn new() -> Self {
-        OracleQueue {
-            heap: BinaryHeap::new(),
-            live: HashMap::new(),
-            next_seq: 0,
-        }
-    }
-
-    fn schedule(&mut self, at: Time, event: E) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((at, seq)));
-        self.live.insert(seq, event);
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.live.remove(&seq).is_some()
+impl<E> SortOracle<E> {
+    fn schedule(&mut self, at: Time, event: E) {
+        self.pending.push((at, event));
     }
 
     fn pop(&mut self) -> Option<(Time, E)> {
-        while let Some(Reverse((at, seq))) = self.heap.pop() {
-            if let Some(event) = self.live.remove(&seq) {
-                return Some((at, event));
-            }
-        }
-        None
+        self.pending.sort_by_key(|&(at, _)| at);
+        (!self.pending.is_empty()).then(|| self.pending.remove(0))
     }
 
-    fn len(&self) -> usize {
-        self.live.len()
+    fn next_at(&self) -> Option<Time> {
+        self.pending.iter().map(|&(at, _)| at).min()
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Random interleavings of `schedule` and `cancel`, then a full drain:
-    /// pops are nondecreasing in time, FIFO within a tie, a cancelled entry
-    /// never surfaces, and `cancel` of an already-popped key returns false.
+    /// Random interleavings of `schedule` and `pop`, never scheduling
+    /// before the last popped instant (the engine's causality rule), then
+    /// a full drain: pops are nondecreasing in time, FIFO within a tie,
+    /// and every scheduled event pops exactly once.
     #[test]
-    fn interleaved_schedule_cancel_drains_in_order(
-        ops in prop::collection::vec((0u8..8, 0u64..48, 0usize..64), 1..80),
+    fn interleaved_schedule_pop_drains_in_order(
+        ops in prop::collection::vec((0u8..8, 0u64..48), 1..80),
     ) {
         let mut q = EventQueue::new();
-        // (key, cancelled-by-us); payload = (time, global insertion seq).
-        let mut keys = Vec::new();
+        // Payload = (time, global insertion index).
         let mut insertions = 0u64;
-        for &(op, t, idx) in &ops {
-            if op < 6 {
-                let key = q.schedule(Time::from_ticks(t), (t, insertions));
+        let mut popped: Vec<(Time, (u64, u64))> = Vec::new();
+        for &(op, dt) in &ops {
+            if op < 5 {
+                let now = popped.last().map_or(0, |(at, _)| at.ticks());
+                let t = now + dt;
+                q.schedule(Time::from_ticks(t), (t, insertions));
                 insertions += 1;
-                keys.push((key, false));
-            } else if !keys.is_empty() {
-                let i = idx % keys.len();
-                let was_live = !keys[i].1;
-                prop_assert_eq!(
-                    q.cancel(keys[i].0), was_live,
-                    "cancel must report liveness exactly once"
-                );
-                keys[i].1 = true;
+            } else {
+                popped.extend(q.pop());
             }
+            prop_assert_eq!(q.len() + popped.len(), insertions as usize);
         }
-        let cancelled = keys.iter().filter(|(_, c)| *c).count();
-        prop_assert_eq!(q.len(), keys.len() - cancelled);
-
-        let mut popped = Vec::new();
-        let mut last: Option<(Time, u64)> = None;
-        while let Some((at, key, (t, seq))) = q.pop() {
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        prop_assert!(q.is_empty());
+        for &(at, (t, _)) in &popped {
             prop_assert_eq!(at.ticks(), t, "popped at a different time than scheduled");
-            if let Some((prev_at, prev_seq)) = last {
-                prop_assert!(at >= prev_at, "time order violated");
-                if at == prev_at {
-                    prop_assert!(seq > prev_seq, "FIFO tie-break violated");
-                }
+        }
+        for pair in popped.windows(2) {
+            let ((a, (_, a_seq)), (b, (_, b_seq))) = (pair[0], pair[1]);
+            prop_assert!(a <= b, "time order violated");
+            if a == b {
+                prop_assert!(a_seq < b_seq, "FIFO tie-break violated");
             }
-            last = Some((at, seq));
-            popped.push(key);
         }
-        prop_assert_eq!(popped.len() + cancelled, keys.len());
-        for key in popped {
-            prop_assert!(!q.cancel(key), "cancel of a popped key must return false");
-        }
+        let mut seqs: Vec<u64> = popped.iter().map(|&(_, (_, seq))| seq).collect();
+        seqs.sort_unstable();
+        prop_assert!(seqs.into_iter().eq(0..insertions), "an event was lost or duplicated");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Differential test against the retired representation: drive
-    /// [`EventQueue`] and [`OracleQueue`] through the same random
-    /// interleaving of schedule / cancel / pop and require identical
-    /// observable behavior at every step — same `(Time, event)` from every
-    /// pop, same boolean from every cancel, same live count throughout,
-    /// and identical drain tails. Keys differ by construction (the new
-    /// queue packs slot/generation, the oracle uses raw sequence numbers),
-    /// so correspondence is tracked positionally, never compared.
+    /// Differential test against [`SortOracle`]: drive [`EventQueue`] and
+    /// the oracle through the same random interleaving of schedule / pop
+    /// and require identical observable behavior at every step — same
+    /// `(Time, event)` from every pop, same next instant and same length
+    /// throughout, and identical drain tails.
     #[test]
-    fn queue_matches_binary_heap_oracle(
-        ops in prop::collection::vec((0u8..10, 0u64..64, 0usize..96), 1..120),
+    fn queue_matches_stable_sort_oracle(
+        ops in prop::collection::vec((0u8..10, 0u64..64), 1..120),
     ) {
         let mut q = EventQueue::new();
-        let mut oracle = OracleQueue::new();
-        // Positional key correspondence: keys[i] = (new key, oracle key).
-        // Entries are never removed — cancelling or popping a key must
-        // keep behaving identically (return false) on both sides.
-        let mut keys = Vec::new();
+        let mut oracle = SortOracle { pending: Vec::new() };
         let mut payload = 0u64;
-        for &(op, t, idx) in &ops {
+        for &(op, t) in &ops {
             if op < 6 {
                 let at = Time::from_ticks(t);
-                keys.push((q.schedule(at, payload), oracle.schedule(at, payload)));
+                q.schedule(at, payload);
+                oracle.schedule(at, payload);
                 payload += 1;
-            } else if op < 8 {
-                if !keys.is_empty() {
-                    let (new_key, oracle_key) = keys[idx % keys.len()];
-                    prop_assert_eq!(
-                        q.cancel(new_key),
-                        oracle.cancel(oracle_key),
-                        "cancel verdicts diverged"
-                    );
-                }
             } else {
-                let got = q.pop().map(|(at, _, ev)| (at, ev));
-                prop_assert_eq!(got, oracle.pop(), "pop results diverged");
+                prop_assert_eq!(q.pop(), oracle.pop(), "pop results diverged");
             }
-            prop_assert_eq!(q.len(), oracle.len(), "live counts diverged");
+            prop_assert_eq!(q.len(), oracle.pending.len(), "lengths diverged");
+            prop_assert_eq!(q.next_at(), oracle.next_at(), "next instants diverged");
         }
         loop {
-            let got = q.pop().map(|(at, _, ev)| (at, ev));
             let want = oracle.pop();
-            prop_assert_eq!(got, want, "drain tails diverged");
+            prop_assert_eq!(q.pop(), want, "drain tails diverged");
             if want.is_none() {
                 break;
             }
@@ -190,7 +137,6 @@ proptest! {
         }
         let stats = sim.run_to_completion(times.len() as u64 + 1);
         prop_assert_eq!(stats.events_dispatched, times.len() as u64);
-        prop_assert_eq!(sim.dispatched(), times.len() as u64);
         let seen: Vec<u64> = sim.model().seen.iter().map(|t| t.ticks()).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
