@@ -327,26 +327,20 @@ fn measure(samples: usize) -> Result<(Vec<Datapoint>, Vec<Datapoint>), String> {
         }),
     );
 
-    // The clone_from + in-place-op churn of a scratch set refreshed in a
-    // loop: refresh it from a wide (heap-repr) source, mask it, then do
-    // the same over a 64-proc inline source — the DES bench machine
-    // width. Tracks that the pooling path stays allocation-free. (The
-    // timeline no longer runs this pattern: its profile keeps busy sets as
-    // raw arena rows.)
-    let small_a = ProcSet::from_indices((0..64).filter(|i| i % 3 != 0));
-    let small_b = ProcSet::from_indices((0..64).filter(|i| i % 2 == 0));
-    let mut scratch = ProcSet::new();
+    // The booking copy every placement makes of its answer
+    // (`conservative_pass` and `easy_pass` book `procs.clone()`): one
+    // answer on this 1024-processor machine, reaching past processor 255
+    // and so stored on the heap, and one on a 64-processor machine — the
+    // DES bench machine width — stored inline.
+    let wide_answer = ProcSet::full(m).take_first(m / 2);
+    let small_answer = ProcSet::full(64).take_first(16);
     push(
         &mut micro,
         "procset_clone_hot",
         0,
         median_ns(samples, 4096, || {
-            scratch.clone_from(&a);
-            scratch.subtract(&b);
-            std::hint::black_box(scratch.len());
-            scratch.clone_from(&small_a);
-            scratch.intersect_with(&small_b);
-            std::hint::black_box(scratch.len());
+            std::hint::black_box(wide_answer.clone());
+            std::hint::black_box(small_answer.clone());
         }),
     );
 

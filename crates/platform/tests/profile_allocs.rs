@@ -1,5 +1,6 @@
-//! Profile edits allocate nothing once the timeline has grown, and a slot
-//! query allocates only its answer.
+//! Profile edits allocate nothing once the timeline has grown, a slot
+//! query allocates only its answer, and a copy of that answer allocates
+//! only when the answer lives on the heap.
 //!
 //! A rolling planner timeline on 1024 processors forgets its past, frees
 //! expired bookings, books their processor sets again further out and
@@ -9,7 +10,8 @@
 //! every edit. A counting global allocator checks that, after warm-up,
 //! the rounds make no allocation at all, and that an answered
 //! `earliest_slot` allocates once, for the processor set it returns, and
-//! not at all when that set fits inline.
+//! not at all when that set fits inline; cloning that set, as a placement
+//! does for its booking, allocates likewise.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -186,5 +188,42 @@ fn an_answered_slot_query_allocates_once() {
         query(60, 16),
         (Some((Time::from_ticks(100), ProcSet::range(0, 16))), 0),
         "an inline answer allocates nothing"
+    );
+}
+
+#[test]
+fn cloning_an_answer_allocates_only_when_it_spills() {
+    // A placement books a copy of its answer. Processors 0..512 are busy
+    // on [0, 100): a 300-wide answer at 0 is processors 512..812, on the
+    // heap, and its copy allocates once; a 256-wide answer asked from 100
+    // on is processors 0..256, inline, and its copy allocates nothing.
+    let mut tl = Timeline::with_procs(M);
+    tl.book(
+        Time::ZERO,
+        Time::from_ticks(100),
+        ProcSet::range(0, 512),
+        BookingKind::Job,
+    );
+    let answer = |from: u64, width: usize| {
+        tl.earliest_slot(Time::from_ticks(from), Dur::from_ticks(50), width)
+            .expect("fits")
+            .1
+    };
+    let copy = |procs: &ProcSet| {
+        let before = allocations();
+        let copy = procs.clone();
+        let made = allocations() - before;
+        assert_eq!(&copy, procs);
+        made
+    };
+    let wide = answer(0, 300);
+    assert_eq!(wide, ProcSet::range(512, 812));
+    assert_eq!(copy(&wide), 1, "a heap answer's copy allocates once");
+    let narrow = answer(100, 256);
+    assert_eq!(narrow, ProcSet::range(0, 256));
+    assert_eq!(
+        copy(&narrow),
+        0,
+        "an inline answer's copy allocates nothing"
     );
 }

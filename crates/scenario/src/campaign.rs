@@ -270,6 +270,15 @@ fn expand_entry(
             // start: every policy would panic on either inside a worker. A
             // moldable job runs longest on one processor (time monotony).
             check_jobs(&mut problems, ("jobs", jobs.len() as u64), []);
+            if let Some(j) = jobs
+                .iter()
+                .find(|j| matches!(j.kind, JobKind::Divisible { .. }))
+            {
+                problems.push(format!(
+                    "job {} is a divisible load; campaign policies schedule parallel tasks",
+                    j.id
+                ));
+            }
             let time_bound = Dur::from_secs_f64(MAX_JOB_TIME_S);
             let runtime = |j: &Job| match j.kind {
                 JobKind::Rigid { len, .. } => len,
@@ -1550,6 +1559,59 @@ pub(crate) mod tests {
             assert!(
                 error.ends_with("within the 1e10 s job-time bound"),
                 "{error}"
+            );
+        }
+        // Traces that parse as text but hold jobs no policy can run: each
+        // is refused at expansion, naming its line or job, and no cell
+        // starts.
+        let job = |id: u64, kind: &str| {
+            format!(r#"{{"id":{id},"kind":{kind},"release":0,"weight":1.0,"due":null,"user":0}}"#)
+        };
+        let swf = |line: &str| format!("1 0 -1 60 1\n{line}\n");
+        let jsonl = |kind: &str| {
+            let first = job(1, r#"{"Rigid":{"procs":1,"len":60}}"#);
+            format!("{first}\n{}\n", job(2, kind))
+        };
+        for (name, text, want) in [
+            (
+                "nan-procs.swf",
+                swf("2 0 -1 60 nan"),
+                "trace parse error at line 2: field 4: NaN is not finite",
+            ),
+            (
+                "nan-run.swf",
+                swf("2 0 -1 nan 1"),
+                "trace parse error at line 2: field 3: NaN is not finite",
+            ),
+            (
+                "zero-procs.jsonl",
+                jsonl(r#"{"Rigid":{"procs":0,"len":60}}"#),
+                "trace parse error at line 2: job j2 needs 0 processors",
+            ),
+            (
+                "empty-profile.jsonl",
+                jsonl(r#"{"Moldable":{"profile":{"times":[]}}}"#),
+                "trace parse error at line 2: job j2 has an empty profile",
+            ),
+            (
+                "divisible.jsonl",
+                jsonl(r#"{"Divisible":{"work":30.0}}"#),
+                "job j2 is a divisible load; campaign policies schedule parallel tasks",
+            ),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let path = path.display().to_string();
+            let source = if name.ends_with(".swf") {
+                WorkloadSource::SwfFile(path)
+            } else {
+                WorkloadSource::JsonlFile(path)
+            };
+            let (spec, opts) = trace_spec(source);
+            assert_eq!(
+                check_spec(&spec, &opts).unwrap_err(),
+                format!("workload `trace`: {want}"),
+                "{name}"
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();

@@ -61,8 +61,36 @@ pub fn to_jsonl(jobs: &[Job]) -> String {
     out
 }
 
+/// Why `job` is not a job [`Job::rigid`] or [`MoldableProfile::from_times`]
+/// would build — zero processors, zero length, an empty profile or a zero
+/// sequential time — or `None` if it is.
+///
+/// [`MoldableProfile::from_times`]: crate::speedup::MoldableProfile::from_times
+fn malformed(job: &Job) -> Option<String> {
+    match &job.kind {
+        JobKind::Rigid { procs: 0, .. } => Some(format!("job {} needs 0 processors", job.id)),
+        JobKind::Rigid { len, .. } if *len == Dur::ZERO => {
+            Some(format!("job {} has zero length", job.id))
+        }
+        JobKind::Moldable { profile } | JobKind::Malleable { profile } => {
+            if profile.max_procs() == 0 {
+                Some(format!("job {} has an empty profile", job.id))
+            } else if profile.seq_time() == Dur::ZERO {
+                Some(format!("job {} has a zero sequential time", job.id))
+            } else {
+                None
+            }
+        }
+        _ => None,
+    }
+}
+
 /// Parse JSON lines produced by [`to_jsonl`]. Blank lines and `#` comments
-/// are ignored; a repeated job id is an error.
+/// are ignored; a repeated job id is an error, and so is a job the
+/// constructors would refuse (see [`Job::rigid`] and
+/// [`MoldableProfile::from_times`]).
+///
+/// [`MoldableProfile::from_times`]: crate::speedup::MoldableProfile::from_times
 pub fn from_jsonl(text: &str) -> Result<Vec<Job>, ParseError> {
     let mut jobs = Vec::new();
     let mut seen = HashMap::new();
@@ -75,6 +103,12 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Job>, ParseError> {
             line: i + 1,
             message: e.to_string(),
         })?;
+        if let Some(message) = malformed(&job) {
+            return Err(ParseError {
+                line: i + 1,
+                message,
+            });
+        }
         note_id(&mut seen, job.id, i + 1)?;
         jobs.push(job);
     }
@@ -87,8 +121,9 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Job>, ParseError> {
 /// `0` job number, `1` submit time (s), `2` wait (ignored), `3` run time
 /// (s), `4` allocated processors. Records with non-positive run time or
 /// processor count are skipped (SWF uses -1 for "unknown"), matching the
-/// archive's own cleaning conventions. A repeated job number among the
-/// kept records is an error.
+/// archive's own cleaning conventions. A non-finite field, a job number or
+/// processor count that is not a non-negative whole number, and a
+/// repeated job number among the kept records are errors.
 pub fn from_swf(text: &str) -> Result<Vec<Job>, ParseError> {
     let mut jobs = Vec::new();
     let mut seen = HashMap::new();
@@ -104,19 +139,32 @@ pub fn from_swf(text: &str) -> Result<Vec<Job>, ParseError> {
                 message: format!("expected >= 5 SWF fields, got {}", fields.len()),
             });
         }
-        let parse_f = |idx: usize| -> Result<f64, ParseError> {
-            fields[idx].parse::<f64>().map_err(|e| ParseError {
-                line: i + 1,
-                message: format!("field {idx}: {e}"),
-            })
+        let error = |message: String| ParseError {
+            line: i + 1,
+            message,
         };
-        let id = parse_f(0)? as u64;
+        let parse_f = |idx: usize| -> Result<f64, ParseError> {
+            match fields[idx].parse::<f64>() {
+                Ok(x) if x.is_finite() => Ok(x),
+                Ok(x) => Err(error(format!("field {idx}: {x} is not finite"))),
+                Err(e) => Err(error(format!("field {idx}: {e}"))),
+            }
+        };
+        let id = parse_f(0)?;
         let submit = parse_f(1)?;
         let run = parse_f(3)?;
         let procs = parse_f(4)?;
         if run <= 0.0 || procs <= 0.0 {
             continue; // unknown / cancelled record
         }
+        for (idx, x) in [(0, id), (4, procs)] {
+            if x.fract() != 0.0 || x < 0.0 {
+                return Err(error(format!(
+                    "field {idx}: {x} is not a non-negative whole number"
+                )));
+            }
+        }
+        let id = id as u64;
         note_id(&mut seen, JobId(id), i + 1)?;
         let user = fields
             .get(11)
@@ -222,6 +270,53 @@ mod tests {
         let err = from_swf(text).unwrap_err();
         assert_eq!(err.line, 5, "the skipped record 10 is no instance job");
         assert_eq!(err.message, "duplicate job id j10 (first at line 2)");
+    }
+
+    #[test]
+    fn swf_rejects_non_finite_and_fractional_fields() {
+        for (line, message) in [
+            ("2 0 -1 60 nan", "field 4: NaN is not finite"),
+            ("2 0 -1 nan 1", "field 3: NaN is not finite"),
+            ("2 inf -1 60 1", "field 1: inf is not finite"),
+            (
+                "2 0 -1 60 1.5",
+                "field 4: 1.5 is not a non-negative whole number",
+            ),
+            (
+                "2.5 0 -1 60 1",
+                "field 0: 2.5 is not a non-negative whole number",
+            ),
+        ] {
+            let err = from_swf(&format!("1 0 -1 60 1\n{line}\n")).unwrap_err();
+            assert_eq!((err.line, err.message.as_str()), (2, message), "{line}");
+        }
+        // The skip rule for unknown values still holds.
+        assert_eq!(from_swf("1 0 -1 60 -1\n2 0 -1 0 4\n").unwrap(), vec![]);
+    }
+
+    #[test]
+    fn jsonl_rejects_jobs_the_constructors_refuse() {
+        let job = |kind: &str| {
+            format!(r#"{{"id":1,"kind":{kind},"release":0,"weight":1.0,"due":null,"user":0}}"#)
+        };
+        for (kind, message) in [
+            (
+                r#"{"Rigid":{"procs":0,"len":100}}"#,
+                "job j1 needs 0 processors",
+            ),
+            (r#"{"Rigid":{"procs":2,"len":0}}"#, "job j1 has zero length"),
+            (
+                r#"{"Moldable":{"profile":{"times":[]}}}"#,
+                "job j1 has an empty profile",
+            ),
+            (
+                r#"{"Malleable":{"profile":{"times":[0,0]}}}"#,
+                "job j1 has a zero sequential time",
+            ),
+        ] {
+            let err = from_jsonl(&format!("# header\n{}\n", job(kind))).unwrap_err();
+            assert_eq!((err.line, err.message.as_str()), (2, message), "{kind}");
+        }
     }
 
     #[test]

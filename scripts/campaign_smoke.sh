@@ -13,7 +13,10 @@
 # in the aggregate CSV. `volatile` sweeps the machine-failure axis
 # (2 regimes × 2 recovery policies × EASY/conservative) and must land
 # non-empty failure columns for every volatile group. `open-1m` drives a
-# million-completion open stream through the online driver.
+# million-completion open stream through the online driver. `stale-finish`
+# pins the online machine's stale completion: a run killed by a scripted
+# outage is rerun elsewhere, and its dead completion is the last event of
+# the instant a later job arrives at, so it must take that job's decision.
 #
 # Then it runs the six experiment binaries and checks every output against
 # the digests pinned in examples/golden_csv.sha256.
@@ -27,7 +30,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 rm -rf results/cache
-for spec in small_campaign outcomes_campaign heterogeneous_campaign large_scale_campaign trace_100k_campaign heavy_traffic_campaign volatile_campaign open_1m_campaign; do
+for spec in small_campaign outcomes_campaign heterogeneous_campaign large_scale_campaign trace_100k_campaign heavy_traffic_campaign volatile_campaign open_1m_campaign stale_finish_campaign; do
   name=$(grep -o '"name": "[^"]*"' examples/$spec.json | head -1 | cut -d'"' -f4)
   rm -f "results/$name.csv" "results/${name}_agg.csv"
   cargo run --release -p lsps-scenario --bin lsps-campaign -- examples/$spec.json
